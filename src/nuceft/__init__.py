@@ -10,7 +10,7 @@ from .estimator import CostReport, TaskSpec, estimate, sweep
 from .fock import FermionSum, FermionTerm, eta_seminorm
 from .pauli import PauliString, PauliSum
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CostReport", "TaskSpec", "estimate", "sweep",

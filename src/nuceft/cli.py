@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 
 import click
@@ -154,27 +153,24 @@ def cmd_estimate(config_path, output, **flags):
 @click.option("--from", "start", type=float, required=True)
 @click.option("--to", "stop", type=float, required=True)
 @click.option("--step", type=float, default=1.0, show_default=True)
-@click.option("--jobs", type=int, default=None,
-              help="Parallel workers (default: NUCEFT_JOBS or 1).")
 @click.option("--output", type=str, default=None,
               help="CSV path (default: stdout).")
-def cmd_sweep(config_path, axis, start, stop, step, jobs, output, **flags):
+def cmd_sweep(config_path, axis, start, stop, step, output, **flags):
     """Sweep one axis and emit a CSV table."""
     config = _load_config(config_path)
     template = _build_spec(config, flags)
     if step <= 0:
         raise ConfigError(f"--step must be positive, got {step}")
+    # each point from its index, so no rounding error accumulates; 12
+    # significant digits drop the representation error of start + i * step
     grid = []
-    value = start
-    while value <= stop + 1e-12:
-        grid.append(value if axis == "epsilon" else int(round(value)))
-        value += step
+    while (value := start + len(grid) * step) <= stop + 1e-12:
+        grid.append(float(f"{value:.12g}") if axis == "epsilon"
+                    else int(round(value)))
     if not grid:
         raise ConfigError(
             f"empty sweep grid: from {start} to {stop} step {step}")
-    if jobs is None:
-        jobs = int(os.environ.get("NUCEFT_JOBS", "1"))
-    rows = sweep(template, axis, grid, jobs=max(1, jobs))
+    rows = sweep(template, axis, grid)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_HEADER)

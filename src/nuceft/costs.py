@@ -8,9 +8,9 @@ uncontrolled variants (controlled steps are what phase estimation applies).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -35,13 +35,6 @@ OPE_EXCHANGE_DEPTH = {False: 54, True: 98}
 # One site-pair class of the finite-range potential.
 LONG_RANGE_PAIR_DEPTH = {False: 14336, True: 16384}
 
-_PIONLESS_DEPTH = {
-    ("vc", 1, False): 520, ("vc", 1, True): 630,
-    ("vc", 2, False): 1014, ("vc", 2, True): 1230,
-    ("compact", 1, False): 68, ("compact", 1, True): 106,
-    ("compact", 2, False): 126, ("compact", 2, True): 190,
-}
-
 
 @dataclass(frozen=True)
 class StepCost:
@@ -63,8 +56,102 @@ class StepCost:
                 "controlled": self.controlled, "encoding": self.encoding,
                 "model": self.model, "order": self.order}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+class Layer(NamedTuple):
+    """``count`` back-to-back copies of one circuit layer of the given
+    2-qubit depth."""
+
+    name: str
+    depth: int
+    count: int = 1
+
+
+# A step is a sequence of stages run one after another.  A stage is a set of
+# branches acting on disjoint registers in parallel; a branch is a sequence
+# of layers.
+Branch = tuple[Layer, ...]
+Stage = tuple[Branch, ...]
+
+
+def _vc_kinetic(controlled: bool) -> Branch:
+    # each hopping axis splits into 8 mutually commuting sublayers
+    return tuple(Layer(f"kinetic_{axis}", KINETIC_DEPTH[(axis, controlled)], 8)
+                 for axis in "xyz")
+
+
+def _pion_fermion(controlled: bool) -> Branch:
+    """The nucleon layers both pion models share: hopping, contact and
+    isospin exchange."""
+    return (*_vc_kinetic(controlled),
+            Layer("contact", OPE_CONTACT_DEPTH[controlled]),
+            Layer("exchange", OPE_EXCHANGE_DEPTH[controlled]))
+
+
+def _pionless_vc(controlled: bool, size: int) -> tuple[Stage, ...]:
+    return (((*_vc_kinetic(controlled),
+              Layer("contact", CONTACT_DEPTH[controlled])),),)
+
+
+def _pionless_compact(controlled: bool, size: int) -> tuple[Stage, ...]:
+    return (((Layer("kinetic", COMPACT_KINETIC_DEPTH[controlled], 6),
+              Layer("contact", CONTACT_DEPTH[controlled])),),)
+
+
+def _ope_vc(controlled: bool, size: int) -> tuple[Stage, ...]:
+    """``size`` is the number of long-range site-pair classes."""
+    return (((*_pion_fermion(controlled),
+              Layer("long_range_pair", LONG_RANGE_PAIR_DEPTH[controlled],
+                    size)),),)
+
+
+def _dynpi_vc(controlled: bool, size: int) -> tuple[Stage, ...]:
+    """``size`` is the boson register width n_b."""
+    boson = (Layer("boson_mass", boson_mass_depth(size, controlled)),
+             Layer("boson_gradient", boson_gradient_depth(size, controlled)),
+             Layer("boson_momentum", boson_momentum_depth(size, controlled)))
+    return ((_pion_fermion(controlled), boson),
+            ((Layer("axial", axial_coupling_depth(size, controlled)),),),
+            ((Layer("weinberg", weinberg_term_depth(size, controlled)),),))
+
+
+# The priced (model, encoding) pairs and their step-layer inventories.
+STEP_LAYERS = {
+    ("pionless", "vc"): _pionless_vc,
+    ("pionless", "compact"): _pionless_compact,
+    ("ope", "vc"): _ope_vc,
+    ("dynpi", "vc"): _dynpi_vc,
+}
+
+
+def _check_priced(model: str, encoding: str) -> None:
+    if (model, encoding) not in STEP_LAYERS:
+        raise DomainError(
+            f"model {model!r} is not costed in the {encoding!r} encoding")
+
+
+def compose_depth(stages: tuple[Stage, ...], order: int) -> int:
+    """2-qubit depth of one product-formula step.
+
+    p=1 runs the stages in sequence, each as deep as its deepest branch.
+    The symmetric p=2 step runs that sequence forward and backward; the
+    deepest single layer sits in the middle and runs once.
+    """
+    first = sum(max(sum(layer.depth * layer.count for layer in branch)
+                    for branch in stage)
+                for stage in stages)
+    if order == 1:
+        return first
+    deepest = max(layer.depth for stage in stages for branch in stage
+                  for layer in branch)
+    return 2 * first - deepest
+
+
+def _step_cost(model: str, encoding: str, order: int, controlled: bool,
+               size: int, rz: int) -> StepCost:
+    _check_priced(model, encoding)
+    depth = compose_depth(STEP_LAYERS[(model, encoding)](controlled, size),
+                          order)
+    return StepCost(depth, rz, controlled, encoding, model, order)
 
 
 def pionless_step_cost(encoding: str, order: int, controlled: bool,
@@ -72,13 +159,10 @@ def pionless_step_cost(encoding: str, order: int, controlled: bool,
     """Step cost for the contact-interaction model."""
     if order not in (1, 2):
         raise DomainError(f"product-formula order must be 1 or 2, got {order}")
-    if encoding not in ("vc", "compact"):
-        raise DomainError(f"unknown encoding {encoding!r}")
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
-    depth = _PIONLESS_DEPTH[(encoding, order, controlled)]
     rz = (84 if controlled else 42) * L ** 3
-    return StepCost(depth, rz, controlled, encoding, "pionless", order)
+    return _step_cost("pionless", encoding, order, controlled, 0, rz)
 
 
 def interaction_ball_sites(ell_units: float) -> int:
@@ -96,14 +180,10 @@ def ope_step_cost(ell_units: float, L: int, controlled: bool) -> StepCost:
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
     R = interaction_ball_sites(ell_units)
-    if controlled:
-        depth = 732 + 16384 * R
-    else:
-        depth = 572 + 14336 * R
     rz = (52 + 1024 * R) * L ** 3
     if controlled:
         rz *= 2
-    return StepCost(depth, rz, controlled, "vc", "ope", 1)
+    return _step_cost("ope", "vc", 1, controlled, R, rz)
 
 
 def boson_mass_depth(n_b: int, controlled: bool) -> int:
@@ -154,20 +234,13 @@ def dynpi_step_cost(n_b: int, L: int, controlled: bool,
         raise DomainError(f"register width n_b must be >= 1, got {n_b}")
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
-    half = -(-n_b // 2)
-    if controlled:
-        boson = 28 * n_b ** 2 + 16 * half + 40 * n_b - 32
-        depth = max(732, boson) + 146 * n_b ** 2 + 1918 * n_b + 1440
-    else:
-        boson = 2 * n_b ** 2 + 16 * half + 26 * n_b - 32
-        depth = max(572, boson) + 98 * n_b ** 2 + 958 * n_b + 1392
     if strict_statement:
         rz = (45 * n_b ** 2 + 114 * n_b + 76) * L ** 3
     else:
         rz = (33 * n_b ** 2 + 90 * n_b + 64) * L ** 3
     if controlled:
         rz *= 2
-    return StepCost(depth, rz, controlled, "vc", "dynpi", 1)
+    return _step_cost("dynpi", "vc", 1, controlled, n_b, rz)
 
 
 def t_synthesis(total_rz: int, eps_syn_total: float) -> float:
@@ -182,6 +255,10 @@ def t_synthesis(total_rz: int, eps_syn_total: float) -> float:
     return total_rz * per_gate
 
 
+# Fermionic data qubits per lattice site.
+_QUBITS_PER_SITE = {"vc": 6, "compact": 10}
+
+
 def qubit_count(model: str, encoding: str, L: int, n_b: int = 0,
                 task: str = "evolve") -> int:
     """Total qubits (data plus ancillas) for a task.
@@ -194,24 +271,13 @@ def qubit_count(model: str, encoding: str, L: int, n_b: int = 0,
         raise DomainError(f"lattice extent must be >= 1, got {L}")
     if task not in ("evolve", "qpe"):
         raise DomainError(f"unknown task {task!r}")
-    if model in ("pionless", "ope"):
-        if encoding == "vc":
-            data = 6 * L ** 3
-        elif encoding == "compact":
-            if model == "ope":
-                raise DomainError(
-                    "the finite-range model is only costed in the "
-                    "auxiliary-qubit encoding")
-            data = 10 * L ** 3
-        else:
-            raise DomainError(f"unknown encoding {encoding!r}")
-    elif model == "dynpi":
+    _check_priced(model, encoding)
+    data = _QUBITS_PER_SITE[encoding] * L ** 3
+    if model == "dynpi":
         if n_b < 1:
             raise DomainError(
                 f"dynpi needs a register width n_b >= 1, got {n_b}")
-        data = 6 * L ** 3 + 3 * L ** 3 * n_b
-    else:
-        raise DomainError(f"unknown model {model!r}")
+        data += 3 * L ** 3 * n_b
     if task == "qpe":
         data += 1
         if model == "dynpi":

@@ -167,12 +167,6 @@ class QubitLayout:
             return 6 * r + species
         return species * self._block + r
 
-    def aux_qubit(self, site: tuple[int, int, int], which: str) -> int:
-        if self.encoding != "vc":
-            raise UnsupportedOperatorError("auxiliary modes exist only in the vc encoding")
-        offset = {"mu": _VC_MU, "nu": _VC_NU}[which]
-        return 6 * self.lattice.raster_index(site) + offset
-
     def face_qubit(self, species: int, face) -> int:
         if self.encoding != "compact":
             raise UnsupportedOperatorError("face ancillas exist only in the compact encoding")

@@ -9,19 +9,17 @@ coefficient into a Trotter step count, and prices the resulting circuit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .costs import dynpi_step_cost, ope_step_cost, pionless_step_cost, \
     qubit_count, t_synthesis
 from .errors import DomainError, PrecisionError
-from .models import (CONSTANTS, DigitizationSpec, DynPiParams, OpeParams,
-                     PhysicalConstants, convert_length, pionless_params_for)
+from .models import (CONSTANTS, DynPiParams, OpeParams, PhysicalConstants,
+                     convert_length, pionless_params_for)
 from .trotter import (compose_total_error, dynpi_p1_bound, ope_p1_bound,
-                      pionless_p1_bound, pionless_p2_coefficient,
+                      pionless_p1_coefficient, pionless_p2_coefficient,
                       steps_for_budget)
-from .truncation import (boson_cutoffs, choose_ope_cutoff, pi_max_bound,
-                         realized_shells)
+from .truncation import boson_cutoffs, choose_ope_cutoff, realized_shells
 
 SCHEMA_VERSION = 1
 
@@ -97,32 +95,19 @@ def qpe_ancilla_bits(m: int, delta: float) -> int:
     return m + math.ceil(math.log2(1 / (2 * delta) + 0.5))
 
 
-def _forced_digitization(spec: TaskSpec, eps_cut: float, E: float,
-                         C: float, C_I2: float,
-                         constants: PhysicalConstants) -> DigitizationSpec:
-    """Digitization with the register width pinned by the caller."""
-    pi0, _ = pi_max_bound(spec.eta, E, eps_cut, spec.a_L, spec.L, C, C_I2,
-                          constants)
-    a = convert_length(spec.a_L)
-    n_b = spec.n_b
-    delta_pi = 2 * pi0 / (2 ** n_b - 1)
-    Pi_max = math.pi / (a ** 3 * delta_pi)
-    delta_Pi = 2 * math.pi / (a ** 3 * delta_pi * 2 ** n_b)
-    return DigitizationSpec(pi_max=pi0, Pi_max=Pi_max, delta_pi=delta_pi,
-                            delta_Pi=delta_Pi, n_b=n_b)
-
-
 def _coefficient(spec: TaskSpec, t: float, ledger: dict,
                  constants: PhysicalConstants) -> tuple[float, dict]:
     """Commutator coefficient for steps_for_budget plus the sized
-    intermediates (range cutoff or digitization)."""
+    intermediates (range cutoff or digitization).
+
+    The coefficient carries no time; t is only the span over which the
+    range-cutoff error accrues when the cutoff is sized.
+    """
     extras: dict = {}
     if spec.model == "pionless":
         params = pionless_params_for(spec.a_L)
         if spec.order == 1:
-            # budgeted as (t^2/2) * coefficient; the closed form at t = 1
-            # is exactly that coefficient
-            coeff = pionless_p1_bound(1.0, spec.eta, params)
+            coeff = pionless_p1_coefficient(spec.eta, params)
         elif spec.order == 2:
             coeff = pionless_p2_coefficient(spec.eta, params)
         else:
@@ -142,7 +127,7 @@ def _coefficient(spec: TaskSpec, t: float, ledger: dict,
                                     constants)
         params = OpeParams.from_lecs(spec.a_L, ell * spec.a_L)
         shells = realized_shells(ell * spec.a_L, spec.a_L)
-        report = ope_p1_bound(t, spec.eta, params, shells, constants)
+        report = ope_p1_bound(spec.eta, params, shells, constants)
         extras["ell_units"] = ell
         extras["zeta"] = report.total
         return report.total, extras
@@ -151,14 +136,10 @@ def _coefficient(spec: TaskSpec, t: float, ledger: dict,
         eps_cut = ledger["eps_cut"]
         E = spec.E_max if spec.task == "qpe" else spec.eta * spec.E_kin
         lecs = OpeParams.from_lecs(spec.a_L, spec.a_L)
-        if spec.n_b is not None:
-            dig = _forced_digitization(spec, eps_cut, E, lecs.C, lecs.C_I2,
-                                       constants)
-        else:
-            dig = boson_cutoffs(spec.eta, E, eps_cut, spec.a_L, spec.L,
-                                lecs.C, lecs.C_I2, constants)
+        dig = boson_cutoffs(spec.eta, E, eps_cut, spec.a_L, spec.L, lecs.C,
+                            lecs.C_I2, constants, n_b=spec.n_b)
         params = DynPiParams(spec.a_L, lecs.C, lecs.C_I2, dig)
-        report = dynpi_p1_bound(t, spec.eta, params, dig, spec.L, constants)
+        report = dynpi_p1_bound(spec.eta, params, dig, spec.L, constants)
         extras["n_b"] = dig.n_b
         extras["pi_max"] = dig.pi_max
         extras["Pi_max"] = dig.Pi_max
@@ -177,6 +158,17 @@ def _step_cost(spec: TaskSpec, extras: dict, controlled: bool):
     return dynpi_step_cost(extras["n_b"], spec.L, controlled)
 
 
+def _synthesis(spec: TaskSpec, rz_total: int,
+               ledger: dict) -> tuple[float, dict]:
+    """T count for rz_total rotations and the ledger that budgets it."""
+    if "syn" in ledger:
+        return t_synthesis(rz_total, ledger["syn"]), ledger
+    # near-term circuits apply rotations natively; the T count is
+    # informational, priced against the full budget
+    return (t_synthesis(rz_total, spec.epsilon),
+            dict(ledger, syn_nominal=spec.epsilon))
+
+
 def estimate_evolution(spec: TaskSpec,
                        constants: PhysicalConstants = CONSTANTS) -> CostReport:
     """Resource estimate for crossing-time evolution."""
@@ -189,14 +181,7 @@ def estimate_evolution(spec: TaskSpec,
     r = steps_for_budget(spec.order, t, coeff, ledger["prod"])
     step = _step_cost(spec, extras, controlled=False)
     rz_total = r * step.rz_count
-    if "syn" in ledger:
-        syn_budget = ledger["syn"]
-    else:
-        # near-term circuits apply rotations natively; the T count below
-        # is informational, priced against the full budget
-        syn_budget = spec.epsilon
-        ledger = dict(ledger, syn_nominal=spec.epsilon)
-    T_total = t_synthesis(rz_total, syn_budget)
+    T_total, ledger = _synthesis(spec, rz_total, ledger)
     qubits = qubit_count(spec.model, spec.encoding, spec.L,
                          extras.get("n_b", 0), "evolve")
     extras["coefficient"] = coeff
@@ -239,12 +224,7 @@ def estimate_qpe(spec: TaskSpec,
     total_steps = r_app * applications
     step = _step_cost(spec, extras, controlled=True)
     rz_total = total_steps * step.rz_count
-    if "syn" in ledger:
-        syn_budget = ledger["syn"]
-    else:
-        syn_budget = spec.epsilon
-        ledger = dict(ledger, syn_nominal=spec.epsilon)
-    T_total = t_synthesis(rz_total, syn_budget)
+    T_total, ledger = _synthesis(spec, rz_total, ledger)
     qubits = qubit_count(spec.model, spec.encoding, spec.L,
                          extras.get("n_b", 0), "qpe")
     data = qubit_count(spec.model, spec.encoding, spec.L,
@@ -297,7 +277,7 @@ def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
     return row
 
 
-def sweep(template: TaskSpec, axis: str, grid, jobs: int = 1) -> list[dict]:
+def sweep(template: TaskSpec, axis: str, grid) -> list[dict]:
     """One estimate per grid value; failures become row-level notes."""
     values = list(grid)
     if not values:
@@ -305,10 +285,4 @@ def sweep(template: TaskSpec, axis: str, grid, jobs: int = 1) -> list[dict]:
     if axis not in SWEEP_AXES:
         raise DomainError(f"unknown sweep axis {axis!r} "
                           f"(choose from {SWEEP_AXES})")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda v: _sweep_point(template, axis, v),
-                                 values))
-    else:
-        rows = [_sweep_point(template, axis, v) for v in values]
-    return rows
+    return [_sweep_point(template, axis, v) for v in values]

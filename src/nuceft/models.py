@@ -10,7 +10,7 @@ is 2*beta + alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -376,64 +376,3 @@ def explicit_ci2_site_terms(lattice: LatticeSpec, site, c_i2: float) -> list[Fer
     herm = ((up_n, CREATE), (down_n, ANNIHILATE), (down_p, CREATE), (up_p, ANNIHILATE))
     out.extend(reorder_only(herm, -4.0 * half).terms)
     return out
-
-
-# ---------------------------------------------------------------------------
-# dynamical-pion EFT
-
-
-@dataclass(frozen=True)
-class DynPiDescriptor:
-    """Costing-grade description of the pion-coupled model.
-
-    The fermionic part is an explicit operator; the bosonic and mixed parts
-    are kept symbolic (coefficients plus per-site term inventories), which is
-    what the depth and error formulas consume.
-    """
-
-    lattice: LatticeSpec
-    params: DynPiParams
-    eta: int
-    E: float
-    eps_cut: float
-    digitization: DigitizationSpec
-    fermionic: FermionSum
-
-    # per-site coefficient slots in the derivative-coupling term: 3 spin
-    # directions x 3 isospin components x 4 fermion bilinears
-    av_slots_per_site: int = field(default=36, init=False)
-    # nonzero antisymmetric isospin triples in the two-field coupling
-    wt_triples: int = field(default=6, init=False)
-
-    @property
-    def av_coefficient(self) -> float:
-        return CONSTANTS.g_A / (2 * CONSTANTS.f_pi)
-
-    @property
-    def wt_coefficient(self) -> float:
-        return 1.0 / (4 * CONSTANTS.f_pi ** 2)
-
-    @property
-    def boson_site_coefficient(self) -> float:
-        """a_L^3 / 2 multiplying the quadratic field terms."""
-        return convert_length(self.params.a_L) ** 3 / 2
-
-    @property
-    def total_qubits(self) -> int:
-        return 6 * self.lattice.n_sites + 3 * self.lattice.n_sites * self.digitization.n_b
-
-
-def build_dynpi_descriptor(lattice: LatticeSpec, params: DynPiParams, eta: int,
-                           E: float, eps_cut: float) -> DynPiDescriptor:
-    digit = params.digitization
-    if digit is None:
-        from .truncation import boson_cutoffs
-        digit = boson_cutoffs(eta, E, eps_cut, params.a_L, lattice.Lx,
-                              params.C, params.C_I2)
-    n = 4 * lattice.n_sites
-    h = hopping_coefficient(params.a_L)
-    terms = _free_terms(lattice, h)
-    terms += _contact_two_body(lattice, params.C / 2)
-    terms += _ci2_terms(lattice, params.C_I2)
-    return DynPiDescriptor(lattice, params, eta, E, eps_cut, digit,
-                           FermionSum(n, terms))

@@ -11,7 +11,6 @@ time step (in MeV^-1) to get a dimensionless error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,8 +25,9 @@ from .models import (CONSTANTS, DigitizationSpec, DynPiParams, OpeParams,
 class BoundReport:
     """Per-commutator-class breakdown of a product-formula error coefficient.
 
-    For order=1 the total is the zeta (or Xi) coefficient and
-    bound(t) = (t^2/2) * total.  Every contribution is nonnegative.
+    For order=1 the total is the zeta (or Xi) coefficient, whose error over
+    time t is product_formula_error(1, t, total) = (t^2/2) * total.  Every
+    contribution is nonnegative.
     """
 
     order: int
@@ -42,49 +42,40 @@ class BoundReport:
     def total(self) -> float:
         return sum(v for _, v in self.classes)
 
-    def bound(self, t: float) -> float:
-        return product_formula_error(self.order, t, self.total)
-
     def __getitem__(self, label: str) -> float:
         for lab, value in self.classes:
             if lab == label:
                 return value
         raise KeyError(label)
 
-    def to_csv(self) -> str:
-        lines = ["class,coefficient"]
-        lines += [f"{label},{value!r}" for label, value in self.classes]
-        lines.append(f"total,{self.total!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order,
-                "classes": {label: value for label, value in self.classes},
-                "total": self.total}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def pionless_p1_bound(t: float, eta: int, params: PionlessParams) -> float:
     """First-order error for the contact-interaction Hamiltonian."""
-    _check_t_eta(t, eta)
+    _check_time(t)
+    return t * t * pionless_p1_coefficient(eta, params)
+
+
+def pionless_p1_coefficient(eta: int, params: PionlessParams) -> float:
+    """The t^2 coefficient of pionless_p1_bound, which
+    product_formula_error takes as the p=1 coefficient zeta."""
+    _check_eta(eta)
     h, C, D = params.h, params.C_slash, params.D_slash
     a1 = 2 * abs(C)
     a2 = 2 * abs(3 * C + D) + abs(D)
     a3 = 2 * abs(6 * C + 4 * D) + 4 * abs(D)
-    return t * t * (15 * h * h * eta
-                    + 6 * h * (a1 * (eta // 2) + a2 * (eta // 3) + a3 * (eta // 4)))
+    return (15 * h * h * eta
+            + 6 * h * (a1 * (eta // 2) + a2 * (eta // 3) + a3 * (eta // 4)))
 
 
 def pionless_p2_bound(t: float, eta: int, params: PionlessParams) -> float:
     """Second-order error for the contact-interaction Hamiltonian."""
-    _check_t_eta(t, eta)
+    _check_time(t)
     return t ** 3 * pionless_p2_coefficient(eta, params)
 
 
 def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
     """The t^3 coefficient of the second-order bound."""
+    _check_eta(eta)
     h, C, D = params.h, params.C_slash, params.D_slash
     f2, f3, f4 = eta // 2, eta // 3, eta // 4
     n2 = abs(C) * f2
@@ -108,7 +99,7 @@ def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
                        + 12 * h * (2 * (q2 + q3 + q4) + q3p + q4p))
 
 
-def ope_p1_bound(t: float, eta: int, params: OpeParams,
+def ope_p1_bound(eta: int, params: OpeParams,
                  shells: Sequence[tuple[float, int]],
                  constants: PhysicalConstants = CONSTANTS) -> BoundReport:
     """First-order commutator-class sum (zeta) for the pion-exchange model.
@@ -117,7 +108,7 @@ def ope_p1_bound(t: float, eta: int, params: OpeParams,
     pairs with r <= the range cutoff; pass an empty sequence when the cutoff
     excludes all pairs.
     """
-    _check_t_eta(t, eta)
+    _check_eta(eta)
     h = hopping_coefficient(params.a_L, constants)
     C, CI2 = abs(params.C), abs(params.C_I2)
     a = convert_length(params.a_L)
@@ -162,11 +153,11 @@ def ope_p1_bound(t: float, eta: int, params: OpeParams,
     return BoundReport(order=1, classes=classes)
 
 
-def dynpi_p1_bound(t: float, eta: int, params: DynPiParams,
+def dynpi_p1_bound(eta: int, params: DynPiParams,
                    digitization: DigitizationSpec, L: int,
                    constants: PhysicalConstants = CONSTANTS) -> BoundReport:
     """First-order commutator-class sum (Xi) for the dynamical-pion model."""
-    _check_t_eta(t, eta)
+    _check_eta(eta)
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
     h = hopping_coefficient(params.a_L, constants)
@@ -245,8 +236,7 @@ def product_formula_error(p: int, t: float, coefficient: float) -> float:
     p=1 takes zeta (error (t^2/2) zeta), p=2 takes the full t^3 coefficient,
     and even p >= 4 takes the nested-commutator coefficient alpha.
     """
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    _check_time(t)
     if coefficient < 0:
         raise DomainError(f"coefficient must be >= 0, got {coefficient}")
     if p == 1:
@@ -261,8 +251,7 @@ def steps_for_budget(p: int, t: float, coefficient: float, budget: float) -> int
     """Fewest Trotter steps r with r * error(t/r) <= budget."""
     if budget <= 0:
         raise DomainError(f"error budget must be positive, got {budget}")
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    _check_time(t)
     single = product_formula_error(p, t, coefficient)
     if single <= budget:
         return 1
@@ -304,8 +293,11 @@ def compose_total_error(task: str, model: str, epsilon: float,
     return ledger
 
 
-def _check_t_eta(t: float, eta: int) -> None:
+def _check_time(t: float) -> None:
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
+
+
+def _check_eta(eta: int) -> None:
     if eta < 0:
         raise DomainError(f"eta must be >= 0, got {eta}")

@@ -126,17 +126,22 @@ def pi_max_bound(eta: int, E: float, eps_cut: float, a_L_fm: float, L: int,
 
 def boson_cutoffs(eta: int, E: float, eps_cut: float, a_L_fm: float, L: int,
                   C: float, C_I2: float,
-                  constants: PhysicalConstants = CONSTANTS) -> DigitizationSpec:
+                  constants: PhysicalConstants = CONSTANTS,
+                  n_b: int | None = None) -> DigitizationSpec:
     """Integer-width digitization meeting both cutoff lower bounds.
 
-    n_b is the ceiling of log2(2 a^3 Pi_max pi_max / pi + 1); the field
-    cutoff stays at its bound and the momentum cutoff absorbs the rounding
-    (delta_pi = 2 pi_max / (2^n_b - 1), Pi_max = pi / (a^3 delta_pi)).
+    n_b is the ceiling of log2(2 a^3 Pi_max pi_max / pi + 1) unless the
+    caller pins it; the field cutoff stays at its bound and the momentum
+    cutoff absorbs the rounding (delta_pi = 2 pi_max / (2^n_b - 1),
+    Pi_max = pi / (a^3 delta_pi)).
     """
+    if n_b is not None and n_b < 1:
+        raise DomainError(f"register width n_b must be >= 1, got {n_b}")
     pi0, Pi0 = pi_max_bound(eta, E, eps_cut, a_L_fm, L, C, C_I2, constants)
     a = convert_length(a_L_fm)
-    raw = 2 * a ** 3 * Pi0 * pi0 / math.pi + 1
-    n_b = max(1, math.ceil(math.log2(raw)))
+    if n_b is None:
+        raw = 2 * a ** 3 * Pi0 * pi0 / math.pi + 1
+        n_b = max(1, math.ceil(math.log2(raw)))
     delta_pi = 2 * pi0 / (2 ** n_b - 1)
     Pi_max = math.pi / (a ** 3 * delta_pi)
     delta_Pi = 2 * math.pi / (a ** 3 * delta_pi * 2 ** n_b)

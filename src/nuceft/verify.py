@@ -19,7 +19,8 @@ from .fock import (ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm,
 from .models import pionless_layers, pionless_params_for
 from .pauli import (PauliString, PauliSum, commutator_sum, dense_matrix,
                     multiply, partition_commuting_layers)
-from .trotter import (pionless_p1_bound, pionless_p2_coefficient)
+from .trotter import (pionless_p1_coefficient, pionless_p2_coefficient,
+                      product_formula_error)
 
 Check = tuple[str, bool, str]
 
@@ -253,17 +254,13 @@ def verify_trotter() -> list[Check]:
     total = 0
     for t in grid_t:
         for eta in grid_eta:
-            for p in (1, 2):
-                if p == 1:
-                    coeff = pionless_p1_bound(1.0, eta, params)
-                else:
-                    coeff = pionless_p2_coefficient(eta, params)
+            for p, coefficient in ((1, pionless_p1_coefficient),
+                                   (2, pionless_p2_coefficient)):
+                coeff = coefficient(eta, params)
                 for r in grid_r:
                     exact = exact_evolution_error(layers, t, p, r, eta)
-                    if p == 1:
-                        bound = t * t * coeff / r
-                    else:
-                        bound = t ** 3 * coeff / r ** 2
+                    # the bound the estimator budgets: r steps of t / r
+                    bound = r * product_formula_error(p, t / r, coeff)
                     total += 1
                     if exact > bound * (1 + 1e-9):
                         violations += 1

@@ -179,7 +179,7 @@ def test_c10_cli_determinism(tmp_path):
     sweep_args = ["sweep", *args, "--axis", "eta", "--from", "2",
                   "--to", "20", "--step", "2"]
     ok &= main([*sweep_args, "--output", str(ca)]) == 0
-    ok &= main([*sweep_args, "--jobs", "3", "--output", str(cb)]) == 0
+    ok &= main([*sweep_args, "--output", str(cb)]) == 0
     ok &= ja.read_bytes() == jb.read_bytes()
     ok &= ca.read_bytes() == cb.read_bytes()
     _line(10, bool(ok), "repeated estimate and sweep runs are byte-identical")

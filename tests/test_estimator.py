@@ -150,13 +150,6 @@ def test_sweep_rows_and_failures():
         sweep(template, "volume", [1])
 
 
-def test_sweep_jobs_do_not_change_output():
-    template = TaskSpec(**BENCH)
-    serial = sweep(template, "eta", [2, 4, 6, 8], jobs=1)
-    threaded = sweep(template, "eta", [2, 4, 6, 8], jobs=4)
-    assert serial == threaded
-
-
 def test_epsilon_sweep_monotone():
     template = TaskSpec(**BENCH)
     rows = sweep(template, "epsilon", [0.2, 0.1, 0.05, 0.025])

@@ -5,9 +5,10 @@ import pytest
 
 from nuceft.encodings import LatticeSpec
 from nuceft.errors import DomainError
-from nuceft.fock import eta_seminorm, full_matrix
-from nuceft.models import (CONSTANTS, HBAR_C, OpeParams, ab_coefficients,
-                           build_pionless, convert_length, hopping_coefficient,
+from nuceft.fock import FermionSum, eta_seminorm, full_matrix
+from nuceft.models import (CONSTANTS, HBAR_C, OpeParams, _ci2_terms,
+                           ab_coefficients, build_pionless, convert_length,
+                           explicit_ci2_site_terms, hopping_coefficient,
                            pionless_layers, pionless_params_for, yukawa_g1,
                            yukawa_g2)
 
@@ -105,3 +106,15 @@ def test_layers_internally_commute():
     for layer in pionless_layers(lat, params):
         m = full_matrix(layer, 8)
         assert np.allclose(m @ m.conj().T, m.conj().T @ m)
+
+
+def test_explicit_ci2_expansion_matches_contraction():
+    # the written-out on-site expansion and the isospin contraction are the
+    # same operator
+    for lat in (LatticeSpec(1, 1, 1, 2.2), LatticeSpec(2, 1, 1, 2.2)):
+        n = 4 * lat.n_sites
+        explicit = [term for site in lat.sites()
+                    for term in explicit_ci2_site_terms(lat, site, 1.25)]
+        want = full_matrix(FermionSum(n, _ci2_terms(lat, 1.25)), n)
+        got = full_matrix(FermionSum(n, explicit), n)
+        assert np.abs(got - want).max() == 0.0

@@ -64,7 +64,7 @@ def test_pionless_bounds_scale_with_eta_floors():
 def test_ope_p1_classes():
     params = OpeParams.from_lecs(2.2, 22.0)
     shells = realized_shells(22.0, 2.2)
-    report = ope_p1_bound(1.0, 40, params, shells)
+    report = ope_p1_bound(40, params, shells)
     # frozen total for the reference benchmark configuration
     assert report.total == pytest.approx(107429802320.93866, rel=1e-10)
     h = hopping_coefficient(2.2)
@@ -74,13 +74,13 @@ def test_ope_p1_classes():
     assert all(v >= 0 for _, v in report.classes)
     assert report["lr_lr_cross"] > report["kinetic_kinetic"]
     # quadratic eta scaling is absent: all classes are linear in eta
-    double = ope_p1_bound(1.0, 80, params, shells)
+    double = ope_p1_bound(80, params, shells)
     assert double.total == pytest.approx(2 * report.total, rel=1e-12)
 
 
 def test_ope_p1_empty_shells():
     params = OpeParams.from_lecs(2.2, 2.2)
-    report = ope_p1_bound(1.0, 4, params, [])
+    report = ope_p1_bound(4, params, [])
     assert report["kinetic_lr"] == 0.0
     assert report["lr_lr_same"] == 0.0
     assert report.total > 0  # contact pieces remain
@@ -92,10 +92,10 @@ def test_dynpi_p1_frozen_total():
     eps_cut = (0.05 / 2) ** 2 / 2
     dig = boson_cutoffs(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
     params = DynPiParams(2.2, lecs.C, lecs.C_I2, dig)
-    report = dynpi_p1_bound(1.0, 40, params, dig, 10)
+    report = dynpi_p1_bound(40, params, dig, 10)
     assert report.total == pytest.approx(1.4949396544330846e+31, rel=1e-10)
     # the pure-boson class carries the only L dependence
-    bigger = dynpi_p1_bound(1.0, 40, params, dig, 20)
+    bigger = dynpi_p1_bound(40, params, dig, 20)
     assert bigger["boson_kinetic_potential"] == pytest.approx(
         2 * report["boson_kinetic_potential"], rel=1e-12)
     assert bigger.total - bigger["boson_kinetic_potential"] == pytest.approx(
