@@ -6,11 +6,25 @@ bounds with an exact small-system oracle, truncation/digitization bounds,
 per-step circuit costs, and an end-to-end task estimator with a CLI.
 """
 
+from importlib import import_module
+
 from .estimator import CostReport, TaskSpec, estimate, sweep
-from .fock import FermionSum, FermionTerm, eta_seminorm
-from .pauli import PauliString, PauliSum
 
 __version__ = "0.1.0"
+
+# the algebra and the oracle need numpy; they load on first access (PEP 562)
+# so that the estimator and the CLI import without it
+_LAZY = {"FermionSum": "fock", "FermionTerm": "fock", "eta_seminorm": "fock",
+         "PauliString": "pauli", "PauliSum": "pauli"}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CostReport", "TaskSpec", "estimate", "sweep",

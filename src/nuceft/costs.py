@@ -123,7 +123,7 @@ STEP_LAYERS = {
 }
 
 
-def _check_priced(model: str, encoding: str) -> None:
+def check_priced(model: str, encoding: str) -> None:
     if (model, encoding) not in STEP_LAYERS:
         raise DomainError(
             f"model {model!r} is not costed in the {encoding!r} encoding")
@@ -148,7 +148,7 @@ def compose_depth(stages: tuple[Stage, ...], order: int) -> int:
 
 def _step_cost(model: str, encoding: str, order: int, controlled: bool,
                size: int, rz: int) -> StepCost:
-    _check_priced(model, encoding)
+    check_priced(model, encoding)
     depth = compose_depth(STEP_LAYERS[(model, encoding)](controlled, size),
                           order)
     return StepCost(depth, rz, controlled, encoding, model, order)
@@ -271,7 +271,7 @@ def qubit_count(model: str, encoding: str, L: int, n_b: int = 0,
         raise DomainError(f"lattice extent must be >= 1, got {L}")
     if task not in ("evolve", "qpe"):
         raise DomainError(f"unknown task {task!r}")
-    _check_priced(model, encoding)
+    check_priced(model, encoding)
     data = _QUBITS_PER_SITE[encoding] * L ** 3
     if model == "dynpi":
         if n_b < 1:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .costs import dynpi_step_cost, ope_step_cost, pionless_step_cost, \
-    qubit_count, t_synthesis
+from .costs import check_priced, dynpi_step_cost, ope_step_cost, \
+    pionless_step_cost, qubit_count, t_synthesis
 from .errors import DomainError, PrecisionError
-from .models import (CONSTANTS, DynPiParams, OpeParams, PhysicalConstants,
+from .params import (CONSTANTS, DynPiParams, OpeParams, PhysicalConstants,
                      convert_length, pionless_params_for)
 from .trotter import (compose_total_error, dynpi_p1_bound, ope_p1_bound,
                       pionless_p1_coefficient, pionless_p2_coefficient,
@@ -45,6 +45,16 @@ class TaskSpec:
     def __post_init__(self):
         if self.task not in ("evolve", "qpe"):
             raise DomainError(f"unknown task {self.task!r}")
+        for name in ("epsilon", "E_kin", "delta_E", "E_max", "a_L"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+        if self.L < 1:
+            raise DomainError(f"lattice extent L must be >= 1, got {self.L}")
+        if not 1 <= self.eta <= 4 * self.L ** 3:
+            raise DomainError(
+                f"eta must lie in [1, 4 L^3] = [1, {4 * self.L ** 3}] "
+                f"(the modes of the lattice), got {self.eta}")
         if self.epsilon <= 0:
             raise DomainError(f"error budget must be positive, got {self.epsilon}")
         if not 0 < self.success < 1:
@@ -174,6 +184,7 @@ def estimate_evolution(spec: TaskSpec,
     """Resource estimate for crossing-time evolution."""
     if spec.task != "evolve":
         raise DomainError(f"expected an evolve task, got {spec.task!r}")
+    check_priced(spec.model, spec.encoding)
     t = crossing_time(spec.a_L, spec.L, spec.E_kin, constants.M)
     ledger = compose_total_error("evolution", spec.model, spec.epsilon,
                                  spec.convention)
@@ -196,31 +207,39 @@ def estimate_qpe(spec: TaskSpec,
     """Resource estimate for iterative phase estimation to delta_E."""
     if spec.task != "qpe":
         raise DomainError(f"expected a qpe task, got {spec.task!r}")
+    check_priced(spec.model, spec.encoding)
     if spec.delta_E >= spec.E_max:
         raise PrecisionError(
             f"energy resolution {spec.delta_E} MeV must be finer than the "
             f"spectral range {spec.E_max} MeV")
     t = 2 * math.pi / spec.E_max
-    m = math.ceil(math.log2(spec.E_max / spec.delta_E))
-    delta = 1 - spec.success
-    n = qpe_ancilla_bits(m, delta)
-    applications = 2 ** n - 1
-
     channels = compose_total_error("qpe", spec.model, spec.epsilon,
                                    spec.convention)
     # the quadrature split leaves sqrt(3) pi / 2^m of operator error,
-    # shared equally by the same channels as in the evolution task
+    # shared equally by the same channels as in the evolution task; the
+    # product share is then spread over all 2^n - 1 applications
     names = [k for k in channels if k != "eps_cut"]
-    share = math.sqrt(3) * math.pi / (len(names) * 2 ** m)
+    try:
+        m = math.ceil(math.log2(spec.E_max / spec.delta_E))
+        n = qpe_ancilla_bits(m, 1 - spec.success)
+        applications = 2 ** n - 1
+        share = math.sqrt(3) * math.pi / (len(names) * 2 ** m)
+        prod_per_app = share / applications
+    except OverflowError:  # 2^m or 2^n is beyond the float range
+        share = prod_per_app = 0.0
     ledger = {name: share for name in names}
     if "cut" in ledger:
         ledger["eps_cut"] = (share / 2) ** 2 / 2
+    if prod_per_app == 0 or ledger.get("eps_cut") == 0:
+        raise PrecisionError(
+            f"energy resolution delta_E={spec.delta_E} MeV is too fine for "
+            f"the spectral range {spec.E_max} MeV: the error share per "
+            "application underflows to 0")
 
     # truncation-style channels accrue over the total evolved time
     total_time = t * applications
     coeff, extras = _coefficient(spec, total_time, ledger, constants)
-    r_app = steps_for_budget(spec.order, t, coeff,
-                             ledger["prod"] / applications)
+    r_app = steps_for_budget(spec.order, t, coeff, prod_per_app)
     total_steps = r_app * applications
     step = _step_cost(spec, extras, controlled=True)
     rz_total = total_steps * step.rz_count
@@ -244,29 +263,22 @@ def estimate(spec: TaskSpec,
     return estimate_evolution(spec, constants)
 
 
-SWEEP_AXES = ("eta", "L", "epsilon", "ell", "n_b")
+# sweep axis -> (TaskSpec field, parser of the grid value)
+_SWEEP_FIELDS = {"eta": ("eta", int), "L": ("L", int),
+                 "epsilon": ("epsilon", float), "ell": ("ell_units", int),
+                 "n_b": ("n_b", int)}
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
 SWEEP_HEADER = ("axis", "value", "r", "depth", "rz", "T", "qubits",
                 "ell_or_nb", "notes")
 
 
 def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
-    if axis == "eta":
-        spec = replace(template, eta=int(value))
-    elif axis == "L":
-        spec = replace(template, L=int(value))
-    elif axis == "epsilon":
-        spec = replace(template, epsilon=float(value))
-    elif axis == "ell":
-        spec = replace(template, ell_units=int(value))
-    elif axis == "n_b":
-        spec = replace(template, n_b=int(value))
-    else:
-        raise DomainError(f"unknown sweep axis {axis!r}")
+    field_name, parse = _SWEEP_FIELDS[axis]
     row = {"axis": axis, "value": value, "r": "", "depth": "", "rz": "",
            "T": "", "qubits": "", "ell_or_nb": "", "notes": ""}
     try:
-        rep = estimate(spec)
+        rep = estimate(replace(template, **{field_name: parse(value)}))
     except DomainError as exc:
         row["notes"] = f"{type(exc).__name__}: {exc}"
         return row

@@ -1,7 +1,6 @@
 """Lattice Hamiltonian builders for the three nucleon models.
 
-All couplings and energies are in MeV internally (hbar = c = 1); lengths in
-fm appear only at the API boundary and are converted via hbar*c.  Modes are
+The parameter objects and kernels they take live in ``params``.  Modes are
 indexed 4*raster + species, species order (up-p, down-p, up-n, down-n); with
 spin bit alpha (0 = up) and isospin bit beta (0 = proton) the species index
 is 2*beta + alpha.
@@ -9,29 +8,15 @@ is 2*beta + alpha.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .encodings import LatticeSpec
-from .errors import DomainError
 from .fock import (ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm,
                    reorder_only)
-
-HBAR_C = 197.3269804  # MeV fm
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    M: float = 938.0      # nucleon mass, MeV
-    m_pi: float = 135.0   # pion mass, MeV
-    g_A: float = 1.26     # axial coupling
-    f_pi: float = 93.0    # pion decay constant, MeV
-    hbar_c: float = HBAR_C
-
-
-CONSTANTS = PhysicalConstants()
+# pionless_params_for is not used here; it stays importable from models
+from .params import (CONSTANTS, OpeParams, PhysicalConstants,  # noqa: F401
+                     PionlessParams, convert_length, hopping_coefficient,
+                     pionless_params_for, yukawa_g1, yukawa_g2)
 
 # 2x2 spin/isospin matrices indexed 1..3
 _PAULI2 = {
@@ -41,13 +26,6 @@ _PAULI2 = {
 }
 
 
-def convert_length(a_fm: float) -> float:
-    """fm -> 1/MeV."""
-    if not a_fm > 0:
-        raise DomainError(f"length must be positive, got {a_fm}")
-    return a_fm / HBAR_C
-
-
 def species_index(alpha: int, beta: int) -> int:
     """Species from spin bit alpha (0 = up) and isospin bit beta (0 = p)."""
     return 2 * beta + alpha
@@ -55,98 +33,6 @@ def species_index(alpha: int, beta: int) -> int:
 
 def mode_index(lattice: LatticeSpec, site, species: int) -> int:
     return 4 * lattice.raster_index(site) + species
-
-
-def hopping_coefficient(a_L_fm: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    """h = 1 / (2 M a^2)."""
-    a = convert_length(a_L_fm)
-    return 1.0 / (2.0 * constants.M * a * a)
-
-
-@dataclass(frozen=True)
-class PionlessParams:
-    a_L: float       # fm
-    h: float         # MeV
-    C_slash: float   # MeV
-    D_slash: float   # MeV
-
-
-_PIONLESS_TABLE = {
-    1.4: PionlessParams(1.4, 10.58, -98.23, 127.84),
-    2.2: PionlessParams(2.2, 4.29, -40.19, 42.51),
-}
-
-
-def pionless_params_for(a_L_fm: float) -> PionlessParams:
-    """Tabulated couplings for the supported lattice spacings."""
-    try:
-        return _PIONLESS_TABLE[a_L_fm]
-    except KeyError:
-        raise DomainError(
-            f"no tabulated pionless couplings for a_L={a_L_fm} fm "
-            f"(known: {sorted(_PIONLESS_TABLE)})") from None
-
-
-@dataclass(frozen=True)
-class OpeParams:
-    a_L: float      # fm
-    C: float        # MeV
-    C_I2: float     # MeV
-    ell: float      # interaction cutoff length, fm
-
-    @classmethod
-    def from_lecs(cls, a_L_fm: float, ell_fm: float,
-                  c_tilde_1: float = -5.021e-5,
-                  c_tilde_0: float = -5.714e-5) -> "OpeParams":
-        """Couplings from the isospin-1/0 low-energy constants (MeV^-2)."""
-        a3 = convert_length(a_L_fm) ** 3
-        c = (3 * c_tilde_1 + c_tilde_0) / (4 * a3)
-        c_i2 = (c_tilde_1 - c_tilde_0) / (4 * a3)
-        return cls(a_L_fm, c, c_i2, ell_fm)
-
-
-@dataclass(frozen=True)
-class DigitizationSpec:
-    pi_max: float     # field cutoff, MeV^2 units of the dimensionful field
-    Pi_max: float
-    delta_pi: float
-    delta_Pi: float
-    n_b: int
-
-    def __post_init__(self):
-        if self.n_b < 1:
-            raise DomainError(f"register width n_b must be >= 1, got {self.n_b}")
-
-
-def ab_coefficients(a_L_fm: float, constants: PhysicalConstants = CONSTANTS) -> tuple[float, float]:
-    """The quadratic-form coefficients (A, B) controlling the field cutoffs."""
-    a = convert_length(a_L_fm)
-    A = constants.m_pi ** 2 * a ** 3 / 2 - 1 / (2 * constants.f_pi ** 2 * a)
-    B = a ** 3 / 2 - a / (2 * constants.f_pi ** 2)
-    return A, B
-
-
-@dataclass(frozen=True)
-class DynPiParams:
-    a_L: float       # fm
-    C: float         # MeV
-    C_I2: float      # MeV
-    digitization: DigitizationSpec | None = None
-
-    def __post_init__(self):
-        A, B = ab_coefficients(self.a_L)
-        if A <= 0 or B <= 0:
-            raise DomainError(
-                f"lattice spacing a_L={self.a_L} fm gives A={A:g}, B={B:g}; "
-                "the field-cutoff bound needs A, B > 0")
-
-    @property
-    def A(self) -> float:
-        return ab_coefficients(self.a_L)[0]
-
-    @property
-    def B(self) -> float:
-        return ab_coefficients(self.a_L)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +115,6 @@ def pionless_layers(lattice: LatticeSpec, params: PionlessParams) -> list[Fermio
 
 # ---------------------------------------------------------------------------
 # one-pion-exchange EFT
-
-
-def yukawa_g1(r: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    """Radial strength (1/12pi)(g_A/2f_pi)^2 m^2 exp(-m r)/r; r in 1/MeV."""
-    m = constants.m_pi
-    pref = (constants.g_A / (2 * constants.f_pi)) ** 2 / (12 * math.pi)
-    return pref * m * m * math.exp(-m * r) / r
-
-
-def yukawa_g2(r: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    m = constants.m_pi
-    return yukawa_g1(r, constants) * (1 + 3 / (m * r) + 3 / (m * r) ** 2)
 
 
 def _bilinear_modes(lattice, site, alpha, beta, gamma, delta):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .models import (CONSTANTS, DigitizationSpec, DynPiParams, OpeParams,
+from .params import (CONSTANTS, DigitizationSpec, DynPiParams, OpeParams,
                      PhysicalConstants, PionlessParams, convert_length,
                      hopping_coefficient)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, UnreachableBudgetError
-from .models import (CONSTANTS, DigitizationSpec, PhysicalConstants,
+from .params import (CONSTANTS, DigitizationSpec, PhysicalConstants,
                      ab_coefficients, convert_length, yukawa_g1, yukawa_g2)
 
 

@@ -16,7 +16,8 @@ from .encodings import (LatticeSpec, QubitLayout, encode_hopping,
 from .errors import DomainError
 from .fock import (ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm,
                    eta_seminorm, exact_evolution_error, fermion_commutator)
-from .models import pionless_layers, pionless_params_for
+from .models import pionless_layers
+from .params import pionless_params_for
 from .pauli import (PauliString, PauliSum, commutator_sum, dense_matrix,
                     multiply, partition_commuting_layers)
 from .trotter import (pionless_p1_coefficient, pionless_p2_coefficient,

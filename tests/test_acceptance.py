@@ -8,7 +8,7 @@ from nuceft.costs import (COMPACT_KINETIC_DEPTH, CONTACT_DEPTH, KINETIC_DEPTH,
                           LONG_RANGE_PAIR_DEPTH, OPE_CONTACT_DEPTH,
                           OPE_EXCHANGE_DEPTH, pionless_step_cost)
 from nuceft.estimator import TaskSpec, estimate_evolution, sweep
-from nuceft.models import OpeParams, hopping_coefficient, pionless_params_for
+from nuceft.params import OpeParams, hopping_coefficient, pionless_params_for
 from nuceft.trotter import general_npfo_bound, pionless_p1_bound
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
                                ope_cutoff_error, shell_count)

@@ -157,3 +157,63 @@ def test_sweep_grid_has_no_accumulated_drift(tmp_path):
                  "--output", str(out)]) == 0
     values = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
     assert values == ["0.1", "0.2", "0.3"]
+
+
+def test_sweep_survives_a_refused_point(tmp_path):
+    import csv
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--eta", "40", "--axis", "epsilon",
+                 "--from", "0", "--to", "0.2", "--step", "0.1",
+                 "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert rows[0]["notes"] == \
+        "DomainError: error budget must be positive, got 0.0"
+    assert [row["notes"] for row in rows[1:]] == ["", ""]
+
+
+def test_non_finite_and_out_of_range_inputs_are_domain_errors(capsys):
+    cases = [(["--eps", "nan"], "epsilon"),
+             (["--Ekin-MeV", "nan"], "E_kin"),
+             (["--eps", "inf"], "epsilon"),
+             (["--task", "qpe", "--Emax-MeV", "inf"], "E_max"),
+             (["--L", "2", "--eta", "1000000"], "eta")]
+    for flags, field_name in cases:
+        args = ["estimate", "--eta", "40", *flags]
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:"), args
+        assert field_name in err, args
+
+
+def test_estimate_does_not_import_the_oracle():
+    import os
+    import subprocess
+    import sys
+
+    import nuceft
+    code = """if True:
+        import contextlib, io, sys
+        import nuceft.cli
+        for model in ("pionless", "ope", "dynpi"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert nuceft.cli.main(
+                    ["estimate", "--model", model, "--eta", "40"]) == 0
+        oracle = ("numpy", "nuceft.fock", "nuceft.pauli", "nuceft.encodings",
+                  "nuceft.models", "nuceft.verify")
+        loaded = [name for name in oracle if name in sys.modules]
+        assert not loaded, loaded
+        from nuceft import FermionSum, PauliSum
+        assert FermionSum.__module__ == "nuceft.fock"
+        assert PauliSum.__module__ == "nuceft.pauli"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert nuceft.cli.main(["verify", "pauli"]) == 0
+        assert "FAIL" not in out.getvalue()
+    """
+    src = os.path.dirname(os.path.dirname(nuceft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -107,6 +107,11 @@ def test_qpe_benchmark_report():
 def test_qpe_resolution_guard():
     with pytest.raises(PrecisionError):
         estimate_qpe(TaskSpec(**{**BENCH, "task": "qpe", "delta_E": 200.0}))
+    # a share per application that underflows names the resolution
+    for model in ("pionless", "ope", "dynpi"):
+        with pytest.raises(PrecisionError, match="delta_E=1e-300"):
+            estimate_qpe(TaskSpec(**{**BENCH, "model": model, "task": "qpe",
+                                     "delta_E": 1e-300}))
 
 
 def test_qpe_precision_scaling():
@@ -130,6 +135,14 @@ def test_spec_validation():
         TaskSpec(**{**BENCH, "task": "anneal"})
     with pytest.raises(DomainError):
         TaskSpec(**{**BENCH, "success": 1.0})
+    for field_name, value in (("epsilon", math.nan), ("epsilon", math.inf),
+                              ("E_kin", math.nan), ("delta_E", math.inf),
+                              ("E_max", math.inf), ("a_L", math.nan),
+                              ("L", 0), ("eta", 0), ("eta", 4 * 10 ** 3 + 1)):
+        with pytest.raises(DomainError, match=field_name):
+            TaskSpec(**{**BENCH, field_name: value})
+    # a full lattice is still a valid input
+    assert TaskSpec(**{**BENCH, "L": 2, "eta": 32}).eta == 32
 
 
 def test_sweep_rows_and_failures():
@@ -155,3 +168,19 @@ def test_epsilon_sweep_monotone():
     rows = sweep(template, "epsilon", [0.2, 0.1, 0.05, 0.025])
     rs = [row["r"] for row in rows]
     assert rs == sorted(rs)
+
+
+def test_unpriced_pair_is_refused_before_the_pipeline(monkeypatch):
+    import nuceft.estimator
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the cutoff search ran")
+
+    monkeypatch.setattr(nuceft.estimator, "choose_ope_cutoff", searched)
+    for task in ("evolve", "qpe"):
+        spec = TaskSpec(**{**BENCH, "model": "ope", "encoding": "compact",
+                           "task": task})
+        with pytest.raises(DomainError,
+                           match="model 'ope' is not costed in the "
+                                 "'compact' encoding"):
+            estimate(spec)

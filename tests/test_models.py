@@ -6,11 +6,11 @@ import pytest
 from nuceft.encodings import LatticeSpec
 from nuceft.errors import DomainError
 from nuceft.fock import FermionSum, eta_seminorm, full_matrix
-from nuceft.models import (CONSTANTS, HBAR_C, OpeParams, _ci2_terms,
-                           ab_coefficients, build_pionless, convert_length,
-                           explicit_ci2_site_terms, hopping_coefficient,
-                           pionless_layers, pionless_params_for, yukawa_g1,
-                           yukawa_g2)
+from nuceft.models import (_ci2_terms, build_pionless,
+                           explicit_ci2_site_terms, pionless_layers)
+from nuceft.params import (CONSTANTS, HBAR_C, OpeParams, ab_coefficients,
+                           convert_length, hopping_coefficient,
+                           pionless_params_for, yukawa_g1, yukawa_g2)
 
 
 def test_physical_constants():

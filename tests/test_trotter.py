@@ -3,8 +3,7 @@ import math
 import pytest
 
 from nuceft.errors import DomainError
-from nuceft.models import (CONSTANTS, OpeParams, convert_length,
-                           hopping_coefficient, pionless_params_for)
+from nuceft.params import OpeParams, hopping_coefficient, pionless_params_for
 from nuceft.trotter import (compose_total_error, dynpi_p1_bound,
                             general_npfo_bound, ope_p1_bound,
                             pionless_p1_bound, pionless_p2_bound,
@@ -88,7 +87,7 @@ def test_ope_p1_empty_shells():
 
 def test_dynpi_p1_frozen_total():
     lecs = OpeParams.from_lecs(2.2, 2.2)
-    from nuceft.models import DynPiParams
+    from nuceft.params import DynPiParams
     eps_cut = (0.05 / 2) ** 2 / 2
     dig = boson_cutoffs(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
     params = DynPiParams(2.2, lecs.C, lecs.C_I2, dig)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from nuceft.errors import DomainError, UnreachableBudgetError
-from nuceft.models import OpeParams
+from nuceft.params import OpeParams
 from nuceft.truncation import (ShellTable, boson_cutoffs, choose_ope_cutoff,
                                ope_cutoff_error, pi_max_bound, realized_shells,
                                shell_count)
