@@ -83,8 +83,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _spec_options(f):

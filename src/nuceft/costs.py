@@ -251,8 +251,17 @@ def t_synthesis(total_rz: int, eps_syn_total: float) -> float:
     if eps_syn_total <= 0:
         raise DomainError(
             f"synthesis budget must be positive, got {eps_syn_total}")
-    per_gate = 1.15 * math.log2(2 * total_rz / eps_syn_total) + 9.2
-    return total_rz * per_gate
+    try:
+        t_count = total_rz * (1.15 * math.log2(2 * total_rz / eps_syn_total)
+                              + 9.2)
+    except OverflowError:  # total_rz is beyond the float range
+        t_count = math.inf
+    if not math.isfinite(t_count):
+        raise DomainError(
+            f"the T count overflows the float range: about "
+            f"10^{math.log10(total_rz):.0f} rotations at a synthesis budget "
+            f"of {eps_syn_total:g}")
+    return t_count
 
 
 # Fermionic data qubits per lattice site.

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from .costs import check_priced, dynpi_step_cost, ope_step_cost, \
-    pionless_step_cost, qubit_count, t_synthesis
+from .costs import (StepCost, check_priced, dynpi_step_cost, ope_step_cost,
+                    pionless_step_cost, qubit_count, t_synthesis)
 from .errors import DomainError, PrecisionError
 from .params import (CONSTANTS, DynPiParams, OpeParams, PhysicalConstants,
                      convert_length, pionless_params_for)
@@ -105,162 +106,131 @@ def qpe_ancilla_bits(m: int, delta: float) -> int:
     return m + math.ceil(math.log2(1 / (2 * delta) + 0.5))
 
 
-def _coefficient(spec: TaskSpec, t: float, ledger: dict,
-                 constants: PhysicalConstants) -> tuple[float, dict]:
-    """Commutator coefficient for steps_for_budget plus the sized
-    intermediates (range cutoff or digitization).
+class _Frame(NamedTuple):
+    """What a task fixes before any model is priced."""
 
-    The coefficient carries no time; t is only the span over which the
-    range-cutoff error accrues when the cutoff is sized.
-    """
-    extras: dict = {}
-    if spec.model == "pionless":
-        params = pionless_params_for(spec.a_L)
-        if spec.order == 1:
-            coeff = pionless_p1_coefficient(spec.eta, params)
-        elif spec.order == 2:
-            coeff = pionless_p2_coefficient(spec.eta, params)
-        else:
-            raise DomainError(
-                f"no closed-form bound for order {spec.order}")
-        return coeff, extras
-
-    if spec.order != 1:
-        raise DomainError(
-            f"model {spec.model!r} is only bounded for order 1")
-
-    if spec.model == "ope":
-        if spec.ell_units is not None:
-            ell = spec.ell_units
-        else:
-            ell = choose_ope_cutoff(ledger["trunc"], t, spec.eta, spec.a_L,
-                                    constants)
-        params = OpeParams.from_lecs(spec.a_L, ell * spec.a_L)
-        shells = realized_shells(ell * spec.a_L, spec.a_L)
-        report = ope_p1_bound(spec.eta, params, shells, constants)
-        extras["ell_units"] = ell
-        extras["zeta"] = report.total
-        return report.total, extras
-
-    if spec.model == "dynpi":
-        eps_cut = ledger["eps_cut"]
-        E = spec.E_max if spec.task == "qpe" else spec.eta * spec.E_kin
-        lecs = OpeParams.from_lecs(spec.a_L, spec.a_L)
-        dig = boson_cutoffs(spec.eta, E, eps_cut, spec.a_L, spec.L, lecs.C,
-                            lecs.C_I2, constants, n_b=spec.n_b)
-        params = DynPiParams(spec.a_L, lecs.C, lecs.C_I2, dig)
-        report = dynpi_p1_bound(spec.eta, params, dig, spec.L, constants)
-        extras["n_b"] = dig.n_b
-        extras["pi_max"] = dig.pi_max
-        extras["Pi_max"] = dig.Pi_max
-        extras["xi"] = report.total
-        return report.total, extras
-
-    raise DomainError(f"unknown model {spec.model!r}")
+    t: float              # evolved time per application, MeV^-1
+    applications: int     # runs of the evolution the task needs
+    controlled: bool      # whether each step is controlled on an ancilla
+    energy: float         # energy scale the state carries, MeV
+    ledger: dict          # the error budget split into channels
+    extras: dict          # task-specific report fields
 
 
-def _step_cost(spec: TaskSpec, extras: dict, controlled: bool):
-    if spec.model == "pionless":
-        return pionless_step_cost(spec.encoding, spec.order, controlled,
-                                  spec.L)
-    if spec.model == "ope":
-        return ope_step_cost(extras["ell_units"], spec.L, controlled)
-    return dynpi_step_cost(extras["n_b"], spec.L, controlled)
-
-
-def _synthesis(spec: TaskSpec, rz_total: int,
-               ledger: dict) -> tuple[float, dict]:
-    """T count for rz_total rotations and the ledger that budgets it."""
-    if "syn" in ledger:
-        return t_synthesis(rz_total, ledger["syn"]), ledger
-    # near-term circuits apply rotations natively; the T count is
-    # informational, priced against the full budget
-    return (t_synthesis(rz_total, spec.epsilon),
-            dict(ledger, syn_nominal=spec.epsilon))
-
-
-def estimate_evolution(spec: TaskSpec,
-                       constants: PhysicalConstants = CONSTANTS) -> CostReport:
-    """Resource estimate for crossing-time evolution."""
-    if spec.task != "evolve":
-        raise DomainError(f"expected an evolve task, got {spec.task!r}")
-    check_priced(spec.model, spec.encoding)
+def _evolve(spec: TaskSpec, constants: PhysicalConstants) -> _Frame:
+    """Crossing-time evolution: one run spending the whole budget."""
     t = crossing_time(spec.a_L, spec.L, spec.E_kin, constants.M)
-    ledger = compose_total_error("evolution", spec.model, spec.epsilon,
-                                 spec.convention)
-    coeff, extras = _coefficient(spec, t, ledger, constants)
-    r = steps_for_budget(spec.order, t, coeff, ledger["prod"])
-    step = _step_cost(spec, extras, controlled=False)
-    rz_total = r * step.rz_count
-    T_total, ledger = _synthesis(spec, rz_total, ledger)
-    qubits = qubit_count(spec.model, spec.encoding, spec.L,
-                         extras.get("n_b", 0), "evolve")
-    extras["coefficient"] = coeff
-    extras["step_depth"] = step.depth_2q
-    return CostReport(t=t, r=r, depth_total=r * step.depth_2q,
-                      rz_total=rz_total, T_total=T_total, qubits=qubits,
-                      ancillas=0, ledger=ledger, extras=extras)
+    ledger = compose_total_error(spec.model, spec.epsilon, spec.convention)
+    return _Frame(t, 1, False, spec.eta * spec.E_kin, ledger, {})
 
 
-def estimate_qpe(spec: TaskSpec,
-                 constants: PhysicalConstants = CONSTANTS) -> CostReport:
-    """Resource estimate for iterative phase estimation to delta_E."""
-    if spec.task != "qpe":
-        raise DomainError(f"expected a qpe task, got {spec.task!r}")
-    check_priced(spec.model, spec.encoding)
+def _qpe(spec: TaskSpec, constants: PhysicalConstants) -> _Frame:
+    """Iterative phase estimation to delta_E: 2^n - 1 controlled runs of
+    t = 2 pi / E_max.
+
+    The quadrature split leaves sqrt(3) pi / 2^m of operator error, shared
+    by the same channels as in the evolution task; the product share is
+    spread over all applications.
+    """
     if spec.delta_E >= spec.E_max:
         raise PrecisionError(
             f"energy resolution {spec.delta_E} MeV must be finer than the "
             f"spectral range {spec.E_max} MeV")
-    t = 2 * math.pi / spec.E_max
-    channels = compose_total_error("qpe", spec.model, spec.epsilon,
-                                   spec.convention)
-    # the quadrature split leaves sqrt(3) pi / 2^m of operator error,
-    # shared equally by the same channels as in the evolution task; the
-    # product share is then spread over all 2^n - 1 applications
-    names = [k for k in channels if k != "eps_cut"]
     try:
         m = math.ceil(math.log2(spec.E_max / spec.delta_E))
         n = qpe_ancilla_bits(m, 1 - spec.success)
         applications = 2 ** n - 1
-        share = math.sqrt(3) * math.pi / (len(names) * 2 ** m)
-        prod_per_app = share / applications
+        ledger = compose_total_error(
+            spec.model, math.sqrt(3) * math.pi / 2 ** m, spec.convention)
+        underflow = (ledger["prod"] / applications == 0
+                     or ledger.get("eps_cut") == 0)
     except OverflowError:  # 2^m or 2^n is beyond the float range
-        share = prod_per_app = 0.0
-    ledger = {name: share for name in names}
-    if "cut" in ledger:
-        ledger["eps_cut"] = (share / 2) ** 2 / 2
-    if prod_per_app == 0 or ledger.get("eps_cut") == 0:
+        underflow = True
+    if underflow:
         raise PrecisionError(
             f"energy resolution delta_E={spec.delta_E} MeV is too fine for "
             f"the spectral range {spec.E_max} MeV: the error share per "
             "application underflows to 0")
+    return _Frame(2 * math.pi / spec.E_max, applications, True, spec.E_max,
+                  ledger, {"m": m, "n": n, "applications": applications})
 
-    # truncation-style channels accrue over the total evolved time
-    total_time = t * applications
-    coeff, extras = _coefficient(spec, total_time, ledger, constants)
-    r_app = steps_for_budget(spec.order, t, coeff, prod_per_app)
-    total_steps = r_app * applications
-    step = _step_cost(spec, extras, controlled=True)
-    rz_total = total_steps * step.rz_count
-    T_total, ledger = _synthesis(spec, rz_total, ledger)
-    qubits = qubit_count(spec.model, spec.encoding, spec.L,
-                         extras.get("n_b", 0), "qpe")
-    data = qubit_count(spec.model, spec.encoding, spec.L,
-                       extras.get("n_b", 0), "evolve")
-    extras.update(m=m, n=n, applications=applications, r_per_application=r_app,
-                  coefficient=coeff, step_depth=step.depth_2q)
-    return CostReport(t=t, r=total_steps,
-                      depth_total=total_steps * step.depth_2q,
-                      rz_total=rz_total, T_total=T_total, qubits=qubits,
-                      ancillas=qubits - data, ledger=ledger, extras=extras)
+
+# Each pricer returns the commutator coefficient for steps_for_budget (no
+# time in it), the sized intermediates it reports, and the step cost.
+
+def _pionless(spec: TaskSpec, frame: _Frame,
+              constants: PhysicalConstants) -> tuple[float, dict, StepCost]:
+    params = pionless_params_for(spec.a_L)
+    bound = (pionless_p1_coefficient if spec.order == 1
+             else pionless_p2_coefficient)
+    return (bound(spec.eta, params), {},
+            pionless_step_cost(spec.encoding, spec.order, frame.controlled,
+                               spec.L))
+
+
+def _ope(spec: TaskSpec, frame: _Frame,
+         constants: PhysicalConstants) -> tuple[float, dict, StepCost]:
+    ell = spec.ell_units
+    if ell is None:
+        # the range-cutoff error accrues over the total evolved time
+        ell = choose_ope_cutoff(frame.ledger["trunc"],
+                                frame.t * frame.applications, spec.eta,
+                                spec.a_L, constants)
+    params = OpeParams.from_lecs(spec.a_L, ell * spec.a_L)
+    shells = realized_shells(ell * spec.a_L, spec.a_L)
+    zeta = ope_p1_bound(spec.eta, params, shells, constants).total
+    return (zeta, {"ell_units": ell, "zeta": zeta},
+            ope_step_cost(ell, spec.L, frame.controlled))
+
+
+def _dynpi(spec: TaskSpec, frame: _Frame,
+           constants: PhysicalConstants) -> tuple[float, dict, StepCost]:
+    lecs = OpeParams.from_lecs(spec.a_L, spec.a_L)
+    dig = boson_cutoffs(spec.eta, frame.energy, frame.ledger["eps_cut"],
+                        spec.a_L, spec.L, lecs.C, lecs.C_I2, constants,
+                        n_b=spec.n_b)
+    params = DynPiParams(spec.a_L, lecs.C, lecs.C_I2)
+    xi = dynpi_p1_bound(spec.eta, params, dig, spec.L, constants).total
+    extras = {"n_b": dig.n_b, "pi_max": dig.pi_max, "Pi_max": dig.Pi_max,
+              "xi": xi}
+    return xi, extras, dynpi_step_cost(dig.n_b, spec.L, frame.controlled)
+
+
+# model -> (pricer, the product-formula orders its bound covers)
+_MODELS = {"pionless": (_pionless, (1, 2)), "ope": (_ope, (1,)),
+           "dynpi": (_dynpi, (1,))}
+_TASKS = {"evolve": _evolve, "qpe": _qpe}
 
 
 def estimate(spec: TaskSpec,
              constants: PhysicalConstants = CONSTANTS) -> CostReport:
+    """Resource estimate for crossing-time evolution or phase estimation."""
+    check_priced(spec.model, spec.encoding)
+    price, orders = _MODELS[spec.model]
+    if spec.order not in orders:
+        raise DomainError(f"model {spec.model!r} is bounded only for "
+                          f"order(s) {orders}, got {spec.order}")
+    frame = _TASKS[spec.task](spec, constants)
+    coeff, extras, step = price(spec, frame, constants)
+    r_app = steps_for_budget(spec.order, frame.t, coeff,
+                             frame.ledger["prod"] / frame.applications)
+    r = r_app * frame.applications
+    rz_total = r * step.rz_count
+    ledger = frame.ledger
+    if "syn" not in ledger:
+        # near-term circuits apply rotations natively; the T count is
+        # informational, priced against the full budget
+        ledger = dict(ledger, syn_nominal=spec.epsilon)
+    T_total = t_synthesis(rz_total, ledger.get("syn", spec.epsilon))
+    n_b = extras.get("n_b", 0)
+    qubits = qubit_count(spec.model, spec.encoding, spec.L, n_b, spec.task)
+    data = qubit_count(spec.model, spec.encoding, spec.L, n_b, "evolve")
+    extras.update(frame.extras, coefficient=coeff, step_depth=step.depth_2q)
     if spec.task == "qpe":
-        return estimate_qpe(spec, constants)
-    return estimate_evolution(spec, constants)
+        extras["r_per_application"] = r_app
+    return CostReport(t=frame.t, r=r, depth_total=r * step.depth_2q,
+                      rz_total=rz_total, T_total=T_total, qubits=qubits,
+                      ancillas=qubits - data, ledger=ledger, extras=extras)
 
 
 # sweep axis -> (TaskSpec field, parser of the grid value)

@@ -108,7 +108,6 @@ class DynPiParams:
     a_L: float       # fm
     C: float         # MeV
     C_I2: float      # MeV
-    digitization: DigitizationSpec | None = None
 
     def __post_init__(self):
         A, B = ab_coefficients(self.a_L)
@@ -116,14 +115,6 @@ class DynPiParams:
             raise DomainError(
                 f"lattice spacing a_L={self.a_L} fm gives A={A:g}, B={B:g}; "
                 "the field-cutoff bound needs A, B > 0")
-
-    @property
-    def A(self) -> float:
-        return ab_coefficients(self.a_L)[0]
-
-    @property
-    def B(self) -> float:
-        return ab_coefficients(self.a_L)[1]
 
 
 def yukawa_g1(r: float, constants: PhysicalConstants = CONSTANTS) -> float:

@@ -256,7 +256,12 @@ def steps_for_budget(p: int, t: float, coefficient: float, budget: float) -> int
     if single <= budget:
         return 1
     # r steps of length t/r scale the bound by r^{-p}
-    return math.ceil((single / budget) ** (1 / p))
+    steps = (single / budget) ** (1 / p)
+    if not math.isfinite(steps):
+        raise DomainError(
+            f"the Trotter step count overflows the float range: order-{p} "
+            f"error {single:g} over t={t:g} against a budget of {budget:g}")
+    return math.ceil(steps)
 
 
 _CHANNELS = {
@@ -269,7 +274,7 @@ _CHANNELS = {
 }
 
 
-def compose_total_error(task: str, model: str, epsilon: float,
+def compose_total_error(model: str, epsilon: float,
                         convention: str = "near-term") -> dict:
     """Split a total error budget evenly among the channels that apply.
 
@@ -278,8 +283,6 @@ def compose_total_error(task: str, model: str, epsilon: float,
     on the 2 sqrt(2 eps_cut) trace-distance form), 'syn' (rotation
     synthesis).  For 'cut' the ledger also reports the implied eps_cut.
     """
-    if task not in ("evolution", "qpe"):
-        raise DomainError(f"unknown task {task!r}")
     if (model, convention) not in _CHANNELS:
         raise DomainError(f"unknown model/convention {model!r}/{convention!r}")
     if epsilon <= 0:

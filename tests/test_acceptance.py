@@ -7,7 +7,7 @@ import math
 from nuceft.costs import (COMPACT_KINETIC_DEPTH, CONTACT_DEPTH, KINETIC_DEPTH,
                           LONG_RANGE_PAIR_DEPTH, OPE_CONTACT_DEPTH,
                           OPE_EXCHANGE_DEPTH, pionless_step_cost)
-from nuceft.estimator import TaskSpec, estimate_evolution, sweep
+from nuceft.estimator import TaskSpec, estimate, sweep
 from nuceft.params import OpeParams, hopping_coefficient, pionless_params_for
 from nuceft.trotter import general_npfo_bound, pionless_p1_bound
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
@@ -57,18 +57,18 @@ def test_c03_resource_cost_reproduction():
     notes = []
     ok = True
 
-    vc = estimate_evolution(TaskSpec(**BENCH))
+    vc = estimate(TaskSpec(**BENCH))
     ok &= 0.5 <= vc.depth_total / 6.2e8 <= 2.0
     ok &= 0.5 <= vc.T_total / 4.7e12 <= 2.0
     ok &= vc.qubits == 6000
     notes.append(f"pionless vc depth {vc.depth_total:.2e} T {vc.T_total:.2e}")
 
-    compact = estimate_evolution(TaskSpec(**{**BENCH, "encoding": "compact"}))
+    compact = estimate(TaskSpec(**{**BENCH, "encoding": "compact"}))
     ok &= 0.5 <= compact.depth_total / 6.7e7 <= 2.0
     ok &= compact.qubits == 10000
     notes.append(f"compact depth {compact.depth_total:.2e}")
 
-    ope = estimate_evolution(TaskSpec(**{**BENCH, "model": "ope"}))
+    ope = estimate(TaskSpec(**{**BENCH, "model": "ope"}))
     ok &= 0.1 <= ope.depth_total / 3.5e19 <= 10.0
     ok &= 0.1 <= ope.T_total / 5.9e23 <= 10.0
     ok &= ope.qubits == 6000
@@ -76,8 +76,8 @@ def test_c03_resource_cost_reproduction():
 
     # depth, qubits and the register width are near-term quantities; the
     # T count is fault-tolerant by construction
-    dp = estimate_evolution(TaskSpec(**{**BENCH, "model": "dynpi",
-                                        "convention": "near-term"}))
+    dp = estimate(TaskSpec(**{**BENCH, "model": "dynpi",
+                              "convention": "near-term"}))
     ok &= 99_000 <= dp.qubits <= 123_000
     ok &= 0.1 <= dp.depth_total / 6.0e36 <= 10.0
     ok &= 0.1 <= dp.T_total / 1.3e42 <= 10.0

@@ -76,6 +76,16 @@ def test_config_invalid_json(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "out")
+    for args in (["estimate", "--eta", "40"],
+                 ["sweep", "--eta", "40", "--axis", "eta", "--from", "2",
+                  "--to", "4", "--step", "2"]):
+        assert main([*args, "--output", missing]) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write"), args
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", *BENCH_ARGS, "--axis", "eta",
@@ -178,7 +188,10 @@ def test_non_finite_and_out_of_range_inputs_are_domain_errors(capsys):
              (["--Ekin-MeV", "nan"], "E_kin"),
              (["--eps", "inf"], "epsilon"),
              (["--task", "qpe", "--Emax-MeV", "inf"], "E_max"),
-             (["--L", "2", "--eta", "1000000"], "eta")]
+             (["--L", "2", "--eta", "1000000"], "eta"),
+             (["--order", "3"], "order"),
+             (["--model", "ope", "--order", "2"], "order"),
+             (["--eps", "1e-200"], "T count")]
     for flags, field_name in cases:
         args = ["estimate", "--eta", "40", *flags]
         assert main(args) == 2, args

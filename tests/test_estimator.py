@@ -1,11 +1,12 @@
+import itertools
+import json
 import math
 
 import pytest
 
 from nuceft.errors import DomainError, PrecisionError
 from nuceft.estimator import (SWEEP_HEADER, CostReport, TaskSpec,
-                              crossing_time, estimate, estimate_evolution,
-                              estimate_qpe, qpe_ancilla_bits, sweep)
+                              crossing_time, estimate, qpe_ancilla_bits, sweep)
 
 BENCH = dict(model="pionless", encoding="vc", task="evolve", L=10, a_L=2.2,
              eta=40, E_kin=10.0, epsilon=0.1, order=1,
@@ -32,7 +33,7 @@ def test_qpe_ancilla_bits():
 
 
 def test_pionless_benchmark_report():
-    rep = estimate_evolution(TaskSpec(**BENCH))
+    rep = estimate(TaskSpec(**BENCH))
     assert rep.r == 1161614
     assert rep.depth_total == 604039280
     assert rep.rz_total == 48787788000
@@ -44,22 +45,22 @@ def test_pionless_benchmark_report():
 
 
 def test_compact_shares_step_count():
-    vc = estimate_evolution(TaskSpec(**BENCH))
-    compact = estimate_evolution(TaskSpec(**{**BENCH, "encoding": "compact"}))
+    vc = estimate(TaskSpec(**BENCH))
+    compact = estimate(TaskSpec(**{**BENCH, "encoding": "compact"}))
     assert compact.r == vc.r
     assert compact.qubits == 10000
     assert compact.depth_total * 520 == vc.depth_total * 68
 
 
 def test_second_order_is_cheaper():
-    p1 = estimate_evolution(TaskSpec(**BENCH))
-    p2 = estimate_evolution(TaskSpec(**{**BENCH, "order": 2}))
+    p1 = estimate(TaskSpec(**BENCH))
+    p2 = estimate(TaskSpec(**{**BENCH, "order": 2}))
     assert p2.r < p1.r
     assert p2.depth_total < p1.depth_total
 
 
 def test_ope_benchmark_report():
-    rep = estimate_evolution(TaskSpec(**{**BENCH, "model": "ope"}))
+    rep = estimate(TaskSpec(**{**BENCH, "model": "ope"}))
     assert rep.extras["ell_units"] == 10
     assert rep.extras["zeta"] == pytest.approx(107429802320.93866, rel=1e-10)
     assert rep.depth_total == 75095716404519451368
@@ -68,30 +69,30 @@ def test_ope_benchmark_report():
 
 
 def test_dynpi_benchmark_report():
-    near = estimate_evolution(TaskSpec(**{**BENCH, "model": "dynpi",
-                                          "convention": "near-term"}))
+    near = estimate(TaskSpec(**{**BENCH, "model": "dynpi",
+                                "convention": "near-term"}))
     assert near.extras["n_b"] == 39
     assert near.qubits == 123000
     assert near.depth_total == 16746454577406422405402313389626097664
     assert near.T_total == pytest.approx(7.765383247724655e+41, rel=1e-10)
-    ft = estimate_evolution(TaskSpec(**{**BENCH, "model": "dynpi"}))
+    ft = estimate(TaskSpec(**{**BENCH, "model": "dynpi"}))
     assert ft.extras["n_b"] == 40
     assert ft.T_total == pytest.approx(5.0369213390567935e+42, rel=1e-10)
 
 
 def test_forced_intermediates():
-    rep = estimate_evolution(TaskSpec(**{**BENCH, "model": "ope",
-                                         "ell_units": 5}))
+    rep = estimate(TaskSpec(**{**BENCH, "model": "ope",
+                               "ell_units": 5}))
     assert rep.extras["ell_units"] == 5
-    rep = estimate_evolution(TaskSpec(**{**BENCH, "model": "dynpi",
-                                         "n_b": 33}))
+    rep = estimate(TaskSpec(**{**BENCH, "model": "dynpi",
+                               "n_b": 33}))
     assert rep.extras["n_b"] == 33
     assert rep.qubits == 6000 + 3000 * 33
 
 
 def test_qpe_benchmark_report():
     spec = TaskSpec(**{**BENCH, "task": "qpe"})
-    rep = estimate_qpe(spec)
+    rep = estimate(spec)
     assert rep.t == pytest.approx(2 * math.pi / 140.0)
     assert rep.extras["m"] == 8
     assert rep.extras["n"] == 9
@@ -106,18 +107,18 @@ def test_qpe_benchmark_report():
 
 def test_qpe_resolution_guard():
     with pytest.raises(PrecisionError):
-        estimate_qpe(TaskSpec(**{**BENCH, "task": "qpe", "delta_E": 200.0}))
+        estimate(TaskSpec(**{**BENCH, "task": "qpe", "delta_E": 200.0}))
     # a share per application that underflows names the resolution
     for model in ("pionless", "ope", "dynpi"):
         with pytest.raises(PrecisionError, match="delta_E=1e-300"):
-            estimate_qpe(TaskSpec(**{**BENCH, "model": model, "task": "qpe",
-                                     "delta_E": 1e-300}))
+            estimate(TaskSpec(**{**BENCH, "model": model, "task": "qpe",
+                                 "delta_E": 1e-300}))
 
 
 def test_qpe_precision_scaling():
-    base = estimate_qpe(TaskSpec(**{**BENCH, "task": "qpe"}))
-    finer = estimate_qpe(TaskSpec(**{**BENCH, "task": "qpe",
-                                     "delta_E": 0.5}))
+    base = estimate(TaskSpec(**{**BENCH, "task": "qpe"}))
+    finer = estimate(TaskSpec(**{**BENCH, "task": "qpe",
+                                 "delta_E": 0.5}))
     assert finer.extras["m"] >= base.extras["m"] + 1
     assert finer.r > base.r
 
@@ -184,3 +185,26 @@ def test_unpriced_pair_is_refused_before_the_pipeline(monkeypatch):
                            match="model 'ope' is not costed in the "
                                  "'compact' encoding"):
             estimate(spec)
+
+
+@pytest.mark.parametrize("model", ["pionless", "ope", "dynpi"])
+def test_reports_are_finite_or_domain_errors(model):
+    # the ope cutoff is pinned: its search at delta_E=1e-100 enumerates
+    # shells for far longer than the rest of the grid
+    ell_units = 10 if model == "ope" else None
+    priced = 0
+    for order, task, convention, epsilon, delta_E in itertools.product(
+            (1, 2, 3), ("evolve", "qpe"), ("near-term", "fault-tolerant"),
+            (1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 0.1, 0.9),
+            (1.0, 1e-30, 1e-100)):
+        spec = TaskSpec(**{**BENCH, "model": model, "order": order,
+                           "task": task, "convention": convention,
+                           "epsilon": epsilon, "delta_E": delta_E,
+                           "ell_units": ell_units})
+        try:
+            report = estimate(spec)
+        except DomainError:
+            continue
+        json.dumps(report.to_json_dict(), allow_nan=False)
+        priced += 1
+    assert priced

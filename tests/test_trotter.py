@@ -90,7 +90,7 @@ def test_dynpi_p1_frozen_total():
     from nuceft.params import DynPiParams
     eps_cut = (0.05 / 2) ** 2 / 2
     dig = boson_cutoffs(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
-    params = DynPiParams(2.2, lecs.C, lecs.C_I2, dig)
+    params = DynPiParams(2.2, lecs.C, lecs.C_I2)
     report = dynpi_p1_bound(40, params, dig, 10)
     assert report.total == pytest.approx(1.4949396544330846e+31, rel=1e-10)
     # the pure-boson class carries the only L dependence
@@ -160,14 +160,14 @@ def test_steps_for_budget_floor_at_one():
 
 
 def test_compose_total_error_channels():
-    led = compose_total_error("evolution", "pionless", 0.1, "fault-tolerant")
+    led = compose_total_error("pionless", 0.1, "fault-tolerant")
     assert led == {"prod": pytest.approx(0.05), "syn": pytest.approx(0.05)}
-    led = compose_total_error("evolution", "pionless", 0.1, "near-term")
+    led = compose_total_error("pionless", 0.1, "near-term")
     assert led == {"prod": pytest.approx(0.1)}
-    led = compose_total_error("evolution", "ope", 0.1, "fault-tolerant")
+    led = compose_total_error("ope", 0.1, "fault-tolerant")
     assert set(led) == {"prod", "trunc", "syn"}
     assert sum(led.values()) == pytest.approx(0.1)
-    led = compose_total_error("evolution", "dynpi", 0.1, "near-term")
+    led = compose_total_error("dynpi", 0.1, "near-term")
     assert led["prod"] == pytest.approx(0.05)
     # the state-overlap share converts quadratically to a trace-distance cut
     assert led["eps_cut"] == pytest.approx((0.05 / 2) ** 2 / 2)
