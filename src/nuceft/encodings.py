@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionError, GeometryError, UnsupportedOperatorError
-from .fock import ANNIHILATE, CREATE, NUMBER, FermionSum
+from .fock import ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm
 from .pauli import PauliString, PauliSum, multiply
 
 N_SPECIES = 4
@@ -358,15 +358,17 @@ def encode_fermion_sum(layout: QubitLayout, h: FermionSum) -> PauliSum:
     n = layout.total_qubits
     if h.n_modes != n:
         raise DimensionError(f"operator has {h.n_modes} modes, layout {n} qubits")
-    total = PauliSum(n, [])
-    for term in h.terms:
-        acc = PauliSum(n, [(term.weight, PauliString.identity(n))])
-        for mode, kind in term.factors:
-            if kind == NUMBER:
-                factor = PauliSum(n, [(0.5, PauliString.identity(n)),
-                                      (-0.5, PauliString(n, 0, 1 << mode))])
-            else:
-                factor = _jw_ladder(n, mode, kind)
-            acc = acc * factor
-        total = total + acc
-    return total
+    return PauliSum(n, (pair for term in h.terms for pair in _jw_term(n, term)))
+
+
+def _jw_term(n: int, term: FermionTerm) -> PauliSum:
+    """Jordan-Wigner image of one canonical fermion term."""
+    acc = PauliSum(n, [(term.weight, PauliString.identity(n))])
+    for mode, kind in term.factors:
+        if kind == NUMBER:
+            factor = PauliSum(n, [(0.5, PauliString.identity(n)),
+                                  (-0.5, PauliString(n, 0, 1 << mode))])
+        else:
+            factor = _jw_ladder(n, mode, kind)
+        acc = acc * factor
+    return acc

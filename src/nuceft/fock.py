@@ -121,12 +121,12 @@ class FermionSum:
                           [FermionTerm(scalar * t.weight, t.factors) for t in self.terms])
 
     def adjoint(self) -> "FermionSum":
-        out = FermionSum(self.n_modes)
+        acc: dict[tuple[Factor, ...], float] = {}
         for t in self.terms:
             rev = tuple(reversed(_expand_numbers(t.factors)))
             conj = tuple((m, CREATE if k == ANNIHILATE else ANNIHILATE) for m, k in rev)
-            out = out + normal_order(conj, np.conj(t.weight), self.n_modes)
-        return out
+            _accumulate(acc, normal_order(conj, t.weight.conjugate(), self.n_modes))
+        return _from_weights(self.n_modes, acc)
 
     def __repr__(self) -> str:
         return " + ".join(repr(t) for t in self.terms) if self.terms else "0"
@@ -197,8 +197,19 @@ def normal_order(factors: Sequence[Factor], weight: float = 1.0,
             if m1 == m2:
                 continue  # nilpotency: term vanishes
             stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
-    terms = [FermionTerm(w, f) for f, w in acc.items() if w != 0.0]
-    return FermionSum(n_modes, terms)
+    return _from_weights(n_modes, acc)
+
+
+def _accumulate(acc: dict[tuple[Factor, ...], float],
+                terms: Iterable[FermionTerm]) -> None:
+    """Add each term's weight into ``acc`` under its factors."""
+    for t in terms:
+        acc[t.factors] = acc.get(t.factors, 0.0) + t.weight
+
+
+def _from_weights(n_modes: int, acc: dict[tuple[Factor, ...], float]) -> FermionSum:
+    """The canonical sum of accumulated weights, built once."""
+    return FermionSum(n_modes, (FermionTerm(w, f) for f, w in acc.items() if w != 0.0))
 
 
 def _first_violation(fs: tuple[Factor, ...]) -> int | None:
@@ -274,20 +285,26 @@ def reorder_only(factors: Sequence[Factor], weight: float = 1.0,
     return FermionSum(n_modes, [FermionTerm(sign * fold_sign * weight, fac)])
 
 
+def _is_odd(term: FermionTerm) -> bool:
+    """Whether the term has an odd number of ladder factors."""
+    return sum(k != NUMBER for _, k in term.factors) % 2 == 1
+
+
 def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
-    """[a, b] in canonical NPFO form."""
+    """[a, b] in canonical form; NPFO when a and b are NPFOs."""
     n = max(a.n_modes, b.n_modes)
-    out = FermionSum(n)
+    acc: dict[tuple[Factor, ...], float] = {}
     for ta in a.terms:
-        fa = _expand_numbers(ta.factors)
+        fa = tuple(_expand_numbers(ta.factors))
+        odd_a = _is_odd(ta)
         for tb in b.terms:
-            fb = _expand_numbers(tb.factors)
-            if not (ta.modes() & tb.modes()):
-                continue  # disjoint support commutes
+            if not (ta.modes() & tb.modes()) and not (odd_a and _is_odd(tb)):
+                continue  # disjoint supports commute unless both terms are odd
+            fb = tuple(_expand_numbers(tb.factors))
             w = ta.weight * tb.weight
-            out = out + normal_order(tuple(fa) + tuple(fb), w, n)
-            out = out + normal_order(tuple(fb) + tuple(fa), -w, n)
-    return out
+            _accumulate(acc, normal_order(fa + fb, w, n))
+            _accumulate(acc, normal_order(fb + fa, -w, n))
+    return _from_weights(n, acc)
 
 
 # dense sector matrices

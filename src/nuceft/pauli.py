@@ -207,7 +207,7 @@ class PauliSum:
 
     def adjoint(self) -> "PauliSum":
         # stored strings are phase-free hence Hermitian
-        return PauliSum(self.n_qubits, [(np.conj(c), s) for c, s in self.terms])
+        return PauliSum(self.n_qubits, [(c.conjugate(), s) for c, s in self.terms])
 
     def is_hermitian(self) -> bool:
         return all(abs(c.imag if isinstance(c, complex) else 0.0) == 0
@@ -237,7 +237,28 @@ class PauliSum:
 
 def commutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
     """ab - ba in canonical form; empty when every term pair commutes."""
-    return a * b - b * a
+    return _bracket(a, b, anticommuting=True)
+
+
+def anticommutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
+    """ab + ba in canonical form; empty when every term pair anticommutes."""
+    return _bracket(a, b, anticommuting=False)
+
+
+def _bracket(a: PauliSum, b: PauliSum, anticommuting: bool) -> PauliSum:
+    """ab -/+ ba in one pass over the term pairs.
+
+    Two Pauli strings either commute or anticommute, so each pair's ab and
+    ba are equal or opposite: a pair of the kept parity contributes
+    2*ca*cb*(sa*sb) and a pair of the other parity cancels exactly.
+    """
+    if a.n_qubits != b.n_qubits:
+        raise DimensionError(
+            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
+    return PauliSum(a.n_qubits, (
+        (2 * ca * cb, multiply(sa, sb))
+        for ca, sa in a.terms for cb, sb in b.terms
+        if sa.commutes_with(sb) != anticommuting))
 
 
 def dense_matrix(p: PauliSum, max_qubits: int = 14) -> np.ndarray:

@@ -18,8 +18,8 @@ from .fock import (ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm,
                    eta_seminorm, exact_evolution_error, fermion_commutator)
 from .models import pionless_layers
 from .params import pionless_params_for
-from .pauli import (PauliString, PauliSum, commutator_sum, dense_matrix,
-                    multiply, partition_commuting_layers)
+from .pauli import (PauliString, PauliSum, anticommutator_sum, commutator_sum,
+                    dense_matrix, multiply, partition_commuting_layers)
 from .trotter import (pionless_p1_coefficient, pionless_p2_coefficient,
                       product_formula_error)
 
@@ -88,10 +88,6 @@ def verify_pauli(trials: int = 100) -> list[Check]:
     return checks
 
 
-def _anticommutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    return a * b + b * a
-
-
 def _is_zero(p: PauliSum, tol: float = 1e-12) -> bool:
     return all(abs(c) <= tol for c, _ in p)
 
@@ -123,9 +119,9 @@ def verify_encodings() -> list[Check]:
             for j in range(n_modes):
                 a_i, adag_i = ladders[i]
                 a_j, adag_j = ladders[j]
-                if not _is_zero(_anticommutator(a_i, a_j)):
+                if not _is_zero(anticommutator_sum(a_i, a_j)):
                     ok = False
-                mixed = _anticommutator(a_i, adag_j)
+                mixed = anticommutator_sum(a_i, adag_j)
                 if i == j:
                     if not _is_identity(mixed):
                         ok = False

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuceft.errors import DimensionError, SizeError
-from nuceft.pauli import (PauliString, PauliSum, commutator_sum, dense_matrix,
-                          multiply, partition_commuting_layers)
+from nuceft.pauli import (PauliString, PauliSum, anticommutator_sum,
+                          commutator_sum, dense_matrix, multiply,
+                          partition_commuting_layers)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -123,6 +124,54 @@ def test_adjoint_of_hermitian_sum():
     assert h.is_hermitian()
     assert np.allclose(dense_matrix(h.adjoint()),
                        dense_matrix(h).conj().T)
+
+
+def test_adjoint_returns_python_complex():
+    h = PauliSum(2, [(1.5, PauliString.from_label("XZ")),
+                     (0.5 - 2j, PauliString.from_label("YY"))])
+    coeffs = [c for c, _ in h.adjoint()]
+    assert [type(c) for c in coeffs] == [complex, complex]
+    assert coeffs == [1.5, 0.5 + 2j]
+
+
+N_QUBITS = 3
+COEFFS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+def pauli_sums(x_masks=st.integers(0, 7), z_masks=st.integers(0, 7)):
+    """Sums over a few strings, each drawn up to three times with its own
+    coefficient and phase, so that repeated strings merge."""
+    strings = st.lists(st.tuples(x_masks, z_masks), min_size=1, max_size=4)
+    return strings.flatmap(lambda pool: st.lists(
+        st.tuples(COEFFS, st.sampled_from(pool), st.integers(0, 3)),
+        max_size=3 * len(pool))).map(lambda terms: PauliSum(N_QUBITS, [
+            (c, PauliString(N_QUBITS, x, z, phase))
+            for c, (x, z), phase in terms]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_sums(), pauli_sums())
+def test_brackets_match_dense(a, b):
+    da, db = dense_matrix(a), dense_matrix(b)
+    assert np.allclose(dense_matrix(commutator_sum(a, b)),
+                       da @ db - db @ da, atol=1e-12)
+    assert np.allclose(dense_matrix(anticommutator_sum(a, b)),
+                       da @ db + db @ da, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums(x_masks=st.just(0)), pauli_sums(x_masks=st.just(0)))
+def test_commuting_sums_have_an_empty_commutator(a, b):
+    # Z-type strings all commute
+    assert len(commutator_sum(a, b)) == 0
+
+
+def test_anticommuting_strings_have_an_empty_anticommutator():
+    x = PauliSum.from_string(1.0, PauliString.from_label("XI"))
+    z = PauliSum.from_string(0.5j, PauliString.from_label("ZY"))
+    assert len(anticommutator_sum(x, z)) == 0
+    ((c, s),) = list(commutator_sum(x, z))
+    assert s.label() == "YY" and c == 1.0
 
 
 def test_dense_matrix_cap():
