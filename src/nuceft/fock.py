@@ -8,6 +8,12 @@ commutators symbolically, and builds dense matrices restricted to the
 fixed-particle-number (eta) sector for semi-norms and exact product-formula
 errors.  It is the independent oracle behind every derived value.
 
+The oracle is exact per conserved block.  Every mode group joined by the
+ladder factors of some term keeps its occupation count, so the eta sector
+splits into blocks labelled by per-group counts (the four species counts
+for pionless layers).  Semi-norms and evolution errors are the largest over
+the blocks, computed with stacked linear algebra over blocks of equal size.
+
 Occupation convention: bit i of a basis integer is the occupation of mode i,
 and ladder operators pick up the sign (-1)^(number of occupied modes below i),
 matching the Jordan-Wigner string direction used by the encodings module.
@@ -15,10 +21,9 @@ matching the Jordan-Wigner string direction used by the encodings module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,30 +137,6 @@ class FermionSum:
         return " + ".join(repr(t) for t in self.terms) if self.terms else "0"
 
 
-@dataclass(frozen=True)
-class EtaSector:
-    """Enumeration of occupation bit patterns with popcount == eta."""
-
-    n_modes: int
-    eta: int
-    basis: tuple[int, ...] = field(init=False)
-    index: dict = field(init=False)
-
-    def __post_init__(self):
-        if not 0 <= self.eta <= self.n_modes:
-            raise ValueError(f"eta={self.eta} outside [0, {self.n_modes}]")
-        states = [sum(1 << m for m in occ)
-                  for occ in itertools.combinations(range(self.n_modes), self.eta)]
-        states.sort()
-        object.__setattr__(self, "basis", tuple(states))
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(states)})
-        assert len(states) == comb(self.n_modes, self.eta)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def _expand_numbers(factors: Sequence[Factor]) -> list[Factor]:
     out: list[Factor] = []
     for m, k in factors:
@@ -177,6 +158,9 @@ def normal_order(factors: Sequence[Factor], weight: float = 1.0,
     if n_modes is None:
         n_modes = 1 + max((m for m, _ in factors), default=-1)
         n_modes = max(n_modes, 0)
+    for m, _ in factors:
+        if not 0 <= m < n_modes:
+            raise ValueError(f"mode {m} outside universe of {n_modes}")
     acc: dict[tuple[Factor, ...], float] = {}
     stack: list[tuple[float, tuple[Factor, ...]]] = [(weight, tuple(_expand_numbers(factors)))]
     while stack:
@@ -208,8 +192,13 @@ def _accumulate(acc: dict[tuple[Factor, ...], float],
 
 
 def _from_weights(n_modes: int, acc: dict[tuple[Factor, ...], float]) -> FermionSum:
-    """The canonical sum of accumulated weights, built once."""
-    return FermionSum(n_modes, (FermionTerm(w, f) for f, w in acc.items() if w != 0.0))
+    """The canonical sum of accumulated weights, built once.  The keys are
+    unique and their modes lie in the universe, so each term is validated
+    once, by its own construction."""
+    out = FermionSum.__new__(FermionSum)
+    out.n_modes = n_modes
+    out.terms = tuple(FermionTerm(w, f) for f, w in acc.items() if w != 0.0)
+    return out
 
 
 def _first_violation(fs: tuple[Factor, ...]) -> int | None:
@@ -307,45 +296,94 @@ def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
     return _from_weights(n, acc)
 
 
-# dense sector matrices
+# sector matrices, block by block
+
+# largest block the oracle diagonalizes; the blocks of one call together
+# hold at most MAX_BLOCK**2 entries
+MAX_BLOCK = 4096
+_M1, _M2, _M4, _H01 = (np.uint64(c) for c in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x0101010101010101))
+_U1, _U2, _U4, _U56 = (np.uint64(s) for s in (1, 2, 4, 56))
 
 
-def _apply_term(term: FermionTerm, state: int) -> tuple[int, float] | None:
-    """Apply a canonical term to an occupation basis state.
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 in x (SWAR; numpy < 2 has no bitwise_count)."""
+    x = x - ((x >> _U1) & _M1)
+    x = (x & _M2) + ((x >> _U2) & _M2)
+    x = (x + (x >> _U4)) & _M4
+    return (x * _H01) >> _U56
 
-    Factors act right to left.  Returns (new_state, amplitude) or None.
-    """
-    amp = 1.0
+
+def _sector_states(n_modes: int, eta: int) -> np.ndarray:
+    """Occupation masks with popcount eta, ascending, as uint64."""
+    if n_modes > 64:
+        raise SizeError(f"{n_modes} modes exceeds the 64-bit occupation mask")
+    empty = np.zeros(0, dtype=np.uint64)
+    # masks over the modes seen so far, by popcount; a mask with the new
+    # mode set exceeds every mask without it, so concatenation stays sorted
+    level = {0: np.zeros(1, dtype=np.uint64)}
+    for m in range(n_modes):
+        bit = np.uint64(1 << m)
+        level = {e: np.concatenate((level.get(e, empty),
+                                    level.get(e - 1, empty) | bit))
+                 for e in range(max(0, eta - (n_modes - 1 - m)),
+                                min(eta, m + 1) + 1)}
+    return level.get(eta, empty)
+
+
+@dataclass(frozen=True)
+class EtaSector:
+    """Enumeration of occupation bit patterns with popcount == eta."""
+
+    n_modes: int
+    eta: int
+    basis: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        if not 0 <= self.eta <= self.n_modes:
+            raise ValueError(f"eta={self.eta} outside [0, {self.n_modes}]")
+        object.__setattr__(self, "basis", tuple(
+            _sector_states(self.n_modes, self.eta).tolist()))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+def _images(term: FermionTerm, states: np.ndarray):
+    """Positions of the states a canonical term does not annihilate, their
+    images and the Jordan-Wigner signs.  Factors act right to left."""
+    need = vacant = 0
+    for m, k in term.factors:
+        if k == CREATE:
+            vacant |= 1 << m
+        else:
+            need |= 1 << m
+    need, vacant = np.uint64(need), np.uint64(vacant)
+    hit = np.flatnonzero(((states & need) == need) & ((states & vacant) == 0))
+    image = states[hit]
+    parity = np.zeros(len(hit), dtype=np.uint64)
     for m, k in reversed(term.factors):
-        bit = 1 << m
-        if k == NUMBER:
-            if not state & bit:
-                return None
-        elif k == ANNIHILATE:
-            if not state & bit:
-                return None
-            amp *= (-1) ** bin(state & (bit - 1)).count("1")
-            state ^= bit
-        else:  # CREATE
-            if state & bit:
-                return None
-            amp *= (-1) ** bin(state & (bit - 1)).count("1")
-            state |= bit
-    return state, amp * term.weight
+        if k != NUMBER:
+            parity += _popcount(image & np.uint64((1 << m) - 1))
+            image = image ^ np.uint64(1 << m)
+    return hit, image, 1.0 - 2.0 * (parity & _U1)
+
+
+def _check_npfo(term: FermionTerm) -> None:
+    if not term.is_npfo:
+        raise ValueError("term does not preserve particle number")
 
 
 def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
     """Dense matrix of h restricted to the eta sector (particle-number block)."""
+    states = np.array(sector.basis, dtype=np.uint64)
     mat = np.zeros((sector.dim, sector.dim), dtype=complex)
     for term in h.terms:
-        if len(term.creations) != len(term.annihilations):
-            raise ValueError("term does not preserve particle number")
-        for col, state in enumerate(sector.basis):
-            hit = _apply_term(term, state)
-            if hit is None:
-                continue
-            new_state, amp = hit
-            mat[sector.index[new_state], col] += amp
+        _check_npfo(term)
+        cols, image, sign = _images(term, states)
+        mat[np.searchsorted(states, image), cols] += sign * term.weight
     return mat
 
 
@@ -353,69 +391,166 @@ def full_matrix(h: FermionSum, n_modes: int | None = None) -> np.ndarray:
     """Dense matrix of h on the full 2^n Fock space."""
     if n_modes is None:
         n_modes = h.n_modes
-    dim = 1 << n_modes
-    mat = np.zeros((dim, dim), dtype=complex)
+    states = np.arange(1 << n_modes, dtype=np.uint64)
+    mat = np.zeros((len(states), len(states)), dtype=complex)
     for term in h.terms:
-        for col in range(dim):
-            hit = _apply_term(term, col)
-            if hit is None:
-                continue
-            new_state, amp = hit
-            mat[new_state, col] += amp
+        cols, image, sign = _images(term, states)
+        mat[image.astype(np.intp), cols] += sign * term.weight
     return mat
 
 
-def eta_seminorm(h: FermionSum, eta: int, cap: int = 16) -> float:
+def _mode_groups(n_modes: int, sums: Sequence[FermionSum]) -> list[int]:
+    """Masks of the groups of modes joined by the ladder factors of any one
+    term.  Each term of an NPFO sum keeps every group's occupation count."""
+    parent = list(range(n_modes))
+
+    def root(m: int) -> int:
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    for h in sums:
+        for term in h.terms:
+            _check_npfo(term)
+            ladder = [m for m, k in term.factors if k != NUMBER]
+            for m in ladder[1:]:
+                parent[root(m)] = root(ladder[0])
+    masks: dict[int, int] = {}
+    for m in range(n_modes):
+        masks[root(m)] = masks.get(root(m), 0) | 1 << m
+    return list(masks.values())
+
+
+def _block_sizes(sizes: Sequence[int], eta: int) -> tuple[int, int]:
+    """Largest block dimension and summed squared block dimensions of the
+    eta sector split by per-group counts, from the group sizes alone."""
+    largest = [1] + [0] * eta  # over the groups so far, by particle count
+    squares = [1] + [0] * eta
+    for size in sizes:
+        grown_l, grown_s = [0] * (eta + 1), [0] * (eta + 1)
+        for e in range(eta + 1):
+            for n in range(min(size, e) + 1):
+                c = comb(size, n)
+                grown_l[e] = max(grown_l[e], largest[e - n] * c)
+                grown_s[e] += squares[e - n] * c * c
+        largest, squares = grown_l, grown_s
+    return largest[eta], squares[eta]
+
+
+class _Blocks(NamedTuple):
+    """The eta sector split into blocks of conserved per-group counts.
+
+    Blocks are laid out in one flat buffer, ordered by dimension, each
+    block a row-major d x d matrix over its states in ascending order.
+    """
+
+    states: np.ndarray    # the sector basis, ascending
+    row_base: np.ndarray  # buffer offset of each state's row in its block
+    local: np.ndarray     # each state's index within its block
+    stacks: tuple[tuple[int, int, int], ...]  # (offset, blocks, dim)
+    size: int             # buffer entries
+
+
+def _blocks(sums: Sequence[FermionSum], eta: int) -> _Blocks:
+    n_modes = max(h.n_modes for h in sums)
+    if not 0 <= eta <= n_modes:
+        raise ValueError(f"eta={eta} outside [0, {n_modes}]")
+    groups = _mode_groups(n_modes, sums)
+    sizes = [bin(g).count("1") for g in groups]
+    largest, squares = _block_sizes(sizes, eta)
+    if largest > MAX_BLOCK or squares > MAX_BLOCK ** 2:
+        raise SizeError(f"eta={eta} sector has a block of {largest} states "
+                        f"and {squares} block entries; the oracle cap is "
+                        f"{MAX_BLOCK} states and {MAX_BLOCK ** 2} entries")
+    states = _sector_states(n_modes, eta)
+    key = np.zeros_like(states)  # per-group counts, packed
+    shift = 0
+    for group, size in zip(groups, sizes):
+        key |= _popcount(states & np.uint64(group)) << np.uint64(shift)
+        shift += size.bit_length()
+    _, block, dims = np.unique(key, return_inverse=True, return_counts=True)
+    # renumber the blocks by dimension, so that equal sizes are adjacent
+    by_dim = np.argsort(dims, kind="stable")
+    block = np.argsort(by_dim)[block.ravel()]
+    dims = dims[by_dim]
+    # each state's index within its block, the block's states ascending
+    local = np.empty(len(states), dtype=np.intp)
+    local[np.argsort(block, kind="stable")] = np.arange(len(states)) - \
+        np.repeat(np.cumsum(dims) - dims, dims)
+    offsets = np.cumsum(dims ** 2) - dims ** 2
+    dim_values, first, counts = np.unique(dims, return_index=True,
+                                          return_counts=True)
+    return _Blocks(states, offsets[block] + local * dims[block], local,
+                   tuple(zip(offsets[first].tolist(), counts.tolist(),
+                             dim_values.tolist())), int(squares))
+
+
+def _block_buffer(h: FermionSum, blocks: _Blocks) -> np.ndarray:
+    """Every block matrix of h, flat in the layout of ``blocks``."""
+    buf = np.zeros(blocks.size, dtype=complex)
+    for term in h.terms:
+        cols, image, sign = _images(term, blocks.states)
+        rows = np.searchsorted(blocks.states, image)
+        buf[blocks.row_base[rows] + blocks.local[cols]] += sign * term.weight
+    return buf
+
+
+def _stacks(buf: np.ndarray, blocks: _Blocks) -> list[np.ndarray]:
+    """The blocks of one flat buffer as (k, d, d) stacks, one per d."""
+    return [buf[off:off + k * d * d].reshape(k, d, d)
+            for off, k, d in blocks.stacks]
+
+
+def _norm(stack: np.ndarray) -> float:
+    """Largest spectral norm over a stack of matrices."""
+    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+
+
+def eta_seminorm(h: FermionSum, eta: int) -> float:
     """Largest singular value of h projected into the eta-fermion sector."""
-    if h.n_modes > cap:
-        raise SizeError(f"{h.n_modes} modes exceeds oracle cap {cap}")
-    sector = EtaSector(h.n_modes, eta)
-    if sector.dim == 0:
-        return 0.0
-    mat = sector_matrix(h, sector)
-    if not mat.any():
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    blocks = _blocks([h], eta)
+    buf = _block_buffer(h, blocks)
+    return max(_norm(stack) for stack in _stacks(buf, blocks))
 
 
 def _expm_hermitian(mat: np.ndarray, t: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * t * vals)[..., None, :]) @ \
+        vecs.conj().swapaxes(-1, -2)
 
 
 def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
-                          r: int, eta: int, cap: int = 16) -> float:
-    """Spectral norm of exp(-itH) - P_p(t/r)^r restricted to the eta sector."""
+                          r: int, eta: int) -> float:
+    """Spectral norm of exp(-itH) - P_p(t/r)^r restricted to the eta sector,
+    the largest over the blocks of conserved per-group counts."""
     if p not in (1, 2):
         raise ValueError(f"order p={p} not supported by the oracle")
     if r < 1:
         raise ValueError("step count r must be >= 1")
-    n_modes = max(layer.n_modes for layer in layers)
-    if n_modes > cap:
-        raise SizeError(f"{n_modes} modes exceeds oracle cap {cap}")
-    sector = EtaSector(n_modes, eta)
-    mats = []
+    blocks = _blocks(layers, eta)
+    bufs = []
     for layer in layers:
-        m = sector_matrix(FermionSum(n_modes, layer.terms), sector)
-        if not np.allclose(m, m.conj().T, atol=1e-12):
-            raise ContractError("layer is not Hermitian in the eta sector")
-        mats.append(m)
-    total = sum(mats)
-    exact = _expm_hermitian(total, t)
+        buf = _block_buffer(layer, blocks)
+        for stack in _stacks(buf, blocks):
+            if not np.allclose(stack, stack.conj().swapaxes(-1, -2),
+                               atol=1e-12):
+                raise ContractError("layer is not Hermitian in the eta sector")
+        bufs.append(buf)
     dt = t / r
-    if p == 1:
-        step = np.eye(sector.dim, dtype=complex)
-        for m in mats:
-            step = step @ _expm_hermitian(m, dt)
-    else:
-        half = [_expm_hermitian(m, dt / 2) for m in mats]
-        step = np.eye(sector.dim, dtype=complex)
-        for u in half:
+    worst = 0.0
+    for mats in zip(*(_stacks(buf, blocks) for buf in bufs)):
+        exact = _expm_hermitian(sum(mats), t)
+        if p == 1:
+            factors = [_expm_hermitian(m, dt) for m in mats]
+        else:
+            half = [_expm_hermitian(m, dt / 2) for m in mats]
+            factors = half + half[::-1]
+        step = factors[0]
+        for u in factors[1:]:
             step = step @ u
-        for u in reversed(half):
-            step = step @ u
-    approx = np.linalg.matrix_power(step, r)
-    return float(np.linalg.svd(exact - approx, compute_uv=False)[0])
+        worst = max(worst, _norm(exact - np.linalg.matrix_power(step, r)))
+    return worst
 
 
 # small constructors used by the model builders and tests

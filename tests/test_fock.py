@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nuceft import fock
 from nuceft.encodings import LatticeSpec
-from nuceft.errors import SizeError
+from nuceft.errors import ContractError, SizeError
 from nuceft.fock import (ANNIHILATE, CREATE, NUMBER, EtaSector, FermionSum,
                          FermionTerm, eta_seminorm, exact_evolution_error,
                          fermion_commutator, full_matrix, hopping, normal_order,
@@ -160,9 +161,41 @@ def test_eta_seminorm_known_values():
     assert eta_seminorm(n0, 3) == pytest.approx(2.5)
 
 
+def chain(n_modes, modes):
+    """Unit hoppings along consecutive modes, joining them in one group."""
+    return sum((hopping(i, j, n_modes) for i, j in zip(modes, modes[1:])),
+               FermionSum(n_modes))
+
+
 def test_eta_seminorm_cap():
+    # one group of 20 modes at eta=5: a single block of C(20, 5) = 15,504
     with pytest.raises(SizeError):
-        eta_seminorm(number_op(0, 17, 1.0), 1)
+        eta_seminorm(chain(20, range(20)), 5)
+    # four species-like groups of 5 modes: the blocks stay small, so more
+    # than 16 modes succeed; one particle on a 5-site chain has norm sqrt(3)
+    species = sum((chain(20, range(s, 20, 4)) for s in range(4)),
+                  FermionSum(20))
+    assert eta_seminorm(species, 1) == pytest.approx(math.sqrt(3))
+    assert eta_seminorm(species, 4) > 0
+    assert eta_seminorm(number_op(0, 17, 1.0), 1) == pytest.approx(1.0)
+    # occupations are 64-bit masks
+    with pytest.raises(SizeError):
+        eta_seminorm(number_op(0, 65, 1.0), 1)
+
+
+def test_oversized_block_is_refused_before_enumeration(monkeypatch):
+    def enumerate_states(n_modes, eta):
+        raise AssertionError("sector enumerated before the size check")
+
+    monkeypatch.setattr(fock, "_sector_states", enumerate_states)
+    # one group of 64 modes at eta=8: C(64, 8) = 4,426,165,368 states
+    with pytest.raises(SizeError):
+        eta_seminorm(chain(64, range(64)), 8)
+    with pytest.raises(SizeError):
+        exact_evolution_error([chain(64, range(64))], 0.1, 1, 1, 8)
+    # 40 unjoined modes at eta=10: blocks of one state, but C(40, 10) of them
+    with pytest.raises(SizeError):
+        eta_seminorm(number_op(0, 40, 1.0), 10)
 
 
 def test_exact_evolution_error_converges():
@@ -272,3 +305,116 @@ def test_nested_commutator_builds_each_term_once(monkeypatch):
     nested = fermion_commutator(kin_x, fermion_commutator(kin_x, diag))
     assert len(nested) == 352
     assert built[0] <= 20_000
+
+
+# property tests: the blocked oracle against dense matrices on the full
+# Fock space, restricted to popcount-eta states
+
+
+def eta_restriction(mat, n_modes, eta):
+    basis = [s for s in range(1 << n_modes) if bin(s).count("1") == eta]
+    return mat[np.ix_(basis, basis)]
+
+
+def dense_expm(mat, t):
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+
+
+def dense_evolution_error(layers, t, p, r, eta):
+    n = max(h.n_modes for h in layers)
+    mats = [eta_restriction(dense_sum(FermionSum(n, h.terms)), n, eta)
+            for h in layers]
+    if p == 1:
+        factors = [dense_expm(m, t / r) for m in mats]
+    else:
+        half = [dense_expm(m, t / (2 * r)) for m in mats]
+        factors = half + half[::-1]
+    step = np.eye(len(mats[0]))
+    for u in factors:
+        step = step @ u
+    diff = dense_expm(sum(mats), t) - np.linalg.matrix_power(step, r)
+    return float(np.linalg.svd(diff, compute_uv=False)[0])
+
+
+@st.composite
+def npfo_sums(draw, n_modes, max_terms=5):
+    """Sums of number-preserving terms whose ladder factors join random
+    modes, so that the terms of a sum merge groups.  (Few draws of
+    fermion_sums are number-preserving and have ladder factors.)"""
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        modes = draw(st.permutations(range(n_modes)))
+        pairs = draw(st.integers(min(1, n_modes // 2), n_modes // 2))
+        numbers = draw(st.integers(0, n_modes - 2 * pairs))
+        factors = tuple([(m, CREATE) for m in sorted(modes[:pairs])]
+                        + [(m, ANNIHILATE)
+                           for m in sorted(modes[pairs:2 * pairs])]
+                        + [(m, NUMBER) for m in
+                           sorted(modes[2 * pairs:2 * pairs + numbers])])
+        weight = draw(WEIGHTS)
+        if draw(st.booleans()):
+            weight = complex(weight, draw(WEIGHTS))
+        terms.append(FermionTerm(weight, factors))
+    return FermionSum(n_modes, terms)
+
+
+def hermitian_sums(n_modes):
+    # few terms per layer, so that the layers join few modes and the
+    # sectors split into blocks of several sizes
+    return npfo_sums(n_modes, 2).map(lambda h: h + h.adjoint())
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(npfo_sums(n), st.integers(0, n))))
+def test_seminorm_matches_dense_restriction(case):
+    h, eta = case
+    block = eta_restriction(dense_sum(h), h.n_modes, eta)
+    want = float(np.linalg.svd(block, compute_uv=False)[0]) if len(block) \
+        else 0.0
+    assert close(eta_seminorm(h, eta), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.lists(hermitian_sums(n), min_size=1, max_size=3),
+    st.integers(0, n), st.sampled_from((1, 2)), st.sampled_from((1, 3)),
+    st.floats(0.05, 1.0))))
+def test_evolution_error_matches_dense_restriction(case):
+    layers, eta, p, r, t = case
+    assert close(exact_evolution_error(layers, t, p, r, eta),
+                 dense_evolution_error(layers, t, p, r, eta))
+
+
+def test_oracle_on_layers_of_different_groups():
+    """Three layers that join modes differently: together they split six
+    modes into the groups {0, 2, 4}, {1, 3} and {5}, so each sector has
+    blocks of several sizes, and the largest norm can sit in any of them."""
+    layers = [hopping(0, 2, 6) + hopping(1, 3, 6, -0.6),
+              hopping(2, 4, 6, 0.7) + number_op(3, 6, 0.3),
+              number_op(5, 6, 1.1) + FermionSum(6, [
+                  FermionTerm(-0.9, ((1, NUMBER), (4, NUMBER)))])]
+    total = sum(layers, FermionSum(6))
+    for eta in range(7):
+        block = eta_restriction(dense_sum(total), 6, eta)
+        want = float(np.linalg.svd(block, compute_uv=False)[0])
+        assert close(eta_seminorm(total, eta), want)
+        for p in (1, 2):
+            want = dense_evolution_error(layers, 0.6, p, 2, eta)
+            assert close(exact_evolution_error(layers, 0.6, p, 2, eta), want)
+            if 1 <= eta <= 5:
+                assert want > 1e-6
+
+
+def test_non_hermitian_layer_and_particle_number_are_refused():
+    lopsided = FermionSum(4, [FermionTerm(1.0, ((0, CREATE),))])
+    with pytest.raises(ValueError, match="particle number"):
+        eta_seminorm(lopsided, 1)
+    one_way = FermionSum(4, [FermionTerm(1.0, ((0, CREATE), (1, ANNIHILATE)))])
+    with pytest.raises(ContractError):
+        exact_evolution_error([one_way, hopping(1, 2, 4)], 0.1, 1, 1, 2)
