@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
@@ -114,23 +117,7 @@ def ope_p1_bound(eta: int, params: OpeParams,
     a = convert_length(params.a_L)
     g2 = (constants.g_A / (2 * constants.f_pi)) ** 2
     g4 = g2 * g2
-
-    # bare radial kernel f(r)(g(r)+1); the coupling constants appear
-    # explicitly in each class coefficient below
-    m = constants.m_pi
-
-    def bare_kernel(r: float) -> float:
-        return (m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r)
-                                                 + 3 / (m * r) ** 2)
-
-    shell_data = [(q, bare_kernel(convert_length(r_fm)))
-                  for r_fm, q in shells]
-    s_qu = sum(q * u for q, u in shell_data)
-    s_cross = sum(qa * ua * qb * ub
-                  for i, (qa, ua) in enumerate(shell_data)
-                  for qb, ub in shell_data[i + 1:])
-    s_same = sum((3670016 * q * (q - 1) + 524288 * q) * u * u
-                 for q, u in shell_data)
+    s_qu, s_cross, s_same = _shell_sums(tuple(shells), constants)
 
     classes = (
         ("kinetic_kinetic", 30 * h * h * eta),
@@ -151,6 +138,37 @@ def ope_p1_bound(eta: int, params: OpeParams,
         ("lr_lr_same", (1 / (12 * math.pi)) ** 2 * g4 * s_same * eta),
     )
     return BoundReport(order=1, classes=classes)
+
+
+# a sweep meets its cutoffs in runs, and one key at ell=317 holds 83,743
+# shells, so a few entries suffice
+@lru_cache(maxsize=8)
+def _shell_sums(shells: tuple[tuple[float, int], ...],
+                constants: PhysicalConstants) -> tuple[float, float, float]:
+    """The eta-independent shell sums of ope_p1_bound: s_qu = sum q u,
+    s_cross = sum over shell pairs a < b of q_a u_a q_b u_b, and s_same.
+
+    u is the bare radial kernel f(r)(g(r)+1); the coupling constants appear
+    explicitly in each class coefficient.  A sweep prices many points at
+    one cutoff, so the O(S^2) s_cross is computed once per shell table.
+    """
+    m = constants.m_pi
+
+    def bare_kernel(r: float) -> float:
+        return (m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r)
+                                                 + 3 / (m * r) ** 2)
+
+    qs = [q for _, q in shells]
+    us = [bare_kernel(convert_length(r_fm)) for r_fm, _ in shells]
+    s_qu = sum(q * u for q, u in zip(qs, us))
+    # ((q_a u_a) q_b) u_b added left to right, as one sum: Python >= 3.12
+    # compensates a float sum, so summing row by row would round differently
+    s_cross = sum(chain.from_iterable(
+        map(mul, map(mul, repeat(qa * ua), qs[i + 1:]), us[i + 1:])
+        for i, (qa, ua) in enumerate(zip(qs, us))))
+    s_same = sum((3670016 * q * (q - 1) + 524288 * q) * u * u
+                 for q, u in zip(qs, us))
+    return s_qu, s_cross, s_same
 
 
 def dynpi_p1_bound(eta: int, params: DynPiParams,
@@ -221,20 +239,13 @@ def general_npfo_bound(p: int, localities: Sequence[int],
     return out * math.ceil(eta / math.ceil(k_min / 2))
 
 
-def upsilon(p: int) -> int:
-    """Stage count entering the high-order recursive formula bound."""
-    if p < 4 or p % 2:
-        raise DomainError(f"recursive formulas need even order >= 4, got {p}")
-    return 2 * 5 ** (p // 2 - 1)
-
-
 def product_formula_error(p: int, t: float, coefficient: float) -> float:
     """Single-segment error for a pth-order formula with the given
     commutator coefficient.
 
     The coefficient convention matches the bound producers in this module:
-    p=1 takes zeta (error (t^2/2) zeta), p=2 takes the full t^3 coefficient,
-    and even p >= 4 takes the nested-commutator coefficient alpha.
+    p=1 takes zeta (error (t^2/2) zeta) and p=2 takes the full t^3
+    coefficient.  No other order is bounded.
     """
     _check_time(t)
     if coefficient < 0:
@@ -243,8 +254,8 @@ def product_formula_error(p: int, t: float, coefficient: float) -> float:
         return t * t * coefficient / 2
     if p == 2:
         return t ** 3 * coefficient
-    u = upsilon(p)
-    return 2 * u ** (p + 1) * t ** (p + 1) * coefficient / (p + 1)
+    raise DomainError(f"product-formula errors are bounded for orders 1 "
+                      f"and 2 only, got {p}")
 
 
 def steps_for_budget(p: int, t: float, coefficient: float, budget: float) -> int:

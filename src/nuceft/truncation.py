@@ -8,17 +8,18 @@ register sizing for the dynamical-pion model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError, UnreachableBudgetError
 from .params import (CONSTANTS, DigitizationSpec, PhysicalConstants,
                      ab_coefficients, convert_length, yukawa_g1, yukawa_g2)
 
 
-@lru_cache(maxsize=None)
 def shell_count(r_sq: int) -> int:
-    """Number of integer points (i, j, k) with i^2 + j^2 + k^2 = r_sq."""
+    """Number of integer points (i, j, k) with i^2 + j^2 + k^2 = r_sq.
+
+    A direct O(r_sq) count, kept as the reference that shell_counts is
+    tested against.
+    """
     if r_sq < 0:
         raise DomainError(f"squared radius must be >= 0, got {r_sq}")
     if r_sq == 0:
@@ -36,22 +37,25 @@ def shell_count(r_sq: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ShellTable:
-    """Realized squared distances r^2 <= max_r_sq and their site counts."""
+def shell_counts(max_r_sq: int) -> list[int]:
+    """shell_count(r_sq) for every r_sq in 0..max_r_sq, from one walk over
+    the sorted points i >= j >= k >= 0 of the ball.
 
-    max_r_sq: int
-
-    def entries(self) -> list[tuple[int, int]]:
-        out = []
-        for r_sq in range(1, self.max_r_sq + 1):
-            q = shell_count(r_sq)
-            if q:
-                out.append((r_sq, q))
-        return out
-
-    def cumulative(self) -> int:
-        return 1 + sum(q for _, q in self.entries())
+    Each sorted point stands for its sign flips (2 per nonzero coordinate)
+    and its distinct coordinate orders (6, 3 or 1).
+    """
+    if max_r_sq < 0:
+        raise DomainError(f"squared radius must be >= 0, got {max_r_sq}")
+    counts = [0] * (max_r_sq + 1)
+    for i in range(math.isqrt(max_r_sq) + 1):
+        ii = i * i
+        for j in range(min(i, math.isqrt(max_r_sq - ii)) + 1):
+            ij = ii + j * j
+            for k in range(min(j, math.isqrt(max_r_sq - ij)) + 1):
+                orders = 1 if i == k else 3 if i == j or j == k else 6
+                signs = 1 << ((i > 0) + (j > 0) + (k > 0))
+                counts[ij + k * k] += orders * signs
+    return counts
 
 
 def realized_shells(ell_fm: float, a_L_fm: float) -> list[tuple[float, int]]:
@@ -60,7 +64,7 @@ def realized_shells(ell_fm: float, a_L_fm: float) -> list[tuple[float, int]]:
         return []
     max_r_sq = int((ell_fm / a_L_fm) ** 2 + 1e-9)
     return [(a_L_fm * math.sqrt(r_sq), q)
-            for r_sq, q in ShellTable(max_r_sq).entries()]
+            for r_sq, q in enumerate(shell_counts(max_r_sq)) if r_sq and q]
 
 
 def ope_cutoff_error(ell_fm: float, eta: int, a_L_fm: float,

@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import pytest
 
+from nuceft import trotter
 from nuceft.errors import DomainError
-from nuceft.params import OpeParams, hopping_coefficient, pionless_params_for
+from nuceft.estimator import TaskSpec, sweep
+from nuceft.params import (CONSTANTS, OpeParams, PhysicalConstants,
+                           hopping_coefficient, pionless_params_for)
 from nuceft.trotter import (compose_total_error, dynpi_p1_bound,
                             general_npfo_bound, ope_p1_bound,
                             pionless_p1_bound, pionless_p2_bound,
                             pionless_p2_coefficient, product_formula_error,
-                            steps_for_budget, upsilon)
+                            steps_for_budget)
 from nuceft.truncation import boson_cutoffs, realized_shells
 from nuceft.verify import verify_trotter
 
@@ -85,6 +89,58 @@ def test_ope_p1_empty_shells():
     assert report.total > 0  # contact pieces remain
 
 
+def test_shell_sums_match_the_pair_loop_exactly():
+    shells = realized_shells(44.0, 2.2)
+    s_qu, s_cross, s_same = trotter._shell_sums(tuple(shells), CONSTANTS)
+    m = CONSTANTS.m_pi
+    data = []
+    for r_fm, q in shells:
+        r = r_fm / CONSTANTS.hbar_c
+        data.append((q, (m * m * math.exp(-m * r) / r)
+                     * (2 + 3 / (m * r) + 3 / (m * r) ** 2)))
+    assert s_qu == sum(q * u for q, u in data)
+    assert s_cross == sum(qa * ua * qb * ub for i, (qa, ua) in enumerate(data)
+                          for qb, ub in data[i + 1:])
+    assert s_same == sum((3670016 * q * (q - 1) + 524288 * q) * u * u
+                         for q, u in data)
+
+
+def test_ope_p1_shell_sums_are_memoized_by_value():
+    params = OpeParams.from_lecs(2.2, 22.0)
+    shells = realized_shells(22.0, 2.2)
+    trotter._shell_sums.cache_clear()
+    cold = ope_p1_bound(40, params, shells)
+    warm = ope_p1_bound(40, params, shells)
+    assert repr(warm.classes) == repr(cold.classes)
+    assert ope_p1_bound(40, params, tuple(shells)).classes == cold.classes
+    assert trotter._shell_sums.cache_info().misses == 1
+    # a different pion mass is its own entry, equal to a cold evaluation
+    heavy = PhysicalConstants(m_pi=140.0)
+    warm_heavy = ope_p1_bound(40, params, shells, heavy)
+    assert warm_heavy.classes != cold.classes
+    trotter._shell_sums.cache_clear()
+    assert ope_p1_bound(40, params, shells, heavy).classes == warm_heavy.classes
+    assert ope_p1_bound(40, params, shells).classes == cold.classes
+
+
+def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
+    evaluations = []
+
+    class CountingChain:
+        @staticmethod
+        def from_iterable(rows):
+            evaluations.append(1)
+            return itertools.chain.from_iterable(rows)
+
+    monkeypatch.setattr(trotter, "chain", CountingChain)
+    trotter._shell_sums.cache_clear()
+    rows = sweep(TaskSpec(model="ope"), "eta", range(2, 401, 2))
+    cutoffs = {row["ell_or_nb"] for row in rows}
+    assert len(rows) == 200 and not any(row["notes"] for row in rows)
+    assert 1 < len(cutoffs) < len(rows)
+    assert len(evaluations) == len(cutoffs)
+
+
 def test_dynpi_p1_frozen_total():
     lecs = OpeParams.from_lecs(2.2, 2.2)
     from nuceft.params import DynPiParams
@@ -124,21 +180,17 @@ def test_by_hand_comparison():
     assert general / manual > 50
 
 
-def test_upsilon():
-    assert upsilon(4) == 10
-    assert upsilon(6) == 50
-    with pytest.raises(DomainError):
-        upsilon(3)
-    with pytest.raises(DomainError):
-        upsilon(2)
-
-
 def test_product_formula_error_conventions():
     assert product_formula_error(1, 2.0, 5.0) == pytest.approx(2.0 ** 2 * 5 / 2)
     assert product_formula_error(2, 2.0, 5.0) == pytest.approx(2.0 ** 3 * 5)
-    u = upsilon(4)
-    assert product_formula_error(4, 0.5, 3.0) == pytest.approx(
-        2 * u ** 5 * 0.5 ** 5 * 3 / 5)
+
+
+def test_product_formula_error_refuses_unbounded_orders():
+    for p in (0, 3, 4):
+        with pytest.raises(DomainError):
+            product_formula_error(p, 0.5, 3.0)
+        with pytest.raises(DomainError):
+            steps_for_budget(p, 0.5, 3.0, 1e-3)
 
 
 def test_steps_for_budget_meets_budget_tightly():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -5,23 +6,23 @@ import pytest
 
 from nuceft.errors import DomainError, UnreachableBudgetError
 from nuceft.params import OpeParams
-from nuceft.truncation import (ShellTable, boson_cutoffs, choose_ope_cutoff,
+from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
                                ope_cutoff_error, pi_max_bound, realized_shells,
-                               shell_count)
+                               shell_count, shell_counts)
 
 
-def brute_force_shell(r_sq, reach):
-    count = 0
-    for i, j, k in itertools.product(range(-reach, reach + 1), repeat=3):
-        if i * i + j * j + k * k == r_sq:
-            count += 1
-    return count
+def brute_force_histogram(reach):
+    """Counter of i^2 + j^2 + k^2 over the cube |i|, |j|, |k| <= reach."""
+    return collections.Counter(
+        i * i + j * j + k * k
+        for i, j, k in itertools.product(range(-reach, reach + 1), repeat=3))
 
 
 def test_shell_count_against_brute_force():
-    reach = 21
+    # every point with r^2 <= 400 lies inside the reach-21 cube
+    brute = brute_force_histogram(21)
     for r_sq in range(0, 401):
-        assert shell_count(r_sq) == brute_force_shell(r_sq, reach), r_sq
+        assert shell_count(r_sq) == brute[r_sq], r_sq
 
 
 def test_shell_count_known_values():
@@ -29,13 +30,27 @@ def test_shell_count_known_values():
     assert [shell_count(k) for k in range(8)] == [1, 6, 12, 8, 6, 24, 24, 0]
 
 
+def test_shell_counts_match_shell_count():
+    for max_r_sq in (0, 1, 2, 3, 100, 400):
+        assert shell_counts(max_r_sq) == [shell_count(r_sq)
+                                          for r_sq in range(max_r_sq + 1)]
+    with pytest.raises(DomainError):
+        shell_counts(-1)
+
+
+def test_shell_counts_fill_the_radius_40_ball():
+    ball = sum(1 for i, j, k in itertools.product(range(-40, 41), repeat=3)
+               if i * i + j * j + k * k <= 1600)
+    assert sum(shell_counts(1600)) == ball
+
+
 def test_shell_table_cumulative():
     # all sites of the closed ball of radius 10: (2*10+1)^3 minus corners
-    table = ShellTable(100)
-    assert table.cumulative() == sum(
+    cumulative = sum(shell_counts(100))
+    assert cumulative == sum(
         1 for i, j, k in itertools.product(range(-10, 11), repeat=3)
         if i * i + j * j + k * k <= 100)
-    assert table.cumulative() == 4169
+    assert cumulative == 4169
 
 
 def test_realized_shells():
