@@ -7,12 +7,10 @@ config-file values; the config file is JSON with the same field names.
 
 from __future__ import annotations
 
-import csv
-import io
+import argparse
 import json
+import re
 import sys
-
-import click
 
 from .errors import ConfigError, DomainError
 from .estimator import SWEEP_AXES, SWEEP_HEADER, TaskSpec, estimate, sweep
@@ -90,77 +88,93 @@ def _write_text(path: str | None, text: str) -> None:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _spec_options(f):
-    opts = [
-        click.option("--config", "config_path", type=str, default=None,
-                     help="JSON config file; flags override its values."),
-        click.option("--task", type=click.Choice(["evolve", "qpe"]),
-                     default=None),
-        click.option("--model", type=click.Choice(["pionless", "ope",
-                                                   "dynpi"]), default=None),
-        click.option("--encoding", type=click.Choice(["vc", "compact"]),
-                     default=None),
-        click.option("--order", type=int, default=None,
-                     help="Product-formula order p."),
-        click.option("--L", "L", type=int, default=None,
-                     help="Lattice extent per axis."),
-        click.option("--aL-fm", "aL_fm", type=float, default=None,
-                     help="Lattice spacing in fm."),
-        click.option("--eta", type=int, default=None,
-                     help="Nucleon number."),
-        click.option("--Ekin-MeV", "Ekin_MeV", type=float, default=None,
-                     help="Kinetic energy per nucleon (evolve task)."),
-        click.option("--deltaE-MeV", "deltaE_MeV", type=float, default=None,
-                     help="Energy resolution (qpe task)."),
-        click.option("--Emax-MeV", "Emax_MeV", type=float, default=None,
-                     help="Spectral range (qpe task)."),
-        click.option("--success", type=float, default=None,
-                     help="QPE success probability."),
-        click.option("--eps", type=float, default=None,
-                     help="Total error budget."),
-        click.option("--convention",
-                     type=click.Choice(["near-term", "fault-tolerant"]),
-                     default=None),
-        click.option("--ell", type=int, default=None,
-                     help="Force the range cutoff (lattice units)."),
-        click.option("--nb", type=int, default=None,
-                     help="Force the boson register width."),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
+# a token float() reads, such as -1e-3 or -inf, is a flag's value; argparse
+# alone takes only -1 and -0.5 for values and the rest for unknown flags
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
 
 
-@click.group()
-def cli():
-    """Quantum-resource estimates for lattice nuclear Hamiltonians."""
+class _Parser(argparse.ArgumentParser):
+    """Takes flags only as spelled out, and hands usage errors to main."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
-@cli.command("estimate")
-@_spec_options
-@click.option("--output", type=str, default=None,
-              help="Report path (default: stdout).")
-def cmd_estimate(config_path, output, **flags):
+def _add_spec_options(parser: argparse.ArgumentParser) -> None:
+    """The TaskSpec flags; each one's dest is its config key (argparse
+    turns --aL-fm into aL_fm), which is what _build_spec reads."""
+    add = parser.add_argument
+    add("--config", help="JSON config file; flags override its values.")
+    add("--task", choices=["evolve", "qpe"])
+    add("--model", choices=["pionless", "ope", "dynpi"])
+    add("--encoding", choices=["vc", "compact"])
+    add("--order", type=int, help="Product-formula order p.")
+    add("--L", type=int, help="Lattice extent per axis.")
+    add("--aL-fm", type=float, help="Lattice spacing in fm.")
+    add("--eta", type=int, help="Nucleon number.")
+    add("--Ekin-MeV", type=float,
+        help="Kinetic energy per nucleon (evolve task).")
+    add("--deltaE-MeV", type=float, help="Energy resolution (qpe task).")
+    add("--Emax-MeV", type=float, help="Spectral range (qpe task).")
+    add("--success", type=float, help="QPE success probability.")
+    add("--eps", type=float, help="Total error budget.")
+    add("--convention", choices=["near-term", "fault-tolerant"])
+    add("--ell", type=int, help="Force the range cutoff (lattice units).")
+    add("--nb", type=int, help="Force the boson register width.")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="nuceft", description="Quantum-resource estimates "
+                     "for lattice nuclear Hamiltonians.")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=summary, description=summary)
+        sub.set_defaults(run=run)
+        return sub
+
+    estimate_cmd = command("estimate", cmd_estimate,
+                           "Cost out one evolution or phase-estimation task.")
+    _add_spec_options(estimate_cmd)
+    estimate_cmd.add_argument("--output",
+                              help="Report path (default: stdout).")
+
+    sweep_cmd = command("sweep", cmd_sweep,
+                        "Sweep one axis and emit a CSV table.")
+    _add_spec_options(sweep_cmd)
+    sweep_cmd.add_argument("--axis", choices=SWEEP_AXES, required=True)
+    sweep_cmd.add_argument("--from", dest="start", type=float, required=True)
+    sweep_cmd.add_argument("--to", dest="stop", type=float, required=True)
+    sweep_cmd.add_argument("--step", type=float, default=1.0,
+                           help="Grid spacing (default: 1.0).")
+    sweep_cmd.add_argument("--output", help="CSV path (default: stdout).")
+
+    verify_cmd = command("verify", cmd_verify,
+                         "Run a module self-check suite.")
+    verify_cmd.add_argument("suite", choices=["pauli", "encodings",
+                                              "seminorm", "trotter", "all"])
+    return parser
+
+
+def cmd_estimate(args) -> None:
     """Cost out one evolution or phase-estimation task."""
-    config = _load_config(config_path)
-    spec = _build_spec(config, flags)
+    spec = _build_spec(_load_config(args.config), vars(args))
     report = estimate(spec)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    _write_text(output, text)
+    _write_text(args.output, text)
 
 
-@cli.command("sweep")
-@_spec_options
-@click.option("--axis", type=click.Choice(list(SWEEP_AXES)), required=True)
-@click.option("--from", "start", type=float, required=True)
-@click.option("--to", "stop", type=float, required=True)
-@click.option("--step", type=float, default=1.0, show_default=True)
-@click.option("--output", type=str, default=None,
-              help="CSV path (default: stdout).")
-def cmd_sweep(config_path, axis, start, stop, step, output, **flags):
+def cmd_sweep(args) -> None:
     """Sweep one axis and emit a CSV table."""
-    config = _load_config(config_path)
-    template = _build_spec(config, flags)
+    import csv
+    import io
+
+    template = _build_spec(_load_config(args.config), vars(args))
+    axis, start, stop, step = args.axis, args.start, args.stop, args.step
     if step <= 0:
         raise ConfigError(f"--step must be positive, got {step}")
     # each point from its index, so no rounding error accumulates; 12
@@ -178,40 +192,38 @@ def cmd_sweep(config_path, axis, start, stop, step, output, **flags):
     writer.writerow(SWEEP_HEADER)
     for row in rows:
         writer.writerow([row[key] for key in SWEEP_HEADER])
-    _write_text(output, buf.getvalue())
+    _write_text(args.output, buf.getvalue())
 
 
-@cli.command("verify")
-@click.argument("suite", type=click.Choice(["pauli", "encodings", "seminorm",
-                                            "trotter", "all"]))
-def cmd_verify(suite):
+def cmd_verify(args) -> None:
     """Run a module self-check suite."""
     # the oracle (and numpy) loads only here, so estimate and sweep skip it
     from .verify import run_suite
-    checks = run_suite(suite)
+    checks = run_suite(args.suite)
     failed = 0
     for name, ok, detail in checks:
         status = "ok" if ok else "FAIL"
-        click.echo(f"{status:4s} {name} ({detail})")
+        print(f"{status:4s} {name} ({detail})")
         failed += 0 if ok else 1
-    click.echo(f"{len(checks) - failed}/{len(checks)} checks passed")
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
     if failed:
         raise DomainError(f"{failed} verification check(s) failed")
 
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        args = _parser().parse_args(argv)
+        args.run(args)
+    except SystemExit as exc:  # only --help exits; error() raises instead
+        return exc.code
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
+        print(f"domain error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -9,7 +9,6 @@ uncontrolled variants (controlled steps are what phase estimation applies).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -36,10 +35,7 @@ OPE_EXCHANGE_DEPTH = {False: 54, True: 98}
 LONG_RANGE_PAIR_DEPTH = {False: 14336, True: 16384}
 
 
-@dataclass(frozen=True)
-class StepCost:
-    """Cost of one Trotter step: depth, rotation count, and provenance."""
-
+class _StepCostFields(NamedTuple):
     depth_2q: int
     rz_count: int
     controlled: bool
@@ -47,9 +43,17 @@ class StepCost:
     model: str
     order: int
 
-    def __post_init__(self):
+
+class StepCost(_StepCostFields):
+    """Cost of one Trotter step: depth, rotation count, and provenance."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.depth_2q < 0 or self.rz_count < 0:
             raise DomainError("circuit costs must be nonnegative")
+        return self
 
     def to_json_dict(self) -> dict:
         return {"depth_2q": self.depth_2q, "rz_count": self.rz_count,

@@ -9,7 +9,6 @@ coefficient into a Trotter step count, and prices the resulting circuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .costs import (StepCost, check_priced, dynpi_step_cost, ope_step_cost,
@@ -25,8 +24,7 @@ from .truncation import boson_cutoffs, choose_ope_cutoff, realized_shells
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class _TaskSpecFields(NamedTuple):
     task: str = "evolve"            # evolve | qpe
     model: str = "pionless"         # pionless | ope | dynpi
     encoding: str = "vc"            # vc | compact
@@ -43,7 +41,14 @@ class TaskSpec:
     ell_units: int | None = None    # force the range cutoff (lattice units)
     n_b: int | None = None          # force the boson register width
 
-    def __post_init__(self):
+
+class TaskSpec(_TaskSpecFields):
+    """One task to price; the inputs are checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.task not in ("evolve", "qpe"):
             raise DomainError(f"unknown task {self.task!r}")
         for name in ("epsilon", "E_kin", "delta_E", "E_max", "a_L"):
@@ -64,10 +69,10 @@ class TaskSpec:
         if self.delta_E <= 0:
             raise DomainError(f"energy resolution must be positive, "
                               f"got {self.delta_E}")
+        return self
 
 
-@dataclass(frozen=True)
-class CostReport:
+class _CostReportFields(NamedTuple):
     t: float                 # evolution time per application, MeV^-1
     r: int                   # Trotter steps (total, all applications)
     depth_total: int
@@ -76,7 +81,17 @@ class CostReport:
     qubits: int
     ancillas: int
     ledger: dict
-    extras: dict = field(default_factory=dict)
+    extras: dict | None = None
+
+
+class CostReport(_CostReportFields):
+    """What an estimate costs; ``extras`` defaults to a new empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.extras is not None else self._replace(extras={})
 
     def to_json_dict(self) -> dict:
         return {"schema-version": SCHEMA_VERSION, "t": self.t, "r": self.r,
@@ -248,7 +263,10 @@ def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
     row = {"axis": axis, "value": value, "r": "", "depth": "", "rz": "",
            "T": "", "qubits": "", "ell_or_nb": "", "notes": ""}
     try:
-        rep = estimate(replace(template, **{field_name: parse(value)}))
+        # through the constructor, which checks the new value (_replace
+        # would not)
+        spec = TaskSpec(**{**template._asdict(), field_name: parse(value)})
+        rep = estimate(spec)
     except DomainError as exc:
         row["notes"] = f"{type(exc).__name__}: {exc}"
         return row

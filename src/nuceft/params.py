@@ -3,20 +3,25 @@
 Plain ``math`` only, so the cost pipeline (trotter, truncation, estimator)
 runs without numpy.  Couplings and energies are in MeV (hbar = c = 1);
 lengths in fm are converted via hbar*c at the API boundary.
+
+The records on the estimate path (here, in costs, trotter and estimator)
+are immutable ``NamedTuple``s, which cost far less to define at import than
+dataclasses.  A record whose values have a precondition checks it in
+``__new__``; ``_replace`` and ``_make`` skip that check, so rebuild such a
+record through its constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 HBAR_C = 197.3269804  # MeV fm
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     M: float = 938.0      # nucleon mass, MeV
     m_pi: float = 135.0   # pion mass, MeV
     g_A: float = 1.26     # axial coupling
@@ -40,8 +45,7 @@ def hopping_coefficient(a_L_fm: float, constants: PhysicalConstants = CONSTANTS)
     return 1.0 / (2.0 * constants.M * a * a)
 
 
-@dataclass(frozen=True)
-class PionlessParams:
+class PionlessParams(NamedTuple):
     a_L: float       # fm
     h: float         # MeV
     C_slash: float   # MeV
@@ -64,8 +68,7 @@ def pionless_params_for(a_L_fm: float) -> PionlessParams:
             f"(known: {sorted(_PIONLESS_TABLE)})") from None
 
 
-@dataclass(frozen=True)
-class OpeParams:
+class OpeParams(NamedTuple):
     a_L: float      # fm
     C: float        # MeV
     C_I2: float     # MeV
@@ -82,17 +85,14 @@ class OpeParams:
         return cls(a_L_fm, c, c_i2, ell_fm)
 
 
-@dataclass(frozen=True)
-class DigitizationSpec:
+class DigitizationSpec(NamedTuple):
+    """What truncation.boson_cutoffs sizes; it checks the register width."""
+
     pi_max: float     # field cutoff, MeV^2 units of the dimensionful field
     Pi_max: float
     delta_pi: float
     delta_Pi: float
     n_b: int
-
-    def __post_init__(self):
-        if self.n_b < 1:
-            raise DomainError(f"register width n_b must be >= 1, got {self.n_b}")
 
 
 def ab_coefficients(a_L_fm: float, constants: PhysicalConstants = CONSTANTS) -> tuple[float, float]:
@@ -103,18 +103,25 @@ def ab_coefficients(a_L_fm: float, constants: PhysicalConstants = CONSTANTS) -> 
     return A, B
 
 
-@dataclass(frozen=True)
-class DynPiParams:
+class _DynPiFields(NamedTuple):
     a_L: float       # fm
     C: float         # MeV
     C_I2: float      # MeV
 
-    def __post_init__(self):
+
+class DynPiParams(_DynPiFields):
+    """Dynamical-pion couplings at a spacing the field-cutoff bound covers."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         A, B = ab_coefficients(self.a_L)
         if A <= 0 or B <= 0:
             raise DomainError(
                 f"lattice spacing a_L={self.a_L} fm gives A={A:g}, B={B:g}; "
                 "the field-cutoff bound needs A, B > 0")
+        return self
 
 
 def yukawa_g1(r: float, constants: PhysicalConstants = CONSTANTS) -> float:

@@ -12,11 +12,10 @@ time step (in MeV^-1) to get a dimensionless error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 from .params import (CONSTANTS, DigitizationSpec, DynPiParams, OpeParams,
@@ -24,28 +23,36 @@ from .params import (CONSTANTS, DigitizationSpec, DynPiParams, OpeParams,
                      hopping_coefficient)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class _BoundReportFields(NamedTuple):
+    order: int
+    classes: tuple[tuple[str, float], ...]
+
+
+class BoundReport(_BoundReportFields):
     """Per-commutator-class breakdown of a product-formula error coefficient.
 
     For order=1 the total is the zeta (or Xi) coefficient, whose error over
     time t is product_formula_error(1, t, total) = (t^2/2) * total.  Every
-    contribution is nonnegative.
+    contribution is nonnegative.  ``report[label]`` is the contribution of
+    one class; an integer index reads the tuple as usual.
     """
 
-    order: int
-    classes: tuple[tuple[str, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for label, value in self.classes:
             if value < 0:
                 raise DomainError(f"class {label!r} has negative bound {value}")
+        return self
 
     @property
     def total(self) -> float:
         return sum(v for _, v in self.classes)
 
-    def __getitem__(self, label: str) -> float:
+    def __getitem__(self, label):
+        if not isinstance(label, str):
+            return super().__getitem__(label)
         for lab, value in self.classes:
             if lab == label:
                 return value

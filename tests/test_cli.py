@@ -46,6 +46,33 @@ def test_unknown_flag_exit_code(capsys):
     assert main(["estimate", "--eta", "4", "--frobnicate", "1"]) == 1
 
 
+def test_usage_errors_exit_1(capsys):
+    cases = [["estimate", "--et", "40"],            # no abbreviated flags
+             [],                                   # no subcommand
+             ["frobnicate"],
+             ["verify"],                           # no suite
+             ["estimate", "--eta", "4.0"],
+             ["estimate", "--eta", "40", "--model", "nucleon"],
+             ["sweep", "--eta", "40"],             # no axis or range
+             ["estimate", "--eta", "40", "extra"]]
+    for args in cases:
+        assert main(args) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), (args, err)
+
+
+def test_flag_spellings(capsys):
+    assert main(["estimate", "--eta=40"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 1161614
+    # a negative value in any float spelling is a value, not a flag
+    for value in ("-1e-3", "-0.1", "-inf"):
+        assert main(["estimate", "--eta", "40", "--eps", value]) == 2, value
+        assert capsys.readouterr().err.startswith("domain error:"), value
+    for args in (["--help"], ["estimate", "--help"], ["sweep", "--help"]):
+        assert main(args) == 0, args
+        assert "usage:" in capsys.readouterr().out.lower()
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -213,8 +240,12 @@ def test_estimate_does_not_import_the_oracle():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert nuceft.cli.main(
                     ["estimate", "--model", model, "--eta", "40"]) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert nuceft.cli.main(["sweep", "--eta", "40", "--axis", "eta",
+                                    "--from", "2", "--to", "4"]) == 0
+        # neither the oracle nor what the estimate path does without
         oracle = ("numpy", "nuceft.fock", "nuceft.pauli", "nuceft.encodings",
-                  "nuceft.models", "nuceft.verify")
+                  "nuceft.models", "nuceft.verify", "click", "dataclasses")
         loaded = [name for name in oracle if name in sys.modules]
         assert not loaded, loaded
         from nuceft import FermionSum, PauliSum
