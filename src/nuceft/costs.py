@@ -55,11 +55,6 @@ class StepCost(_StepCostFields):
             raise DomainError("circuit costs must be nonnegative")
         return self
 
-    def to_json_dict(self) -> dict:
-        return {"depth_2q": self.depth_2q, "rz_count": self.rz_count,
-                "controlled": self.controlled, "encoding": self.encoding,
-                "model": self.model, "order": self.order}
-
 
 class Layer(NamedTuple):
     """``count`` back-to-back copies of one circuit layer of the given
@@ -226,22 +221,18 @@ def weinberg_term_depth(n_b: int, controlled: bool) -> int:
     return 98 * n_b ** 2 + 94 * n_b + 96
 
 
-def dynpi_step_cost(n_b: int, L: int, controlled: bool,
-                    strict_statement: bool = False) -> StepCost:
+def dynpi_step_cost(n_b: int, L: int, controlled: bool) -> StepCost:
     """Step cost for the dynamical-pion model (p=1 only).
 
-    The rotation count defaults to the per-term tally (33 n_b^2 + 90 n_b
-    + 64) L^3; strict_statement swaps in the looser published headline
-    polynomial (45 n_b^2 + 114 n_b + 76) L^3.
+    The rotation count is the per-term tally (33 n_b^2 + 90 n_b + 64) L^3.
+    The paper's published headline polynomial, (45 n_b^2 + 114 n_b + 76)
+    L^3, is looser than this tally and is not priced.
     """
     if n_b < 1:
         raise DomainError(f"register width n_b must be >= 1, got {n_b}")
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
-    if strict_statement:
-        rz = (45 * n_b ** 2 + 114 * n_b + 76) * L ** 3
-    else:
-        rz = (33 * n_b ** 2 + 90 * n_b + 64) * L ** 3
+    rz = (33 * n_b ** 2 + 90 * n_b + 64) * L ** 3
     if controlled:
         rz *= 2
     return _step_cost("dynpi", "vc", 1, controlled, n_b, rz)

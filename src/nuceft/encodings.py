@@ -29,7 +29,6 @@ from .fock import ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm
 from .pauli import PauliString, PauliSum, multiply
 
 N_SPECIES = 4
-SPECIES_NAMES = ("up_p", "down_p", "up_n", "down_n")
 
 # intra-site qubit offsets in the VC encoding
 _VC_MU = 4
@@ -51,10 +50,6 @@ class LatticeSpec:
                                 f"({self.Lx}, {self.Ly}, {self.Lz})")
         if not self.a_L > 0:
             raise GeometryError(f"lattice spacing must be positive, got {self.a_L}")
-
-    @classmethod
-    def cubic(cls, L: int, a_L: float) -> "LatticeSpec":
-        return cls(L, L, L, a_L)
 
     @property
     def n_sites(self) -> int:
@@ -256,6 +251,14 @@ def _vc_majorana(layout: QubitLayout, site, which: str, barred: bool) -> PauliSt
     return PauliString(layout.total_qubits, bit, z)
 
 
+def _vc_edge(layout: QubitLayout, which: str, ra: int, rb: int) -> PauliString:
+    """i * maj(a) * majbar(b) for the directed path edge from raster a to b."""
+    lat = layout.lattice
+    prod = multiply(_vc_majorana(layout, lat.site_at(ra), which, barred=False),
+                    _vc_majorana(layout, lat.site_at(rb), which, barred=True))
+    return PauliString(prod.n_qubits, prod.x_mask, prod.z_mask, prod.phase + 1)
+
+
 def encode_ladder(layout: QubitLayout, site, species: int, kind: str) -> PauliSum:
     """Image of a single creation/annihilation operator."""
     if kind not in (CREATE, ANNIHILATE):
@@ -287,12 +290,7 @@ def _aux_dressing(layout: QubitLayout, site_i, site_j, axis: int) -> PauliSum:
     key = frozenset((lat.raster_index(site_i), lat.raster_index(site_j)))
     if key not in edges:
         raise GeometryError(f"bond {site_i}-{site_j} is not a path edge")
-    ra, rb = edges[key]
-    first = _vc_majorana(layout, lat.site_at(ra), which, barred=False)
-    second = _vc_majorana(layout, lat.site_at(rb), which, barred=True)
-    prod = multiply(first, second)
-    dressed = PauliString(prod.n_qubits, prod.x_mask, prod.z_mask, prod.phase + 1)
-    return PauliSum(layout.total_qubits, [(1.0, dressed)])
+    return PauliSum(layout.total_qubits, [(1.0, _vc_edge(layout, which, *edges[key]))])
 
 
 def _compact_edge(layout: QubitLayout, site_i, site_j, species: int, axis: int) -> PauliSum:
@@ -335,16 +333,9 @@ def vc_stabilizers(layout: QubitLayout) -> list[PauliString]:
     """One stabilizer i*maj(a)*majbar(b) per directed path edge."""
     if layout.encoding != "vc":
         raise UnsupportedOperatorError("stabilizers are defined for the vc encoding only")
-    lat = layout.lattice
-    out = []
-    for which, edges in (("mu", layout.mu_edges), ("nu", layout.nu_edges)):
-        for ra, rb in edges.values():
-            first = _vc_majorana(layout, lat.site_at(ra), which, barred=False)
-            second = _vc_majorana(layout, lat.site_at(rb), which, barred=True)
-            prod = multiply(first, second)
-            out.append(PauliString(prod.n_qubits, prod.x_mask, prod.z_mask,
-                                   prod.phase + 1))
-    return out
+    return [_vc_edge(layout, which, ra, rb)
+            for which, edges in (("mu", layout.mu_edges), ("nu", layout.nu_edges))
+            for ra, rb in edges.values()]
 
 
 def encode_fermion_sum(layout: QubitLayout, h: FermionSum) -> PauliSum:

@@ -191,7 +191,7 @@ def _ope(spec: TaskSpec, frame: _Frame,
         ell = choose_ope_cutoff(frame.ledger["trunc"],
                                 frame.t * frame.applications, spec.eta,
                                 spec.a_L, constants)
-    params = OpeParams.from_lecs(spec.a_L, ell * spec.a_L)
+    params = OpeParams.from_lecs(spec.a_L)
     shells = realized_shells(ell * spec.a_L, spec.a_L)
     zeta = ope_p1_bound(spec.eta, params, shells, constants).total
     return (zeta, {"ell_units": ell, "zeta": zeta},
@@ -200,7 +200,7 @@ def _ope(spec: TaskSpec, frame: _Frame,
 
 def _dynpi(spec: TaskSpec, frame: _Frame,
            constants: PhysicalConstants) -> tuple[float, dict, StepCost]:
-    lecs = OpeParams.from_lecs(spec.a_L, spec.a_L)
+    lecs = OpeParams.from_lecs(spec.a_L)
     dig = boson_cutoffs(spec.eta, frame.energy, frame.ledger["eps_cut"],
                         spec.a_L, spec.L, lecs.C, lecs.C_I2, constants,
                         n_b=spec.n_b)

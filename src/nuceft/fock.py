@@ -238,42 +238,6 @@ def _to_canonical(fs: tuple[Factor, ...]) -> tuple[tuple[Factor, ...] | None, in
     return fac, sign
 
 
-def _inversions(seq: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
-
-
-def reorder_only(factors: Sequence[Factor], weight: float = 1.0,
-                 n_modes: int | None = None) -> FermionSum:
-    """The :A: operation: move creations left with the fermionic sign,
-    dropping all contraction terms (pure reordering, not the CAR rewrite).
-    """
-    if n_modes is None:
-        n_modes = max((m for m, _ in factors), default=-1) + 1
-    fs = _expand_numbers(factors)
-    creates = [m for m, k in fs if k == CREATE]
-    annis = [m for m, k in fs if k == ANNIHILATE]
-    # parity of the partition: each creation hops over earlier annihilations
-    sign = 1
-    seen_annis = 0
-    for _, k in fs:
-        if k == ANNIHILATE:
-            seen_annis += 1
-        elif seen_annis % 2 == 1:
-            sign = -sign
-    if len(set(creates)) != len(creates) or len(set(annis)) != len(annis):
-        return FermionSum(n_modes)  # nilpotency
-    sign *= (-1) ** (_inversions(creates) + _inversions(annis))
-    ordered = tuple((m, CREATE) for m in sorted(creates)) + \
-        tuple((m, ANNIHILATE) for m in sorted(annis))
-    fac, fold_sign = _to_canonical(ordered)
-    return FermionSum(n_modes, [FermionTerm(sign * fold_sign * weight, fac)])
-
-
 def _is_odd(term: FermionTerm) -> bool:
     """Whether the term has an odd number of ladder factors."""
     return sum(k != NUMBER for _, k in term.factors) % 2 == 1
@@ -553,7 +517,7 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
     return worst
 
 
-# small constructors used by the model builders and tests
+# small constructors for hand-built sums
 
 
 def hopping(i: int, j: int, n_modes: int, weight: float = 1.0) -> FermionSum:

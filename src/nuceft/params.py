@@ -72,17 +72,15 @@ class OpeParams(NamedTuple):
     a_L: float      # fm
     C: float        # MeV
     C_I2: float     # MeV
-    ell: float      # interaction cutoff length, fm
 
     @classmethod
-    def from_lecs(cls, a_L_fm: float, ell_fm: float,
-                  c_tilde_1: float = -5.021e-5,
+    def from_lecs(cls, a_L_fm: float, *, c_tilde_1: float = -5.021e-5,
                   c_tilde_0: float = -5.714e-5) -> "OpeParams":
         """Couplings from the isospin-1/0 low-energy constants (MeV^-2)."""
         a3 = convert_length(a_L_fm) ** 3
         c = (3 * c_tilde_1 + c_tilde_0) / (4 * a3)
         c_i2 = (c_tilde_1 - c_tilde_0) / (4 * a3)
-        return cls(a_L_fm, c, c_i2, ell_fm)
+        return cls(a_L_fm, c, c_i2)
 
 
 class DigitizationSpec(NamedTuple):

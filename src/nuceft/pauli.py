@@ -66,18 +66,6 @@ class PauliString:
                 raise ValueError(f"invalid Pauli character {ch!r}")
         return cls(len(label), x_mask, z_mask, phase)
 
-    @classmethod
-    def single(cls, n_qubits: int, qubit: int, kind: str, phase: int = 0) -> "PauliString":
-        """A single-qubit X, Y or Z embedded in an n-qubit identity."""
-        if not 0 <= qubit < n_qubits:
-            raise DimensionError(f"qubit {qubit} out of range for {n_qubits} qubits")
-        bit = 1 << qubit
-        x = bit if kind in ("X", "Y") else 0
-        z = bit if kind in ("Z", "Y") else 0
-        if kind not in "XYZ":
-            raise ValueError(f"invalid Pauli kind {kind!r}")
-        return cls(n_qubits, x, z, phase)
-
     @property
     def weight(self) -> int:
         return _popcount(self.x_mask | self.z_mask)
@@ -222,17 +210,6 @@ class PauliSum:
             return f"PauliSum({self.n_qubits}, 0)"
         parts = [f"({c:g})*{s.label()}" for c, s in self.terms]
         return " + ".join(parts)
-
-    def to_json_dict(self) -> dict:
-        """Hex-mask serialization of the canonical term list."""
-        return {
-            "n_qubits": self.n_qubits,
-            "terms": [
-                {"coeff_re": float(np.real(c)), "coeff_im": float(np.imag(c)),
-                 "x_mask": hex(s.x_mask), "z_mask": hex(s.z_mask)}
-                for c, s in self.terms
-            ],
-        }
 
 
 def commutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:

@@ -280,12 +280,8 @@ SUITES = {
 
 def run_suite(name: str) -> list[Check]:
     if name == "all":
-        out: list[Check] = []
-        for key in ("pauli", "encodings", "seminorm", "trotter"):
-            out.extend(SUITES[key]())
-        return out
+        return [check for suite in SUITES.values() for check in suite()]
     if name not in SUITES:
         raise DomainError(f"unknown verify suite {name!r} "
-                          f"(choose from pauli, encodings, seminorm, "
-                          f"trotter, all)")
+                          f"(choose from {', '.join([*SUITES, 'all'])})")
     return SUITES[name]()

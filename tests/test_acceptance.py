@@ -137,7 +137,7 @@ def test_c08_truncation_bounds():
             tight &= T_CROSS * ope_cutoff_error((k - 1) * 2.2, 40, 2.2) > eps
     ok &= tight
 
-    lecs = OpeParams.from_lecs(2.2, 2.2)
+    lecs = OpeParams.from_lecs(2.2)
     dig = boson_cutoffs(40, 400.0, (0.05 / 2) ** 2 / 2, 2.2, 10,
                         lecs.C, lecs.C_I2)
     ok &= 31 <= dig.n_b <= 39

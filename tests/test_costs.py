@@ -63,8 +63,6 @@ def test_dynpi_step_cost():
     boson = 2 * n * n + 16 * half + 26 * n - 32
     assert step.depth_2q == max(572, boson) + 98 * n * n + 958 * n + 1392
     assert step.rz_count == (33 * n * n + 90 * n + 64) * 1000
-    strict = dynpi_step_cost(n, 10, controlled=False, strict_statement=True)
-    assert strict.rz_count == (45 * n * n + 114 * n + 76) * 1000
     ctrl = dynpi_step_cost(n, 10, controlled=True)
     assert ctrl.depth_2q == max(732, 28 * n * n + 16 * half + 40 * n - 32) \
         + 146 * n * n + 1918 * n + 1440
@@ -106,6 +104,3 @@ def test_qubit_counts():
 def test_step_cost_guards():
     with pytest.raises(DomainError):
         StepCost(-1, 0, False, "vc", "pionless", 1)
-    sc = pionless_step_cost("vc", 1, False)
-    d = sc.to_json_dict()
-    assert d["depth_2q"] == 520 and d["model"] == "pionless"

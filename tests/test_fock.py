@@ -11,7 +11,7 @@ from nuceft.errors import ContractError, SizeError
 from nuceft.fock import (ANNIHILATE, CREATE, NUMBER, EtaSector, FermionSum,
                          FermionTerm, eta_seminorm, exact_evolution_error,
                          fermion_commutator, full_matrix, hopping, normal_order,
-                         number_op, reorder_only, sector_matrix)
+                         number_op, sector_matrix)
 from nuceft.models import pionless_layers
 from nuceft.params import pionless_params_for
 
@@ -88,17 +88,6 @@ def test_normal_order_matches_dense_oracle():
         want = dense_factors(n, factors)
         got = dense_sum(normal_order(factors, n_modes=n))
         assert np.allclose(got, want, atol=1e-12)
-
-
-def test_reorder_only_drops_contractions():
-    # :a(1) a+(0): = -a+(0) a(1), with no delta term
-    s = reorder_only(((1, ANNIHILATE), (0, CREATE)), n_modes=2)
-    got = {t.factors: t.weight for t in s.terms}
-    assert got == {((0, CREATE), (1, ANNIHILATE)): -1.0}
-
-
-def test_reorder_only_nilpotent():
-    assert len(reorder_only(((0, ANNIHILATE), (0, ANNIHILATE)), n_modes=1)) == 0
 
 
 def test_sum_combines_like_terms():

@@ -5,9 +5,8 @@ import pytest
 
 from nuceft.encodings import LatticeSpec
 from nuceft.errors import DomainError
-from nuceft.fock import FermionSum, eta_seminorm, full_matrix
-from nuceft.models import (_ci2_terms, build_pionless,
-                           explicit_ci2_site_terms, pionless_layers)
+from nuceft.fock import NUMBER, eta_seminorm, full_matrix
+from nuceft.models import build_pionless, pionless_layers
 from nuceft.params import (CONSTANTS, HBAR_C, OpeParams, ab_coefficients,
                            convert_length, hopping_coefficient,
                            pionless_params_for, yukawa_g1, yukawa_g2)
@@ -47,12 +46,15 @@ def test_tabulated_couplings():
 
 def test_ope_params_from_lecs():
     # frozen against an independent evaluation of (3c1+c0)/4a^3, (c1-c0)/4a^3
-    p = OpeParams.from_lecs(2.2, 22.0)
+    p = OpeParams.from_lecs(2.2)
     a3 = (2.2 / HBAR_C) ** 3
     assert p.C == pytest.approx((3 * -5.021e-5 + -5.714e-5) / (4 * a3))
     assert p.C_I2 == pytest.approx((-5.021e-5 - -5.714e-5) / (4 * a3))
     assert p.C == pytest.approx(-37.481262964064285)
     assert p.C_I2 == pytest.approx(1.250157156186963)
+    # the constants are keyword-only, so a stray second argument fails
+    with pytest.raises(TypeError):
+        OpeParams.from_lecs(2.2, 22.0)
 
 
 def test_yukawa_kernels():
@@ -108,13 +110,54 @@ def test_layers_internally_commute():
         assert np.allclose(m @ m.conj().T, m.conj().T @ m)
 
 
-def test_explicit_ci2_expansion_matches_contraction():
-    # the written-out on-site expansion and the isospin contraction are the
-    # same operator
-    for lat in (LatticeSpec(1, 1, 1, 2.2), LatticeSpec(2, 1, 1, 2.2)):
-        n = 4 * lat.n_sites
-        explicit = [term for site in lat.sites()
-                    for term in explicit_ci2_site_terms(lat, site, 1.25)]
-        want = full_matrix(FermionSum(n, _ci2_terms(lat, 1.25)), n)
-        got = full_matrix(FermionSum(n, explicit), n)
-        assert np.abs(got - want).max() == 0.0
+# (axis, parity) of each kinetic layer, in the order the layers come: on
+# 2x2x1 that is kin_x, kin_y, then the diagonal layer
+_KINETIC_KEYS = {
+    (2, 2, 1): [(0, 0), (1, 0)],
+    (2, 2, 2): [(0, 0), (1, 0), (2, 0)],
+    (3, 3, 3): [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_KINETIC_KEYS),
+                         ids=lambda s: "x".join(map(str, s)))
+def test_layer_split_in_3d(shape):
+    lat = LatticeSpec(*shape, 2.2)
+    params = pionless_params_for(2.2)
+    layers = pionless_layers(lat, params)
+    # H is the union of the layers, term for term and with exact weights
+    union = {}
+    for layer in layers:
+        for t in layer:
+            assert t.factors not in union
+            union[t.factors] = t.weight
+    assert union == {t.factors: t.weight for t in build_pionless(lat, params)}
+    *kinetic, diag = layers
+    keys = []
+    for layer in kinetic:
+        layer_keys, sites, bonds = set(), [], set()
+        for t in layer:
+            assert t.weight == -params.h
+            (mi, _), (mj, _) = t.factors
+            si, sj = lat.site_at(mi // 4), lat.site_at(mj // 4)
+            axis = lat.bond_axis(si, sj)
+            layer_keys.add((axis, min(si[axis], sj[axis]) % 2))
+            bond = frozenset((si, sj))
+            if bond not in bonds:
+                bonds.add(bond)
+                sites += bond
+        # one (axis, parity) class per layer, and its bonds share no site
+        assert len(layer_keys) == 1
+        assert len(set(sites)) == len(sites)
+        keys += layer_keys
+    assert keys == _KINETIC_KEYS[shape]
+    # the diagonal layer: per site 4 number, 6 pair and 4 triple terms
+    assert all(k == NUMBER for t in diag for _, k in t.factors)
+    by_order = {}
+    for t in diag:
+        by_order.setdefault(len(t.factors), []).append(t.weight)
+    assert {k: len(w) for k, w in by_order.items()} == {
+        1: 4 * lat.n_sites, 2: 6 * lat.n_sites, 3: 4 * lat.n_sites}
+    assert set(by_order[1]) == {6 * params.h}
+    assert set(by_order[2]) == {params.C_slash}
+    assert by_order[3] == pytest.approx([params.D_slash] * 4 * lat.n_sites)

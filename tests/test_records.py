@@ -15,7 +15,7 @@ def _records():
     return [
         PhysicalConstants(),
         PionlessParams(2.2, 4.29, -40.19, 42.51),
-        OpeParams.from_lecs(2.2, 22.0),
+        OpeParams.from_lecs(2.2),
         DigitizationSpec(1.0, 2.0, 0.1, 0.2, 4),
         DynPiParams(2.2, -1.0, 1.0),
         StepCost(520, 42000, False, "vc", "pionless", 1),

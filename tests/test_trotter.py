@@ -65,7 +65,7 @@ def test_pionless_bounds_scale_with_eta_floors():
 
 
 def test_ope_p1_classes():
-    params = OpeParams.from_lecs(2.2, 22.0)
+    params = OpeParams.from_lecs(2.2)
     shells = realized_shells(22.0, 2.2)
     report = ope_p1_bound(40, params, shells)
     # frozen total for the reference benchmark configuration
@@ -82,7 +82,7 @@ def test_ope_p1_classes():
 
 
 def test_ope_p1_empty_shells():
-    params = OpeParams.from_lecs(2.2, 2.2)
+    params = OpeParams.from_lecs(2.2)
     report = ope_p1_bound(4, params, [])
     assert report["kinetic_lr"] == 0.0
     assert report["lr_lr_same"] == 0.0
@@ -106,7 +106,7 @@ def test_shell_sums_match_the_pair_loop_exactly():
 
 
 def test_ope_p1_shell_sums_are_memoized_by_value():
-    params = OpeParams.from_lecs(2.2, 22.0)
+    params = OpeParams.from_lecs(2.2)
     shells = realized_shells(22.0, 2.2)
     trotter._shell_sums.cache_clear()
     cold = ope_p1_bound(40, params, shells)
@@ -142,7 +142,7 @@ def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
 
 
 def test_dynpi_p1_frozen_total():
-    lecs = OpeParams.from_lecs(2.2, 2.2)
+    lecs = OpeParams.from_lecs(2.2)
     from nuceft.params import DynPiParams
     eps_cut = (0.05 / 2) ** 2 / 2
     dig = boson_cutoffs(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
