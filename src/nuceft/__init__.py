@@ -12,6 +12,10 @@ from .estimator import CostReport, TaskSpec, estimate, sweep
 
 __version__ = "0.1.0"
 
+# the suites of ``nuceft verify``, named here so that the CLI lists them
+# without loading the oracle; ``verify.SUITES`` maps each to its checks
+VERIFY_SUITES = ("pauli", "encodings", "seminorm", "trotter")
+
 # the algebra and the oracle need numpy; they load on first access (PEP 562)
 # so that the estimator and the CLI import without it
 _LAZY = {"FermionSum": "fock", "FermionTerm": "fock", "eta_seminorm": "fock",

@@ -12,6 +12,7 @@ import json
 import re
 import sys
 
+from . import VERIFY_SUITES
 from .errors import ConfigError, DomainError
 from .estimator import SWEEP_AXES, SWEEP_HEADER, TaskSpec, estimate, sweep
 
@@ -155,8 +156,7 @@ def _parser() -> argparse.ArgumentParser:
 
     verify_cmd = command("verify", cmd_verify,
                          "Run a module self-check suite.")
-    verify_cmd.add_argument("suite", choices=["pauli", "encodings",
-                                              "seminorm", "trotter", "all"])
+    verify_cmd.add_argument("suite", choices=[*VERIFY_SUITES, "all"])
     return parser
 
 

@@ -8,6 +8,13 @@ commutators symbolically, and builds dense matrices restricted to the
 fixed-particle-number (eta) sector for semi-norms and exact product-formula
 errors.  It is the independent oracle behind every derived value.
 
+Canonical output: a ``FermionSum`` holds each distinct factor tuple once, in
+the order of its first occurrence, and drops exact-zero weights.  A product
+normal-orders into the terms its rewrite reaches; a commutator takes its
+term pairs a-major (every term of b against the first term of a, then the
+next) and adds each pair's ab, then its -ba, product by product in that
+order.
+
 The oracle is exact per conserved block.  Every mode group joined by the
 ladder factors of some term keeps its occupation count, so the eta sector
 splits into blocks labelled by per-group counts (the four species counts
@@ -54,6 +61,7 @@ class FermionTerm:
         modes = [m for m, _ in self.factors]
         if len(set(modes)) != len(modes):
             raise ValueError(f"repeated mode in canonical term: {self.factors}")
+        _check_kinds(self.factors)
         groups = [_KIND_ORDER[k] for _, k in self.factors]
         if groups != sorted(groups):
             raise ValueError(f"factors out of canonical order: {self.factors}")
@@ -130,7 +138,7 @@ class FermionSum:
         for t in self.terms:
             rev = tuple(reversed(_expand_numbers(t.factors)))
             conj = tuple((m, CREATE if k == ANNIHILATE else ANNIHILATE) for m, k in rev)
-            _accumulate(acc, normal_order(conj, t.weight.conjugate(), self.n_modes))
+            _merge(acc, _ordered(conj, t.weight.conjugate()))
         return _from_weights(self.n_modes, acc)
 
     def __repr__(self) -> str:
@@ -148,6 +156,13 @@ def _expand_numbers(factors: Sequence[Factor]) -> list[Factor]:
     return out
 
 
+def _check_kinds(factors: Iterable[Factor]) -> None:
+    for _, k in factors:
+        if k not in _KIND_ORDER:
+            raise ValueError(f"unknown factor kind {k!r} (expected "
+                             f"{CREATE!r}, {ANNIHILATE!r} or {NUMBER!r})")
+
+
 def normal_order(factors: Sequence[Factor], weight: float = 1.0,
                  n_modes: int | None = None) -> FermionSum:
     """Rewrite an arbitrary ladder/number product as canonical FermionTerms.
@@ -158,11 +173,20 @@ def normal_order(factors: Sequence[Factor], weight: float = 1.0,
     if n_modes is None:
         n_modes = 1 + max((m for m, _ in factors), default=-1)
         n_modes = max(n_modes, 0)
+    _check_kinds(factors)
     for m, _ in factors:
         if not 0 <= m < n_modes:
             raise ValueError(f"mode {m} outside universe of {n_modes}")
+    return _from_weights(n_modes, _ordered(tuple(_expand_numbers(factors)),
+                                           weight))
+
+
+def _ordered(fs: tuple[Factor, ...], weight: float
+             ) -> dict[tuple[Factor, ...], float]:
+    """{canonical factors: weight} of weight times a product of ladder
+    factors, keyed in the order the rewrite first reaches each term."""
     acc: dict[tuple[Factor, ...], float] = {}
-    stack: list[tuple[float, tuple[Factor, ...]]] = [(weight, tuple(_expand_numbers(factors)))]
+    stack: list[tuple[float, tuple[Factor, ...]]] = [(weight, fs)]
     while stack:
         w, fs = stack.pop()
         pos = _first_violation(fs)
@@ -181,14 +205,15 @@ def normal_order(factors: Sequence[Factor], weight: float = 1.0,
             if m1 == m2:
                 continue  # nilpotency: term vanishes
             stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
-    return _from_weights(n_modes, acc)
+    return acc
 
 
-def _accumulate(acc: dict[tuple[Factor, ...], float],
-                terms: Iterable[FermionTerm]) -> None:
-    """Add each term's weight into ``acc`` under its factors."""
-    for t in terms:
-        acc[t.factors] = acc.get(t.factors, 0.0) + t.weight
+def _merge(acc: dict[tuple[Factor, ...], float],
+           part: dict[tuple[Factor, ...], float]) -> None:
+    """Add the non-zero weights of one ordered product into ``acc``."""
+    for f, w in part.items():
+        if w != 0.0:
+            acc[f] = acc.get(f, 0.0) + w
 
 
 def _from_weights(n_modes: int, acc: dict[tuple[Factor, ...], float]) -> FermionSum:
@@ -238,25 +263,29 @@ def _to_canonical(fs: tuple[Factor, ...]) -> tuple[tuple[Factor, ...] | None, in
     return fac, sign
 
 
-def _is_odd(term: FermionTerm) -> bool:
-    """Whether the term has an odd number of ladder factors."""
-    return sum(k != NUMBER for _, k in term.factors) % 2 == 1
+def _prepared(term: FermionTerm) -> tuple[float, tuple[Factor, ...], int, bool]:
+    """A term's weight, ladder expansion, support mask, and whether it has
+    an odd number of ladder factors."""
+    support = 0
+    for m, _ in term.factors:
+        support |= 1 << m
+    odd = sum(k != NUMBER for _, k in term.factors) % 2 == 1
+    return term.weight, tuple(_expand_numbers(term.factors)), support, odd
 
 
 def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
     """[a, b] in canonical form; NPFO when a and b are NPFOs."""
     n = max(a.n_modes, b.n_modes)
+    b_terms = [_prepared(tb) for tb in b.terms]
     acc: dict[tuple[Factor, ...], float] = {}
     for ta in a.terms:
-        fa = tuple(_expand_numbers(ta.factors))
-        odd_a = _is_odd(ta)
-        for tb in b.terms:
-            if not (ta.modes() & tb.modes()) and not (odd_a and _is_odd(tb)):
+        wa, fa, support_a, odd_a = _prepared(ta)
+        for wb, fb, support_b, odd_b in b_terms:
+            if not support_a & support_b and not (odd_a and odd_b):
                 continue  # disjoint supports commute unless both terms are odd
-            fb = tuple(_expand_numbers(tb.factors))
-            w = ta.weight * tb.weight
-            _accumulate(acc, normal_order(fa + fb, w, n))
-            _accumulate(acc, normal_order(fb + fa, -w, n))
+            w = wa * wb
+            _merge(acc, _ordered(fa + fb, w))
+            _merge(acc, _ordered(fb + fa, -w))
     return _from_weights(n, acc)
 
 

@@ -6,6 +6,12 @@ set when qubit q carries X or Y; bit q of ``z_mask`` when it carries Z or Y.
 The operator represented is ``i**phase * P_0 (x) P_1 (x) ... (x) P_{n-1}``
 with P_q read off the masks as I/X/Y/Z.  All phase arithmetic is done on the
 Z4 exponent, so products and commutators are exact (no floating-point phases).
+
+Canonical output: a ``PauliSum`` holds each distinct string once, with phase
+0, in the order of its first occurrence, and drops exact-zero coefficients.
+For a product or a bracket of two sums the occurrences are the term pairs
+taken a-major (every term of b against the first term of a, then the next),
+and each coefficient is accumulated in that order.
 """
 
 from __future__ import annotations
@@ -18,10 +24,7 @@ import numpy as np
 from .errors import DimensionError, SizeError
 
 _PAULI_CHARS = "IXZY"  # index = x_bit + 2*z_bit
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+_I_POWERS = tuple(1j ** k for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self):
+        if self.n_qubits < 0:
+            raise DimensionError(f"negative qubit count {self.n_qubits}")
         full = (1 << self.n_qubits) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise DimensionError(
@@ -68,7 +73,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return _popcount(self.x_mask | self.z_mask)
+        return (self.x_mask | self.z_mask).bit_count()
 
     @property
     def support(self) -> int:
@@ -76,7 +81,7 @@ class PauliString:
 
     @property
     def phase_value(self) -> complex:
-        return 1j ** self.phase
+        return _I_POWERS[self.phase]
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
@@ -86,7 +91,7 @@ class PauliString:
             raise DimensionError(
                 f"qubit counts differ: {self.n_qubits} vs {other.n_qubits}")
         sym = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
-        return _popcount(sym) % 2 == 0
+        return sym.bit_count() % 2 == 0
 
     def label(self) -> str:
         chars = []
@@ -110,11 +115,23 @@ class PauliString:
             if (self.z_mask >> q) & 1:
                 parity ^= (cols >> q) & 1
         # letter form differs from X^x Z^z by i per Y factor
-        xz_phase = (self.phase + _popcount(self.x_mask & self.z_mask)) % 4
+        xz_phase = (self.phase + (self.x_mask & self.z_mask).bit_count()) % 4
         vals = (1j ** xz_phase) * np.where(parity, -1.0, 1.0)
         mat = np.zeros((dim, dim), dtype=complex)
         mat[rows, cols] = vals
         return mat
+
+
+def _product(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
+    """Masks of the product of two phase-0 strings, and its letter phase.
+
+    Each factor is rewritten in X^x Z^z order (i per Y), Z^az past X^bx
+    gives (-1)^|az & bx|, and the product goes back to letter form.
+    """
+    x = ax ^ bx
+    z = az ^ bz
+    return x, z, ((ax & az).bit_count() + (bx & bz).bit_count()
+                  + 2 * (az & bx).bit_count() - (x & z).bit_count())
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
@@ -122,13 +139,15 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     if a.n_qubits != b.n_qubits:
         raise DimensionError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    # work in X^x Z^z canonical order, then convert back to letter phase
-    ga = a.phase + _popcount(a.x_mask & a.z_mask)
-    gb = b.phase + _popcount(b.x_mask & b.z_mask)
-    g = ga + gb + 2 * _popcount(a.z_mask & b.x_mask)
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    return PauliString(a.n_qubits, x, z, g - _popcount(x & z))
+    x, z, g = _product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    return PauliString(a.n_qubits, x, z, a.phase + b.phase + g)
+
+
+def _canonical_terms(n_qubits: int, combined: dict[tuple[int, int], complex]
+                     ) -> tuple[tuple[complex, PauliString], ...]:
+    """One phase-0 string per accumulated (x_mask, z_mask), zeros dropped."""
+    return tuple((c, PauliString(n_qubits, x, z, 0))
+                 for (x, z), c in combined.items() if c != 0)
 
 
 class PauliSum:
@@ -150,9 +169,7 @@ class PauliSum:
                     f"term acts on {string.n_qubits} qubits, sum on {n_qubits}")
             key = (string.x_mask, string.z_mask)
             combined[key] = combined.get(key, 0) + coeff * string.phase_value
-        self.terms = tuple(
-            (c, PauliString(n_qubits, x, z, 0))
-            for (x, z), c in combined.items() if c != 0)
+        self.terms = _canonical_terms(n_qubits, combined)
 
     @classmethod
     def from_string(cls, coeff: complex, string: PauliString) -> "PauliSum":
@@ -184,14 +201,7 @@ class PauliSum:
         return PauliSum(self.n_qubits, [(scalar * c, s) for c, s in self.terms])
 
     def __mul__(self, other: "PauliSum") -> "PauliSum":
-        if self.n_qubits != other.n_qubits:
-            raise DimensionError(
-                f"qubit counts differ: {self.n_qubits} vs {other.n_qubits}")
-        prods = []
-        for ca, sa in self.terms:
-            for cb, sb in other.terms:
-                prods.append((ca * cb, multiply(sa, sb)))
-        return PauliSum(self.n_qubits, prods)
+        return _products(self, other, None)
 
     def adjoint(self) -> "PauliSum":
         # stored strings are phase-free hence Hermitian
@@ -214,28 +224,44 @@ class PauliSum:
 
 def commutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
     """ab - ba in canonical form; empty when every term pair commutes."""
-    return _bracket(a, b, anticommuting=True)
+    return _products(a, b, 1)
 
 
 def anticommutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
     """ab + ba in canonical form; empty when every term pair anticommutes."""
-    return _bracket(a, b, anticommuting=False)
+    return _products(a, b, 0)
 
 
-def _bracket(a: PauliSum, b: PauliSum, anticommuting: bool) -> PauliSum:
-    """ab -/+ ba in one pass over the term pairs.
+def _products(a: PauliSum, b: PauliSum, parity: int | None) -> PauliSum:
+    """ab, or with ``parity`` a bracket, in one pass over the term pairs.
 
-    Two Pauli strings either commute or anticommute, so each pair's ab and
-    ba are equal or opposite: a pair of the kept parity contributes
-    2*ca*cb*(sa*sb) and a pair of the other parity cancels exactly.
+    Coefficients accumulate on the masks, and each surviving string is
+    built once.  Two Pauli strings either commute or anticommute, so each
+    pair's ab and ba are equal or opposite: for ab - ba (parity 1) or
+    ab + ba (parity 0) a pair whose symplectic product has that parity
+    contributes 2*ca*cb*(sa*sb) and any other pair cancels exactly.
     """
     if a.n_qubits != b.n_qubits:
         raise DimensionError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return PauliSum(a.n_qubits, (
-        (2 * ca * cb, multiply(sa, sb))
-        for ca, sa in a.terms for cb, sb in b.terms
-        if sa.commutes_with(sb) != anticommuting))
+    b_terms = [(cb, sb.x_mask, sb.z_mask) for cb, sb in b.terms]
+    combined: dict[tuple[int, int], complex] = {}
+    for ca, sa in a.terms:
+        ax, az = sa.x_mask, sa.z_mask
+        for cb, bx, bz in b_terms:
+            if parity is None:
+                coeff = ca * cb
+            elif ((ax & bz) ^ (az & bx)).bit_count() % 2 == parity:
+                coeff = 2 * ca * cb
+            else:
+                continue
+            x, z, g = _product(ax, az, bx, bz)
+            key = (x, z)
+            combined[key] = combined.get(key, 0) + coeff * _I_POWERS[g % 4]
+    out = PauliSum.__new__(PauliSum)
+    out.n_qubits = a.n_qubits
+    out.terms = _canonical_terms(a.n_qubits, combined)
+    return out
 
 
 def dense_matrix(p: PauliSum, max_qubits: int = 14) -> np.ndarray:

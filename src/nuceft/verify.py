@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from . import VERIFY_SUITES
 from .encodings import (LatticeSpec, QubitLayout, encode_hopping,
                         encode_ladder, encode_number, vc_stabilizers)
 from .errors import DomainError
@@ -270,12 +271,9 @@ def verify_trotter() -> list[Check]:
              violations == 0, f"{total - violations}/{total} grid points ok")]
 
 
-SUITES = {
-    "pauli": verify_pauli,
-    "encodings": verify_encodings,
-    "seminorm": verify_seminorm,
-    "trotter": verify_trotter,
-}
+SUITES = dict(zip(VERIFY_SUITES, (verify_pauli, verify_encodings,
+                                   verify_seminorm, verify_trotter),
+                  strict=True))
 
 
 def run_suite(name: str) -> list[Check]:

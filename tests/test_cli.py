@@ -169,6 +169,18 @@ def test_verify_suites(capsys):
     assert main(["verify", "nonsense"]) == 1
 
 
+def test_verify_accepts_exactly_the_suites(capsys):
+    import re
+
+    from nuceft import verify
+    assert main(["verify", "--help"]) == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    accepted = re.search(r"\{(.*)\}", usage).group(1).split(",")
+    assert accepted == [*verify.SUITES, "all"]
+    assert main(["verify", "all-suites"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_trotter(capsys):
     assert main(["verify", "trotter"]) == 0
     assert "ok" in capsys.readouterr().out

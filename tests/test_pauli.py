@@ -80,6 +80,8 @@ def test_weight_and_support():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         multiply(PauliString.from_label("X"), PauliString.from_label("XX"))
+    with pytest.raises(DimensionError, match="negative qubit count"):
+        PauliString(-1, 0, 0)
 
 
 def test_sum_canonicalization_merges_terms():
@@ -164,6 +166,62 @@ def test_brackets_match_dense(a, b):
 def test_commuting_sums_have_an_empty_commutator(a, b):
     # Z-type strings all commute
     assert len(commutator_sum(a, b)) == 0
+
+
+def pairwise(a, b, keep=None):
+    """The product ab, or with ``keep`` (False for commuting pairs, True
+    for anticommuting ones) ab - ba or ab + ba, built pair by pair from
+    multiply, a-major."""
+    if keep is None:
+        prods = [(ca * cb, multiply(sa, sb))
+                 for ca, sa in a.terms for cb, sb in b.terms]
+    else:
+        prods = [(2 * ca * cb, multiply(sa, sb))
+                 for ca, sa in a.terms for cb, sb in b.terms
+                 if (not sa.commutes_with(sb)) == keep]
+    return PauliSum(a.n_qubits, prods)
+
+
+def exact_terms(p):
+    """Terms with each coefficient as its repr, so signed zeros count."""
+    return [(repr(c), s) for c, s in p.terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_sums(), pauli_sums())
+def test_products_equal_the_pairwise_reference(a, b):
+    """Same coefficients bit for bit, same term order, same dropped
+    zeros as summing the pairwise products in a-major order."""
+    for got, want in ((a * b, pairwise(a, b)),
+                      (commutator_sum(a, b), pairwise(a, b, keep=True)),
+                      (anticommutator_sum(a, b), pairwise(a, b, keep=False))):
+        assert got.terms == want.terms
+        assert exact_terms(got) == exact_terms(want)
+        assert all(s.phase == 0 for _, s in got.terms)
+
+
+def test_product_builds_each_string_once(monkeypatch):
+    """A count, not a timing: one PauliString per term of the product of
+    the jw-encoded 2x2x1 kinetic and diagonal layers."""
+    from nuceft.encodings import LatticeSpec, QubitLayout, encode_fermion_sum
+    from nuceft.models import pionless_layers
+    from nuceft.params import pionless_params_for
+
+    lattice = LatticeSpec(2, 2, 1, 2.2)
+    jw = QubitLayout("jw", lattice)
+    kin_x, _kin_y, diag = (encode_fermion_sum(jw, layer) for layer in
+                           pionless_layers(lattice, pionless_params_for(2.2)))
+    built = [0]
+    validate = PauliString.__post_init__
+
+    def counted(string):
+        built[0] += 1
+        validate(string)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counted)
+    product = kin_x * diag
+    assert len(product) > len(kin_x) + len(diag)
+    assert built[0] == len(product)
 
 
 def test_anticommuting_strings_have_an_empty_anticommutator():
