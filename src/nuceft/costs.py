@@ -4,12 +4,16 @@ Closed-form transcriptions only; no circuits are constructed.  Depth means
 2-qubit-gate depth assuming all-to-all connectivity, Rz counts feed the
 repeat-until-success synthesis cost, and everything comes in controlled and
 uncontrolled variants (controlled steps are what phase estimation applies).
+
+A priced (model, encoding) pair is declared by one ``STEP_LAYERS`` row: its
+step-layer inventory, its rotations per site and its qubits per site, each a
+function of the step's size.  A pair without a row is refused.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 
@@ -38,6 +42,8 @@ LONG_RANGE_PAIR_DEPTH = {False: 14336, True: 16384}
 class _StepCostFields(NamedTuple):
     depth_2q: int
     rz_count: int
+    qubits: int       # data qubits plus ancillas
+    ancillas: int     # the control qubit(s) a controlled step adds
     controlled: bool
     encoding: str
     model: str
@@ -45,7 +51,8 @@ class _StepCostFields(NamedTuple):
 
 
 class StepCost(_StepCostFields):
-    """Cost of one Trotter step: depth, rotation count, and provenance."""
+    """Cost of one Trotter step: depth, rotation and qubit counts, and
+    provenance."""
 
     __slots__ = ()
 
@@ -92,6 +99,10 @@ def _pionless_vc(controlled: bool, size: int) -> tuple[Stage, ...]:
 
 
 def _pionless_compact(controlled: bool, size: int) -> tuple[Stage, ...]:
+    """The 6 kinetic sublayers are the (axis, parity) bond classes.  Their
+    terms commute but share face qubits on which both act by Z, so 6
+    assumes shared-Z scheduling; a qubit-disjoint greedy colouring of the
+    encoded terms needs 7."""
     return (((Layer("kinetic", COMPACT_KINETIC_DEPTH[controlled], 6),
               Layer("contact", CONTACT_DEPTH[controlled])),),)
 
@@ -113,12 +124,28 @@ def _dynpi_vc(controlled: bool, size: int) -> tuple[Stage, ...]:
             ((Layer("weinberg", weinberg_term_depth(size, controlled)),),))
 
 
-# The priced (model, encoding) pairs and their step-layer inventories.
+class Pricing(NamedTuple):
+    """What a priced (model, encoding) pair declares, as functions of the
+    step's size."""
+
+    stages: Callable[[bool, int], tuple[Stage, ...]]  # (controlled, size)
+    rotations: Callable[[int], int]    # uncontrolled Rz per site
+    qubits: Callable[[int], int]       # data qubits per site
+    control_ancillas: int = 0          # per site, added by a controlled step
+
+
+# The priced pairs.  Pionless prices 42 rotations per site, against the 38
+# strings per site of its encoded H (8 per bond on 3 bonds, plus 14
+# diagonal).  Dynpi adds three n_b-qubit boson registers per site, and its
+# controlled step one ancilla per fermionic and per bosonic register.
 STEP_LAYERS = {
-    ("pionless", "vc"): _pionless_vc,
-    ("pionless", "compact"): _pionless_compact,
-    ("ope", "vc"): _ope_vc,
-    ("dynpi", "vc"): _dynpi_vc,
+    ("pionless", "vc"): Pricing(_pionless_vc, lambda _: 42, lambda _: 6),
+    ("pionless", "compact"): Pricing(_pionless_compact, lambda _: 42,
+                                     lambda _: 10),
+    ("ope", "vc"): Pricing(_ope_vc, lambda R: 52 + 1024 * R, lambda _: 6),
+    ("dynpi", "vc"): Pricing(_dynpi_vc,
+                             lambda n_b: 33 * n_b ** 2 + 90 * n_b + 64,
+                             lambda n_b: 6 + 3 * n_b, 4),
 }
 
 
@@ -146,11 +173,22 @@ def compose_depth(stages: tuple[Stage, ...], order: int) -> int:
 
 
 def _step_cost(model: str, encoding: str, order: int, controlled: bool,
-               size: int, rz: int) -> StepCost:
+               L: int, size: int) -> StepCost:
+    """One step of a priced pair on L^3 sites.  A controlled step doubles
+    the rotations and adds one control qubit plus the pair's ancillas."""
+    if L < 1:
+        raise DomainError(f"lattice extent must be >= 1, got {L}")
     check_priced(model, encoding)
-    depth = compose_depth(STEP_LAYERS[(model, encoding)](controlled, size),
-                          order)
-    return StepCost(depth, rz, controlled, encoding, model, order)
+    row = STEP_LAYERS[(model, encoding)]
+    sites = L ** 3
+    rz = row.rotations(size) * sites
+    ancillas = 0
+    if controlled:
+        rz *= 2
+        ancillas = 1 + row.control_ancillas * sites
+    return StepCost(compose_depth(row.stages(controlled, size), order), rz,
+                    row.qubits(size) * sites + ancillas, ancillas,
+                    controlled, encoding, model, order)
 
 
 def pionless_step_cost(encoding: str, order: int, controlled: bool,
@@ -158,10 +196,7 @@ def pionless_step_cost(encoding: str, order: int, controlled: bool,
     """Step cost for the contact-interaction model."""
     if order not in (1, 2):
         raise DomainError(f"product-formula order must be 1 or 2, got {order}")
-    if L < 1:
-        raise DomainError(f"lattice extent must be >= 1, got {L}")
-    rz = (84 if controlled else 42) * L ** 3
-    return _step_cost("pionless", encoding, order, controlled, 0, rz)
+    return _step_cost("pionless", encoding, order, controlled, L, 0)
 
 
 def interaction_ball_sites(ell_units: float) -> int:
@@ -176,13 +211,8 @@ def interaction_ball_sites(ell_units: float) -> int:
 def ope_step_cost(ell_units: float, L: int, controlled: bool) -> StepCost:
     """Step cost for the one-pion-exchange model with range cutoff
     ell = ell_units * a_L (p=1 only)."""
-    if L < 1:
-        raise DomainError(f"lattice extent must be >= 1, got {L}")
-    R = interaction_ball_sites(ell_units)
-    rz = (52 + 1024 * R) * L ** 3
-    if controlled:
-        rz *= 2
-    return _step_cost("ope", "vc", 1, controlled, R, rz)
+    return _step_cost("ope", "vc", 1, controlled, L,
+                      interaction_ball_sites(ell_units))
 
 
 def boson_mass_depth(n_b: int, controlled: bool) -> int:
@@ -230,12 +260,7 @@ def dynpi_step_cost(n_b: int, L: int, controlled: bool) -> StepCost:
     """
     if n_b < 1:
         raise DomainError(f"register width n_b must be >= 1, got {n_b}")
-    if L < 1:
-        raise DomainError(f"lattice extent must be >= 1, got {L}")
-    rz = (33 * n_b ** 2 + 90 * n_b + 64) * L ** 3
-    if controlled:
-        rz *= 2
-    return _step_cost("dynpi", "vc", 1, controlled, n_b, rz)
+    return _step_cost("dynpi", "vc", 1, controlled, L, n_b)
 
 
 def t_synthesis(total_rz: int, eps_syn_total: float) -> float:
@@ -257,33 +282,3 @@ def t_synthesis(total_rz: int, eps_syn_total: float) -> float:
             f"10^{math.log10(total_rz):.0f} rotations at a synthesis budget "
             f"of {eps_syn_total:g}")
     return t_count
-
-
-# Fermionic data qubits per lattice site.
-_QUBITS_PER_SITE = {"vc": 6, "compact": 10}
-
-
-def qubit_count(model: str, encoding: str, L: int, n_b: int = 0,
-                task: str = "evolve") -> int:
-    """Total qubits (data plus ancillas) for a task.
-
-    Iterative phase estimation adds one control ancilla; for the
-    dynamical-pion model its controlled step also needs one ancilla per
-    fermionic register and per bosonic register at each site.
-    """
-    if L < 1:
-        raise DomainError(f"lattice extent must be >= 1, got {L}")
-    if task not in ("evolve", "qpe"):
-        raise DomainError(f"unknown task {task!r}")
-    check_priced(model, encoding)
-    data = _QUBITS_PER_SITE[encoding] * L ** 3
-    if model == "dynpi":
-        if n_b < 1:
-            raise DomainError(
-                f"dynpi needs a register width n_b >= 1, got {n_b}")
-        data += 3 * L ** 3 * n_b
-    if task == "qpe":
-        data += 1
-        if model == "dynpi":
-            data += 4 * L ** 3
-    return data

@@ -220,35 +220,12 @@ def _jw_ladder(n_qubits: int, mode: int, kind: str) -> PauliSum:
     return PauliSum(n_qubits, [(0.5, x_part), (0.5 * sign, y_part)])
 
 
-def _vc_masks(layout: QubitLayout, site) -> tuple[int, int]:
-    """(qubit of species 0 at site, Z mask of all full sites before it)."""
-    r = layout.lattice.raster_index(site)
-    return 6 * r, (1 << (6 * r)) - 1
-
-
-def _vc_ladder(layout: QubitLayout, site, species: int, kind: str) -> PauliSum:
-    base, prefix = _vc_masks(layout, site)
-    intra = 0
-    for s in range(species):
-        intra |= 1 << (base + s)
-    bit = 1 << (base + species)
-    n = layout.total_qubits
-    x_part = PauliString(n, bit, prefix | intra)
-    y_part = PauliString(n, bit, prefix | intra | bit)
-    sign = 1j if kind == ANNIHILATE else -1j
-    return PauliSum(n, [(0.5, x_part), (0.5 * sign, y_part)])
-
-
 def _vc_majorana(layout: QubitLayout, site, which: str, barred: bool) -> PauliString:
-    base, prefix = _vc_masks(layout, site)
-    intra = 0b1111 << base  # Z on all four species qubits of the site
-    if which == "nu":
-        intra |= 1 << (base + _VC_MU)
-        bit = 1 << (base + _VC_NU)
-    else:
-        bit = 1 << (base + _VC_MU)
-    z = prefix | intra | (bit if barred else 0)
-    return PauliString(layout.total_qubits, bit, z)
+    """Jordan-Wigner Majorana on the site's mu or nu qubit: X there (Y when
+    barred) and Z on every qubit below it."""
+    bit = 1 << (layout.qubit(site, 0) + (_VC_NU if which == "nu" else _VC_MU))
+    return PauliString(layout.total_qubits, bit,
+                       (bit - 1) | (bit if barred else 0))
 
 
 def _vc_edge(layout: QubitLayout, which: str, ra: int, rb: int) -> PauliString:
@@ -265,13 +242,12 @@ def encode_ladder(layout: QubitLayout, site, species: int, kind: str) -> PauliSu
         raise ValueError(f"kind must be {CREATE!r} or {ANNIHILATE!r}")
     if not 0 <= species < N_SPECIES:
         raise DimensionError(f"species index {species} out of range")
-    if layout.encoding == "jw":
-        mode = 4 * layout.lattice.raster_index(site) + species
-        return _jw_ladder(layout.total_qubits, mode, kind)
-    if layout.encoding == "vc":
-        return _vc_ladder(layout, site, species, kind)
-    raise UnsupportedOperatorError(
-        "compact encoding represents only parity-preserving composites")
+    if layout.encoding == "compact":
+        raise UnsupportedOperatorError(
+            "compact encoding represents only parity-preserving composites")
+    # a vc ladder is the Jordan-Wigner one on its occupation qubit: its Z
+    # string covers every qubit below, auxiliaries included
+    return _jw_ladder(layout.total_qubits, layout.qubit(site, species), kind)
 
 
 def encode_number(layout: QubitLayout, site, species: int) -> PauliSum:

@@ -12,10 +12,10 @@ import math
 from typing import NamedTuple
 
 from .costs import (StepCost, check_priced, dynpi_step_cost, ope_step_cost,
-                    pionless_step_cost, qubit_count, t_synthesis)
+                    pionless_step_cost, t_synthesis)
 from .errors import DomainError, PrecisionError
-from .params import (CONSTANTS, DynPiParams, OpeParams, PhysicalConstants,
-                     convert_length, pionless_params_for)
+from .params import (CONSTANTS, OpeParams, PhysicalConstants, convert_length,
+                     pionless_params_for)
 from .trotter import (compose_total_error, dynpi_p1_bound, ope_p1_bound,
                       pionless_p1_coefficient, pionless_p2_coefficient,
                       steps_for_budget)
@@ -204,8 +204,7 @@ def _dynpi(spec: TaskSpec, frame: _Frame,
     dig = boson_cutoffs(spec.eta, frame.energy, frame.ledger["eps_cut"],
                         spec.a_L, spec.L, lecs.C, lecs.C_I2, constants,
                         n_b=spec.n_b)
-    params = DynPiParams(spec.a_L, lecs.C, lecs.C_I2)
-    xi = dynpi_p1_bound(spec.eta, params, dig, spec.L, constants).total
+    xi = dynpi_p1_bound(spec.eta, lecs, dig, spec.L, constants).total
     extras = {"n_b": dig.n_b, "pi_max": dig.pi_max, "Pi_max": dig.Pi_max,
               "xi": xi}
     return xi, extras, dynpi_step_cost(dig.n_b, spec.L, frame.controlled)
@@ -237,15 +236,12 @@ def estimate(spec: TaskSpec,
         # informational, priced against the full budget
         ledger = dict(ledger, syn_nominal=spec.epsilon)
     T_total = t_synthesis(rz_total, ledger.get("syn", spec.epsilon))
-    n_b = extras.get("n_b", 0)
-    qubits = qubit_count(spec.model, spec.encoding, spec.L, n_b, spec.task)
-    data = qubit_count(spec.model, spec.encoding, spec.L, n_b, "evolve")
     extras.update(frame.extras, coefficient=coeff, step_depth=step.depth_2q)
     if spec.task == "qpe":
         extras["r_per_application"] = r_app
     return CostReport(t=frame.t, r=r, depth_total=r * step.depth_2q,
-                      rz_total=rz_total, T_total=T_total, qubits=qubits,
-                      ancillas=qubits - data, ledger=ledger, extras=extras)
+                      rz_total=rz_total, T_total=T_total, qubits=step.qubits,
+                      ancillas=step.ancillas, ledger=ledger, extras=extras)
 
 
 # sweep axis -> (TaskSpec field, parser of the grid value)

@@ -101,27 +101,6 @@ def ab_coefficients(a_L_fm: float, constants: PhysicalConstants = CONSTANTS) -> 
     return A, B
 
 
-class _DynPiFields(NamedTuple):
-    a_L: float       # fm
-    C: float         # MeV
-    C_I2: float      # MeV
-
-
-class DynPiParams(_DynPiFields):
-    """Dynamical-pion couplings at a spacing the field-cutoff bound covers."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        A, B = ab_coefficients(self.a_L)
-        if A <= 0 or B <= 0:
-            raise DomainError(
-                f"lattice spacing a_L={self.a_L} fm gives A={A:g}, B={B:g}; "
-                "the field-cutoff bound needs A, B > 0")
-        return self
-
-
 def yukawa_g1(r: float, constants: PhysicalConstants = CONSTANTS) -> float:
     """Radial strength (1/12pi)(g_A/2f_pi)^2 m^2 exp(-m r)/r; r in 1/MeV."""
     m = constants.m_pi

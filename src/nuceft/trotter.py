@@ -18,9 +18,8 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .params import (CONSTANTS, DigitizationSpec, DynPiParams, OpeParams,
-                     PhysicalConstants, PionlessParams, convert_length,
-                     hopping_coefficient)
+from .params import (CONSTANTS, DigitizationSpec, OpeParams, PhysicalConstants,
+                     PionlessParams, convert_length, hopping_coefficient)
 
 
 class _BoundReportFields(NamedTuple):
@@ -77,12 +76,6 @@ def pionless_p1_coefficient(eta: int, params: PionlessParams) -> float:
             + 6 * h * (a1 * (eta // 2) + a2 * (eta // 3) + a3 * (eta // 4)))
 
 
-def pionless_p2_bound(t: float, eta: int, params: PionlessParams) -> float:
-    """Second-order error for the contact-interaction Hamiltonian."""
-    _check_time(t)
-    return t ** 3 * pionless_p2_coefficient(eta, params)
-
-
 def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
     """The t^3 coefficient of the second-order bound."""
     _check_eta(eta)
@@ -109,6 +102,20 @@ def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
                        + 12 * h * (2 * (q2 + q3 + q4) + q3p + q4p))
 
 
+def _nucleon_classes(eta: int, h: float, C: float,
+                     CI2: float) -> tuple[tuple[str, float], ...]:
+    """The nucleon-nucleon classes both pion models share, from the hopping
+    h and the contact couplings |C| and |C_I2|."""
+    return (
+        ("kinetic_kinetic", 30 * h * h * eta),
+        ("kinetic_contact", 18 * h * C * eta),
+        ("kinetic_exchange", 528 * h * CI2 * eta),
+        ("contact_contact", 0.0),
+        ("contact_exchange", 0.0),
+        ("exchange_exchange", 60 * CI2 * CI2 * eta),
+    )
+
+
 def ope_p1_bound(eta: int, params: OpeParams,
                  shells: Sequence[tuple[float, int]],
                  constants: PhysicalConstants = CONSTANTS) -> BoundReport:
@@ -127,12 +134,7 @@ def ope_p1_bound(eta: int, params: OpeParams,
     s_qu, s_cross, s_same = _shell_sums(tuple(shells), constants)
 
     classes = (
-        ("kinetic_kinetic", 30 * h * h * eta),
-        ("kinetic_contact", 18 * h * C * eta),
-        ("kinetic_exchange", 528 * h * CI2 * eta),
-        ("contact_contact", 0.0),
-        ("contact_exchange", 0.0),
-        ("exchange_exchange", 60 * CI2 * CI2 * eta),
+        *_nucleon_classes(eta, h, C, CI2),
         ("kinetic_onsite_lr", (131072 / 3) * g2 * h * eta / a ** 3),
         ("contact_onsite_lr", (7168 / 3) * g2 * C * eta / a ** 3),
         ("exchange_onsite_lr", (50176 / 9) * g2 * CI2 * eta / a ** 3),
@@ -178,7 +180,7 @@ def _shell_sums(shells: tuple[tuple[float, int], ...],
     return s_qu, s_cross, s_same
 
 
-def dynpi_p1_bound(eta: int, params: DynPiParams,
+def dynpi_p1_bound(eta: int, params: OpeParams,
                    digitization: DigitizationSpec, L: int,
                    constants: PhysicalConstants = CONSTANTS) -> BoundReport:
     """First-order commutator-class sum (Xi) for the dynamical-pion model."""
@@ -193,12 +195,7 @@ def dynpi_p1_bound(eta: int, params: DynPiParams,
     pm, Pm = digitization.pi_max, digitization.Pi_max
 
     classes = (
-        ("kinetic_kinetic", 30 * h * h * eta),
-        ("kinetic_contact", 18 * h * C * eta),
-        ("kinetic_exchange", 528 * h * CI2 * eta),
-        ("contact_contact", 0.0),
-        ("contact_exchange", 0.0),
-        ("exchange_exchange", 60 * CI2 * CI2 * eta),
+        *_nucleon_classes(eta, h, C, CI2),
         ("boson_kinetic_potential",
          (36 / a ** 2 + 3 * m * m) * a ** 3 * pm * Pm * L),
         ("kinetic_axial", 2592 * g * h * pm * eta / a),

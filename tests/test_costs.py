@@ -6,7 +6,7 @@ from nuceft.costs import (COMPACT_KINETIC_DEPTH, CONTACT_DEPTH, KINETIC_DEPTH,
                           LONG_RANGE_PAIR_DEPTH, OPE_CONTACT_DEPTH,
                           OPE_EXCHANGE_DEPTH, StepCost, dynpi_step_cost,
                           interaction_ball_sites, ope_step_cost,
-                          pionless_step_cost, qubit_count, t_synthesis)
+                          pionless_step_cost, t_synthesis)
 from nuceft.errors import DomainError
 
 
@@ -87,20 +87,24 @@ def test_t_synthesis():
 
 
 def test_qubit_counts():
-    assert qubit_count("pionless", "vc", 10) == 6000
-    assert qubit_count("pionless", "compact", 10) == 10000
-    assert qubit_count("ope", "vc", 10) == 6000
-    assert qubit_count("dynpi", "vc", 10, n_b=39) == 6000 + 3000 * 39
-    # phase estimation adds the control ancilla
-    assert qubit_count("pionless", "vc", 10, task="qpe") == 6001
-    assert qubit_count("dynpi", "vc", 10, n_b=39, task="qpe") == \
-        6000 + 3000 * 39 + 1 + 4000
+    def qubits(step):
+        return step.qubits, step.ancillas
+
+    assert qubits(pionless_step_cost("vc", 1, False, L=10)) == (6000, 0)
+    assert qubits(pionless_step_cost("compact", 1, False, L=10)) == (10000, 0)
+    assert qubits(ope_step_cost(10, 10, False)) == (6000, 0)
+    assert qubits(dynpi_step_cost(39, 10, False)) == (6000 + 3000 * 39, 0)
+    # a controlled (phase-estimation) step adds the control ancilla
+    assert qubits(pionless_step_cost("vc", 1, True, L=10)) == (6001, 1)
+    assert qubits(pionless_step_cost("compact", 1, True, L=10)) == (10001, 1)
+    assert qubits(ope_step_cost(10, 10, True)) == (6001, 1)
+    # and dynpi one more per fermionic and per bosonic register at each site
+    assert qubits(dynpi_step_cost(39, 10, True)) == \
+        (6000 + 3000 * 39 + 1 + 4000, 1 + 4000)
     with pytest.raises(DomainError):
-        qubit_count("ope", "compact", 10)
-    with pytest.raises(DomainError):
-        qubit_count("dynpi", "vc", 10, n_b=0)
+        dynpi_step_cost(0, 10, False)
 
 
 def test_step_cost_guards():
     with pytest.raises(DomainError):
-        StepCost(-1, 0, False, "vc", "pionless", 1)
+        StepCost(-1, 0, 6, 0, False, "vc", "pionless", 1)

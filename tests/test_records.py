@@ -5,9 +5,9 @@ import pytest
 
 from nuceft.costs import StepCost
 from nuceft.errors import DomainError
-from nuceft.estimator import CostReport, TaskSpec, sweep
-from nuceft.params import (CONSTANTS, DigitizationSpec, DynPiParams,
-                           OpeParams, PhysicalConstants, PionlessParams)
+from nuceft.estimator import CostReport, TaskSpec, estimate, sweep
+from nuceft.params import (CONSTANTS, DigitizationSpec, OpeParams,
+                           PhysicalConstants, PionlessParams)
 from nuceft.trotter import BoundReport
 
 
@@ -17,8 +17,7 @@ def _records():
         PionlessParams(2.2, 4.29, -40.19, 42.51),
         OpeParams.from_lecs(2.2),
         DigitizationSpec(1.0, 2.0, 0.1, 0.2, 4),
-        DynPiParams(2.2, -1.0, 1.0),
-        StepCost(520, 42000, False, "vc", "pionless", 1),
+        StepCost(520, 42000, 6000, 0, False, "vc", "pionless", 1),
         BoundReport(1, (("a", 1.0), ("b", 2.0))),
         TaskSpec(),
         CostReport(1.0, 2, 3, 4, 5.0, 6, 0, {"prod": 0.1}),
@@ -58,9 +57,10 @@ def test_bad_records_are_domain_errors():
     with pytest.raises(DomainError, match="lattice extent"):
         TaskSpec(L=0)
     with pytest.raises(DomainError, match="nonnegative"):
-        StepCost(0, -1, False, "vc", "pionless", 1)
+        StepCost(0, -1, 6, 0, False, "vc", "pionless", 1)
+    # the field-cutoff bound refuses a spacing where A or B is not positive
     with pytest.raises(DomainError, match="a_L=0.3"):
-        DynPiParams(0.3, -1.0, 1.0)
+        estimate(TaskSpec(model="dynpi", a_L=0.3))
     with pytest.raises(DomainError, match="negative bound"):
         BoundReport(1, (("a", -1.0),))
 

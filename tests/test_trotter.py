@@ -10,7 +10,7 @@ from nuceft.params import (CONSTANTS, OpeParams, PhysicalConstants,
                            hopping_coefficient, pionless_params_for)
 from nuceft.trotter import (compose_total_error, dynpi_p1_bound,
                             general_npfo_bound, ope_p1_bound,
-                            pionless_p1_bound, pionless_p2_bound,
+                            pionless_p1_bound,
                             pionless_p2_coefficient, product_formula_error,
                             steps_for_budget)
 from nuceft.truncation import boson_cutoffs, realized_shells
@@ -52,7 +52,8 @@ def test_pionless_p2_frozen_value():
     params = pionless_params_for(2.2)
     assert pionless_p2_coefficient(40, params) == pytest.approx(
         6402608.657444999)
-    assert pionless_p2_bound(0.5, 40, params) == pytest.approx(
+    assert product_formula_error(
+        2, 0.5, pionless_p2_coefficient(40, params)) == pytest.approx(
         0.5 ** 3 * 6402608.657444999)
 
 
@@ -143,14 +144,12 @@ def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
 
 def test_dynpi_p1_frozen_total():
     lecs = OpeParams.from_lecs(2.2)
-    from nuceft.params import DynPiParams
     eps_cut = (0.05 / 2) ** 2 / 2
     dig = boson_cutoffs(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
-    params = DynPiParams(2.2, lecs.C, lecs.C_I2)
-    report = dynpi_p1_bound(40, params, dig, 10)
+    report = dynpi_p1_bound(40, lecs, dig, 10)
     assert report.total == pytest.approx(1.4949396544330846e+31, rel=1e-10)
     # the pure-boson class carries the only L dependence
-    bigger = dynpi_p1_bound(40, params, dig, 20)
+    bigger = dynpi_p1_bound(40, lecs, dig, 20)
     assert bigger["boson_kinetic_potential"] == pytest.approx(
         2 * report["boson_kinetic_potential"], rel=1e-12)
     assert bigger.total - bigger["boson_kinetic_potential"] == pytest.approx(
