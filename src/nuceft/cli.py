@@ -1,8 +1,9 @@
 """Command-line front end: estimate, sweep, verify.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 domain error
-(a precondition of the physics pipeline was violated).  Flags override
-config-file values; the config file is JSON with the same field names.
+(a precondition of the physics pipeline was violated).  A JSON config file
+keys each value by its flag without the dashes and with _ for - (``aL_fm``
+for ``--aL-fm``); the values are parsed as those flags, and flags win.
 """
 
 from __future__ import annotations
@@ -14,34 +15,37 @@ import sys
 
 from . import VERIFY_SUITES
 from .errors import ConfigError, DomainError
-from .estimator import SWEEP_AXES, SWEEP_HEADER, TaskSpec, estimate, sweep
+from .estimator import (CHOICES, SWEEP_AXES, SWEEP_HEADER, TaskSpec, estimate,
+                        sweep)
 
-# config keys -> TaskSpec fields, with the parser applied to config values
-_SPEC_FIELDS = {
-    "task": ("task", str),
-    "model": ("model", str),
-    "encoding": ("encoding", str),
-    "order": ("order", int),
-    "L": ("L", int),
-    "aL_fm": ("a_L", float),
-    "eta": ("eta", int),
-    "Ekin_MeV": ("E_kin", float),
-    "deltaE_MeV": ("delta_E", float),
-    "Emax_MeV": ("E_max", float),
-    "success": ("success", float),
-    "eps": ("epsilon", float),
-    "convention": ("convention", str),
-    "ell": ("ell_units", int),
-    "nb": ("n_b", int),
-}
-
-# the TaskSpec fields a run cannot silently default
-_REQUIRED = ("eta",)
+# one row per TaskSpec input: flag, TaskSpec field, parser, help
+_SPEC_OPTIONS = (
+    ("--task", "task", str, None),
+    ("--model", "model", str, None),
+    ("--encoding", "encoding", str, None),
+    ("--order", "order", int, "Product-formula order p."),
+    ("--L", "L", int, "Lattice extent per axis."),
+    ("--aL-fm", "a_L", float, "Lattice spacing in fm."),
+    ("--eta", "eta", int, "Nucleon number."),
+    ("--Ekin-MeV", "E_kin", float,
+     "Kinetic energy per nucleon (evolve task)."),
+    ("--deltaE-MeV", "delta_E", float, "Energy resolution (qpe task)."),
+    ("--Emax-MeV", "E_max", float, "Spectral range (qpe task)."),
+    ("--success", "success", float, "QPE success probability."),
+    ("--eps", "epsilon", float, "Total error budget."),
+    ("--convention", "convention", str, None),
+    ("--ell", "ell_units", int, "Force the range cutoff (lattice units)."),
+    ("--nb", "n_b", int, "Force the boson register width."),
+)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _dest(flag: str) -> str:
+    """The flag's argparse dest, which is also its config key."""
+    return flag[2:].replace("-", "_")
+
+
+def _load_config(path: str) -> list[str]:
+    """The config file as the flags it stands for, one --flag=value each."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -53,29 +57,25 @@ def _load_config(path: str | None) -> dict:
             f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = sorted(set(raw) - set(_SPEC_FIELDS))
+    flags = {_dest(flag): flag for flag, *_ in _SPEC_OPTIONS}
+    unknown = sorted(set(raw) - set(flags))
     if unknown:
         raise ConfigError(
             f"unknown config field(s) in {path}: {', '.join(unknown)}")
-    return raw
+    # a JSON string is the flag's text; any other value is spelled as JSON
+    return [f"{flags[key]}="
+            f"{value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in raw.items()]
 
 
-def _build_spec(config: dict, flags: dict) -> TaskSpec:
-    """Merge config-file values and flags (flags win) into a TaskSpec."""
-    merged = {}
-    for key, (field_name, parse) in _SPEC_FIELDS.items():
-        if key in config:
-            try:
-                merged[field_name] = parse(config[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config field {key}: {exc}") from exc
-        if flags.get(key) is not None:
-            merged[field_name] = flags[key]
-    for key in _REQUIRED:
-        if _SPEC_FIELDS[key][0] not in merged:
-            raise ConfigError(f"missing required field: {key} "
-                              f"(pass --{key} or set it in the config)")
-    return TaskSpec(**merged)
+def _build_spec(args) -> TaskSpec:
+    """The TaskSpec of the inputs given; a run cannot default eta."""
+    given = {field: getattr(args, _dest(flag))
+             for flag, field, *_ in _SPEC_OPTIONS}
+    if given["eta"] is None:
+        raise ConfigError("missing required field: eta "
+                          "(pass --eta or set it in the config)")
+    return TaskSpec(**{k: v for k, v in given.items() if v is not None})
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -106,26 +106,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_spec_options(parser: argparse.ArgumentParser) -> None:
-    """The TaskSpec flags; each one's dest is its config key (argparse
-    turns --aL-fm into aL_fm), which is what _build_spec reads."""
-    add = parser.add_argument
-    add("--config", help="JSON config file; flags override its values.")
-    add("--task", choices=["evolve", "qpe"])
-    add("--model", choices=["pionless", "ope", "dynpi"])
-    add("--encoding", choices=["vc", "compact"])
-    add("--order", type=int, help="Product-formula order p.")
-    add("--L", type=int, help="Lattice extent per axis.")
-    add("--aL-fm", type=float, help="Lattice spacing in fm.")
-    add("--eta", type=int, help="Nucleon number.")
-    add("--Ekin-MeV", type=float,
-        help="Kinetic energy per nucleon (evolve task).")
-    add("--deltaE-MeV", type=float, help="Energy resolution (qpe task).")
-    add("--Emax-MeV", type=float, help="Spectral range (qpe task).")
-    add("--success", type=float, help="QPE success probability.")
-    add("--eps", type=float, help="Total error budget.")
-    add("--convention", choices=["near-term", "fault-tolerant"])
-    add("--ell", type=int, help="Force the range cutoff (lattice units).")
-    add("--nb", type=int, help="Force the boson register width.")
+    parser.add_argument("--config",
+                        help="JSON config file; flags override its values.")
+    for flag, field, parse, text in _SPEC_OPTIONS:
+        parser.add_argument(flag, type=parse, choices=CHOICES.get(field),
+                            help=text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -162,7 +147,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_estimate(args) -> None:
     """Cost out one evolution or phase-estimation task."""
-    spec = _build_spec(_load_config(args.config), vars(args))
+    spec = _build_spec(args)
     report = estimate(spec)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_text(args.output, text)
@@ -173,7 +158,7 @@ def cmd_sweep(args) -> None:
     import csv
     import io
 
-    template = _build_spec(_load_config(args.config), vars(args))
+    template = _build_spec(args)
     axis, start, stop, step = args.axis, args.start, args.stop, args.step
     if step <= 0:
         raise ConfigError(f"--step must be positive, got {step}")
@@ -211,8 +196,18 @@ def cmd_verify(args) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # after the subcommand, argv[0], and before the command line's
+            # flags, which still win
+            tokens = _load_config(args.config)
+            try:
+                args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+            except argparse.ArgumentError as exc:
+                raise ConfigError(f"config {args.config}: {exc}") from exc
         args.run(args)
     except SystemExit as exc:  # only --help exits; error() raises instead
         return exc.code

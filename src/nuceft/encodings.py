@@ -135,10 +135,8 @@ class QubitLayout:
         self.lattice = lattice
         n = lattice.n_sites
         if encoding == "jw":
-            self.qubits_per_site = 4
             self.total_qubits = 4 * n
         elif encoding == "vc":
-            self.qubits_per_site = 6
             self.total_qubits = 6 * n
             mu = _mu_path_edges(lattice)
             nu = _nu_path_edges(lattice)
@@ -147,7 +145,6 @@ class QubitLayout:
         else:
             # four stacked single-species codes, 2.5 qubits per mode budgeted
             self._block = math.ceil(2.5 * n)
-            self.qubits_per_site = 10
             self.total_qubits = 4 * self._block
             self._faces = {f: k for k, f in enumerate(_colored_faces(lattice))}
 

@@ -11,23 +11,23 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .costs import (StepCost, check_priced, dynpi_step_cost, ope_step_cost,
-                    pionless_step_cost, t_synthesis)
+from .costs import (STEP_LAYERS, StepCost, check_priced, dynpi_step_cost,
+                    ope_step_cost, pionless_step_cost, t_synthesis)
 from .errors import DomainError, PrecisionError
 from .params import (CONSTANTS, OpeParams, PhysicalConstants, convert_length,
                      pionless_params_for)
-from .trotter import (compose_total_error, dynpi_p1_bound, ope_p1_bound,
-                      pionless_p1_coefficient, pionless_p2_coefficient,
-                      steps_for_budget)
+from .trotter import (CHANNELS, compose_total_error, dynpi_p1_bound,
+                      ope_p1_bound, pionless_p1_coefficient,
+                      pionless_p2_coefficient, steps_for_budget)
 from .truncation import boson_cutoffs, choose_ope_cutoff, realized_shells
 
 SCHEMA_VERSION = 1
 
 
 class _TaskSpecFields(NamedTuple):
-    task: str = "evolve"            # evolve | qpe
-    model: str = "pionless"         # pionless | ope | dynpi
-    encoding: str = "vc"            # vc | compact
+    task: str = "evolve"
+    model: str = "pionless"
+    encoding: str = "vc"
     order: int = 1
     L: int = 10
     a_L: float = 2.2                # fm
@@ -37,7 +37,7 @@ class _TaskSpecFields(NamedTuple):
     E_max: float = 140.0            # MeV spectral range (qpe task)
     success: float = 0.3            # qpe success probability 1 - delta
     epsilon: float = 0.1
-    convention: str = "fault-tolerant"   # or near-term
+    convention: str = "fault-tolerant"
     ell_units: int | None = None    # force the range cutoff (lattice units)
     n_b: int | None = None          # force the boson register width
 
@@ -49,8 +49,10 @@ class TaskSpec(_TaskSpecFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.task not in ("evolve", "qpe"):
-            raise DomainError(f"unknown task {self.task!r}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise DomainError(f"unknown {name} {getattr(self, name)!r} "
+                                  f"(choose from {choices})")
         for name in ("epsilon", "E_kin", "delta_E", "E_max", "a_L"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(
@@ -214,6 +216,10 @@ def _dynpi(spec: TaskSpec, frame: _Frame,
 _MODELS = {"pionless": (_pionless, (1, 2)), "ope": (_ope, (1,)),
            "dynpi": (_dynpi, (1,))}
 _TASKS = {"evolve": _evolve, "qpe": _qpe}
+# each categorical TaskSpec field's values, from the table that prices them
+CHOICES = {"task": tuple(_TASKS), "model": tuple(_MODELS),
+           "encoding": tuple(dict.fromkeys(enc for _, enc in STEP_LAYERS)),
+           "convention": tuple(dict.fromkeys(conv for _, conv in CHANNELS))}
 
 
 def estimate(spec: TaskSpec,

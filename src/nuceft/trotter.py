@@ -279,7 +279,7 @@ def steps_for_budget(p: int, t: float, coefficient: float, budget: float) -> int
     return math.ceil(steps)
 
 
-_CHANNELS = {
+CHANNELS = {
     ("pionless", "near-term"): ("prod",),
     ("pionless", "fault-tolerant"): ("prod", "syn"),
     ("ope", "near-term"): ("prod", "trunc"),
@@ -298,11 +298,11 @@ def compose_total_error(model: str, epsilon: float,
     on the 2 sqrt(2 eps_cut) trace-distance form), 'syn' (rotation
     synthesis).  For 'cut' the ledger also reports the implied eps_cut.
     """
-    if (model, convention) not in _CHANNELS:
+    if (model, convention) not in CHANNELS:
         raise DomainError(f"unknown model/convention {model!r}/{convention!r}")
     if epsilon <= 0:
         raise DomainError(f"error budget must be positive, got {epsilon}")
-    channels = _CHANNELS[(model, convention)]
+    channels = CHANNELS[(model, convention)]
     share = epsilon / len(channels)
     ledger = {name: share for name in channels}
     if "cut" in ledger:

@@ -89,6 +89,29 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert over["qubits"] == 10000
 
 
+def test_config_value_is_refused_as_its_flag_would_be(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cases = [({"eta": 2.7}, "--eta"), ({"eta": True}, "--eta"),
+             ({"eta": 40, "L": 10.9}, "--L"),
+             ({"eta": 40, "ell": None}, "--ell"),
+             ({"eta": 40, "model": "nucleon"}, "--model"),
+             ({"eta": 40, "convention": "later"}, "--convention")]
+    for values, flag in cases:
+        cfg.write_text(json.dumps(values))
+        for command in (["estimate"], ["sweep", "--axis", "eta",
+                                       "--from", "2", "--to", "4"]):
+            assert main([*command, "--config", str(cfg)]) == 1, values
+            err = capsys.readouterr().err
+            assert err.startswith("config error:"), (values, err)
+            assert f"argument {flag}:" in err, (values, err)
+    # a string the flag would take is taken
+    cfg.write_text(json.dumps({"eta": "40"}))
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["estimate", "--eta", "40"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"eta": 40, "flux_capacitor": 1.21}))

@@ -56,6 +56,10 @@ def test_bad_records_are_domain_errors():
         TaskSpec(epsilon=0.0)
     with pytest.raises(DomainError, match="lattice extent"):
         TaskSpec(L=0)
+    for field_name, value in (("task", "anneal"), ("model", "nucleon"),
+                              ("encoding", "jw"), ("convention", "later")):
+        with pytest.raises(DomainError, match=f"unknown {field_name} '{value}'"):
+            TaskSpec(**{field_name: value})
     with pytest.raises(DomainError, match="nonnegative"):
         StepCost(0, -1, 6, 0, False, "vc", "pionless", 1)
     # the field-cutoff bound refuses a spacing where A or B is not positive
