@@ -21,6 +21,17 @@ splits into blocks labelled by per-group counts (the four species counts
 for pionless layers).  Semi-norms and evolution errors are the largest over
 the blocks, computed with stacked linear algebra over blocks of equal size.
 
+Every matrix is assembled in one vectorized pass per sum.  The sum becomes
+one table of per-term masks and weights, checked for number preservation
+once; the (term, state) hits are found term-major in chunks of about 2^20
+pairs, which bounds the temporaries, and added in term order, so each entry
+sums its terms in the order a term-by-term loop would.  The block layout of
+a sector (its states, each state's place in its block and the stacks of
+equal-size blocks) depends only on the mode groups and eta; it is built
+once per key and kept in a bounded cache, read-only.  A layer of number
+factors alone is diagonal, and is exponentiated entry by entry with no
+eigendecomposition.
+
 Occupation convention: bit i of a basis integer is the occupation of mode i,
 and ladder operators pick up the sign (-1)^(number of occupied modes below i),
 matching the Jordan-Wigner string direction used by the encodings module.
@@ -29,6 +40,7 @@ matching the Jordan-Wigner string direction used by the encodings module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -310,8 +322,7 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 def _sector_states(n_modes: int, eta: int) -> np.ndarray:
     """Occupation masks with popcount eta, ascending, as uint64."""
-    if n_modes > 64:
-        raise SizeError(f"{n_modes} modes exceeds the 64-bit occupation mask")
+    _check_width(n_modes)
     empty = np.zeros(0, dtype=np.uint64)
     # masks over the modes seen so far, by popcount; a mask with the new
     # mode set exceeds every mask without it, so concatenation stays sorted
@@ -344,39 +355,99 @@ class EtaSector:
         return len(self.basis)
 
 
-def _images(term: FermionTerm, states: np.ndarray):
-    """Positions of the states a canonical term does not annihilate, their
-    images and the Jordan-Wigner signs.  Factors act right to left."""
-    need = vacant = 0
-    for m, k in term.factors:
-        if k == CREATE:
-            vacant |= 1 << m
-        else:
-            need |= 1 << m
-    need, vacant = np.uint64(need), np.uint64(vacant)
-    hit = np.flatnonzero(((states & need) == need) & ((states & vacant) == 0))
-    image = states[hit]
-    parity = np.zeros(len(hit), dtype=np.uint64)
-    for m, k in reversed(term.factors):
-        if k != NUMBER:
-            parity += _popcount(image & np.uint64((1 << m) - 1))
-            image = image ^ np.uint64(1 << m)
-    return hit, image, 1.0 - 2.0 * (parity & _U1)
+class _Terms(NamedTuple):
+    """A sum as one table, a row per term: the modes a state must have
+    occupied and those it must have empty, its ladder modes in the order
+    they act (right to left, padded with columns that do nothing) and its
+    weight.  ``below`` masks the modes under each ladder mode, whose
+    occupation sets the Jordan-Wigner sign."""
+
+    need: np.ndarray     # (terms,) modes to be occupied
+    care: np.ndarray     # (terms,) modes to be occupied or empty
+    below: np.ndarray    # (terms, width) modes below each ladder mode
+    flip: np.ndarray     # (terms, width) each ladder mode's bit
+    weights: np.ndarray  # (terms,) float, or complex if any weight is
 
 
-def _check_npfo(term: FermionTerm) -> None:
-    if not term.is_npfo:
-        raise ValueError("term does not preserve particle number")
+def _check_width(n_modes: int) -> None:
+    if n_modes > 64:
+        raise SizeError(f"{n_modes} modes exceeds the 64-bit occupation mask")
+
+
+def _terms(h: FermionSum, npfo: bool = True) -> _Terms:
+    """The table of h; with ``npfo``, a term that does not preserve the
+    particle number is refused."""
+    _check_width(h.n_modes)
+    need, care, below, flip, weights = [], [], [], [], []
+    for term in h.terms:
+        occupied = vacant = balance = 0
+        bits = []
+        for m, k in reversed(term.factors):
+            bit = 1 << m
+            if k == CREATE:
+                vacant |= bit
+                balance += 1
+            else:
+                occupied |= bit
+                if k == ANNIHILATE:
+                    balance -= 1
+            if k != NUMBER:
+                bits.append(bit)
+        if npfo and balance:
+            raise ValueError("term does not preserve particle number")
+        need.append(occupied)
+        care.append(occupied | vacant)
+        below.append([b - 1 for b in bits])
+        flip.append(bits)
+        weights.append(term.weight)
+    width = max(map(len, flip), default=0)
+    for row in below + flip:
+        row += [0] * (width - len(row))
+    rows = (len(weights), width)
+    weights = np.array(weights)
+    return _Terms(np.array(need, dtype=np.uint64),
+                  np.array(care, dtype=np.uint64),
+                  np.array(below, dtype=np.uint64).reshape(rows),
+                  np.array(flip, dtype=np.uint64).reshape(rows),
+                  weights if weights.dtype.kind == "c" else
+                  weights.astype(float))
+
+
+# (term, state) pairs tested at once, which bounds the temporaries
+_CHUNK = 1 << 20
+
+
+def _accumulate(out: np.ndarray, table: _Terms, states: np.ndarray,
+                place) -> None:
+    """Add every term of the table into the flat array ``out``.
+
+    Factors act right to left on each state a term does not annihilate;
+    ``place(rows, cols)`` maps the positions in ``states`` of an image and
+    its source to an index of ``out``.  The hits are taken term-major and
+    added in that order, so each entry sums its terms in term order."""
+    step = max(1, _CHUNK // max(len(states), 1))
+    for lo in range(0, len(table.weights), step):
+        hi = lo + step
+        term, cols = np.nonzero(
+            (states & table.care[lo:hi, None]) == table.need[lo:hi, None])
+        term += lo
+        image = states[cols]
+        parity = np.zeros(len(cols), dtype=np.uint64)
+        for j in range(table.flip.shape[1]):
+            parity += _popcount(image & table.below[term, j])
+            image ^= table.flip[term, j]
+        rows = np.searchsorted(states, image)
+        np.add.at(out, place(rows, cols),
+                  (1.0 - 2.0 * (parity & _U1)) * table.weights[term])
 
 
 def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
     """Dense matrix of h restricted to the eta sector (particle-number block)."""
     states = np.array(sector.basis, dtype=np.uint64)
-    mat = np.zeros((sector.dim, sector.dim), dtype=complex)
-    for term in h.terms:
-        _check_npfo(term)
-        cols, image, sign = _images(term, states)
-        mat[np.searchsorted(states, image), cols] += sign * term.weight
+    dim = sector.dim
+    mat = np.zeros((dim, dim), dtype=complex)
+    _accumulate(mat.reshape(-1), _terms(h), states,
+                lambda rows, cols: rows * dim + cols)
     return mat
 
 
@@ -384,35 +455,27 @@ def full_matrix(h: FermionSum, n_modes: int | None = None) -> np.ndarray:
     """Dense matrix of h on the full 2^n Fock space."""
     if n_modes is None:
         n_modes = h.n_modes
-    states = np.arange(1 << n_modes, dtype=np.uint64)
-    mat = np.zeros((len(states), len(states)), dtype=complex)
-    for term in h.terms:
-        cols, image, sign = _images(term, states)
-        mat[image.astype(np.intp), cols] += sign * term.weight
+    dim = 1 << n_modes
+    mat = np.zeros((dim, dim), dtype=complex)
+    _accumulate(mat.reshape(-1), _terms(h, npfo=False),
+                np.arange(dim, dtype=np.uint64),
+                lambda rows, cols: rows * dim + cols)
     return mat
 
 
-def _mode_groups(n_modes: int, sums: Sequence[FermionSum]) -> list[int]:
+def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
     """Masks of the groups of modes joined by the ladder factors of any one
-    term.  Each term of an NPFO sum keeps every group's occupation count."""
-    parent = list(range(n_modes))
-
-    def root(m: int) -> int:
-        while parent[m] != m:
-            parent[m] = parent[parent[m]]
-            m = parent[m]
-        return m
-
-    for h in sums:
-        for term in h.terms:
-            _check_npfo(term)
-            ladder = [m for m, k in term.factors if k != NUMBER]
-            for m in ladder[1:]:
-                parent[root(m)] = root(ladder[0])
-    masks: dict[int, int] = {}
-    for m in range(n_modes):
-        masks[root(m)] = masks.get(root(m), 0) | 1 << m
-    return list(masks.values())
+    term, by lowest mode.  Each term of an NPFO sum keeps every group's
+    occupation count."""
+    groups = [1 << m for m in range(n_modes)]
+    ladders = np.concatenate([np.bitwise_or.reduce(table.flip, axis=1)
+                              for table in tables])
+    for ladder in np.unique(ladders).tolist():
+        joined = [g for g in groups if g & ladder]
+        if len(joined) > 1:
+            groups = [g for g in groups if not g & ladder]
+            groups.append(sum(joined))  # disjoint masks: the sum is the union
+    return tuple(sorted(groups, key=lambda g: g & -g))
 
 
 def _block_sizes(sizes: Sequence[int], eta: int) -> tuple[int, int]:
@@ -436,6 +499,7 @@ class _Blocks(NamedTuple):
 
     Blocks are laid out in one flat buffer, ordered by dimension, each
     block a row-major d x d matrix over its states in ascending order.
+    The arrays are shared between calls, so they are read-only.
     """
 
     states: np.ndarray    # the sector basis, ascending
@@ -445,12 +509,22 @@ class _Blocks(NamedTuple):
     size: int             # buffer entries
 
 
-def _blocks(sums: Sequence[FermionSum], eta: int) -> _Blocks:
+def _blocked(sums: Sequence[FermionSum], eta: int
+             ) -> tuple[list[_Terms], _Blocks]:
+    """The tables of the sums and the block layout their groups give the
+    eta sector."""
     n_modes = max(h.n_modes for h in sums)
     if not 0 <= eta <= n_modes:
         raise ValueError(f"eta={eta} outside [0, {n_modes}]")
-    groups = _mode_groups(n_modes, sums)
-    sizes = [bin(g).count("1") for g in groups]
+    tables = [_terms(h) for h in sums]
+    return tables, _layout(n_modes, _mode_groups(n_modes, tables), eta)
+
+
+@lru_cache(maxsize=32)
+def _layout(n_modes: int, groups: tuple[int, ...], eta: int) -> _Blocks:
+    """The block layout of the eta sector for these mode groups, built once
+    per key.  An oversized sector is refused before it is enumerated."""
+    sizes = [g.bit_count() for g in groups]
     largest, squares = _block_sizes(sizes, eta)
     if largest > MAX_BLOCK or squares > MAX_BLOCK ** 2:
         raise SizeError(f"eta={eta} sector has a block of {largest} states "
@@ -474,18 +548,20 @@ def _blocks(sums: Sequence[FermionSum], eta: int) -> _Blocks:
     offsets = np.cumsum(dims ** 2) - dims ** 2
     dim_values, first, counts = np.unique(dims, return_index=True,
                                           return_counts=True)
-    return _Blocks(states, offsets[block] + local * dims[block], local,
+    row_base = offsets[block] + local * dims[block]
+    for arr in (states, row_base, local):
+        arr.flags.writeable = False
+    return _Blocks(states, row_base, local,
                    tuple(zip(offsets[first].tolist(), counts.tolist(),
                              dim_values.tolist())), int(squares))
 
 
-def _block_buffer(h: FermionSum, blocks: _Blocks) -> np.ndarray:
-    """Every block matrix of h, flat in the layout of ``blocks``."""
+def _block_buffer(table: _Terms, blocks: _Blocks) -> np.ndarray:
+    """Every block matrix of a sum's table, flat in the layout of
+    ``blocks``."""
     buf = np.zeros(blocks.size, dtype=complex)
-    for term in h.terms:
-        cols, image, sign = _images(term, blocks.states)
-        rows = np.searchsorted(blocks.states, image)
-        buf[blocks.row_base[rows] + blocks.local[cols]] += sign * term.weight
+    _accumulate(buf, table, blocks.states,
+                lambda rows, cols: blocks.row_base[rows] + blocks.local[cols])
     return buf
 
 
@@ -502,8 +578,8 @@ def _norm(stack: np.ndarray) -> float:
 
 def eta_seminorm(h: FermionSum, eta: int) -> float:
     """Largest singular value of h projected into the eta-fermion sector."""
-    blocks = _blocks([h], eta)
-    buf = _block_buffer(h, blocks)
+    (table,), blocks = _blocked([h], eta)
+    buf = _block_buffer(table, blocks)
     return max(_norm(stack) for stack in _stacks(buf, blocks))
 
 
@@ -513,31 +589,43 @@ def _expm_hermitian(mat: np.ndarray, t: float) -> np.ndarray:
         vecs.conj().swapaxes(-1, -2)
 
 
+def _expm_diagonal(mat: np.ndarray, t: float) -> np.ndarray:
+    """exp(-itM) of a stack of diagonal Hermitian matrices: the phase of
+    each diagonal entry, with no eigendecomposition."""
+    out = np.zeros_like(mat)
+    diag = np.arange(mat.shape[-1])
+    out[..., diag, diag] = np.exp(-1j * t * mat[..., diag, diag].real)
+    return out
+
+
 def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
                           r: int, eta: int) -> float:
     """Spectral norm of exp(-itH) - P_p(t/r)^r restricted to the eta sector,
-    the largest over the blocks of conserved per-group counts."""
+    the largest over the blocks of conserved per-group counts.  A layer of
+    number factors alone is diagonal and exponentiated entry by entry."""
     if p not in (1, 2):
         raise ValueError(f"order p={p} not supported by the oracle")
     if r < 1:
         raise ValueError("step count r must be >= 1")
-    blocks = _blocks(layers, eta)
+    tables, blocks = _blocked(layers, eta)
     bufs = []
-    for layer in layers:
-        buf = _block_buffer(layer, blocks)
+    for table in tables:
+        buf = _block_buffer(table, blocks)
         for stack in _stacks(buf, blocks):
             if not np.allclose(stack, stack.conj().swapaxes(-1, -2),
                                atol=1e-12):
                 raise ContractError("layer is not Hermitian in the eta sector")
         bufs.append(buf)
+    expms = [_expm_diagonal if table.flip.shape[1] == 0 else _expm_hermitian
+             for table in tables]
     dt = t / r
     worst = 0.0
     for mats in zip(*(_stacks(buf, blocks) for buf in bufs)):
         exact = _expm_hermitian(sum(mats), t)
         if p == 1:
-            factors = [_expm_hermitian(m, dt) for m in mats]
+            factors = [expm(m, dt) for expm, m in zip(expms, mats)]
         else:
-            half = [_expm_hermitian(m, dt / 2) for m in mats]
+            half = [expm(m, dt / 2) for expm, m in zip(expms, mats)]
             factors = half + half[::-1]
         step = factors[0]
         for u in factors[1:]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,10 @@ def test_oversized_block_is_refused_before_enumeration(monkeypatch):
     def enumerate_states(n_modes, eta):
         raise AssertionError("sector enumerated before the size check")
 
+    # warm the layout memo with the same groups at sizes under the cap
+    eta_seminorm(chain(64, range(64)), 1)
+    exact_evolution_error([chain(64, range(64))], 0.1, 1, 1, 1)
+    eta_seminorm(number_op(0, 40, 1.0), 1)
     monkeypatch.setattr(fock, "_sector_states", enumerate_states)
     # one group of 64 modes at eta=8: C(64, 8) = 4,426,165,368 states
     with pytest.raises(SizeError):
@@ -398,14 +403,16 @@ def dense_evolution_error(layers, t, p, r, eta):
 
 
 @st.composite
-def npfo_sums(draw, n_modes, max_terms=5):
+def npfo_sums(draw, n_modes, max_terms=5, ladders=True):
     """Sums of number-preserving terms whose ladder factors join random
-    modes, so that the terms of a sum merge groups.  (Few draws of
-    fermion_sums are number-preserving and have ladder factors.)"""
+    modes, so that the terms of a sum merge groups, or with ``ladders``
+    false terms of number factors alone.  (Few draws of fermion_sums are
+    number-preserving and have ladder factors.)"""
     terms = []
     for _ in range(draw(st.integers(1, max_terms))):
         modes = draw(st.permutations(range(n_modes)))
-        pairs = draw(st.integers(min(1, n_modes // 2), n_modes // 2))
+        pairs = draw(st.integers(min(1, n_modes // 2), n_modes // 2)) \
+            if ladders else 0
         numbers = draw(st.integers(0, n_modes - 2 * pairs))
         factors = tuple([(m, CREATE) for m in sorted(modes[:pairs])]
                         + [(m, ANNIHILATE)
@@ -420,9 +427,13 @@ def npfo_sums(draw, n_modes, max_terms=5):
 
 
 def hermitian_sums(n_modes):
-    # few terms per layer, so that the layers join few modes and the
-    # sectors split into blocks of several sizes
-    return npfo_sums(n_modes, 2).map(lambda h: h + h.adjoint())
+    """Layers of few terms, so that the layers join few modes and the
+    sectors split into blocks of several sizes; some layers have number
+    factors alone, or no terms, and are diagonal."""
+    return st.one_of(npfo_sums(n_modes, 2),
+                     npfo_sums(n_modes, 2, ladders=False),
+                     st.just(FermionSum(n_modes))).map(
+        lambda h: h + h.adjoint())
 
 
 def close(got, want):
@@ -440,11 +451,22 @@ def test_seminorm_matches_dense_restriction(case):
     assert close(eta_seminorm(h, eta), want)
 
 
+# a number-only layer, whose blocks are diagonal, between ladder layers;
+# and an empty layer beside one
+DIAGONAL_LAYERS = [hopping(0, 1, 4) + hopping(2, 3, 4, -0.4),
+                   number_op(1, 4, 0.8) + FermionSum(4, [
+                       FermionTerm(-1.3, ((0, NUMBER), (2, NUMBER)))]),
+                   hopping(1, 2, 4, 0.6)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
     st.lists(hermitian_sums(n), min_size=1, max_size=3),
     st.integers(0, n), st.sampled_from((1, 2)), st.sampled_from((1, 3)),
     st.floats(0.05, 1.0))))
+@example((DIAGONAL_LAYERS, 2, 1, 3, 0.7))
+@example((DIAGONAL_LAYERS, 2, 2, 1, 0.7))
+@example(([FermionSum(4), hopping(0, 3, 4)], 1, 2, 3, 0.5))
 def test_evolution_error_matches_dense_restriction(case):
     layers, eta, p, r, t = case
     assert close(exact_evolution_error(layers, t, p, r, eta),
@@ -478,3 +500,145 @@ def test_non_hermitian_layer_and_particle_number_are_refused():
     one_way = FermionSum(4, [FermionTerm(1.0, ((0, CREATE), (1, ANNIHILATE)))])
     with pytest.raises(ContractError):
         exact_evolution_error([one_way, hopping(1, 2, 4)], 0.1, 1, 1, 2)
+
+
+# the matrix builders against the per-term loop they replaced: each term
+# finds its hits, flips its ladder modes right to left and adds its signed
+# weight, one term after another
+
+def reference_images(term, states):
+    need = vacant = 0
+    for m, k in term.factors:
+        if k == CREATE:
+            vacant |= 1 << m
+        else:
+            need |= 1 << m
+    need, vacant = np.uint64(need), np.uint64(vacant)
+    hit = np.flatnonzero(((states & need) == need) & ((states & vacant) == 0))
+    image = states[hit]
+    parity = np.zeros(len(hit), dtype=np.uint64)
+    for m, k in reversed(term.factors):
+        if k != NUMBER:
+            parity += fock._popcount(image & np.uint64((1 << m) - 1))
+            image = image ^ np.uint64(1 << m)
+    return hit, image, 1.0 - 2.0 * (parity & np.uint64(1))
+
+
+def reference_sector_matrix(h, sector):
+    states = np.array(sector.basis, dtype=np.uint64)
+    mat = np.zeros((sector.dim, sector.dim), dtype=complex)
+    for term in h.terms:
+        cols, image, sign = reference_images(term, states)
+        mat[np.searchsorted(states, image), cols] += sign * term.weight
+    return mat
+
+
+def reference_full_matrix(h):
+    states = np.arange(1 << h.n_modes, dtype=np.uint64)
+    mat = np.zeros((len(states), len(states)), dtype=complex)
+    for term in h.terms:
+        cols, image, sign = reference_images(term, states)
+        mat[image.astype(np.intp), cols] += sign * term.weight
+    return mat
+
+
+def reference_block_buffer(h, blocks):
+    buf = np.zeros(blocks.size, dtype=complex)
+    for term in h.terms:
+        cols, image, sign = reference_images(term, blocks.states)
+        rows = np.searchsorted(blocks.states, image)
+        buf[blocks.row_base[rows] + blocks.local[cols]] += sign * term.weight
+    return buf
+
+
+def assert_builders_equal_reference(h, etas, full=True):
+    for eta in etas:
+        (table,), blocks = fock._blocked([h], eta)
+        assert np.array_equal(fock._block_buffer(table, blocks),
+                              reference_block_buffer(h, blocks))
+        sector = EtaSector(h.n_modes, eta)
+        assert np.array_equal(sector_matrix(h, sector),
+                              reference_sector_matrix(h, sector))
+    if full:
+        assert np.array_equal(full_matrix(h), reference_full_matrix(h))
+
+
+@pytest.mark.parametrize("shape, max_eta", [((2, 1, 1), 3), ((2, 2, 1), 4)])
+def test_builders_equal_the_per_term_loop_on_pionless_layers(shape, max_eta):
+    layers = pionless_layers(LatticeSpec(*shape, 2.2), pionless_params_for(2.2))
+    for layer in layers:
+        assert_builders_equal_reference(layer, range(max_eta + 1),
+                                        full=layer.n_modes <= 8)
+
+
+# terms with no ladder pair, with one and with two, in one sum, with
+# weights that round differently in each order of addition
+MIXED = FermionSum(6, [
+    FermionTerm(0.1, ((2, NUMBER),)),
+    FermionTerm(0.2, ((0, CREATE), (3, ANNIHILATE))),
+    FermionTerm(0.3 + 0.7j, ((0, CREATE), (1, CREATE), (4, ANNIHILATE),
+                             (5, ANNIHILATE), (2, NUMBER))),
+    FermionTerm(1e16, ((2, NUMBER), (3, NUMBER))),
+    FermionTerm(-0.3, ((3, CREATE), (0, ANNIHILATE), (5, NUMBER))),
+    FermionTerm(1.0, ()),
+    FermionTerm(-1e16, ((2, NUMBER),)),
+])
+
+
+@pytest.mark.parametrize("h", [FermionSum(5), MIXED], ids=["empty", "mixed"])
+def test_builders_equal_the_per_term_loop_on_hand_built_sums(h):
+    assert_builders_equal_reference(h, range(h.n_modes + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(npfo_sums))
+def test_builders_equal_the_per_term_loop_on_random_sums(h):
+    assert_builders_equal_reference(h, range(h.n_modes + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(fermion_sums))
+def test_full_matrix_equals_the_per_term_loop_off_the_npfo_class(h):
+    """full_matrix also takes terms that change the particle number."""
+    assert np.array_equal(full_matrix(h), reference_full_matrix(h))
+
+
+def test_layout_memo_is_read_only_and_bounded():
+    (_table,), blocks = fock._blocked([hopping(0, 1, 4)], 2)
+    assert fock._blocked([hopping(1, 0, 4, 0.5)], 2)[1] is blocks
+    for array in (blocks.states, blocks.row_base, blocks.local):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    maxsize = fock._layout.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+
+
+def test_refused_layouts_are_never_cached():
+    too_big = chain(20, range(20))
+    before = fock._layout.cache_info()
+    for _ in range(3):
+        with pytest.raises(SizeError):
+            eta_seminorm(too_big, 5)
+        with pytest.raises(SizeError):
+            exact_evolution_error([too_big], 0.1, 1, 1, 5)
+    after = fock._layout.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 6
+
+
+def test_block_buffer_temporaries_are_bounded():
+    """[diag, [kin_x, diag]] on 2x2x2 has 1,600 terms over the 4,960 states
+    of eta=3, but blocks of a few states: testing every (term, state) pair
+    at once would take more than 64 MB of temporaries."""
+    kin_x, _kin_y, _kin_z, diag = pionless_layers(LatticeSpec(2, 2, 2, 2.2),
+                                                  pionless_params_for(2.2))
+    h = fermion_commutator(diag, fermion_commutator(kin_x, diag))
+    (table,), blocks = fock._blocked([h], 3)
+    assert len(h) >= 1500 and len(blocks.states) >= 4000
+    tracemalloc.start()
+    try:
+        fock._block_buffer(table, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
