@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 from . import VERIFY_SUITES
 from .errors import ConfigError, DomainError
-from .estimator import (CHOICES, SWEEP_AXES, SWEEP_HEADER, TaskSpec, estimate,
-                        sweep)
+from .estimator import (CHOICES, SWEEP_AXES, SWEEP_FIELDS, SWEEP_HEADER,
+                        TaskSpec, estimate, sweep)
 
 # one row per TaskSpec input: flag, TaskSpec field, parser, help
 _SPEC_OPTIONS = (
@@ -160,13 +161,17 @@ def cmd_sweep(args) -> None:
 
     template = _build_spec(args)
     axis, start, stop, step = args.axis, args.start, args.stop, args.step
+    for flag, value in (("--from", start), ("--to", stop), ("--step", step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if step <= 0:
         raise ConfigError(f"--step must be positive, got {step}")
     # each point from its index, so no rounding error accumulates; 12
     # significant digits drop the representation error of start + i * step
+    _, parse = SWEEP_FIELDS[axis]
     grid = []
     while (value := start + len(grid) * step) <= stop + 1e-12:
-        grid.append(float(f"{value:.12g}") if axis == "epsilon"
+        grid.append(float(f"{value:.12g}") if parse is float
                     else int(round(value)))
     if not grid:
         raise ConfigError(

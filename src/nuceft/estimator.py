@@ -14,8 +14,7 @@ from typing import NamedTuple
 from .costs import (STEP_LAYERS, StepCost, check_priced, dynpi_step_cost,
                     ope_step_cost, pionless_step_cost, t_synthesis)
 from .errors import DomainError, PrecisionError
-from .params import (CONSTANTS, OpeParams, PhysicalConstants, convert_length,
-                     pionless_params_for)
+from .params import CONSTANTS, OpeParams, convert_length, pionless_params_for
 from .trotter import (CHANNELS, compose_total_error, dynpi_p1_bound,
                       ope_p1_bound, pionless_p1_coefficient,
                       pionless_p2_coefficient, steps_for_budget)
@@ -103,14 +102,13 @@ class CostReport(_CostReportFields):
                 "extras": self.extras}
 
 
-def crossing_time(a_L_fm: float, L: int, E_kin: float,
-                  M: float = CONSTANTS.M) -> float:
+def crossing_time(a_L_fm: float, L: int, E_kin: float) -> float:
     """Time for a nucleon of the given kinetic energy to cross the lattice."""
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
-    if E_kin <= 0 or M <= 0:
+    if E_kin <= 0:
         raise DomainError("kinetic energy and mass must be positive")
-    return convert_length(a_L_fm) * L * math.sqrt(M / (2 * E_kin))
+    return convert_length(a_L_fm) * L * math.sqrt(CONSTANTS.M / (2 * E_kin))
 
 
 def qpe_ancilla_bits(m: int, delta: float) -> int:
@@ -134,14 +132,14 @@ class _Frame(NamedTuple):
     extras: dict          # task-specific report fields
 
 
-def _evolve(spec: TaskSpec, constants: PhysicalConstants) -> _Frame:
+def _evolve(spec: TaskSpec) -> _Frame:
     """Crossing-time evolution: one run spending the whole budget."""
-    t = crossing_time(spec.a_L, spec.L, spec.E_kin, constants.M)
+    t = crossing_time(spec.a_L, spec.L, spec.E_kin)
     ledger = compose_total_error(spec.model, spec.epsilon, spec.convention)
     return _Frame(t, 1, False, spec.eta * spec.E_kin, ledger, {})
 
 
-def _qpe(spec: TaskSpec, constants: PhysicalConstants) -> _Frame:
+def _qpe(spec: TaskSpec) -> _Frame:
     """Iterative phase estimation to delta_E: 2^n - 1 controlled runs of
     t = 2 pi / E_max.
 
@@ -175,8 +173,7 @@ def _qpe(spec: TaskSpec, constants: PhysicalConstants) -> _Frame:
 # Each pricer returns the commutator coefficient for steps_for_budget (no
 # time in it), the sized intermediates it reports, and the step cost.
 
-def _pionless(spec: TaskSpec, frame: _Frame,
-              constants: PhysicalConstants) -> tuple[float, dict, StepCost]:
+def _pionless(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
     params = pionless_params_for(spec.a_L)
     bound = (pionless_p1_coefficient if spec.order == 1
              else pionless_p2_coefficient)
@@ -185,28 +182,25 @@ def _pionless(spec: TaskSpec, frame: _Frame,
                                spec.L))
 
 
-def _ope(spec: TaskSpec, frame: _Frame,
-         constants: PhysicalConstants) -> tuple[float, dict, StepCost]:
+def _ope(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
     ell = spec.ell_units
     if ell is None:
         # the range-cutoff error accrues over the total evolved time
         ell = choose_ope_cutoff(frame.ledger["trunc"],
                                 frame.t * frame.applications, spec.eta,
-                                spec.a_L, constants)
+                                spec.a_L)
     params = OpeParams.from_lecs(spec.a_L)
     shells = realized_shells(ell * spec.a_L, spec.a_L)
-    zeta = ope_p1_bound(spec.eta, params, shells, constants).total
+    zeta = ope_p1_bound(spec.eta, params, shells).total
     return (zeta, {"ell_units": ell, "zeta": zeta},
             ope_step_cost(ell, spec.L, frame.controlled))
 
 
-def _dynpi(spec: TaskSpec, frame: _Frame,
-           constants: PhysicalConstants) -> tuple[float, dict, StepCost]:
+def _dynpi(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
     lecs = OpeParams.from_lecs(spec.a_L)
-    dig = boson_cutoffs(spec.eta, frame.energy, frame.ledger["eps_cut"],
-                        spec.a_L, spec.L, lecs.C, lecs.C_I2, constants,
-                        n_b=spec.n_b)
-    xi = dynpi_p1_bound(spec.eta, lecs, dig, spec.L, constants).total
+    dig = boson_cutoffs(spec.eta, frame.energy, frame.ledger["eps_cut"], lecs,
+                        spec.L, n_b=spec.n_b)
+    xi = dynpi_p1_bound(spec.eta, lecs, dig, spec.L).total
     extras = {"n_b": dig.n_b, "pi_max": dig.pi_max, "Pi_max": dig.Pi_max,
               "xi": xi}
     return xi, extras, dynpi_step_cost(dig.n_b, spec.L, frame.controlled)
@@ -222,16 +216,15 @@ CHOICES = {"task": tuple(_TASKS), "model": tuple(_MODELS),
            "convention": tuple(dict.fromkeys(conv for _, conv in CHANNELS))}
 
 
-def estimate(spec: TaskSpec,
-             constants: PhysicalConstants = CONSTANTS) -> CostReport:
+def estimate(spec: TaskSpec) -> CostReport:
     """Resource estimate for crossing-time evolution or phase estimation."""
     check_priced(spec.model, spec.encoding)
     price, orders = _MODELS[spec.model]
     if spec.order not in orders:
         raise DomainError(f"model {spec.model!r} is bounded only for "
                           f"order(s) {orders}, got {spec.order}")
-    frame = _TASKS[spec.task](spec, constants)
-    coeff, extras, step = price(spec, frame, constants)
+    frame = _TASKS[spec.task](spec)
+    coeff, extras, step = price(spec, frame)
     r_app = steps_for_budget(spec.order, frame.t, coeff,
                              frame.ledger["prod"] / frame.applications)
     r = r_app * frame.applications
@@ -251,17 +244,17 @@ def estimate(spec: TaskSpec,
 
 
 # sweep axis -> (TaskSpec field, parser of the grid value)
-_SWEEP_FIELDS = {"eta": ("eta", int), "L": ("L", int),
-                 "epsilon": ("epsilon", float), "ell": ("ell_units", int),
-                 "n_b": ("n_b", int)}
-SWEEP_AXES = tuple(_SWEEP_FIELDS)
+SWEEP_FIELDS = {"eta": ("eta", int), "L": ("L", int),
+                "epsilon": ("epsilon", float), "ell": ("ell_units", int),
+                "n_b": ("n_b", int)}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 SWEEP_HEADER = ("axis", "value", "r", "depth", "rz", "T", "qubits",
                 "ell_or_nb", "notes")
 
 
 def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
-    field_name, parse = _SWEEP_FIELDS[axis]
+    field_name, parse = SWEEP_FIELDS[axis]
     row = {"axis": axis, "value": value, "r": "", "depth": "", "rz": "",
            "T": "", "qubits": "", "ell_or_nb": "", "notes": ""}
     try:

@@ -451,11 +451,9 @@ def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
     return mat
 
 
-def full_matrix(h: FermionSum, n_modes: int | None = None) -> np.ndarray:
+def full_matrix(h: FermionSum) -> np.ndarray:
     """Dense matrix of h on the full 2^n Fock space."""
-    if n_modes is None:
-        n_modes = h.n_modes
-    dim = 1 << n_modes
+    dim = 1 << h.n_modes
     mat = np.zeros((dim, dim), dtype=complex)
     _accumulate(mat.reshape(-1), _terms(h, npfo=False),
                 np.arange(dim, dtype=np.uint64),

@@ -4,6 +4,9 @@ Plain ``math`` only, so the cost pipeline (trotter, truncation, estimator)
 runs without numpy.  Couplings and energies are in MeV (hbar = c = 1);
 lengths in fm are converted via hbar*c at the API boundary.
 
+The physics is fixed at the paper's values (``CONSTANTS``, ``C_TILDE_1``,
+``C_TILDE_0``); no function takes a constant as a parameter.
+
 The records on the estimate path (here, in costs, trotter and estimator)
 are immutable ``NamedTuple``s, which cost far less to define at import than
 dataclasses.  A record whose values have a precondition checks it in
@@ -31,6 +34,9 @@ class PhysicalConstants(NamedTuple):
 
 CONSTANTS = PhysicalConstants()
 
+C_TILDE_1 = -5.021e-5   # isospin-1 OPE low-energy constant, MeV^-2
+C_TILDE_0 = -5.714e-5   # isospin-0 OPE low-energy constant, MeV^-2
+
 
 def convert_length(a_fm: float) -> float:
     """fm -> 1/MeV."""
@@ -39,10 +45,10 @@ def convert_length(a_fm: float) -> float:
     return a_fm / HBAR_C
 
 
-def hopping_coefficient(a_L_fm: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def hopping_coefficient(a_L_fm: float) -> float:
     """h = 1 / (2 M a^2)."""
     a = convert_length(a_L_fm)
-    return 1.0 / (2.0 * constants.M * a * a)
+    return 1.0 / (2.0 * CONSTANTS.M * a * a)
 
 
 class PionlessParams(NamedTuple):
@@ -74,12 +80,11 @@ class OpeParams(NamedTuple):
     C_I2: float     # MeV
 
     @classmethod
-    def from_lecs(cls, a_L_fm: float, *, c_tilde_1: float = -5.021e-5,
-                  c_tilde_0: float = -5.714e-5) -> "OpeParams":
-        """Couplings from the isospin-1/0 low-energy constants (MeV^-2)."""
+    def from_lecs(cls, a_L_fm: float) -> "OpeParams":
+        """Couplings from the isospin-1/0 low-energy constants."""
         a3 = convert_length(a_L_fm) ** 3
-        c = (3 * c_tilde_1 + c_tilde_0) / (4 * a3)
-        c_i2 = (c_tilde_1 - c_tilde_0) / (4 * a3)
+        c = (3 * C_TILDE_1 + C_TILDE_0) / (4 * a3)
+        c_i2 = (C_TILDE_1 - C_TILDE_0) / (4 * a3)
         return cls(a_L_fm, c, c_i2)
 
 
@@ -93,21 +98,21 @@ class DigitizationSpec(NamedTuple):
     n_b: int
 
 
-def ab_coefficients(a_L_fm: float, constants: PhysicalConstants = CONSTANTS) -> tuple[float, float]:
+def ab_coefficients(a_L_fm: float) -> tuple[float, float]:
     """The quadratic-form coefficients (A, B) controlling the field cutoffs."""
     a = convert_length(a_L_fm)
-    A = constants.m_pi ** 2 * a ** 3 / 2 - 1 / (2 * constants.f_pi ** 2 * a)
-    B = a ** 3 / 2 - a / (2 * constants.f_pi ** 2)
+    A = CONSTANTS.m_pi ** 2 * a ** 3 / 2 - 1 / (2 * CONSTANTS.f_pi ** 2 * a)
+    B = a ** 3 / 2 - a / (2 * CONSTANTS.f_pi ** 2)
     return A, B
 
 
-def yukawa_g1(r: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def yukawa_g1(r: float) -> float:
     """Radial strength (1/12pi)(g_A/2f_pi)^2 m^2 exp(-m r)/r; r in 1/MeV."""
-    m = constants.m_pi
-    pref = (constants.g_A / (2 * constants.f_pi)) ** 2 / (12 * math.pi)
+    m = CONSTANTS.m_pi
+    pref = (CONSTANTS.g_A / (2 * CONSTANTS.f_pi)) ** 2 / (12 * math.pi)
     return pref * m * m * math.exp(-m * r) / r
 
 
-def yukawa_g2(r: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    m = constants.m_pi
-    return yukawa_g1(r, constants) * (1 + 3 / (m * r) + 3 / (m * r) ** 2)
+def yukawa_g2(r: float) -> float:
+    m = CONSTANTS.m_pi
+    return yukawa_g1(r) * (1 + 3 / (m * r) + 3 / (m * r) ** 2)

@@ -18,8 +18,8 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .params import (CONSTANTS, DigitizationSpec, OpeParams, PhysicalConstants,
-                     PionlessParams, convert_length, hopping_coefficient)
+from .params import (CONSTANTS, DigitizationSpec, OpeParams, PionlessParams,
+                     convert_length, hopping_coefficient)
 
 
 class _BoundReportFields(NamedTuple):
@@ -117,8 +117,7 @@ def _nucleon_classes(eta: int, h: float, C: float,
 
 
 def ope_p1_bound(eta: int, params: OpeParams,
-                 shells: Sequence[tuple[float, int]],
-                 constants: PhysicalConstants = CONSTANTS) -> BoundReport:
+                 shells: Sequence[tuple[float, int]]) -> BoundReport:
     """First-order commutator-class sum (zeta) for the pion-exchange model.
 
     ``shells`` lists the realized interaction distances as (r in fm, q(r))
@@ -126,12 +125,12 @@ def ope_p1_bound(eta: int, params: OpeParams,
     excludes all pairs.
     """
     _check_eta(eta)
-    h = hopping_coefficient(params.a_L, constants)
+    h = hopping_coefficient(params.a_L)
     C, CI2 = abs(params.C), abs(params.C_I2)
     a = convert_length(params.a_L)
-    g2 = (constants.g_A / (2 * constants.f_pi)) ** 2
+    g2 = (CONSTANTS.g_A / (2 * CONSTANTS.f_pi)) ** 2
     g4 = g2 * g2
-    s_qu, s_cross, s_same = _shell_sums(tuple(shells), constants)
+    s_qu, s_cross, s_same = _shell_sums(tuple(shells))
 
     classes = (
         *_nucleon_classes(eta, h, C, CI2),
@@ -152,8 +151,7 @@ def ope_p1_bound(eta: int, params: OpeParams,
 # a sweep meets its cutoffs in runs, and one key at ell=317 holds 83,743
 # shells, so a few entries suffice
 @lru_cache(maxsize=8)
-def _shell_sums(shells: tuple[tuple[float, int], ...],
-                constants: PhysicalConstants) -> tuple[float, float, float]:
+def _shell_sums(shells: tuple[tuple[float, int], ...]) -> tuple[float, float, float]:
     """The eta-independent shell sums of ope_p1_bound: s_qu = sum q u,
     s_cross = sum over shell pairs a < b of q_a u_a q_b u_b, and s_same.
 
@@ -161,7 +159,7 @@ def _shell_sums(shells: tuple[tuple[float, int], ...],
     explicitly in each class coefficient.  A sweep prices many points at
     one cutoff, so the O(S^2) s_cross is computed once per shell table.
     """
-    m = constants.m_pi
+    m = CONSTANTS.m_pi
 
     def bare_kernel(r: float) -> float:
         return (m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r)
@@ -181,16 +179,15 @@ def _shell_sums(shells: tuple[tuple[float, int], ...],
 
 
 def dynpi_p1_bound(eta: int, params: OpeParams,
-                   digitization: DigitizationSpec, L: int,
-                   constants: PhysicalConstants = CONSTANTS) -> BoundReport:
+                   digitization: DigitizationSpec, L: int) -> BoundReport:
     """First-order commutator-class sum (Xi) for the dynamical-pion model."""
     _check_eta(eta)
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
-    h = hopping_coefficient(params.a_L, constants)
+    h = hopping_coefficient(params.a_L)
     C, CI2 = abs(params.C), abs(params.C_I2)
     a = convert_length(params.a_L)
-    g_A, f_pi, m = constants.g_A, constants.f_pi, constants.m_pi
+    g_A, f_pi, m = CONSTANTS.g_A, CONSTANTS.f_pi, CONSTANTS.m_pi
     g = g_A / (2 * f_pi)
     pm, Pm = digitization.pi_max, digitization.Pi_max
 
@@ -289,8 +286,7 @@ CHANNELS = {
 }
 
 
-def compose_total_error(model: str, epsilon: float,
-                        convention: str = "near-term") -> dict:
+def compose_total_error(model: str, epsilon: float, convention: str) -> dict:
     """Split a total error budget evenly among the channels that apply.
 
     Channels: 'prod' (product formula, = r * per-step error), 'trunc'

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, UnreachableBudgetError
-from .params import (CONSTANTS, DigitizationSpec, PhysicalConstants,
-                     ab_coefficients, convert_length, yukawa_g1, yukawa_g2)
+from .params import (CONSTANTS, DigitizationSpec, OpeParams, ab_coefficients,
+                     convert_length, yukawa_g1, yukawa_g2)
 
 
 def shell_count(r_sq: int) -> int:
@@ -67,8 +67,7 @@ def realized_shells(ell_fm: float, a_L_fm: float) -> list[tuple[float, int]]:
             for r_sq, q in enumerate(shell_counts(max_r_sq)) if r_sq and q]
 
 
-def ope_cutoff_error(ell_fm: float, eta: int, a_L_fm: float,
-                     constants: PhysicalConstants = CONSTANTS) -> float:
+def ope_cutoff_error(ell_fm: float, eta: int, a_L_fm: float) -> float:
     """Error *rate* (MeV) of dropping interactions beyond range ell.
 
     Multiply by evolution time for the norm error.  Minimum of the pairwise
@@ -83,42 +82,39 @@ def ope_cutoff_error(ell_fm: float, eta: int, a_L_fm: float,
     a = convert_length(a_L_fm)
     ell = convert_length(ell_fm)
     edge = ell + a
-    m = constants.m_pi
-    pairwise = eta * eta * (72 * yukawa_g1(edge, constants)
-                            + 648 * yukawa_g2(edge, constants))
+    m = CONSTANTS.m_pi
+    pairwise = eta * eta * (72 * yukawa_g1(edge) + 648 * yukawa_g2(edge))
     counting = (4 * math.pi * eta / (m * m * a ** 3)) * edge \
-        * yukawa_g1(edge, constants) * (720 * (m * ell + m * a + 1) + 3888)
+        * yukawa_g1(edge) * (720 * (m * ell + m * a + 1) + 3888)
     return min(pairwise, counting)
 
 
 def choose_ope_cutoff(eps_trunc: float, t: float, eta: int, a_L_fm: float,
-                      constants: PhysicalConstants = CONSTANTS,
                       max_multiple: int = 10 ** 4) -> int:
     """Smallest integer k with t * rate(k * a_L) <= eps_trunc."""
     if eps_trunc <= 0:
         raise DomainError(f"truncation budget must be positive, got {eps_trunc}")
     for k in range(1, max_multiple + 1):
-        if t * ope_cutoff_error(k * a_L_fm, eta, a_L_fm, constants) <= eps_trunc:
+        if t * ope_cutoff_error(k * a_L_fm, eta, a_L_fm) <= eps_trunc:
             return k
     raise UnreachableBudgetError(
         f"no cutoff within {max_multiple} lattice units meets {eps_trunc} MeV")
 
 
-def pi_max_bound(eta: int, E: float, eps_cut: float, a_L_fm: float, L: int,
-                 C: float, C_I2: float,
-                 constants: PhysicalConstants = CONSTANTS) -> tuple[float, float]:
+def pi_max_bound(eta: int, E: float, eps_cut: float, params: OpeParams,
+                 L: int) -> tuple[float, float]:
     """Field and conjugate-momentum cutoffs guaranteeing state overlap
     1 - eps_cut at energy E with eta nucleons (lower bounds, pre-rounding)."""
-    A, B = ab_coefficients(a_L_fm, constants)
+    A, B = ab_coefficients(params.a_L)
     if A <= 0 or B <= 0:
-        raise DomainError(f"a_L={a_L_fm} fm gives A={A:g}, B={B:g}; need both > 0")
+        raise DomainError(f"a_L={params.a_L} fm gives A={A:g}, B={B:g}; need both > 0")
     if eps_cut <= 0:
         raise DomainError(f"eps_cut must be positive, got {eps_cut}")
-    a = convert_length(a_L_fm)
-    g_A, f_pi, m = constants.g_A, constants.f_pi, constants.m_pi
+    a = convert_length(params.a_L)
+    g_A, f_pi, m = CONSTANTS.g_A, CONSTANTS.f_pi, CONSTANTS.m_pi
     lead = math.sqrt(3 * L ** 3 / eps_cut) + 1
     drive = 3 * g_A / (f_pi * a * A)
-    e_shift = E + 8 * eta * abs(C) + 4 * eta * abs(C_I2)
+    e_shift = E + 8 * eta * abs(params.C) + 4 * eta * abs(params.C_I2)
     mass_term = 9 * eta * m * m * a ** 3 * (6 * g_A / (m * m * f_pi * a ** 4)) ** 2
     pi_max = lead * (drive + math.sqrt(e_shift / A + 3 * eta * drive ** 2
                                        + mass_term / A))
@@ -128,10 +124,8 @@ def pi_max_bound(eta: int, E: float, eps_cut: float, a_L_fm: float, L: int,
     return pi_max, Pi_max
 
 
-def boson_cutoffs(eta: int, E: float, eps_cut: float, a_L_fm: float, L: int,
-                  C: float, C_I2: float,
-                  constants: PhysicalConstants = CONSTANTS,
-                  n_b: int | None = None) -> DigitizationSpec:
+def boson_cutoffs(eta: int, E: float, eps_cut: float, params: OpeParams,
+                  L: int, n_b: int | None = None) -> DigitizationSpec:
     """Integer-width digitization meeting both cutoff lower bounds.
 
     n_b is the ceiling of log2(2 a^3 Pi_max pi_max / pi + 1) unless the
@@ -141,8 +135,8 @@ def boson_cutoffs(eta: int, E: float, eps_cut: float, a_L_fm: float, L: int,
     """
     if n_b is not None and n_b < 1:
         raise DomainError(f"register width n_b must be >= 1, got {n_b}")
-    pi0, Pi0 = pi_max_bound(eta, E, eps_cut, a_L_fm, L, C, C_I2, constants)
-    a = convert_length(a_L_fm)
+    pi0, Pi0 = pi_max_bound(eta, E, eps_cut, params, L)
+    a = convert_length(params.a_L)
     if n_b is None:
         raw = 2 * a ** 3 * Pi0 * pi0 / math.pi + 1
         n_b = max(1, math.ceil(math.log2(raw)))

@@ -26,6 +26,10 @@ from .trotter import (pionless_p1_coefficient, pionless_p2_coefficient,
 
 Check = tuple[str, bool, str]
 
+PAULI_TRIALS = 100      # random string pairs verify_pauli checks densely
+SEMINORM_TRIALS = 200   # random sums, then commutator pairs, it checks
+ZERO_TOL = 1e-12        # a Pauli coefficient at most this is zero
+
 
 def _random_string(rng: np.random.Generator, n_qubits: int) -> PauliString:
     x = int(rng.integers(0, 1 << n_qubits))
@@ -33,12 +37,12 @@ def _random_string(rng: np.random.Generator, n_qubits: int) -> PauliString:
     return PauliString(n_qubits, x, z, int(rng.integers(0, 4)))
 
 
-def verify_pauli(trials: int = 100) -> list[Check]:
+def verify_pauli() -> list[Check]:
     rng = np.random.default_rng(20260823)
     n = 5
     bad_mult = 0
     bad_comm = 0
-    for _ in range(trials):
+    for _ in range(PAULI_TRIALS):
         a = _random_string(rng, n)
         b = _random_string(rng, n)
         prod = multiply(a, b)
@@ -50,9 +54,9 @@ def verify_pauli(trials: int = 100) -> list[Check]:
             bad_comm += 1
     checks = [
         ("pauli multiply matches dense product",
-         bad_mult == 0, f"{trials - bad_mult}/{trials} ok"),
+         bad_mult == 0, f"{PAULI_TRIALS - bad_mult}/{PAULI_TRIALS} ok"),
         ("pauli commutes_with matches dense commutator",
-         bad_comm == 0, f"{trials - bad_comm}/{trials} ok"),
+         bad_comm == 0, f"{PAULI_TRIALS - bad_comm}/{PAULI_TRIALS} ok"),
     ]
 
     terms = []
@@ -89,16 +93,16 @@ def verify_pauli(trials: int = 100) -> list[Check]:
     return checks
 
 
-def _is_zero(p: PauliSum, tol: float = 1e-12) -> bool:
-    return all(abs(c) <= tol for c, _ in p)
+def _is_zero(p: PauliSum) -> bool:
+    return all(abs(c) <= ZERO_TOL for c, _ in p)
 
 
-def _is_identity(p: PauliSum, tol: float = 1e-12) -> bool:
-    terms = [(c, s) for c, s in p if abs(c) > tol]
+def _is_identity(p: PauliSum) -> bool:
+    terms = [(c, s) for c, s in p if abs(c) > ZERO_TOL]
     if len(terms) != 1:
         return False
     c, s = terms[0]
-    return s.is_identity() and abs(c - 1.0) <= tol
+    return s.is_identity() and abs(c - 1.0) <= ZERO_TOL
 
 
 def verify_encodings() -> list[Check]:
@@ -184,10 +188,10 @@ def _random_npfo_factors(rng: np.random.Generator,
                  + [(m, NUMBER) for m in numbers])
 
 
-def verify_seminorm(trials: int = 200) -> list[Check]:
+def verify_seminorm() -> list[Check]:
     rng = np.random.default_rng(41)
     norm_bad = 0
-    for _ in range(trials):
+    for _ in range(SEMINORM_TRIALS):
         n_modes = int(rng.integers(4, 13))
         order = list(rng.permutation(n_modes))
         tuples = []
@@ -212,11 +216,12 @@ def verify_seminorm(trials: int = 200) -> list[Check]:
         if eta_seminorm(x, eta) > bound + 1e-9:
             norm_bad += 1
     checks = [("disjoint NPFO sums respect the occupancy seminorm bound",
-               norm_bad == 0, f"{trials - norm_bad}/{trials} ok")]
+               norm_bad == 0,
+               f"{SEMINORM_TRIALS - norm_bad}/{SEMINORM_TRIALS} ok")]
 
     comm_bad = 0
     tried = 0
-    while tried < trials:
+    while tried < SEMINORM_TRIALS:
         n_modes = int(rng.integers(4, 11))
         k_a = int(rng.integers(2, min(5, n_modes) + 1))
         k_b = int(rng.integers(2, min(5, n_modes) + 1))
@@ -237,7 +242,8 @@ def verify_seminorm(trials: int = 200) -> list[Check]:
         if max(t.locality for t in live) > k_a + k_b - 1:
             comm_bad += 1
     checks.append(("NPFO commutators respect the term-count and locality "
-                   "bounds", comm_bad == 0, f"{trials - comm_bad}/{trials} ok"))
+                   "bounds", comm_bad == 0,
+                   f"{SEMINORM_TRIALS - comm_bad}/{SEMINORM_TRIALS} ok"))
     return checks
 
 

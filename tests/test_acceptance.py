@@ -114,7 +114,7 @@ def test_c06_encoding_correctness():
 
 
 def test_c07_seminorm_theorem():
-    checks = verify_seminorm(trials=200)
+    checks = verify_seminorm()
     ok = all(passed for _, passed, _ in checks)
     _line(7, ok, "; ".join(d for _, _, d in checks))
 
@@ -138,8 +138,7 @@ def test_c08_truncation_bounds():
     ok &= tight
 
     lecs = OpeParams.from_lecs(2.2)
-    dig = boson_cutoffs(40, 400.0, (0.05 / 2) ** 2 / 2, 2.2, 10,
-                        lecs.C, lecs.C_I2)
+    dig = boson_cutoffs(40, 400.0, (0.05 / 2) ** 2 / 2, lecs, 10)
     ok &= 31 <= dig.n_b <= 39
     _line(8, bool(ok), f"shell counts exact to r^2=400, cutoff tight on the "
           f"50-point grid, n_b={dig.n_b} in [31, 39]")

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import nuceft
 from nuceft.cli import main
 
 BENCH_ARGS = ["--model", "pionless", "--encoding", "vc", "--task", "evolve",
@@ -185,6 +191,36 @@ def test_sweep_empty_grid(capsys):
     assert "empty sweep grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--from", "-inf", "--to", "10"],
+    ["--from", "nan", "--to", "10"],
+    ["--from", "1", "--to", "10", "--step", "inf"],
+    ["--from", "1", "--to", "10", "--step", "nan"],
+])
+def test_sweep_refuses_non_finite_bounds(bounds, capsys):
+    assert main(["sweep", *BENCH_ARGS, "--axis", "eta", *bounds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be finite" in err
+
+
+def _run_child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this nuceft."""
+    src = os.path.dirname(os.path.dirname(nuceft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
+
+
+def test_sweep_refuses_an_infinite_upper_bound():
+    # in a child process with a timeout: an unchecked --to inf never returns
+    proc = _run_child(["-m", "nuceft.cli", "sweep", "--eta", "40",
+                       "--axis", "eta", "--from", "1", "--to", "inf",
+                       "--step", "1"], timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: --to must be finite, got inf\n"
+
+
 def test_verify_suites(capsys):
     assert main(["verify", "pauli"]) == 0
     out = capsys.readouterr().out
@@ -263,11 +299,6 @@ def test_non_finite_and_out_of_range_inputs_are_domain_errors(capsys):
 
 
 def test_estimate_does_not_import_the_oracle():
-    import os
-    import subprocess
-    import sys
-
-    import nuceft
     code = """if True:
         import contextlib, io, sys
         import nuceft.cli
@@ -290,9 +321,5 @@ def test_estimate_does_not_import_the_oracle():
             assert nuceft.cli.main(["verify", "pauli"]) == 0
         assert "FAIL" not in out.getvalue()
     """
-    src = os.path.dirname(os.path.dirname(nuceft.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = _run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr

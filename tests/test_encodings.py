@@ -44,7 +44,7 @@ def test_jw_encoding_matches_fock_oracle():
         8, [FermionTerm(0.3, ((1, CREATE), (5, ANNIHILATE)))])
     h = h + h.adjoint()
     encoded = encode_fermion_sum(layout, 0.5 * h)
-    assert np.allclose(dense_matrix(encoded), 0.5 * full_matrix(h, 8),
+    assert np.allclose(dense_matrix(encoded), 0.5 * full_matrix(h),
                        atol=1e-12)
 
 

@@ -1,8 +1,10 @@
-"""Byte-level regression gate for the default ``estimate`` report.
+"""Byte-level regression gate for the default ``estimate`` report and
+``sweep`` table.
 
 Every configuration the benchmark prices (``ESTIMATE_CONFIGS`` in
-``bench/common.py``) has its recorded JSON report under ``tests/golden/``;
-the CLI must print exactly those bytes.
+``bench/common.py``) has its recorded JSON report under ``tests/golden/``,
+and every sweep it runs (``SWEEPS``) its recorded CSV as
+``sweep.<name>.csv``; the CLI must print exactly those bytes.
 """
 
 import importlib.util
@@ -16,15 +18,17 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _estimate_configs() -> dict:
+def _bench_common():
     spec = importlib.util.spec_from_file_location(
         "bench_common", ROOT / "bench" / "common.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.ESTIMATE_CONFIGS
+    return module
 
 
-CONFIGS = _estimate_configs()
+_COMMON = _bench_common()
+CONFIGS = _COMMON.ESTIMATE_CONFIGS
+SWEEPS = _COMMON.SWEEPS
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -33,4 +37,11 @@ def test_estimate_matches_golden(name, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(["estimate", *CONFIGS[name]]) == 0
     want = (GOLDEN / f"{name}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_matches_golden(name, capsys):
+    assert main(["sweep", *SWEEPS[name]]) == 0
+    want = (GOLDEN / f"sweep.{name}.csv").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want

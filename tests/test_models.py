@@ -7,9 +7,10 @@ from nuceft.encodings import LatticeSpec
 from nuceft.errors import DomainError
 from nuceft.fock import NUMBER, eta_seminorm, full_matrix
 from nuceft.models import build_pionless, pionless_layers
-from nuceft.params import (CONSTANTS, HBAR_C, OpeParams, ab_coefficients,
-                           convert_length, hopping_coefficient,
-                           pionless_params_for, yukawa_g1, yukawa_g2)
+from nuceft.params import (C_TILDE_0, C_TILDE_1, CONSTANTS, HBAR_C,
+                           OpeParams, ab_coefficients, convert_length,
+                           hopping_coefficient, pionless_params_for,
+                           yukawa_g1, yukawa_g2)
 
 
 def test_physical_constants():
@@ -17,7 +18,8 @@ def test_physical_constants():
     assert CONSTANTS.m_pi == 135.0
     assert CONSTANTS.g_A == 1.26
     assert CONSTANTS.f_pi == 93.0
-    assert HBAR_C == 197.3269804
+    assert HBAR_C == 197.3269804 == CONSTANTS.hbar_c
+    assert (C_TILDE_1, C_TILDE_0) == (-5.021e-5, -5.714e-5)
 
 
 def test_convert_length():
@@ -52,7 +54,7 @@ def test_ope_params_from_lecs():
     assert p.C_I2 == pytest.approx((-5.021e-5 - -5.714e-5) / (4 * a3))
     assert p.C == pytest.approx(-37.481262964064285)
     assert p.C_I2 == pytest.approx(1.250157156186963)
-    # the constants are keyword-only, so a stray second argument fails
+    # the low-energy constants are fixed: from_lecs takes the spacing alone
     with pytest.raises(TypeError):
         OpeParams.from_lecs(2.2, 22.0)
 
@@ -82,11 +84,11 @@ def test_pionless_hamiltonian_small_lattice():
     lat = LatticeSpec(2, 1, 1, 2.2)
     params = pionless_params_for(2.2)
     h = build_pionless(lat, params)
-    mat = full_matrix(h, 8)
+    mat = full_matrix(h)
     assert np.allclose(mat, mat.conj().T)
     # layers resum to the full Hamiltonian
     layers = pionless_layers(lat, params)
-    total = sum((full_matrix(layer, 8) for layer in layers),
+    total = sum((full_matrix(layer) for layer in layers),
                 np.zeros((256, 256), dtype=complex))
     assert np.allclose(total, mat, atol=1e-10)
 
@@ -95,7 +97,7 @@ def test_pionless_vacuum_and_single_particle():
     lat = LatticeSpec(2, 1, 1, 2.2)
     params = pionless_params_for(2.2)
     h = build_pionless(lat, params)
-    mat = full_matrix(h, 8)
+    mat = full_matrix(h)
     # the interaction needs two particles: empty state has zero energy
     assert abs(mat[0, 0]) < 1e-12
     # single-particle energy is kinetic only: 6h diagonal plus one hop
@@ -106,7 +108,7 @@ def test_layers_internally_commute():
     lat = LatticeSpec(2, 1, 1, 2.2)
     params = pionless_params_for(2.2)
     for layer in pionless_layers(lat, params):
-        m = full_matrix(layer, 8)
+        m = full_matrix(layer)
         assert np.allclose(m @ m.conj().T, m.conj().T @ m)
 
 

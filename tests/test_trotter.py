@@ -6,8 +6,8 @@ import pytest
 from nuceft import trotter
 from nuceft.errors import DomainError
 from nuceft.estimator import TaskSpec, sweep
-from nuceft.params import (CONSTANTS, OpeParams, PhysicalConstants,
-                           hopping_coefficient, pionless_params_for)
+from nuceft.params import (CONSTANTS, OpeParams, hopping_coefficient,
+                           pionless_params_for)
 from nuceft.trotter import (compose_total_error, dynpi_p1_bound,
                             general_npfo_bound, ope_p1_bound,
                             pionless_p1_bound,
@@ -92,7 +92,7 @@ def test_ope_p1_empty_shells():
 
 def test_shell_sums_match_the_pair_loop_exactly():
     shells = realized_shells(44.0, 2.2)
-    s_qu, s_cross, s_same = trotter._shell_sums(tuple(shells), CONSTANTS)
+    s_qu, s_cross, s_same = trotter._shell_sums(tuple(shells))
     m = CONSTANTS.m_pi
     data = []
     for r_fm, q in shells:
@@ -115,13 +115,6 @@ def test_ope_p1_shell_sums_are_memoized_by_value():
     assert repr(warm.classes) == repr(cold.classes)
     assert ope_p1_bound(40, params, tuple(shells)).classes == cold.classes
     assert trotter._shell_sums.cache_info().misses == 1
-    # a different pion mass is its own entry, equal to a cold evaluation
-    heavy = PhysicalConstants(m_pi=140.0)
-    warm_heavy = ope_p1_bound(40, params, shells, heavy)
-    assert warm_heavy.classes != cold.classes
-    trotter._shell_sums.cache_clear()
-    assert ope_p1_bound(40, params, shells, heavy).classes == warm_heavy.classes
-    assert ope_p1_bound(40, params, shells).classes == cold.classes
 
 
 def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
@@ -145,7 +138,7 @@ def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
 def test_dynpi_p1_frozen_total():
     lecs = OpeParams.from_lecs(2.2)
     eps_cut = (0.05 / 2) ** 2 / 2
-    dig = boson_cutoffs(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
+    dig = boson_cutoffs(40, 400.0, eps_cut, lecs, 10)
     report = dynpi_p1_bound(40, lecs, dig, 10)
     assert report.total == pytest.approx(1.4949396544330846e+31, rel=1e-10)
     # the pure-boson class carries the only L dependence

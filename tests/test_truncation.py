@@ -99,28 +99,28 @@ def test_choose_cutoff_unreachable():
 
 def test_pi_max_bounds_positive_and_monotone():
     lecs = OpeParams.from_lecs(2.2)
-    pi1, Pi1 = pi_max_bound(40, 400.0, 1e-3, 2.2, 10, lecs.C, lecs.C_I2)
-    pi2, Pi2 = pi_max_bound(40, 400.0, 1e-4, 2.2, 10, lecs.C, lecs.C_I2)
+    pi1, Pi1 = pi_max_bound(40, 400.0, 1e-3, lecs, 10)
+    pi2, Pi2 = pi_max_bound(40, 400.0, 1e-4, lecs, 10)
     assert 0 < pi1 < pi2
     assert 0 < Pi1 < Pi2
     with pytest.raises(DomainError):
-        pi_max_bound(40, 400.0, 1e-3, 0.3, 10, lecs.C, lecs.C_I2)
+        pi_max_bound(40, 400.0, 1e-3, OpeParams.from_lecs(0.3), 10)
 
 
 def test_boson_cutoffs_reference_register_width():
     lecs = OpeParams.from_lecs(2.2)
     eps_cut = (0.05 / 2) ** 2 / 2
-    dig = boson_cutoffs(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
+    dig = boson_cutoffs(40, 400.0, eps_cut, lecs, 10)
     assert dig.n_b == 39
     assert 31 <= dig.n_b <= 39
     # momentum cutoff absorbs the rounding: Pi_max >= its lower bound
-    _, Pi0 = pi_max_bound(40, 400.0, eps_cut, 2.2, 10, lecs.C, lecs.C_I2)
+    _, Pi0 = pi_max_bound(40, 400.0, eps_cut, lecs, 10)
     assert dig.Pi_max >= Pi0
     assert dig.delta_pi == pytest.approx(2 * dig.pi_max / (2 ** 39 - 1))
 
 
 def test_boson_cutoffs_grow_with_budget_tightening():
     lecs = OpeParams.from_lecs(2.2)
-    widths = [boson_cutoffs(40, 400.0, eps, 2.2, 10, lecs.C, lecs.C_I2).n_b
+    widths = [boson_cutoffs(40, 400.0, eps, lecs, 10).n_b
               for eps in (1e-2, 1e-4, 1e-8)]
     assert widths == sorted(widths)
