@@ -90,6 +90,10 @@ def _write_text(path: str | None, text: str) -> None:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+# the most points one sweep prices; a longer grid is refused before it is
+# built, since each point is a whole estimate
+MAX_SWEEP_POINTS = 100_000
+
 # a token float() reads, such as -1e-3 or -inf, is a flag's value; argparse
 # alone takes only -1 and -0.5 for values and the rest for unknown flags
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
@@ -166,6 +170,11 @@ def cmd_sweep(args) -> None:
             raise ConfigError(f"{flag} must be finite, got {value}")
     if step <= 0:
         raise ConfigError(f"--step must be positive, got {step}")
+    span = (stop - start) / step  # the grid has floor(span) + 1 points
+    if span >= MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep grid of {span + 1:.6g} points from {start} to {stop} "
+            f"step {step}; at most {MAX_SWEEP_POINTS} points are priced")
     # each point from its index, so no rounding error accumulates; 12
     # significant digits drop the representation error of start + i * step
     _, parse = SWEEP_FIELDS[axis]

@@ -20,6 +20,14 @@ ladder factors of some term keeps its occupation count, so the eta sector
 splits into blocks labelled by per-group counts (the four species counts
 for pionless layers).  Semi-norms and evolution errors are the largest over
 the blocks, computed with stacked linear algebra over blocks of equal size.
+Symmetric blocks are computed once per orbit: when swapping two groups of
+equal size, mode by mode in order, maps every input sum to itself (term by
+term, with the fermionic sign of the re-sort and bit-equal weights), any
+permutation of the counts of the groups such swaps join gives a block of
+the same spectrum and the same product-formula error.  Only the blocks
+whose counts do not increase along each such orbit are built: for the
+pionless layers at eta=3 on three or more sites, 3 of the 20.  The swaps
+are found once per distinct input and kept in a bounded cache.
 
 Every matrix is assembled in one vectorized pass per sum.  The sum becomes
 one table of per-term masks and weights, checked for number preservation
@@ -27,10 +35,10 @@ once; the (term, state) hits are found term-major in chunks of about 2^20
 pairs, which bounds the temporaries, and added in term order, so each entry
 sums its terms in the order a term-by-term loop would.  The block layout of
 a sector (its states, each state's place in its block and the stacks of
-equal-size blocks) depends only on the mode groups and eta; it is built
-once per key and kept in a bounded cache, read-only.  A layer of number
-factors alone is diagonal, and is exponentiated entry by entry with no
-eigendecomposition.
+equal-size blocks) depends only on the mode groups, their orbits and eta;
+it is built once per key and kept in a bounded cache, read-only.  A layer
+of number factors alone is diagonal, and is exponentiated entry by entry
+with no eigendecomposition.
 
 Occupation convention: bit i of a basis integer is the occupation of mode i,
 and ladder operators pick up the sign (-1)^(number of occupied modes below i),
@@ -198,10 +206,12 @@ def _ordered(fs: tuple[Factor, ...], weight: float
     """{canonical factors: weight} of weight times a product of ladder
     factors, keyed in the order the rewrite first reaches each term."""
     acc: dict[tuple[Factor, ...], float] = {}
-    stack: list[tuple[float, tuple[Factor, ...]]] = [(weight, fs)]
+    # each entry carries where its scan starts: a swap or a contraction at
+    # pos leaves the pairs before pos - 1 as they were, in order
+    stack: list[tuple[float, tuple[Factor, ...], int]] = [(weight, fs, 0)]
     while stack:
-        w, fs = stack.pop()
-        pos = _first_violation(fs)
+        w, fs, start = stack.pop()
+        pos = _first_violation(fs, start)
         if pos is None:
             key, sign = _to_canonical(fs)
             if key is not None:
@@ -209,14 +219,15 @@ def _ordered(fs: tuple[Factor, ...], weight: float
             continue
         (m1, k1), (m2, k2) = fs[pos], fs[pos + 1]
         head, tail = fs[:pos], fs[pos + 2:]
+        start = pos - 1 if pos else 0
         if k1 == ANNIHILATE and k2 == CREATE:
             if m1 == m2:
-                stack.append((w, head + tail))
-            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
+                stack.append((w, head + tail, start))
+            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail, start))
         else:  # same-kind pair out of order or repeated
             if m1 == m2:
                 continue  # nilpotency: term vanishes
-            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
+            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail, start))
     return acc
 
 
@@ -238,9 +249,10 @@ def _from_weights(n_modes: int, acc: dict[tuple[Factor, ...], float]) -> Fermion
     return out
 
 
-def _first_violation(fs: tuple[Factor, ...]) -> int | None:
-    """Index of the first adjacent pair breaking normal order, or None."""
-    for i in range(len(fs) - 1):
+def _first_violation(fs: tuple[Factor, ...], start: int) -> int | None:
+    """Index of the first adjacent pair breaking normal order, or None;
+    the pairs before ``start`` are known to be in order."""
+    for i in range(start, len(fs) - 1):
         (m1, k1), (m2, k2) = fs[i], fs[i + 1]
         if k1 == ANNIHILATE and k2 == CREATE:
             return i
@@ -476,31 +488,168 @@ def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
     return tuple(sorted(groups, key=lambda g: g & -g))
 
 
-def _block_sizes(sizes: Sequence[int], eta: int) -> tuple[int, int]:
-    """Largest block dimension and summed squared block dimensions of the
-    eta sector split by per-group counts, from the group sizes alone."""
-    largest = [1] + [0] * eta  # over the groups so far, by particle count
-    squares = [1] + [0] * eta
-    for size in sizes:
-        grown_l, grown_s = [0] * (eta + 1), [0] * (eta + 1)
-        for e in range(eta + 1):
-            for n in range(min(size, e) + 1):
+def _signature(table: _Terms) -> tuple[bytes, bytes, bytes, bytes, str]:
+    """A sum's table as bytes, the key of the symmetry memo: the modes each
+    term needs occupied, those it tests, its ladder modes and its weights."""
+    ladder = np.bitwise_or.reduce(table.flip, axis=1)
+    return (table.need.tobytes(), table.care.tobytes(), ladder.tobytes(),
+            table.weights.tobytes(), table.weights.dtype.str)
+
+
+def _bits(mask: int) -> list[int]:
+    return [m for m in range(mask.bit_length()) if mask >> m & 1]
+
+
+def _swap_invariant(masks: np.ndarray, weights: np.ndarray,
+                    a: int, b: int) -> bool:
+    """Whether swapping mode groups a and b, the k-th mode of one with the
+    k-th mode of the other, maps the sum to itself.  A mapped term re-sorts
+    its creations and its annihilations and takes the sign of those sorts;
+    its weight must equal the weight of the term it lands on exactly."""
+    image = {m: m for m in range(max(a, b).bit_length())}
+    for ma, mb in zip(_bits(a), _bits(b)):
+        image[ma], image[mb] = mb, ma
+    mapped = masks & ~np.uint64(a | b)
+    for m, to in image.items():
+        if m != to:
+            mapped |= ((masks >> np.uint64(m)) & _U1) << np.uint64(to)
+    # the sorts' inversions: pairs m < m2 of a term's creations (or its
+    # annihilations) whose images fall the other way round
+    parity = np.zeros(masks.shape[1], dtype=np.uint64)
+    for m, to in image.items():
+        later = sum(1 << m2 for m2, to2 in image.items() if m2 > m and to2 < to)
+        if later:
+            for row in masks[:2]:
+                parity += ((row >> np.uint64(m)) & _U1) * \
+                    _popcount(row & np.uint64(later))
+    here = np.lexsort(masks[::-1])
+    there = np.lexsort(mapped[::-1])
+    return np.array_equal(masks[:, here], mapped[:, there]) and \
+        np.array_equal(weights[here],
+                       (1.0 - 2.0 * (parity & _U1))[there] * weights[there])
+
+
+@lru_cache(maxsize=32)
+def _swaps(groups: tuple[int, ...],
+           signatures: tuple[tuple[bytes, bytes, bytes, bytes, str], ...]
+           ) -> tuple[tuple[int, int], ...]:
+    """The swaps of two equal-size mode groups that map every sum to itself,
+    found once per distinct input.  Each group is tried against the nearest
+    earlier group first; a pair already joined through the swaps found is
+    not tried, since their composition swaps it."""
+    sums = []
+    for *columns, weights, dtype in signatures:
+        need, care, ladder = (np.frombuffer(column, dtype=np.uint64)
+                              for column in columns)
+        # each term's creation, annihilation and number modes
+        sums.append((np.stack((care & ~need, need & ladder, need & ~ladder)),
+                     np.frombuffer(weights, dtype=dtype)))
+    joined = list(range(len(groups)))  # each group's lowest joined group
+    found = []
+    for j, b in enumerate(groups):
+        for i in range(j - 1, -1, -1):
+            a = groups[i]
+            if a.bit_count() != b.bit_count() or joined[i] == joined[j]:
+                continue
+            if all(_swap_invariant(masks, weights, a, b)
+                   for masks, weights in sums):
+                found.append((i, j))
+                old = joined[j]
+                joined = [joined[i] if r == old else r for r in joined]
+    return tuple(found)
+
+
+@lru_cache(maxsize=32)
+def _orbits(n_groups: int, swaps: tuple[tuple[int, int], ...]
+            ) -> tuple[tuple[int, ...], ...]:
+    """The groups joined by the swaps, each orbit ascending.  Any
+    permutation of the counts of one orbit's groups maps a block to one of
+    the same spectrum."""
+    joined = list(range(n_groups))
+    for i, j in swaps:
+        old = joined[j]
+        joined = [joined[i] if r == old else r for r in joined]
+    return tuple(tuple(g for g in range(n_groups) if joined[g] == r)
+                 for r in sorted(set(joined)))
+
+
+def _moves(sizes: Sequence[int], orbits: Sequence[tuple[int, ...]], eta: int):
+    """Per group, in order, the moves of a walk over the count vectors of
+    one block per orbit: those whose counts do not increase along each
+    orbit's groups.  A walk key is (particles so far, the last count of each
+    orbit begun and not ended); ``moves(key)`` lists the (count, next key)
+    pairs that can still reach eta particles."""
+    orbit_of = {g: o for o, orbit in enumerate(orbits) for g in orbit}
+    for g, size in enumerate(sizes):
+        o = orbit_of[g]
+        # per orbit: its groups after g, their size, and the orbit
+        later = [(sum(h > g for h in orbit), sizes[orbit[0]], p)
+                 for p, orbit in enumerate(orbits)]
+
+        def moves(key, o=o, size=size, ends=orbits[o][-1] == g, later=later):
+            total, begun = key
+            lasts = dict(begun)
+            out = []
+            for n in range(min(lasts.get(o, size), eta - total) + 1):
+                if ends:
+                    lasts.pop(o, None)
+                else:
+                    lasts[o] = n
+                room = sum(k * lasts.get(p, cap) for k, cap, p in later)
+                if total + n + room >= eta:
+                    out.append((n, (total + n, tuple(sorted(lasts.items())))))
+            return out
+        yield moves
+
+
+def _block_sizes(sizes: Sequence[int], orbits: Sequence[tuple[int, ...]],
+                 eta: int) -> tuple[int, int]:
+    """Largest block dimension and summed squared block dimensions of one
+    block per orbit of the eta sector, from the group sizes alone."""
+    level = {(0, ()): (1, 1)}  # walk key: (largest, squares) so far
+    for size, moves in zip(sizes, _moves(sizes, orbits, eta)):
+        grown: dict = {}
+        for key, (largest, squares) in level.items():
+            for n, nxt in moves(key):
                 c = comb(size, n)
-                grown_l[e] = max(grown_l[e], largest[e - n] * c)
-                grown_s[e] += squares[e - n] * c * c
-        largest, squares = grown_l, grown_s
-    return largest[eta], squares[eta]
+                big, sq = grown.get(nxt, (0, 0))
+                grown[nxt] = (max(big, largest * c), sq + squares * c * c)
+        level = grown
+    return level[(eta, ())]
+
+
+def _orbit_states(groups: Sequence[int], orbits: Sequence[tuple[int, ...]],
+                  eta: int) -> np.ndarray:
+    """The states of one block per orbit of the eta sector, ascending, as
+    uint64; each group's share of a state is a subset of its modes."""
+    sizes = [g.bit_count() for g in groups]
+    level = {(0, ()): np.zeros(1, dtype=np.uint64)}  # walk key: states
+    for group, size, moves in zip(groups, sizes, _moves(sizes, orbits, eta)):
+        subsets = {}
+        grown: dict = {}
+        for key, states in level.items():
+            for n, nxt in moves(key):
+                if n not in subsets:
+                    local = _sector_states(size, n)
+                    subsets[n] = np.zeros_like(local)
+                    for j, m in enumerate(_bits(group)):
+                        subsets[n] |= ((local >> np.uint64(j)) & _U1) << \
+                            np.uint64(m)
+                grown.setdefault(nxt, []).append(
+                    (states[:, None] | subsets[n]).ravel())
+        level = {key: np.concatenate(parts) for key, parts in grown.items()}
+    return np.sort(level[(eta, ())])
 
 
 class _Blocks(NamedTuple):
-    """The eta sector split into blocks of conserved per-group counts.
+    """One block of conserved per-group counts per orbit of the eta sector.
 
     Blocks are laid out in one flat buffer, ordered by dimension, each
     block a row-major d x d matrix over its states in ascending order.
     The arrays are shared between calls, so they are read-only.
     """
 
-    states: np.ndarray    # the sector basis, ascending
+    states: np.ndarray    # the blocks' states, ascending
     row_base: np.ndarray  # buffer offset of each state's row in its block
     local: np.ndarray     # each state's index within its block
     stacks: tuple[tuple[int, int, int], ...]  # (offset, blocks, dim)
@@ -509,26 +658,31 @@ class _Blocks(NamedTuple):
 
 def _blocked(sums: Sequence[FermionSum], eta: int
              ) -> tuple[list[_Terms], _Blocks]:
-    """The tables of the sums and the block layout their groups give the
-    eta sector."""
+    """The tables of the sums and the block layout their groups and the
+    swaps between them give the eta sector."""
     n_modes = max(h.n_modes for h in sums)
     if not 0 <= eta <= n_modes:
         raise ValueError(f"eta={eta} outside [0, {n_modes}]")
     tables = [_terms(h) for h in sums]
-    return tables, _layout(n_modes, _mode_groups(n_modes, tables), eta)
+    groups = _mode_groups(n_modes, tables)
+    swaps = _swaps(groups, tuple(map(_signature, tables)))
+    return tables, _layout(n_modes, groups, _orbits(len(groups), swaps), eta)
 
 
 @lru_cache(maxsize=32)
-def _layout(n_modes: int, groups: tuple[int, ...], eta: int) -> _Blocks:
-    """The block layout of the eta sector for these mode groups, built once
-    per key.  An oversized sector is refused before it is enumerated."""
+def _layout(n_modes: int, groups: tuple[int, ...],
+            orbits: tuple[tuple[int, ...], ...], eta: int) -> _Blocks:
+    """The block layout of the eta sector for these mode groups and orbits,
+    built once per key.  Only the blocks whose counts do not increase along
+    each orbit are laid out; a layout over the cap is refused before it is
+    enumerated."""
     sizes = [g.bit_count() for g in groups]
-    largest, squares = _block_sizes(sizes, eta)
+    largest, squares = _block_sizes(sizes, orbits, eta)
     if largest > MAX_BLOCK or squares > MAX_BLOCK ** 2:
         raise SizeError(f"eta={eta} sector has a block of {largest} states "
                         f"and {squares} block entries; the oracle cap is "
                         f"{MAX_BLOCK} states and {MAX_BLOCK ** 2} entries")
-    states = _sector_states(n_modes, eta)
+    states = _orbit_states(groups, orbits, eta)
     key = np.zeros_like(states)  # per-group counts, packed
     shift = 0
     for group, size in zip(groups, sizes):
@@ -575,7 +729,8 @@ def _norm(stack: np.ndarray) -> float:
 
 
 def eta_seminorm(h: FermionSum, eta: int) -> float:
-    """Largest singular value of h projected into the eta-fermion sector."""
+    """Largest singular value of h projected into the eta-fermion sector,
+    over one block per orbit of the group swaps that map h to itself."""
     (table,), blocks = _blocked([h], eta)
     buf = _block_buffer(table, blocks)
     return max(_norm(stack) for stack in _stacks(buf, blocks))
@@ -599,7 +754,8 @@ def _expm_diagonal(mat: np.ndarray, t: float) -> np.ndarray:
 def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
                           r: int, eta: int) -> float:
     """Spectral norm of exp(-itH) - P_p(t/r)^r restricted to the eta sector,
-    the largest over the blocks of conserved per-group counts.  A layer of
+    the largest over the blocks of conserved per-group counts, one block per
+    orbit of the group swaps that map every layer to itself.  A layer of
     number factors alone is diagonal and exponentiated entry by entry."""
     if p not in (1, 2):
         raise ValueError(f"order p={p} not supported by the oracle")
@@ -609,6 +765,8 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
     bufs = []
     for table in tables:
         buf = _block_buffer(table, blocks)
+        # the blocks laid out stand for their orbits, since every layer
+        # maps to itself under the swaps that join them
         for stack in _stacks(buf, blocks):
             if not np.allclose(stack, stack.conj().swapaxes(-1, -2),
                                atol=1e-12):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import nuceft
-from nuceft.cli import main
+from nuceft.cli import MAX_SWEEP_POINTS, main
 
 BENCH_ARGS = ["--model", "pionless", "--encoding", "vc", "--task", "evolve",
               "--L", "10", "--aL-fm", "2.2", "--eta", "40",
@@ -219,6 +219,27 @@ def test_sweep_refuses_an_infinite_upper_bound():
                        "--step", "1"], timeout=60)
     assert proc.returncode == 1
     assert proc.stderr == "config error: --to must be finite, got inf\n"
+
+
+def test_sweep_refuses_a_grid_over_the_point_cap():
+    # in a child process with a timeout: building this grid never returns
+    proc = _run_child(["-m", "nuceft.cli", "sweep", "--eta", "40",
+                       "--axis", "eta", "--from", "1", "--to", "1e300",
+                       "--step", "1"], timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: sweep grid of 1e+300 points")
+    assert str(MAX_SWEEP_POINTS) in proc.stderr
+
+
+def test_sweep_point_cap_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(nuceft.cli, "MAX_SWEEP_POINTS", 3)
+    args = ["sweep", "--eta", "40", "--axis", "eta", "--from", "1",
+            "--step", "1", "--to"]
+    assert main([*args, "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+    assert main([*args, "4"]) == 1
+    assert "at most 3 points" in capsys.readouterr().err
 
 
 def test_verify_suites(capsys):

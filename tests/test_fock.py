@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nuceft import fock
@@ -181,19 +181,23 @@ def test_oversized_block_is_refused_before_enumeration(monkeypatch):
     def enumerate_states(n_modes, eta):
         raise AssertionError("sector enumerated before the size check")
 
+    # 40 unjoined modes, each number term its own weight, so that no swap
+    # of two modes maps the sum to itself
+    unjoined = FermionSum(40, [FermionTerm(1.0 + m, ((m, NUMBER),))
+                               for m in range(40)])
     # warm the layout memo with the same groups at sizes under the cap
     eta_seminorm(chain(64, range(64)), 1)
     exact_evolution_error([chain(64, range(64))], 0.1, 1, 1, 1)
-    eta_seminorm(number_op(0, 40, 1.0), 1)
+    eta_seminorm(unjoined, 1)
     monkeypatch.setattr(fock, "_sector_states", enumerate_states)
     # one group of 64 modes at eta=8: C(64, 8) = 4,426,165,368 states
     with pytest.raises(SizeError):
         eta_seminorm(chain(64, range(64)), 8)
     with pytest.raises(SizeError):
         exact_evolution_error([chain(64, range(64))], 0.1, 1, 1, 8)
-    # 40 unjoined modes at eta=10: blocks of one state, but C(40, 10) of them
+    # eta=10: blocks of one state, but C(40, 10) of them
     with pytest.raises(SizeError):
-        eta_seminorm(number_op(0, 40, 1.0), 10)
+        eta_seminorm(unjoined, 10)
 
 
 def test_exact_evolution_error_converges():
@@ -609,8 +613,9 @@ def test_layout_memo_is_read_only_and_bounded():
     for array in (blocks.states, blocks.row_base, blocks.local):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    maxsize = fock._layout.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 64
+    for memo in (fock._layout, fock._swaps):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
 
 
 def test_refused_layouts_are_never_cached():
@@ -629,10 +634,14 @@ def test_refused_layouts_are_never_cached():
 def test_block_buffer_temporaries_are_bounded():
     """[diag, [kin_x, diag]] on 2x2x2 has 1,600 terms over the 4,960 states
     of eta=3, but blocks of a few states: testing every (term, state) pair
-    at once would take more than 64 MB of temporaries."""
+    at once would take more than 64 MB of temporaries.  Each weight is
+    scaled by the term's first mode, so that no swap of mode groups maps
+    the sum to itself and every block is built."""
     kin_x, _kin_y, _kin_z, diag = pionless_layers(LatticeSpec(2, 2, 2, 2.2),
                                                   pionless_params_for(2.2))
     h = fermion_commutator(diag, fermion_commutator(kin_x, diag))
+    h = FermionSum(h.n_modes, [FermionTerm(t.weight * (1 + t.factors[0][0] / 64),
+                                           t.factors) for t in h])
     (table,), blocks = fock._blocked([h], 3)
     assert len(h) >= 1500 and len(blocks.states) >= 4000
     tracemalloc.start()
@@ -642,3 +651,160 @@ def test_block_buffer_temporaries_are_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+# one block per orbit of the group swaps, against every block
+
+def found_swaps(sums):
+    n_modes = max(h.n_modes for h in sums)
+    tables = [fock._terms(h) for h in sums]
+    return fock._swaps(fock._mode_groups(n_modes, tables),
+                       tuple(map(fock._signature, tables)))
+
+
+def reduced_and_full(call):
+    """call() on one block per orbit, and again on every block: the
+    reference, with the detector finding no swap."""
+    reduced = call()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_swaps", lambda groups, signatures: ())
+        return reduced, call()
+
+
+def pionless(shape):
+    return pionless_layers(LatticeSpec(*shape, 2.2), pionless_params_for(2.2))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (2, 2, 1), (2, 2, 2)])
+def test_pionless_layers_give_the_species_swaps(shape):
+    assert found_swaps(pionless(shape)) == ((0, 1), (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (2, 2, 1)])
+def test_orbit_blocks_equal_every_block_on_pionless_layers(shape):
+    layers = pionless(shape)
+    total = sum(layers[1:], layers[0])
+    for eta in range(1, 5):
+        reduced, full = reduced_and_full(lambda: fock._blocked(layers, eta)[1])
+        assert len(reduced.states) < len(full.states)
+        for h in [*layers, total]:
+            assert close(*reduced_and_full(lambda: eta_seminorm(h, eta)))
+        for p in (1, 2):
+            for r in (1, 2):
+                assert close(*reduced_and_full(
+                    lambda: exact_evolution_error(layers, 0.02, p, r, eta)))
+
+
+def test_orbit_blocks_equal_every_block_on_2x2x2():
+    # 3 of the 20 blocks of eta=3
+    layers = pionless((2, 2, 2))
+    assert close(*reduced_and_full(
+        lambda: exact_evolution_error(layers, 0.02, 1, 1, 3)))
+
+
+@st.composite
+def planted_layers(draw):
+    """Hermitian layers on 2n modes, each the same random sum on modes
+    [0, n) and on [n, 2n), plus number pairs across the halves.  A chain of
+    hoppings joins each half into one group, so that swapping the two
+    groups maps every layer to itself, and no other swap is possible."""
+    n = draw(st.integers(2, 3))
+    chain_weights = draw(st.lists(WEIGHTS.filter(bool), min_size=n - 1,
+                                  max_size=n - 1))
+    halves = [sum((hopping(i, i + 1, n, w)
+                   for i, w in enumerate(chain_weights)), FermionSum(n))]
+    halves += draw(st.lists(hermitian_sums(n), max_size=2))
+    layers = []
+    for h in halves:
+        across = [FermionTerm(draw(WEIGHTS), ((m, NUMBER), (m + n, NUMBER)))
+                  for m in draw(st.sets(st.integers(0, n - 1)))]
+        layers.append(FermionSum(2 * n, [
+            *h.terms, *across,
+            *(FermionTerm(t.weight, tuple((m + n, k) for m, k in t.factors))
+              for t in h.terms)]))
+    return layers
+
+
+def moved_by_one_ulp(h):
+    """h with the weight of its first term moved to the next float up."""
+    first, *rest = h.terms
+    w = first.weight
+    up = complex(np.nextafter(w.real, np.inf), w.imag) \
+        if isinstance(w, complex) else float(np.nextafter(w, np.inf))
+    return FermionSum(h.n_modes, [FermionTerm(up, first.factors), *rest])
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_layers(), st.sampled_from((1, 2)), st.sampled_from((1, 3)),
+       st.floats(0.05, 1.0))
+def test_orbit_blocks_equal_every_block_on_planted_swaps(layers, p, r, t):
+    moved = [moved_by_one_ulp(layers[0]), *layers[1:]]
+    assert found_swaps(layers) == ((0, 1),)
+    assert found_swaps(moved) == ()
+    for case in (layers, moved):
+        for eta in range(case[0].n_modes + 1):
+            assert close(*reduced_and_full(
+                lambda: exact_evolution_error(case, t, p, r, eta)))
+            for h in case:
+                assert close(*reduced_and_full(lambda: eta_seminorm(h, eta)))
+
+
+def test_cap_counts_one_block_per_orbit(monkeypatch):
+    """3x2x2 (48 modes) at eta=3: every block would hold 19,664,704
+    entries, over the cap of 4096**2; one block per orbit holds 3,661,648.
+    Its evolution error is not computed here."""
+    layers = pionless((3, 2, 2))
+    _tables, blocks = fock._blocked(layers, 3)
+    assert max(d for _, _, d in blocks.stacks) == 1728
+    assert blocks.size == 3_661_648
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "_swaps", lambda groups, signatures: ())
+        with pytest.raises(SizeError, match="19664704 block entries"):
+            fock._blocked(layers, 3)
+    # at eta=4 the block of one nucleon per species has 12**4 = 20,736
+    # states, and is refused before any state is enumerated
+    def enumerate_states(n_modes, eta):
+        raise AssertionError("sector enumerated before the size check")
+
+    monkeypatch.setattr(fock, "_sector_states", enumerate_states)
+    with pytest.raises(SizeError, match="a block of 20736 states"):
+        fock._blocked(layers, 4)
+
+
+def test_unjoined_swappable_modes_leave_one_block_per_count():
+    # modes 1..39 are alike: at eta=10 the C(40, 10) blocks of one state
+    # fall into two orbits, by the occupation of mode 0
+    (_table,), blocks = fock._blocked([number_op(0, 40, 2.5)], 10)
+    assert blocks.size == 2
+    assert eta_seminorm(number_op(0, 40, 2.5), 10) == 2.5
+
+
+# groups {0, 3} and {1, 5}: the swap takes 0 to 1 and 3 to 5, and leaves
+# modes 2 and 4, which lie between, where they are
+SWAP_A, SWAP_B = 0b001001, 0b100010
+SWAP_IMAGE = {0: 1, 1: 0, 2: 2, 3: 5, 4: 4, 5: 3}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.permutations(range(6)), st.integers(1, 3), st.integers(0, 2),
+       WEIGHTS.filter(bool))
+def test_swap_carries_the_sign_of_the_re_sort(modes, pairs, numbers, w):
+    """A term whose ladder factors span both groups re-sorts its creations
+    or annihilations under the swap; the sum of the term and its image, as
+    normal_order writes the mapped product, is symmetric, and the sum with
+    the image's sign flipped is not."""
+    factors = tuple([(m, CREATE) for m in sorted(modes[:pairs])]
+                    + [(m, ANNIHILATE) for m in sorted(modes[pairs:2 * pairs])]
+                    + [(m, NUMBER) for m in
+                       sorted(modes[2 * pairs:2 * pairs + numbers])])
+    image = normal_order([(SWAP_IMAGE[m], k) for m, k in factors], w, 6)
+    (mapped,) = image.terms
+    assume(mapped.factors != factors)
+
+    def swaps(terms):
+        table = fock._terms(FermionSum(6, terms))
+        return fock._swaps((SWAP_A, SWAP_B), (fock._signature(table),))
+
+    term = FermionTerm(w, factors)
+    assert swaps([term, mapped]) == ((0, 1),)
+    assert swaps([term, FermionTerm(-mapped.weight, mapped.factors)]) == ()
