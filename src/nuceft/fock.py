@@ -20,20 +20,26 @@ ladder factors of some term keeps its occupation count, so the eta sector
 splits into blocks labelled by per-group counts (the four species counts
 for pionless layers).  Semi-norms and evolution errors are the largest over
 the blocks, computed with stacked linear algebra over blocks of equal size.
-Symmetric blocks are computed once per orbit: when swapping two groups of
-equal size, mode by mode in order, maps every input sum to itself (term by
-term, with the fermionic sign of the re-sort and bit-equal weights), any
-permutation of the counts of the groups such swaps join gives a block of
-the same spectrum and the same product-formula error.  Only the blocks
-whose counts do not increase along each such orbit are built: for the
-pionless layers at eta=3 on three or more sites, 3 of the 20.  The swaps
-are found once per distinct input and kept in a bounded cache.
+Symmetric blocks are computed once per orbit, in two steps.  First, two
+mode groups of equal size are swapped mode by mode in order; a swap that
+maps every input sum to itself (term by term, with the fermionic sign of
+the re-sort and bit-equal weights) joins the two groups into one orbit, and
+a pair already in one orbit is not tried.  The orbits are found once per
+distinct input and kept in a bounded cache.  Any permutation of the counts
+of one orbit's groups gives a block of the same spectrum and the same
+product-formula error, so, second, only the blocks whose counts do not
+increase along each orbit are built: a walk takes the orbits one at a time,
+keyed by the particles placed so far, and gives each orbit's groups every
+non-increasing run of counts that the later orbits can fill up to eta.  For
+the pionless layers at eta=3 on three or more sites that is 3 of the 20
+blocks.
 
 Every matrix is assembled in one vectorized pass per sum.  The sum becomes
-one table of per-term masks and weights, checked for number preservation
-once; the (term, state) hits are found term-major in chunks of about 2^20
-pairs, which bounds the temporaries, and added in term order, so each entry
-sums its terms in the order a term-by-term loop would.  The block layout of
+one table of per-term masks and weights, checked once for number
+preservation and finite weights; the (term, state) hits are found
+term-major in chunks of about 2^20 pairs, which bounds the temporaries, and
+added in term order, so each entry sums its terms in the order a
+term-by-term loop would.  The block layout of
 a sector (its states, each state's place in its block and the stacks of
 equal-size blocks) depends only on the mode groups, their orbits and eta;
 it is built once per key and kept in a bounded cache, read-only.  A layer
@@ -49,7 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from cmath import isfinite
+from itertools import combinations_with_replacement
+from math import comb, prod
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -332,20 +340,27 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return (x * _H01) >> _U56
 
 
-def _sector_states(n_modes: int, eta: int) -> np.ndarray:
-    """Occupation masks with popcount eta, ascending, as uint64."""
-    _check_width(n_modes)
+def _subsets(modes: int, eta: int) -> np.ndarray:
+    """The masks of eta of the modes set in ``modes``, ascending, as
+    uint64."""
+    bits = _bits(modes)
     empty = np.zeros(0, dtype=np.uint64)
     # masks over the modes seen so far, by popcount; a mask with the new
     # mode set exceeds every mask without it, so concatenation stays sorted
     level = {0: np.zeros(1, dtype=np.uint64)}
-    for m in range(n_modes):
+    for i, m in enumerate(bits):
         bit = np.uint64(1 << m)
         level = {e: np.concatenate((level.get(e, empty),
                                     level.get(e - 1, empty) | bit))
-                 for e in range(max(0, eta - (n_modes - 1 - m)),
-                                min(eta, m + 1) + 1)}
+                 for e in range(max(0, eta - (len(bits) - 1 - i)),
+                                min(eta, i + 1) + 1)}
     return level.get(eta, empty)
+
+
+def _sector_states(n_modes: int, eta: int) -> np.ndarray:
+    """Occupation masks with popcount eta, ascending, as uint64."""
+    _check_width(n_modes)
+    return _subsets((1 << n_modes) - 1, eta)
 
 
 @dataclass(frozen=True)
@@ -387,8 +402,8 @@ def _check_width(n_modes: int) -> None:
 
 
 def _terms(h: FermionSum, npfo: bool = True) -> _Terms:
-    """The table of h; with ``npfo``, a term that does not preserve the
-    particle number is refused."""
+    """The table of h; a term with a non-finite weight is refused, and with
+    ``npfo`` a term that does not preserve the particle number."""
     _check_width(h.n_modes)
     need, care, below, flip, weights = [], [], [], [], []
     for term in h.terms:
@@ -407,6 +422,8 @@ def _terms(h: FermionSum, npfo: bool = True) -> _Terms:
                 bits.append(bit)
         if npfo and balance:
             raise ValueError("term does not preserve particle number")
+        if not isfinite(term.weight):
+            raise ValueError(f"term {term!r} has a non-finite weight")
         need.append(occupied)
         care.append(occupied | vacant)
         below.append([b - 1 for b in bits])
@@ -530,13 +547,14 @@ def _swap_invariant(masks: np.ndarray, weights: np.ndarray,
 
 
 @lru_cache(maxsize=32)
-def _swaps(groups: tuple[int, ...],
-           signatures: tuple[tuple[bytes, bytes, bytes, bytes, str], ...]
-           ) -> tuple[tuple[int, int], ...]:
-    """The swaps of two equal-size mode groups that map every sum to itself,
-    found once per distinct input.  Each group is tried against the nearest
-    earlier group first; a pair already joined through the swaps found is
-    not tried, since their composition swaps it."""
+def _orbits(groups: tuple[int, ...],
+            signatures: tuple[tuple[bytes, bytes, bytes, bytes, str], ...]
+            ) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the mode groups under the swaps of two equal-size
+    groups that map every sum to itself, each orbit ascending, found once
+    per distinct input.  Each group is tried against the nearest earlier
+    group first; a pair already in one orbit is not tried, since the swaps
+    found compose to swap it."""
     sums = []
     for *columns, weights, dtype in signatures:
         need, care, ladder = (np.frombuffer(column, dtype=np.uint64)
@@ -544,101 +562,71 @@ def _swaps(groups: tuple[int, ...],
         # each term's creation, annihilation and number modes
         sums.append((np.stack((care & ~need, need & ladder, need & ~ladder)),
                      np.frombuffer(weights, dtype=dtype)))
-    joined = list(range(len(groups)))  # each group's lowest joined group
-    found = []
+    orbit = list(range(len(groups)))  # each group's orbit, as a group in it
     for j, b in enumerate(groups):
         for i in range(j - 1, -1, -1):
             a = groups[i]
-            if a.bit_count() != b.bit_count() or joined[i] == joined[j]:
+            if a.bit_count() != b.bit_count() or orbit[i] == orbit[j]:
                 continue
             if all(_swap_invariant(masks, weights, a, b)
                    for masks, weights in sums):
-                found.append((i, j))
-                old = joined[j]
-                joined = [joined[i] if r == old else r for r in joined]
-    return tuple(found)
+                old = orbit[j]
+                orbit = [orbit[i] if o == old else o for o in orbit]
+    return tuple(sorted({tuple(g for g in range(len(groups)) if orbit[g] == o)
+                         for o in orbit}))
 
 
-@lru_cache(maxsize=32)
-def _orbits(n_groups: int, swaps: tuple[tuple[int, int], ...]
-            ) -> tuple[tuple[int, ...], ...]:
-    """The groups joined by the swaps, each orbit ascending.  Any
-    permutation of the counts of one orbit's groups maps a block to one of
-    the same spectrum."""
-    joined = list(range(n_groups))
-    for i, j in swaps:
-        old = joined[j]
-        joined = [joined[i] if r == old else r for r in joined]
-    return tuple(tuple(g for g in range(n_groups) if joined[g] == r)
-                 for r in sorted(set(joined)))
-
-
-def _moves(sizes: Sequence[int], orbits: Sequence[tuple[int, ...]], eta: int):
-    """Per group, in order, the moves of a walk over the count vectors of
-    one block per orbit: those whose counts do not increase along each
-    orbit's groups.  A walk key is (particles so far, the last count of each
-    orbit begun and not ended); ``moves(key)`` lists the (count, next key)
-    pairs that can still reach eta particles."""
-    orbit_of = {g: o for o, orbit in enumerate(orbits) for g in orbit}
-    for g, size in enumerate(sizes):
-        o = orbit_of[g]
-        # per orbit: its groups after g, their size, and the orbit
-        later = [(sum(h > g for h in orbit), sizes[orbit[0]], p)
-                 for p, orbit in enumerate(orbits)]
-
-        def moves(key, o=o, size=size, ends=orbits[o][-1] == g, later=later):
-            total, begun = key
-            lasts = dict(begun)
-            out = []
-            for n in range(min(lasts.get(o, size), eta - total) + 1):
-                if ends:
-                    lasts.pop(o, None)
-                else:
-                    lasts[o] = n
-                room = sum(k * lasts.get(p, cap) for k, cap, p in later)
-                if total + n + room >= eta:
-                    out.append((n, (total + n, tuple(sorted(lasts.items())))))
-            return out
-        yield moves
+def _walk(sizes: Sequence[int], orbits: Sequence[tuple[int, ...]], eta: int):
+    """Per orbit, in order, the orbit and the moves of a walk over one block
+    per orbit of the eta sector: (particles before, particles after, the
+    orbit's per-group counts).  A block's counts do not increase along each
+    orbit; a move that the later orbits cannot fill up to eta is left out."""
+    totals = [0]
+    room = sum(sizes)  # modes in the orbits not yet walked
+    for orbit in orbits:
+        size = sizes[orbit[0]]
+        room -= size * len(orbit)
+        moves = []
+        for total in totals:
+            for counts in combinations_with_replacement(
+                    range(min(size, eta - total), -1, -1), len(orbit)):
+                n = total + sum(counts)
+                if n <= eta <= n + room:
+                    moves.append((total, n, counts))
+        totals = sorted({n for _, n, _ in moves})
+        yield orbit, moves
 
 
 def _block_sizes(sizes: Sequence[int], orbits: Sequence[tuple[int, ...]],
                  eta: int) -> tuple[int, int]:
     """Largest block dimension and summed squared block dimensions of one
     block per orbit of the eta sector, from the group sizes alone."""
-    level = {(0, ()): (1, 1)}  # walk key: (largest, squares) so far
-    for size, moves in zip(sizes, _moves(sizes, orbits, eta)):
+    level = {0: (1, 1)}  # particles so far: (largest, squares)
+    for orbit, moves in _walk(sizes, orbits, eta):
         grown: dict = {}
-        for key, (largest, squares) in level.items():
-            for n, nxt in moves(key):
-                c = comb(size, n)
-                big, sq = grown.get(nxt, (0, 0))
-                grown[nxt] = (max(big, largest * c), sq + squares * c * c)
+        for total, n, counts in moves:
+            largest, squares = level[total]
+            dim = prod(comb(sizes[g], k) for g, k in zip(orbit, counts))
+            big, sq = grown.get(n, (0, 0))
+            grown[n] = (max(big, largest * dim), sq + squares * dim * dim)
         level = grown
-    return level[(eta, ())]
+    return level[eta]
 
 
 def _orbit_states(groups: Sequence[int], orbits: Sequence[tuple[int, ...]],
                   eta: int) -> np.ndarray:
     """The states of one block per orbit of the eta sector, ascending, as
     uint64; each group's share of a state is a subset of its modes."""
-    sizes = [g.bit_count() for g in groups]
-    level = {(0, ()): np.zeros(1, dtype=np.uint64)}  # walk key: states
-    for group, size, moves in zip(groups, sizes, _moves(sizes, orbits, eta)):
-        subsets = {}
+    level = {0: np.zeros(1, dtype=np.uint64)}  # particles so far: states
+    for orbit, moves in _walk([g.bit_count() for g in groups], orbits, eta):
         grown: dict = {}
-        for key, states in level.items():
-            for n, nxt in moves(key):
-                if n not in subsets:
-                    local = _sector_states(size, n)
-                    subsets[n] = np.zeros_like(local)
-                    for j, m in enumerate(_bits(group)):
-                        subsets[n] |= ((local >> np.uint64(j)) & _U1) << \
-                            np.uint64(m)
-                grown.setdefault(nxt, []).append(
-                    (states[:, None] | subsets[n]).ravel())
-        level = {key: np.concatenate(parts) for key, parts in grown.items()}
-    return np.sort(level[(eta, ())])
+        for total, n, counts in moves:
+            states = level[total]
+            for g, k in zip(orbit, counts):
+                states = (states[:, None] | _subsets(groups[g], k)).ravel()
+            grown.setdefault(n, []).append(states)
+        level = {n: np.concatenate(parts) for n, parts in grown.items()}
+    return np.sort(level[eta])
 
 
 class _Blocks(NamedTuple):
@@ -659,14 +647,14 @@ class _Blocks(NamedTuple):
 def _blocked(sums: Sequence[FermionSum], eta: int
              ) -> tuple[list[_Terms], _Blocks]:
     """The tables of the sums and the block layout their groups and the
-    swaps between them give the eta sector."""
+    orbits of those give the eta sector."""
     n_modes = max(h.n_modes for h in sums)
     if not 0 <= eta <= n_modes:
         raise ValueError(f"eta={eta} outside [0, {n_modes}]")
     tables = [_terms(h) for h in sums]
     groups = _mode_groups(n_modes, tables)
-    swaps = _swaps(groups, tuple(map(_signature, tables)))
-    return tables, _layout(n_modes, groups, _orbits(len(groups), swaps), eta)
+    orbits = _orbits(groups, tuple(map(_signature, tables)))
+    return tables, _layout(n_modes, groups, orbits, eta)
 
 
 @lru_cache(maxsize=32)
@@ -761,6 +749,10 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
         raise ValueError(f"order p={p} not supported by the oracle")
     if r < 1:
         raise ValueError("step count r must be >= 1")
+    if not isfinite(t):
+        raise ValueError(f"time t={t} is not finite")
+    if not layers:
+        raise ValueError("layers is empty; the oracle needs at least one")
     tables, blocks = _blocked(layers, eta)
     bufs = []
     for table in tables:

@@ -178,7 +178,7 @@ def test_eta_seminorm_cap():
 
 
 def test_oversized_block_is_refused_before_enumeration(monkeypatch):
-    def enumerate_states(n_modes, eta):
+    def enumerate_states(modes, eta):
         raise AssertionError("sector enumerated before the size check")
 
     # 40 unjoined modes, each number term its own weight, so that no swap
@@ -189,7 +189,7 @@ def test_oversized_block_is_refused_before_enumeration(monkeypatch):
     eta_seminorm(chain(64, range(64)), 1)
     exact_evolution_error([chain(64, range(64))], 0.1, 1, 1, 1)
     eta_seminorm(unjoined, 1)
-    monkeypatch.setattr(fock, "_sector_states", enumerate_states)
+    monkeypatch.setattr(fock, "_subsets", enumerate_states)
     # one group of 64 modes at eta=8: C(64, 8) = 4,426,165,368 states
     with pytest.raises(SizeError):
         eta_seminorm(chain(64, range(64)), 8)
@@ -506,6 +506,26 @@ def test_non_hermitian_layer_and_particle_number_are_refused():
         exact_evolution_error([one_way, hopping(1, 2, 4)], 0.1, 1, 1, 2)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_refused(t):
+    with pytest.raises(ValueError, match="time t="):
+        exact_evolution_error([hopping(0, 1, 4)], t, 1, 1, 2)
+
+
+def test_empty_layer_list_is_refused():
+    with pytest.raises(ValueError, match="layers is empty"):
+        exact_evolution_error([], 0.1, 1, 1, 2)
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, complex(0.5, -math.inf)])
+def test_non_finite_weight_is_refused(w):
+    h = hopping(0, 1, 4) + number_op(2, 4, w)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        eta_seminorm(h, 2)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        exact_evolution_error([h, hopping(1, 2, 4)], 0.1, 1, 1, 2)
+
+
 # the matrix builders against the per-term loop they replaced: each term
 # finds its hits, flips its ladder modes right to left and adds its signed
 # weight, one term after another
@@ -613,7 +633,7 @@ def test_layout_memo_is_read_only_and_bounded():
     for array in (blocks.states, blocks.row_base, blocks.local):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    for memo in (fock._layout, fock._swaps):
+    for memo in (fock._layout, fock._orbits):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize <= 64
 
@@ -655,11 +675,16 @@ def test_block_buffer_temporaries_are_bounded():
 
 # one block per orbit of the group swaps, against every block
 
-def found_swaps(sums):
+def found_orbits(sums):
     n_modes = max(h.n_modes for h in sums)
     tables = [fock._terms(h) for h in sums]
-    return fock._swaps(fock._mode_groups(n_modes, tables),
-                       tuple(map(fock._signature, tables)))
+    return fock._orbits(fock._mode_groups(n_modes, tables),
+                        tuple(map(fock._signature, tables)))
+
+
+def singleton_orbits(groups, signatures):
+    """Each group its own orbit: the detector finding no swap."""
+    return tuple((g,) for g in range(len(groups)))
 
 
 def reduced_and_full(call):
@@ -667,7 +692,7 @@ def reduced_and_full(call):
     reference, with the detector finding no swap."""
     reduced = call()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fock, "_swaps", lambda groups, signatures: ())
+        patch.setattr(fock, "_orbits", singleton_orbits)
         return reduced, call()
 
 
@@ -677,7 +702,7 @@ def pionless(shape):
 
 @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 2, 1), (2, 2, 2)])
 def test_pionless_layers_give_the_species_swaps(shape):
-    assert found_swaps(pionless(shape)) == ((0, 1), (1, 2), (2, 3))
+    assert found_orbits(pionless(shape)) == ((0, 1, 2, 3),)
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 2, 1)])
@@ -739,14 +764,56 @@ def moved_by_one_ulp(h):
        st.floats(0.05, 1.0))
 def test_orbit_blocks_equal_every_block_on_planted_swaps(layers, p, r, t):
     moved = [moved_by_one_ulp(layers[0]), *layers[1:]]
-    assert found_swaps(layers) == ((0, 1),)
-    assert found_swaps(moved) == ()
+    assert found_orbits(layers) == ((0, 1),)
+    assert found_orbits(moved) == ((0,), (1,))
     for case in (layers, moved):
         for eta in range(case[0].n_modes + 1):
             assert close(*reduced_and_full(
                 lambda: exact_evolution_error(case, t, p, r, eta)))
             for h in case:
                 assert close(*reduced_and_full(lambda: eta_seminorm(h, eta)))
+
+
+@st.composite
+def grouped_orbits(draw):
+    """A partition of at most 10 modes into groups, ordered by lowest mode,
+    and a partition of each set of equal-size groups into orbits."""
+    n = draw(st.integers(1, 10))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups = sorted({sum(1 << m for m in range(n) if labels[m] == label)
+                     for label in labels}, key=lambda g: g & -g)
+    alike: dict = {}
+    for g, mask in enumerate(groups):
+        alike.setdefault(mask.bit_count(), []).append(g)
+    orbits = []
+    for members in alike.values():
+        tags = draw(st.lists(st.integers(0, len(members) - 1),
+                             min_size=len(members), max_size=len(members)))
+        orbits += [tuple(g for g, tag in zip(members, tags) if tag == t)
+                   for t in set(tags)]
+    return n, tuple(groups), tuple(sorted(orbits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_orbits())
+def test_orbit_walk_equals_the_filtered_sector(case):
+    """The states the walk lays out are the sector's states whose per-group
+    counts do not increase along each orbit, and its sizes are theirs."""
+    n, groups, orbits = case
+    for eta in range(n + 1):
+        states = np.array([s for s in range(1 << n) if s.bit_count() == eta],
+                          dtype=np.uint64)
+        counts = np.stack([fock._popcount(states & np.uint64(g))
+                           for g in groups])
+        keep = np.ones(len(states), dtype=bool)
+        for orbit in orbits:
+            for a, b in zip(orbit, orbit[1:]):
+                keep &= counts[a] >= counts[b]
+        assert np.array_equal(fock._orbit_states(groups, orbits, eta),
+                              states[keep])
+        _, dims = np.unique(counts[:, keep], axis=1, return_counts=True)
+        assert fock._block_sizes([g.bit_count() for g in groups], orbits,
+                                 eta) == (dims.max(), (dims ** 2).sum())
 
 
 def test_cap_counts_one_block_per_orbit(monkeypatch):
@@ -758,15 +825,15 @@ def test_cap_counts_one_block_per_orbit(monkeypatch):
     assert max(d for _, _, d in blocks.stacks) == 1728
     assert blocks.size == 3_661_648
     with monkeypatch.context() as patch:
-        patch.setattr(fock, "_swaps", lambda groups, signatures: ())
+        patch.setattr(fock, "_orbits", singleton_orbits)
         with pytest.raises(SizeError, match="19664704 block entries"):
             fock._blocked(layers, 3)
     # at eta=4 the block of one nucleon per species has 12**4 = 20,736
     # states, and is refused before any state is enumerated
-    def enumerate_states(n_modes, eta):
+    def enumerate_states(modes, eta):
         raise AssertionError("sector enumerated before the size check")
 
-    monkeypatch.setattr(fock, "_sector_states", enumerate_states)
+    monkeypatch.setattr(fock, "_subsets", enumerate_states)
     with pytest.raises(SizeError, match="a block of 20736 states"):
         fock._blocked(layers, 4)
 
@@ -801,10 +868,11 @@ def test_swap_carries_the_sign_of_the_re_sort(modes, pairs, numbers, w):
     (mapped,) = image.terms
     assume(mapped.factors != factors)
 
-    def swaps(terms):
+    def orbits(terms):
         table = fock._terms(FermionSum(6, terms))
-        return fock._swaps((SWAP_A, SWAP_B), (fock._signature(table),))
+        return fock._orbits((SWAP_A, SWAP_B), (fock._signature(table),))
 
     term = FermionTerm(w, factors)
-    assert swaps([term, mapped]) == ((0, 1),)
-    assert swaps([term, FermionTerm(-mapped.weight, mapped.factors)]) == ()
+    assert orbits([term, mapped]) == ((0, 1),)
+    assert orbits([term, FermionTerm(-mapped.weight, mapped.factors)]) == \
+        ((0,), (1,))
