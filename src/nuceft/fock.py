@@ -46,6 +46,17 @@ it is built once per key and kept in a bounded cache, read-only.  A layer
 of number factors alone is diagonal, and is exponentiated entry by entry
 with no eigendecomposition.
 
+An exact evolution error needs, per stack of blocks, the eigensystems of
+each layer and of their sum, and none of these depends on t, p or r.  They
+are computed, with each layer's hermiticity check, once per input and kept
+in a memo keyed on content: eta and each layer's mode count and terms (a
+tuple of frozen terms, so a sum whose terms are reassigned is a new input).
+The kept arrays are read-only and together hold at most MAX_BLOCK**2
+entries, the least recently used input going first; an input refused, or
+alone over that bound, is not kept.  Each call still computes its own
+phases, step product, power and norm, so a value does not depend on what
+was kept.
+
 Occupation convention: bit i of a basis integer is the occupation of mode i,
 and ladder operators pick up the sign (-1)^(number of occupied modes below i),
 matching the Jordan-Wigner string direction used by the encodings module.
@@ -53,6 +64,7 @@ matching the Jordan-Wigner string direction used by the encodings module.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from cmath import isfinite
@@ -324,7 +336,8 @@ def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
 # sector matrices, block by block
 
 # largest block the oracle diagonalizes; the blocks of one call together
-# hold at most MAX_BLOCK**2 entries
+# hold at most MAX_BLOCK**2 entries, and so do the eigensystems the oracle
+# keeps between calls
 MAX_BLOCK = 4096
 _M1, _M2, _M4, _H01 = (np.uint64(c) for c in (
     0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
@@ -466,8 +479,9 @@ def _accumulate(out: np.ndarray, table: _Terms, states: np.ndarray,
             parity += _popcount(image & table.below[term, j])
             image ^= table.flip[term, j]
         rows = np.searchsorted(states, image)
-        np.add.at(out, place(rows, cols),
-                  (1.0 - 2.0 * (parity & _U1)) * table.weights[term])
+        hits = (1.0 - 2.0 * (parity & _U1)) * table.weights[term]
+        # in out's dtype: numpy adds mixed dtypes on a slower path
+        np.add.at(out, place(rows, cols), hits.astype(out.dtype, copy=False))
 
 
 def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
@@ -724,19 +738,70 @@ def eta_seminorm(h: FermionSum, eta: int) -> float:
     return max(_norm(stack) for stack in _stacks(buf, blocks))
 
 
-def _expm_hermitian(mat: np.ndarray, t: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.exp(-1j * t * vals)[..., None, :]) @ \
-        vecs.conj().swapaxes(-1, -2)
+def _phases(vals: np.ndarray, vecs: np.ndarray | None, t: float
+            ) -> np.ndarray:
+    """exp(-itM) of a stack of Hermitian matrices M from their eigenvalues
+    and eigenvectors; with no vectors, M is diagonal and ``vals`` holds its
+    diagonal, and each entry takes its phase."""
+    phase = np.exp(-1j * t * vals)
+    if vecs is None:
+        out = np.zeros(vals.shape + vals.shape[-1:], dtype=complex)
+        diag = np.arange(vals.shape[-1])
+        out[..., diag, diag] = phase
+        return out
+    return (vecs * phase[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _expm_diagonal(mat: np.ndarray, t: float) -> np.ndarray:
-    """exp(-itM) of a stack of diagonal Hermitian matrices: the phase of
-    each diagonal entry, with no eigendecomposition."""
-    out = np.zeros_like(mat)
-    diag = np.arange(mat.shape[-1])
-    out[..., diag, diag] = np.exp(-1j * t * mat[..., diag, diag].real)
-    return out
+# the inputs of recent exact_evolution_error calls, least recently used
+# first, each with its spectra and their entry count
+_SPECTRA: OrderedDict = OrderedDict()
+
+
+def _spectra(layers: Sequence[FermionSum], eta: int) -> tuple:
+    """The part of exact_evolution_error that depends on neither t, p nor
+    r: per stack of equal-size blocks, the eigensystem (values, vectors) of
+    the summed layers and one per layer, a number-only layer's as its
+    diagonal and no vectors.  Each layer is checked for hermiticity.  The
+    result is kept as the module docstring describes."""
+    key = (eta, tuple((h.n_modes, h.terms) for h in layers))
+    kept = _SPECTRA.get(key)
+    if kept is not None:
+        _SPECTRA.move_to_end(key)
+        return kept[0]
+    tables, blocks = _blocked(layers, eta)
+    total = 0
+    per_layer = []
+    for table in tables:
+        buf = _block_buffer(table, blocks)
+        # the blocks laid out stand for their orbits, since every layer
+        # maps to itself under the swaps that join them
+        stacks = _stacks(buf, blocks)
+        for stack in stacks:
+            if not np.allclose(stack, stack.conj().swapaxes(-1, -2),
+                               atol=1e-12):
+                raise ContractError("layer is not Hermitian in the eta sector")
+        if table.flip.shape[1] == 0:
+            per_layer.append([(np.diagonal(stack, 0, -2, -1).real.copy(),
+                               None) for stack in stacks])
+        else:
+            per_layer.append([tuple(np.linalg.eigh(stack))
+                              for stack in stacks])
+        # from 0, as sum() adds: the first layer makes a new buffer, and
+        # the rest add into it in layer order
+        total += buf
+    spectra = tuple(zip((tuple(np.linalg.eigh(stack))
+                         for stack in _stacks(total, blocks)),
+                        zip(*per_layer)))
+    arrays = [a for whole, parts in spectra for pair in (whole, *parts)
+              for a in pair if a is not None]
+    for a in arrays:
+        a.flags.writeable = False
+    entries = sum(a.size for a in arrays)
+    if entries <= MAX_BLOCK ** 2:
+        _SPECTRA[key] = (spectra, entries)
+        while sum(n for _, n in _SPECTRA.values()) > MAX_BLOCK ** 2:
+            _SPECTRA.popitem(last=False)
+    return spectra
 
 
 def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
@@ -753,27 +818,14 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
         raise ValueError(f"time t={t} is not finite")
     if not layers:
         raise ValueError("layers is empty; the oracle needs at least one")
-    tables, blocks = _blocked(layers, eta)
-    bufs = []
-    for table in tables:
-        buf = _block_buffer(table, blocks)
-        # the blocks laid out stand for their orbits, since every layer
-        # maps to itself under the swaps that join them
-        for stack in _stacks(buf, blocks):
-            if not np.allclose(stack, stack.conj().swapaxes(-1, -2),
-                               atol=1e-12):
-                raise ContractError("layer is not Hermitian in the eta sector")
-        bufs.append(buf)
-    expms = [_expm_diagonal if table.flip.shape[1] == 0 else _expm_hermitian
-             for table in tables]
     dt = t / r
     worst = 0.0
-    for mats in zip(*(_stacks(buf, blocks) for buf in bufs)):
-        exact = _expm_hermitian(sum(mats), t)
+    for whole, parts in _spectra(layers, eta):
+        exact = _phases(*whole, t)
         if p == 1:
-            factors = [expm(m, dt) for expm, m in zip(expms, mats)]
+            factors = [_phases(*part, dt) for part in parts]
         else:
-            half = [expm(m, dt / 2) for expm, m in zip(expms, mats)]
+            half = [_phases(*part, dt / 2) for part in parts]
             factors = half + half[::-1]
         step = factors[0]
         for u in factors[1:]:

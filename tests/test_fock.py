@@ -651,6 +651,88 @@ def test_refused_layouts_are_never_cached():
     assert after.misses == before.misses + 6
 
 
+# the time-independent eigensystems of exact_evolution_error, kept per input
+
+def kept(layers, eta):
+    return (eta, tuple((h.n_modes, h.terms) for h in layers)) in fock._SPECTRA
+
+
+def test_spectra_memo_keys_on_content():
+    fock._SPECTRA.clear()
+    spectra = fock._spectra(DIAGONAL_LAYERS, 2)
+    copies = [FermionSum(h.n_modes, h.terms) for h in DIAGONAL_LAYERS]
+    assert fock._spectra(copies, 2) is spectra
+    assert len(fock._SPECTRA) == 1
+    # a weight one ulp off is another input, with the value of an empty memo
+    moved = [moved_by_one_ulp(DIAGONAL_LAYERS[0]), *DIAGONAL_LAYERS[1:]]
+    value = exact_evolution_error(moved, 0.7, 2, 3, 2)
+    assert len(fock._SPECTRA) == 2
+    fock._SPECTRA.clear()
+    assert exact_evolution_error(moved, 0.7, 2, 3, 2) == value
+    # so is a sum whose terms are reassigned after a call
+    h = FermionSum(4, DIAGONAL_LAYERS[0].terms)
+    before = exact_evolution_error([h, *DIAGONAL_LAYERS[1:]], 0.7, 1, 2, 2)
+    h.terms = hopping(0, 2, 4).terms
+    after = exact_evolution_error([h, *DIAGONAL_LAYERS[1:]], 0.7, 1, 2, 2)
+    fock._SPECTRA.clear()
+    assert after == exact_evolution_error(
+        [hopping(0, 2, 4), *DIAGONAL_LAYERS[1:]], 0.7, 1, 2, 2)
+    assert after != before
+
+
+def test_spectra_memo_is_read_only():
+    fock._SPECTRA.clear()
+    for whole, parts in fock._spectra(DIAGONAL_LAYERS, 2):
+        assert parts[1][1] is None  # the number-only layer: no vectors
+        for array in (a for pair in (whole, *parts) for a in pair
+                      if a is not None):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_refused_spectra_are_never_kept():
+    fock._SPECTRA.clear()
+    one_way = FermionSum(4, [FermionTerm(1.0, ((0, CREATE), (1, ANNIHILATE)))])
+    for _ in range(3):
+        with pytest.raises(ContractError):
+            exact_evolution_error([hopping(1, 2, 4), one_way], 0.1, 1, 1, 2)
+    assert not fock._SPECTRA
+
+
+def test_spectra_memo_evicts_the_least_recently_used(monkeypatch):
+    a, b, c = ([hopping(0, 1, 4, w), number_op(2, 4)] for w in (0.5, 0.6, 0.7))
+    fock._SPECTRA.clear()
+    values = [exact_evolution_error(layers, 0.3, 2, 2, 2)
+              for layers in (a, b, c)]  # also keeps their shared layout
+    (entries,) = {n for _, n in fock._SPECTRA.values()}
+    # room for two of the three inputs
+    monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt(3 * entries - 1))
+    assert 2 * entries <= fock.MAX_BLOCK ** 2 < 3 * entries
+    fock._SPECTRA.clear()
+    exact_evolution_error(a, 0.3, 2, 2, 2)
+    exact_evolution_error(b, 0.3, 2, 2, 2)
+    exact_evolution_error(a, 0.3, 2, 2, 2)  # a is now the more recent
+    assert exact_evolution_error(c, 0.3, 2, 2, 2) == values[2]
+    assert kept(a, 2) and not kept(b, 2) and kept(c, 2)
+    # an input over the whole budget is computed, not kept, and evicts
+    # nothing
+    monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt(entries - 1))
+    assert exact_evolution_error(b, 0.3, 2, 2, 2) == values[1]
+    assert kept(a, 2) and not kept(b, 2) and kept(c, 2)
+
+
+def test_spectra_memo_hits_equal_cold_values():
+    layers = pionless((2, 1, 1))
+    points = [(t, p, r) for t in (0.05, 0.5) for p in (1, 2) for r in (1, 3)]
+    fock._SPECTRA.clear()
+    warm = [exact_evolution_error(layers, t, p, r, 3) for t, p, r in points]
+    cold = []
+    for t, p, r in points:
+        fock._SPECTRA.clear()
+        cold.append(exact_evolution_error(layers, t, p, r, 3))
+    assert warm == cold
+
+
 def test_block_buffer_temporaries_are_bounded():
     """[diag, [kin_x, diag]] on 2x2x2 has 1,600 terms over the 4,960 states
     of eta=3, but blocks of a few states: testing every (term, state) pair
@@ -689,11 +771,18 @@ def singleton_orbits(groups, signatures):
 
 def reduced_and_full(call):
     """call() on one block per orbit, and again on every block: the
-    reference, with the detector finding no swap."""
+    reference, with the detector finding no swap.  The spectra memo is
+    emptied around each call, so that neither call reuses the other's
+    blocks."""
+    fock._SPECTRA.clear()
     reduced = call()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock, "_orbits", singleton_orbits)
-        return reduced, call()
+        fock._SPECTRA.clear()
+        try:
+            return reduced, call()
+        finally:
+            fock._SPECTRA.clear()
 
 
 def pionless(shape):
