@@ -36,10 +36,14 @@ blocks.
 
 Every matrix is assembled in one vectorized pass per sum.  The sum becomes
 one table of per-term masks and weights, checked once for number
-preservation and finite weights; the (term, state) hits are found
-term-major in chunks of about 2^20 pairs, which bounds the temporaries, and
-added in term order, so each entry sums its terms in the order a
-term-by-term loop would.  The block layout of
+preservation and finite weights.  Its Jordan-Wigner string folds into one
+image mask and one sign mask per term: a term maps a state s to s ^ flip
+with the sign (-1)^(popcount(s & sign) + odd), where ``sign`` XORs the
+masks below the term's ladder modes and ``odd`` is the parity that the
+earlier flips add, so a hit costs one XOR and one popcount.  The
+(term, state) hits are found term-major in chunks of about 2^20 pairs,
+which bounds the temporaries, and added in term order, so each entry sums
+its terms in the order a term-by-term loop would.  The block layout of
 a sector (its states, each state's place in its block and the stacks of
 equal-size blocks) depends only on the mode groups, their orbits and eta;
 it is built once per key and kept in a bounded cache, read-only.  A layer
@@ -339,18 +343,6 @@ def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
 # hold at most MAX_BLOCK**2 entries, and so do the eigensystems the oracle
 # keeps between calls
 MAX_BLOCK = 4096
-_M1, _M2, _M4, _H01 = (np.uint64(c) for c in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-    0x0101010101010101))
-_U1, _U2, _U4, _U56 = (np.uint64(s) for s in (1, 2, 4, 56))
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 in x (SWAR; numpy < 2 has no bitwise_count)."""
-    x = x - ((x >> _U1) & _M1)
-    x = (x & _M2) + ((x >> _U2) & _M2)
-    x = (x + (x >> _U4)) & _M4
-    return (x * _H01) >> _U56
 
 
 def _subsets(modes: int, eta: int) -> np.ndarray:
@@ -397,15 +389,20 @@ class EtaSector:
 
 class _Terms(NamedTuple):
     """A sum as one table, a row per term: the modes a state must have
-    occupied and those it must have empty, its ladder modes in the order
-    they act (right to left, padded with columns that do nothing) and its
-    weight.  ``below`` masks the modes under each ladder mode, whose
-    occupation sets the Jordan-Wigner sign."""
+    occupied and those it must have empty, its ladder modes, its sign mask
+    and parity, and its weight.  A term maps a state s it does not
+    annihilate to s ^ flip with the Jordan-Wigner sign
+    (-1)^(popcount(s & sign) + odd).  Ladder factor j acts, right to left,
+    on s ^ F_j, F_j the modes flipped before it, and popcount(a ^ b) has
+    the parity of popcount(a) + popcount(b); so ``sign`` is the XOR of the
+    ladder modes' ``bit - 1`` masks and ``odd`` is the parity of the sum
+    over j of popcount(F_j & (bit_j - 1))."""
 
     need: np.ndarray     # (terms,) modes to be occupied
     care: np.ndarray     # (terms,) modes to be occupied or empty
-    below: np.ndarray    # (terms, width) modes below each ladder mode
-    flip: np.ndarray     # (terms, width) each ladder mode's bit
+    flip: np.ndarray     # (terms,) ladder modes
+    sign: np.ndarray     # (terms,) modes whose occupation sets the sign
+    odd: np.ndarray      # (terms,) uint8 parity the flips add to the sign
     weights: np.ndarray  # (terms,) float, or complex if any weight is
 
 
@@ -418,10 +415,9 @@ def _terms(h: FermionSum, npfo: bool = True) -> _Terms:
     """The table of h; a term with a non-finite weight is refused, and with
     ``npfo`` a term that does not preserve the particle number."""
     _check_width(h.n_modes)
-    need, care, below, flip, weights = [], [], [], [], []
+    need, care, flips, signs, odds, weights = [], [], [], [], [], []
     for term in h.terms:
-        occupied = vacant = balance = 0
-        bits = []
+        occupied = vacant = balance = flip = sign = odd = 0
         for m, k in reversed(term.factors):
             bit = 1 << m
             if k == CREATE:
@@ -432,25 +428,23 @@ def _terms(h: FermionSum, npfo: bool = True) -> _Terms:
                 if k == ANNIHILATE:
                     balance -= 1
             if k != NUMBER:
-                bits.append(bit)
+                odd += (flip & (bit - 1)).bit_count()
+                flip ^= bit
+                sign ^= bit - 1
         if npfo and balance:
             raise ValueError("term does not preserve particle number")
         if not isfinite(term.weight):
             raise ValueError(f"term {term!r} has a non-finite weight")
         need.append(occupied)
         care.append(occupied | vacant)
-        below.append([b - 1 for b in bits])
-        flip.append(bits)
+        flips.append(flip)
+        signs.append(sign)
+        odds.append(odd & 1)
         weights.append(term.weight)
-    width = max(map(len, flip), default=0)
-    for row in below + flip:
-        row += [0] * (width - len(row))
-    rows = (len(weights), width)
     weights = np.array(weights)
-    return _Terms(np.array(need, dtype=np.uint64),
-                  np.array(care, dtype=np.uint64),
-                  np.array(below, dtype=np.uint64).reshape(rows),
-                  np.array(flip, dtype=np.uint64).reshape(rows),
+    return _Terms(*(np.array(column, dtype=np.uint64)
+                    for column in (need, care, flips, signs)),
+                  np.array(odds, dtype=np.uint8),
                   weights if weights.dtype.kind == "c" else
                   weights.astype(float))
 
@@ -463,23 +457,21 @@ def _accumulate(out: np.ndarray, table: _Terms, states: np.ndarray,
                 place) -> None:
     """Add every term of the table into the flat array ``out``.
 
-    Factors act right to left on each state a term does not annihilate;
-    ``place(rows, cols)`` maps the positions in ``states`` of an image and
-    its source to an index of ``out``.  The hits are taken term-major and
-    added in that order, so each entry sums its terms in term order."""
+    Each state a term does not annihilate goes to its image with the sign
+    the table's masks give; ``place(rows, cols)`` maps the positions in
+    ``states`` of an image and its source to an index of ``out``.  The hits
+    are taken term-major and added in that order, so each entry sums its
+    terms in term order."""
     step = max(1, _CHUNK // max(len(states), 1))
     for lo in range(0, len(table.weights), step):
         hi = lo + step
         term, cols = np.nonzero(
             (states & table.care[lo:hi, None]) == table.need[lo:hi, None])
         term += lo
-        image = states[cols]
-        parity = np.zeros(len(cols), dtype=np.uint64)
-        for j in range(table.flip.shape[1]):
-            parity += _popcount(image & table.below[term, j])
-            image ^= table.flip[term, j]
-        rows = np.searchsorted(states, image)
-        hits = (1.0 - 2.0 * (parity & _U1)) * table.weights[term]
+        source = states[cols]
+        parity = np.bitwise_count(source & table.sign[term]) ^ table.odd[term]
+        rows = np.searchsorted(states, source ^ table.flip[term])
+        hits = (1.0 - 2.0 * (parity & 1)) * table.weights[term]
         # in out's dtype: numpy adds mixed dtypes on a slower path
         np.add.at(out, place(rows, cols), hits.astype(out.dtype, copy=False))
 
@@ -509,9 +501,7 @@ def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
     term, by lowest mode.  Each term of an NPFO sum keeps every group's
     occupation count."""
     groups = [1 << m for m in range(n_modes)]
-    ladders = np.concatenate([np.bitwise_or.reduce(table.flip, axis=1)
-                              for table in tables])
-    for ladder in np.unique(ladders).tolist():
+    for ladder in set().union(*(table.flip.tolist() for table in tables)):
         joined = [g for g in groups if g & ladder]
         if len(joined) > 1:
             groups = [g for g in groups if not g & ladder]
@@ -522,8 +512,7 @@ def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
 def _signature(table: _Terms) -> tuple[bytes, bytes, bytes, bytes, str]:
     """A sum's table as bytes, the key of the symmetry memo: the modes each
     term needs occupied, those it tests, its ladder modes and its weights."""
-    ladder = np.bitwise_or.reduce(table.flip, axis=1)
-    return (table.need.tobytes(), table.care.tobytes(), ladder.tobytes(),
+    return (table.need.tobytes(), table.care.tobytes(), table.flip.tobytes(),
             table.weights.tobytes(), table.weights.dtype.str)
 
 
@@ -543,7 +532,11 @@ def _swap_invariant(masks: np.ndarray, weights: np.ndarray,
     mapped = masks & ~np.uint64(a | b)
     for m, to in image.items():
         if m != to:
-            mapped |= ((masks >> np.uint64(m)) & _U1) << np.uint64(to)
+            mapped |= ((masks >> np.uint64(m)) & 1) << np.uint64(to)
+    here = np.lexsort(masks[::-1])
+    there = np.lexsort(mapped[::-1])
+    if not np.array_equal(masks[:, here], mapped[:, there]):
+        return False
     # the sorts' inversions: pairs m < m2 of a term's creations (or its
     # annihilations) whose images fall the other way round
     parity = np.zeros(masks.shape[1], dtype=np.uint64)
@@ -551,13 +544,10 @@ def _swap_invariant(masks: np.ndarray, weights: np.ndarray,
         later = sum(1 << m2 for m2, to2 in image.items() if m2 > m and to2 < to)
         if later:
             for row in masks[:2]:
-                parity += ((row >> np.uint64(m)) & _U1) * \
-                    _popcount(row & np.uint64(later))
-    here = np.lexsort(masks[::-1])
-    there = np.lexsort(mapped[::-1])
-    return np.array_equal(masks[:, here], mapped[:, there]) and \
-        np.array_equal(weights[here],
-                       (1.0 - 2.0 * (parity & _U1))[there] * weights[there])
+                parity += ((row >> np.uint64(m)) & 1) * \
+                    np.bitwise_count(row & np.uint64(later))
+    return np.array_equal(weights[here],
+                          (1.0 - 2.0 * (parity & 1))[there] * weights[there])
 
 
 @lru_cache(maxsize=32)
@@ -688,7 +678,7 @@ def _layout(n_modes: int, groups: tuple[int, ...],
     key = np.zeros_like(states)  # per-group counts, packed
     shift = 0
     for group, size in zip(groups, sizes):
-        key |= _popcount(states & np.uint64(group)) << np.uint64(shift)
+        key |= np.bitwise_count(states & np.uint64(group)) << np.uint64(shift)
         shift += size.bit_length()
     _, block, dims = np.unique(key, return_inverse=True, return_counts=True)
     # renumber the blocks by dimension, so that equal sizes are adjacent
@@ -780,7 +770,7 @@ def _spectra(layers: Sequence[FermionSum], eta: int) -> tuple:
             if not np.allclose(stack, stack.conj().swapaxes(-1, -2),
                                atol=1e-12):
                 raise ContractError("layer is not Hermitian in the eta sector")
-        if table.flip.shape[1] == 0:
+        if not table.flip.any():
             per_layer.append([(np.diagonal(stack, 0, -2, -1).real.copy(),
                                None) for stack in stacks])
         else:

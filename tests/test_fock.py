@@ -543,7 +543,7 @@ def reference_images(term, states):
     parity = np.zeros(len(hit), dtype=np.uint64)
     for m, k in reversed(term.factors):
         if k != NUMBER:
-            parity += fock._popcount(image & np.uint64((1 << m) - 1))
+            parity += np.bitwise_count(image & np.uint64((1 << m) - 1))
             image = image ^ np.uint64(1 << m)
     return hit, image, 1.0 - 2.0 * (parity & np.uint64(1))
 
@@ -625,6 +625,40 @@ def test_builders_equal_the_per_term_loop_on_random_sums(h):
 def test_full_matrix_equals_the_per_term_loop_off_the_npfo_class(h):
     """full_matrix also takes terms that change the particle number."""
     assert np.array_equal(full_matrix(h), reference_full_matrix(h))
+
+
+def reference_action(term, state):
+    """The image of a basis state under a term and its Jordan-Wigner sign,
+    one factor at a time right to left in plain ints, or None where the
+    term annihilates the state."""
+    sign = 1
+    for m, k in reversed(term.factors):
+        if (state >> m & 1) == (k == CREATE):
+            return None
+        if k != NUMBER:
+            sign *= (-1) ** (state & ((1 << m) - 1)).bit_count()
+            state ^= 1 << m
+    return state, sign
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.one_of(fermion_sums(n), npfo_sums(n))))
+def test_term_masks_give_the_factor_by_factor_action(h):
+    """Each term's (flip, sign, odd) row maps every state it does not
+    annihilate to the image and sign of its factors acting one by one."""
+    table = fock._terms(h, npfo=False)
+    for row, term in enumerate(h.terms):
+        need, care, flip, sign, odd = (
+            int(column[row]) for column in
+            (table.need, table.care, table.flip, table.sign, table.odd))
+        for state in range(1 << h.n_modes):
+            want = reference_action(term, state)
+            if state & care != need:
+                assert want is None
+            else:
+                assert want == (state ^ flip,
+                                (-1) ** ((state & sign).bit_count() + odd))
 
 
 def test_layout_memo_is_read_only_and_bounded():
@@ -892,7 +926,7 @@ def test_orbit_walk_equals_the_filtered_sector(case):
     for eta in range(n + 1):
         states = np.array([s for s in range(1 << n) if s.bit_count() == eta],
                           dtype=np.uint64)
-        counts = np.stack([fock._popcount(states & np.uint64(g))
+        counts = np.stack([np.bitwise_count(states & np.uint64(g))
                            for g in groups])
         keep = np.ones(len(states), dtype=bool)
         for orbit in orbits:
@@ -965,3 +999,49 @@ def test_swap_carries_the_sign_of_the_re_sort(modes, pairs, numbers, w):
     assert orbits([term, mapped]) == ((0, 1),)
     assert orbits([term, FermionTerm(-mapped.weight, mapped.factors)]) == \
         ((0,), (1,))
+
+
+def swapped(h, a, b):
+    """h with mode groups a and b swapped, the k-th mode of one with the
+    k-th mode of the other, each term re-sorted by normal_order."""
+    bits_a, bits_b = fock._bits(a), fock._bits(b)
+    image = dict(zip(bits_a + bits_b, bits_b + bits_a))
+    acc = {}
+    for t in h.terms:
+        merge(acc, normal_order([(image.get(m, m), k) for m, k in t.factors],
+                                t.weight, h.n_modes))
+    return FermionSum(h.n_modes, [FermionTerm(w, f) for f, w in acc.items()])
+
+
+@st.composite
+def sums_and_groups(draw):
+    """A sum on at most 8 modes and a random partition of its modes into
+    groups, ordered by lowest mode."""
+    n = draw(st.integers(2, 8))
+    h = draw(st.one_of(fermion_sums(n), npfo_sums(n)))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups = sorted({sum(1 << m for m in range(n) if labels[m] == label)
+                     for label in labels}, key=lambda g: g & -g)
+    return h, groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums_and_groups())
+def test_swap_invariance_equals_the_term_by_term_map(case):
+    """For every pair of equal-size groups, _swap_invariant on the sum, on
+    the sum plus its swapped image (which maps to itself) and on the sum
+    minus that image (whose terms map to terms, but not its weights) says
+    what mapping the FermionSum term by term says."""
+    h, groups = case
+    for i, a in enumerate(groups):
+        for b in groups[i + 1:]:
+            if a.bit_count() != b.bit_count():
+                continue
+            image = swapped(h, a, b)
+            for s in (h, h + image, h - image):
+                table = fock._terms(s, npfo=False)
+                need, care, flip = table.need, table.care, table.flip
+                masks = np.stack((care & ~need, need & flip, need & ~flip))
+                want = {t.factors: t.weight for t in swapped(s, a, b)} == \
+                    {t.factors: t.weight for t in s}
+                assert fock._swap_invariant(masks, table.weights, a, b) == want
