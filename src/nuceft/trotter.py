@@ -12,8 +12,9 @@ time step (in MeV^-1) to get a dimensionless error.
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -47,7 +48,7 @@ class BoundReport(_BoundReportFields):
 
     @property
     def total(self) -> float:
-        return sum(v for _, v in self.classes)
+        return _plain_sum(v for _, v in self.classes)
 
     def __getitem__(self, label):
         if not isinstance(label, str):
@@ -156,8 +157,12 @@ def _shell_sums(shells: tuple[tuple[float, int], ...]) -> tuple[float, float, fl
     s_cross = sum over shell pairs a < b of q_a u_a q_b u_b, and s_same.
 
     u is the bare radial kernel f(r)(g(r)+1); the coupling constants appear
-    explicitly in each class coefficient.  A sweep prices many points at
-    one cutoff, so the O(S^2) s_cross is computed once per shell table.
+    explicitly in each class coefficient.  Each sum is taken in one fixed
+    order and rounded after every addition (see _plain_sum): s_qu and
+    s_same over the shells in table order, s_cross as _cross_sum says.  So
+    the three values are the same bits on every Python and on either side
+    of _cross_sum's size switch.  A sweep prices many points at one cutoff,
+    so the O(S^2) s_cross is computed once per shell table.
     """
     m = CONSTANTS.m_pi
 
@@ -167,15 +172,69 @@ def _shell_sums(shells: tuple[tuple[float, int], ...]) -> tuple[float, float, fl
 
     qs = [q for _, q in shells]
     us = [bare_kernel(convert_length(r_fm)) for r_fm, _ in shells]
-    s_qu = sum(q * u for q, u in zip(qs, us))
-    # ((q_a u_a) q_b) u_b added left to right, as one sum: Python >= 3.12
-    # compensates a float sum, so summing row by row would round differently
-    s_cross = sum(chain.from_iterable(
-        map(mul, map(mul, repeat(qa * ua), qs[i + 1:]), us[i + 1:])
-        for i, (qa, ua) in enumerate(zip(qs, us))))
-    s_same = sum((3670016 * q * (q - 1) + 524288 * q) * u * u
-                 for q, u in zip(qs, us))
+    s_qu = _plain_sum(map(mul, qs, us))
+    s_cross = _cross_sum(qs, us)
+    s_same = _plain_sum((3670016 * q * (q - 1) + 524288 * q) * u * u
+                        for q, u in zip(qs, us))
     return s_qu, s_cross, s_same
+
+
+# above this many shell pairs _cross_sum runs on numpy.  Every table up to
+# ell = 17 lattice units stays below it, so an estimate there never imports
+# numpy (the benchmark's ope estimates and eta sweep reach ell = 13, 10,011
+# pairs).  At the switch the pure-Python sum takes about 5 ms, a twentieth
+# of the numpy import that an estimate just above it pays.
+_NUMPY_PAIRS = 1 << 15
+# pair products per numpy block: 8,192 float64 entries, 64 KB
+_CHUNK = 1 << 13
+
+
+def _cross_sum(qs: Sequence[int], us: Sequence[float]) -> float:
+    """s_cross = sum over a < b of ((q_a u_a) q_b) u_b.
+
+    The pairs are taken in row-major order (a, then b) and added strictly
+    left to right, rounding after every addition.  Above _NUMPY_PAIRS,
+    numpy forms the same products with the same multiplications, a block
+    of at most _CHUNK at a time in the same order, and np.add.accumulate
+    (sequential, unlike np.sum) adds each block after the total so far.
+    A block may hold zero products past the end of a row; every product is
+    >= 0, and adding 0.0 leaves a total unchanged, so both paths give the
+    same bits.
+    """
+    n = len(qs)
+    if n * (n - 1) // 2 <= _NUMPY_PAIRS:
+        return _plain_sum(chain.from_iterable(
+            map(mul, map(mul, repeat(qa * ua), qs[i + 1:]), us[i + 1:])
+            for i, (qa, ua) in enumerate(zip(qs, us))))
+    import numpy as np
+    # zero-padded, so that every row of a block, from its column a + 1 on,
+    # is one window of the same width
+    pad, window = np.zeros(n), min(n - 1, _CHUNK)
+    q = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((qs, pad)), window)
+    u = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((us, pad)), window)
+    c = np.array(qs, dtype=np.float64) * us
+    total, a = 0.0, 0
+    while a < n - 1:
+        width = min(n - 1 - a, _CHUNK)
+        rows = min(_CHUNK // width, n - 1 - a)
+        # rows a .. a+rows-1; only a row longer than a chunk takes more
+        # than one block
+        for b in range(a + 1, n, width):
+            block = c[a:a + rows, None] * q[b:b + rows, :width]
+            block *= u[b:b + rows, :width]
+            block = block.ravel()
+            block[0] += total
+            total = np.add.accumulate(block, out=block)[-1]
+        a += rows
+    return float(total)
+
+
+def _plain_sum(xs) -> float:
+    """xs added left to right, rounding after every addition, as builtin
+    sum did before Python 3.12 began to compensate float sums."""
+    return deque(accumulate(xs, initial=0), maxlen=1)[0]
 
 
 def dynpi_p1_bound(eta: int, params: OpeParams,

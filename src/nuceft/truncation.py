@@ -8,6 +8,7 @@ register sizing for the dynamical-pion model.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import DomainError, UnreachableBudgetError
 from .params import (CONSTANTS, DigitizationSpec, OpeParams, ab_coefficients,
@@ -58,13 +59,17 @@ def shell_counts(max_r_sq: int) -> list[int]:
     return counts
 
 
-def realized_shells(ell_fm: float, a_L_fm: float) -> list[tuple[float, int]]:
+# a sweep meets its cutoffs in runs, so a few entries suffice
+@lru_cache(maxsize=8)
+def realized_shells(ell_fm: float,
+                    a_L_fm: float) -> tuple[tuple[float, int], ...]:
     """(distance in fm, q) for every nonzero shell with r <= ell."""
     if ell_fm < a_L_fm:
-        return []
+        return ()
     max_r_sq = int((ell_fm / a_L_fm) ** 2 + 1e-9)
-    return [(a_L_fm * math.sqrt(r_sq), q)
-            for r_sq, q in enumerate(shell_counts(max_r_sq)) if r_sq and q]
+    return tuple((a_L_fm * math.sqrt(r_sq), q)
+                 for r_sq, q in enumerate(shell_counts(max_r_sq))
+                 if r_sq and q)
 
 
 def ope_cutoff_error(ell_fm: float, eta: int, a_L_fm: float) -> float:

@@ -327,9 +327,18 @@ def test_estimate_does_not_import_the_oracle():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert nuceft.cli.main(
                     ["estimate", "--model", model, "--eta", "40"]) == 0
+        # the benchmark's ope estimates and eta sweep price tables below
+        # the numpy switch of the shell-pair sum
+        for argv in (["--task", "qpe"], ["--ell", "13"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert nuceft.cli.main(["estimate", "--model", "ope",
+                                        "--eta", "40", *argv]) == 0
         with contextlib.redirect_stdout(io.StringIO()):
             assert nuceft.cli.main(["sweep", "--eta", "40", "--axis", "eta",
                                     "--from", "2", "--to", "4"]) == 0
+            assert nuceft.cli.main(["sweep", "--model", "ope", "--eta", "40",
+                                    "--axis", "eta", "--from", "2",
+                                    "--to", "400", "--step", "2"]) == 0
         # neither the oracle nor what the estimate path does without
         oracle = ("numpy", "nuceft.fock", "nuceft.pauli", "nuceft.encodings",
                   "nuceft.models", "nuceft.verify", "click", "dataclasses")

@@ -1,5 +1,5 @@
-import itertools
 import math
+import random
 
 import pytest
 
@@ -90,20 +90,66 @@ def test_ope_p1_empty_shells():
     assert report.total > 0  # contact pieces remain
 
 
-def test_shell_sums_match_the_pair_loop_exactly():
-    shells = realized_shells(44.0, 2.2)
-    s_qu, s_cross, s_same = trotter._shell_sums(tuple(shells))
+def _pair_loop(qs, us):
+    """s_cross by the definition: ((q_a u_a) q_b) u_b over a < b in
+    row-major order, added left to right."""
+    total = 0
+    for a in range(len(qs)):
+        for b in range(a + 1, len(qs)):
+            total += qs[a] * us[a] * qs[b] * us[b]
+    return total
+
+
+def _bare_kernels(shells):
     m = CONSTANTS.m_pi
-    data = []
+    qs, us = [], []
     for r_fm, q in shells:
         r = r_fm / CONSTANTS.hbar_c
-        data.append((q, (m * m * math.exp(-m * r) / r)
-                     * (2 + 3 / (m * r) + 3 / (m * r) ** 2)))
-    assert s_qu == sum(q * u for q, u in data)
-    assert s_cross == sum(qa * ua * qb * ub for i, (qa, ua) in enumerate(data)
-                          for qb, ub in data[i + 1:])
-    assert s_same == sum((3670016 * q * (q - 1) + 524288 * q) * u * u
-                         for q, u in data)
+        qs.append(q)
+        us.append((m * m * math.exp(-m * r) / r)
+                  * (2 + 3 / (m * r) + 3 / (m * r) ** 2))
+    return qs, us
+
+
+def test_shell_sums_match_the_pair_loop_exactly():
+    # ell 0 and 1 are the empty and the one-shell table, 17 is the last
+    # table below the numpy switch, and 20 spans several blocks above it
+    for ell in (0, 1, 13, 17, 18, 20):
+        shells = realized_shells(ell * 2.2, 2.2)
+        pairs = len(shells) * (len(shells) - 1) // 2
+        assert (pairs <= trotter._NUMPY_PAIRS) == (ell <= 17)
+        assert ell != 20 or pairs > 4 * trotter._CHUNK
+        sums = trotter._shell_sums(tuple(shells))
+        qs, us = _bare_kernels(shells)
+        plain_qu = plain_same = 0
+        for q, u in zip(qs, us):
+            plain_qu += q * u
+            plain_same += (3670016 * q * (q - 1) + 524288 * q) * u * u
+        assert sums == (plain_qu, _pair_loop(qs, us), plain_same)
+    assert repr(trotter._shell_sums(())) == "(0, 0, 0)"
+
+
+def test_cross_sum_splits_a_row_longer_than_a_block(monkeypatch):
+    rng = random.Random(19)
+    qs = [rng.randint(1, 48) for _ in range(300)]
+    us = [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-12, 3) for _ in qs]
+    expected = _pair_loop(qs, us)
+    # the first row is 299 pairs long, over five 64-pair blocks
+    monkeypatch.setattr(trotter, "_CHUNK", 64)
+    assert len(qs) * (len(qs) - 1) // 2 > trotter._NUMPY_PAIRS
+    assert trotter._cross_sum(qs, us) == expected
+    # and the pure-Python path, with every table below the switch
+    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 6)
+    assert trotter._cross_sum(qs, us) == expected
+
+
+def test_plain_sum_rounds_after_every_addition():
+    xs = [1.0, 1e100, 1.0, -1e100]
+    # a compensated sum (math.fsum, builtin sum since Python 3.12) gives 2.0
+    assert math.fsum(xs) == 2.0
+    assert trotter._plain_sum(xs) == 0.0
+    assert trotter._plain_sum(iter(xs[:3])) == 1e100
+    assert repr(trotter._plain_sum([])) == "0"
 
 
 def test_ope_p1_shell_sums_are_memoized_by_value():
@@ -119,14 +165,13 @@ def test_ope_p1_shell_sums_are_memoized_by_value():
 
 def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
     evaluations = []
+    cross_sum = trotter._cross_sum
 
-    class CountingChain:
-        @staticmethod
-        def from_iterable(rows):
-            evaluations.append(1)
-            return itertools.chain.from_iterable(rows)
+    def counting_cross_sum(qs, us):
+        evaluations.append(1)
+        return cross_sum(qs, us)
 
-    monkeypatch.setattr(trotter, "chain", CountingChain)
+    monkeypatch.setattr(trotter, "_cross_sum", counting_cross_sum)
     trotter._shell_sums.cache_clear()
     rows = sweep(TaskSpec(model="ope"), "eta", range(2, 401, 2))
     cutoffs = {row["ell_or_nb"] for row in rows}

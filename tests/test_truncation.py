@@ -58,7 +58,16 @@ def test_realized_shells():
     assert [q for _, q in shells] == [6, 12, 8, 6]
     assert shells[0][0] == pytest.approx(2.2)
     assert shells[-1][0] == pytest.approx(4.4)
-    assert realized_shells(1.0, 2.2) == []
+    assert realized_shells(1.0, 2.2) == ()
+
+
+def test_realized_shells_are_memoized_per_cutoff():
+    realized_shells.cache_clear()
+    cold = realized_shells(22.0, 2.2)
+    assert realized_shells(22.0, 2.2) is cold
+    assert realized_shells.cache_info()[:2] == (1, 1)  # hits, misses
+    realized_shells.cache_clear()
+    assert realized_shells(22.0, 2.2) == cold
 
 
 def test_cutoff_error_rate_decreases_with_range():
