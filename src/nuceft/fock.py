@@ -24,8 +24,7 @@ Symmetric blocks are computed once per orbit, in two steps.  First, two
 mode groups of equal size are swapped mode by mode in order; a swap that
 maps every input sum to itself (term by term, with the fermionic sign of
 the re-sort and bit-equal weights) joins the two groups into one orbit, and
-a pair already in one orbit is not tried.  The orbits are found once per
-distinct input and kept in a bounded cache.  Any permutation of the counts
+a pair already in one orbit is not tried.  Any permutation of the counts
 of one orbit's groups gives a block of the same spectrum and the same
 product-formula error, so, second, only the blocks whose counts do not
 increase along each orbit are built: a walk takes the orbits one at a time,
@@ -43,23 +42,22 @@ masks below the term's ladder modes and ``odd`` is the parity that the
 earlier flips add, so a hit costs one XOR and one popcount.  The
 (term, state) hits are found term-major in chunks of about 2^20 pairs,
 which bounds the temporaries, and added in term order, so each entry sums
-its terms in the order a term-by-term loop would.  The block layout of
-a sector (its states, each state's place in its block and the stacks of
-equal-size blocks) depends only on the mode groups, their orbits and eta;
-it is built once per key and kept in a bounded cache, read-only.  A layer
-of number factors alone is diagonal, and is exponentiated entry by entry
-with no eigendecomposition.
+its terms in the order a term-by-term loop would.  A layer of number
+factors alone is diagonal, and is exponentiated entry by entry with no
+eigendecomposition.
 
-An exact evolution error needs, per stack of blocks, the eigensystems of
-each layer and of their sum, and none of these depends on t, p or r.  They
-are computed, with each layer's hermiticity check, once per input and kept
-in a memo keyed on content: eta and each layer's mode count and terms (a
-tuple of frozen terms, so a sum whose terms are reassigned is a new input).
+Between calls the oracle keeps one memo, keyed on content: eta and each
+sum's mode count and terms (a tuple of frozen terms, so a sum whose terms
+are reassigned is a new input).  For each input it keeps what depends on
+neither t, p nor r: the term tables, the orbit-reduced block layout (its
+states, each state's place in its block and the stacks of equal-size
+blocks) and, once exact_evolution_error asks, per stack the eigensystems of
+each layer and of their sum, found with each layer's hermiticity check.
 The kept arrays are read-only and together hold at most MAX_BLOCK**2
-entries, the least recently used input going first; an input refused, or
-alone over that bound, is not kept.  Each call still computes its own
-phases, step product, power and norm, so a value does not depend on what
-was kept.
+entries, the least recently used input going first; a call that raises
+leaves the memo as it was, and an input alone over that bound is not kept.
+No value is kept: each call builds its own block buffer, or its own
+phases, step product and power, and takes its own norms.
 
 Occupation convention: bit i of a basis integer is the occupation of mode i,
 and ladder operators pick up the sign (-1)^(number of occupied modes below i),
@@ -68,9 +66,7 @@ matching the Jordan-Wigner string direction used by the encodings module.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from cmath import isfinite
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -121,10 +117,6 @@ class FermionTerm:
     @property
     def annihilations(self) -> tuple[int, ...]:
         return tuple(m for m, k in self.factors if k == ANNIHILATE)
-
-    @property
-    def numbers(self) -> tuple[int, ...]:
-        return tuple(m for m, k in self.factors if k == NUMBER)
 
     @property
     def is_npfo(self) -> bool:
@@ -230,12 +222,10 @@ def _ordered(fs: tuple[Factor, ...], weight: float
     """{canonical factors: weight} of weight times a product of ladder
     factors, keyed in the order the rewrite first reaches each term."""
     acc: dict[tuple[Factor, ...], float] = {}
-    # each entry carries where its scan starts: a swap or a contraction at
-    # pos leaves the pairs before pos - 1 as they were, in order
-    stack: list[tuple[float, tuple[Factor, ...], int]] = [(weight, fs, 0)]
+    stack: list[tuple[float, tuple[Factor, ...]]] = [(weight, fs)]
     while stack:
-        w, fs, start = stack.pop()
-        pos = _first_violation(fs, start)
+        w, fs = stack.pop()
+        pos = _first_violation(fs)
         if pos is None:
             key, sign = _to_canonical(fs)
             if key is not None:
@@ -243,15 +233,14 @@ def _ordered(fs: tuple[Factor, ...], weight: float
             continue
         (m1, k1), (m2, k2) = fs[pos], fs[pos + 1]
         head, tail = fs[:pos], fs[pos + 2:]
-        start = pos - 1 if pos else 0
         if k1 == ANNIHILATE and k2 == CREATE:
             if m1 == m2:
-                stack.append((w, head + tail, start))
-            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail, start))
+                stack.append((w, head + tail))
+            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
         else:  # same-kind pair out of order or repeated
             if m1 == m2:
                 continue  # nilpotency: term vanishes
-            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail, start))
+            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
     return acc
 
 
@@ -273,10 +262,9 @@ def _from_weights(n_modes: int, acc: dict[tuple[Factor, ...], float]) -> Fermion
     return out
 
 
-def _first_violation(fs: tuple[Factor, ...], start: int) -> int | None:
-    """Index of the first adjacent pair breaking normal order, or None;
-    the pairs before ``start`` are known to be in order."""
-    for i in range(start, len(fs) - 1):
+def _first_violation(fs: tuple[Factor, ...]) -> int | None:
+    """Index of the first adjacent pair breaking normal order, or None."""
+    for i in range(len(fs) - 1):
         (m1, k1), (m2, k2) = fs[i], fs[i + 1]
         if k1 == ANNIHILATE and k2 == CREATE:
             return i
@@ -340,8 +328,8 @@ def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
 # sector matrices, block by block
 
 # largest block the oracle diagonalizes; the blocks of one call together
-# hold at most MAX_BLOCK**2 entries, and so do the eigensystems the oracle
-# keeps between calls
+# hold at most MAX_BLOCK**2 entries, and so does all the oracle keeps
+# between calls
 MAX_BLOCK = 4096
 
 
@@ -411,9 +399,9 @@ def _check_width(n_modes: int) -> None:
         raise SizeError(f"{n_modes} modes exceeds the 64-bit occupation mask")
 
 
-def _terms(h: FermionSum, npfo: bool = True) -> _Terms:
-    """The table of h; a term with a non-finite weight is refused, and with
-    ``npfo`` a term that does not preserve the particle number."""
+def _terms(h: FermionSum) -> _Terms:
+    """The table of h; a term that does not preserve the particle number,
+    or has a non-finite weight, is refused."""
     _check_width(h.n_modes)
     need, care, flips, signs, odds, weights = [], [], [], [], [], []
     for term in h.terms:
@@ -431,7 +419,7 @@ def _terms(h: FermionSum, npfo: bool = True) -> _Terms:
                 odd += (flip & (bit - 1)).bit_count()
                 flip ^= bit
                 sign ^= bit - 1
-        if npfo and balance:
+        if balance:
             raise ValueError("term does not preserve particle number")
         if not isfinite(term.weight):
             raise ValueError(f"term {term!r} has a non-finite weight")
@@ -486,16 +474,6 @@ def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
     return mat
 
 
-def full_matrix(h: FermionSum) -> np.ndarray:
-    """Dense matrix of h on the full 2^n Fock space."""
-    dim = 1 << h.n_modes
-    mat = np.zeros((dim, dim), dtype=complex)
-    _accumulate(mat.reshape(-1), _terms(h, npfo=False),
-                np.arange(dim, dtype=np.uint64),
-                lambda rows, cols: rows * dim + cols)
-    return mat
-
-
 def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
     """Masks of the groups of modes joined by the ladder factors of any one
     term, by lowest mode.  Each term of an NPFO sum keeps every group's
@@ -507,13 +485,6 @@ def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
             groups = [g for g in groups if not g & ladder]
             groups.append(sum(joined))  # disjoint masks: the sum is the union
     return tuple(sorted(groups, key=lambda g: g & -g))
-
-
-def _signature(table: _Terms) -> tuple[bytes, bytes, bytes, bytes, str]:
-    """A sum's table as bytes, the key of the symmetry memo: the modes each
-    term needs occupied, those it tests, its ladder modes and its weights."""
-    return (table.need.tobytes(), table.care.tobytes(), table.flip.tobytes(),
-            table.weights.tobytes(), table.weights.dtype.str)
 
 
 def _bits(mask: int) -> list[int]:
@@ -550,22 +521,15 @@ def _swap_invariant(masks: np.ndarray, weights: np.ndarray,
                           (1.0 - 2.0 * (parity & 1))[there] * weights[there])
 
 
-@lru_cache(maxsize=32)
-def _orbits(groups: tuple[int, ...],
-            signatures: tuple[tuple[bytes, bytes, bytes, bytes, str], ...]
+def _orbits(groups: tuple[int, ...], tables: Sequence[_Terms]
             ) -> tuple[tuple[int, ...], ...]:
     """The orbits of the mode groups under the swaps of two equal-size
-    groups that map every sum to itself, each orbit ascending, found once
-    per distinct input.  Each group is tried against the nearest earlier
-    group first; a pair already in one orbit is not tried, since the swaps
-    found compose to swap it."""
-    sums = []
-    for *columns, weights, dtype in signatures:
-        need, care, ladder = (np.frombuffer(column, dtype=np.uint64)
-                              for column in columns)
-        # each term's creation, annihilation and number modes
-        sums.append((np.stack((care & ~need, need & ladder, need & ~ladder)),
-                     np.frombuffer(weights, dtype=dtype)))
+    groups that map every sum to itself, each orbit ascending.  Each group
+    is tried against the nearest earlier group first; a pair already in one
+    orbit is not tried, since the swaps found compose to swap it."""
+    # each term's creation, annihilation and number modes
+    sums = [(np.stack((t.care & ~t.need, t.need & t.flip, t.need & ~t.flip)),
+             t.weights) for t in tables]
     orbit = list(range(len(groups)))  # each group's orbit, as a group in it
     for j, b in enumerate(groups):
         for i in range(j - 1, -1, -1):
@@ -638,7 +602,7 @@ class _Blocks(NamedTuple):
 
     Blocks are laid out in one flat buffer, ordered by dimension, each
     block a row-major d x d matrix over its states in ascending order.
-    The arrays are shared between calls, so they are read-only.
+    The arrays are kept between calls, so they are read-only.
     """
 
     states: np.ndarray    # the blocks' states, ascending
@@ -648,26 +612,11 @@ class _Blocks(NamedTuple):
     size: int             # buffer entries
 
 
-def _blocked(sums: Sequence[FermionSum], eta: int
-             ) -> tuple[list[_Terms], _Blocks]:
-    """The tables of the sums and the block layout their groups and the
-    orbits of those give the eta sector."""
-    n_modes = max(h.n_modes for h in sums)
-    if not 0 <= eta <= n_modes:
-        raise ValueError(f"eta={eta} outside [0, {n_modes}]")
-    tables = [_terms(h) for h in sums]
-    groups = _mode_groups(n_modes, tables)
-    orbits = _orbits(groups, tuple(map(_signature, tables)))
-    return tables, _layout(n_modes, groups, orbits, eta)
-
-
-@lru_cache(maxsize=32)
 def _layout(n_modes: int, groups: tuple[int, ...],
             orbits: tuple[tuple[int, ...], ...], eta: int) -> _Blocks:
-    """The block layout of the eta sector for these mode groups and orbits,
-    built once per key.  Only the blocks whose counts do not increase along
-    each orbit are laid out; a layout over the cap is refused before it is
-    enumerated."""
+    """The block layout of the eta sector for these mode groups and orbits.
+    Only the blocks whose counts do not increase along each orbit are laid
+    out; a layout over the cap is refused before it is enumerated."""
     sizes = [g.bit_count() for g in groups]
     largest, squares = _block_sizes(sizes, orbits, eta)
     if largest > MAX_BLOCK or squares > MAX_BLOCK ** 2:
@@ -693,11 +642,66 @@ def _layout(n_modes: int, groups: tuple[int, ...],
     dim_values, first, counts = np.unique(dims, return_index=True,
                                           return_counts=True)
     row_base = offsets[block] + local * dims[block]
-    for arr in (states, row_base, local):
-        arr.flags.writeable = False
     return _Blocks(states, row_base, local,
                    tuple(zip(offsets[first].tolist(), counts.tolist(),
                              dim_values.tolist())), int(squares))
+
+
+class _Input(NamedTuple):
+    """What the oracle derives from one input, none of which depends on t,
+    p or r: the tables of the sums, the block layout that their groups and
+    the orbits of those give the eta sector and, once exact_evolution_error
+    asks, per stack of equal-size blocks the eigensystem (values, vectors)
+    of the summed sums and one per sum.  Every array is read-only."""
+
+    tables: tuple[_Terms, ...]
+    blocks: _Blocks
+    spectra: tuple | None  # ((whole, (part, ...)), ...) per stack
+    entries: int           # array entries held
+
+
+# the inputs of recent calls, keyed on eta and each sum's mode count and
+# terms, in insertion order: the least recently used first
+_KEPT: dict[tuple, _Input] = {}
+
+
+def _frozen(arrays: Iterable[np.ndarray]) -> int:
+    """Make the arrays read-only, as kept arrays are; their entries."""
+    entries = 0
+    for a in arrays:
+        a.flags.writeable = False
+        entries += a.size
+    return entries
+
+
+def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[tuple, _Input]:
+    """The memo key of an input and what the memo keeps for it, derived now
+    if it keeps nothing.  The memo is left as it was."""
+    key = (eta, tuple((h.n_modes, h.terms) for h in sums))
+    kept = _KEPT.get(key)
+    if kept is None:
+        n_modes = max(h.n_modes for h in sums)
+        if not 0 <= eta <= n_modes:
+            raise ValueError(f"eta={eta} outside [0, {n_modes}]")
+        tables = tuple(_terms(h) for h in sums)
+        groups = _mode_groups(n_modes, tables)
+        blocks = _layout(n_modes, groups, _orbits(groups, tables), eta)
+        kept = _Input(tables, blocks, None, _frozen(
+            [*(a for table in tables for a in table),
+             blocks.states, blocks.row_base, blocks.local]))
+    return key, kept
+
+
+def _keep(key: tuple, kept: _Input) -> None:
+    """Keep an input as the most recently used; while the kept inputs hold
+    more than MAX_BLOCK**2 entries in all, the least recently used goes.
+    An input alone over that is not kept and drops nothing."""
+    if kept.entries > MAX_BLOCK ** 2:
+        return
+    new = _KEPT.pop(key, None) is not kept
+    _KEPT[key] = kept
+    while new and sum(k.entries for k in _KEPT.values()) > MAX_BLOCK ** 2:
+        del _KEPT[next(iter(_KEPT))]
 
 
 def _block_buffer(table: _Terms, blocks: _Blocks) -> np.ndarray:
@@ -723,9 +727,11 @@ def _norm(stack: np.ndarray) -> float:
 def eta_seminorm(h: FermionSum, eta: int) -> float:
     """Largest singular value of h projected into the eta-fermion sector,
     over one block per orbit of the group swaps that map h to itself."""
-    (table,), blocks = _blocked([h], eta)
-    buf = _block_buffer(table, blocks)
-    return max(_norm(stack) for stack in _stacks(buf, blocks))
+    key, kept = _derived([h], eta)
+    _keep(key, kept)
+    (table,) = kept.tables
+    buf = _block_buffer(table, kept.blocks)
+    return max(_norm(stack) for stack in _stacks(buf, kept.blocks))
 
 
 def _phases(vals: np.ndarray, vecs: np.ndarray | None, t: float
@@ -742,30 +748,16 @@ def _phases(vals: np.ndarray, vecs: np.ndarray | None, t: float
     return (vecs * phase[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-# the inputs of recent exact_evolution_error calls, least recently used
-# first, each with its spectra and their entry count
-_SPECTRA: OrderedDict = OrderedDict()
-
-
-def _spectra(layers: Sequence[FermionSum], eta: int) -> tuple:
-    """The part of exact_evolution_error that depends on neither t, p nor
-    r: per stack of equal-size blocks, the eigensystem (values, vectors) of
-    the summed layers and one per layer, a number-only layer's as its
-    diagonal and no vectors.  Each layer is checked for hermiticity.  The
-    result is kept as the module docstring describes."""
-    key = (eta, tuple((h.n_modes, h.terms) for h in layers))
-    kept = _SPECTRA.get(key)
-    if kept is not None:
-        _SPECTRA.move_to_end(key)
-        return kept[0]
-    tables, blocks = _blocked(layers, eta)
+def _with_spectra(kept: _Input) -> _Input:
+    """The input with its eigensystems, a number-only sum's as its diagonal
+    and no vectors.  Each sum is checked for hermiticity."""
     total = 0
     per_layer = []
-    for table in tables:
-        buf = _block_buffer(table, blocks)
+    for table in kept.tables:
+        buf = _block_buffer(table, kept.blocks)
         # the blocks laid out stand for their orbits, since every layer
         # maps to itself under the swaps that join them
-        stacks = _stacks(buf, blocks)
+        stacks = _stacks(buf, kept.blocks)
         for stack in stacks:
             if not np.allclose(stack, stack.conj().swapaxes(-1, -2),
                                atol=1e-12):
@@ -780,18 +772,11 @@ def _spectra(layers: Sequence[FermionSum], eta: int) -> tuple:
         # the rest add into it in layer order
         total += buf
     spectra = tuple(zip((tuple(np.linalg.eigh(stack))
-                         for stack in _stacks(total, blocks)),
+                         for stack in _stacks(total, kept.blocks)),
                         zip(*per_layer)))
-    arrays = [a for whole, parts in spectra for pair in (whole, *parts)
-              for a in pair if a is not None]
-    for a in arrays:
-        a.flags.writeable = False
-    entries = sum(a.size for a in arrays)
-    if entries <= MAX_BLOCK ** 2:
-        _SPECTRA[key] = (spectra, entries)
-        while sum(n for _, n in _SPECTRA.values()) > MAX_BLOCK ** 2:
-            _SPECTRA.popitem(last=False)
-    return spectra
+    return kept._replace(spectra=spectra, entries=kept.entries + _frozen(
+        a for whole, parts in spectra for pair in (whole, *parts)
+        for a in pair if a is not None))
 
 
 def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
@@ -808,9 +793,13 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
         raise ValueError(f"time t={t} is not finite")
     if not layers:
         raise ValueError("layers is empty; the oracle needs at least one")
+    key, kept = _derived(layers, eta)
+    if kept.spectra is None:
+        kept = _with_spectra(kept)
+    _keep(key, kept)
     dt = t / r
     worst = 0.0
-    for whole, parts in _spectra(layers, eta):
+    for whole, parts in kept.spectra:
         exact = _phases(*whole, t)
         if p == 1:
             factors = [_phases(*part, dt) for part in parts]
@@ -822,19 +811,3 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
             step = step @ u
         worst = max(worst, _norm(exact - np.linalg.matrix_power(step, r)))
     return worst
-
-
-# small constructors for hand-built sums
-
-
-def hopping(i: int, j: int, n_modes: int, weight: float = 1.0) -> FermionSum:
-    """weight * (a+(i) a(j) + a+(j) a(i))."""
-    lo, hi = min(i, j), max(i, j)
-    return FermionSum(n_modes, [
-        FermionTerm(weight, ((lo, CREATE), (hi, ANNIHILATE))),
-        FermionTerm(weight, ((hi, CREATE), (lo, ANNIHILATE))),
-    ])
-
-
-def number_op(i: int, n_modes: int, weight: float = 1.0) -> FermionSum:
-    return FermionSum(n_modes, [FermionTerm(weight, ((i, NUMBER),))])

@@ -264,10 +264,15 @@ def _products(a: PauliSum, b: PauliSum, parity: int | None) -> PauliSum:
     return out
 
 
-def dense_matrix(p: PauliSum, max_qubits: int = 14) -> np.ndarray:
+# most qubits dense_matrix builds a matrix for
+MAX_DENSE_QUBITS = 14
+
+
+def dense_matrix(p: PauliSum) -> np.ndarray:
     """Exact dense matrix of a PauliSum, refusing oversized requests."""
-    if p.n_qubits > max_qubits:
-        raise SizeError(f"{p.n_qubits} qubits exceeds dense cap {max_qubits}")
+    if p.n_qubits > MAX_DENSE_QUBITS:
+        raise SizeError(
+            f"{p.n_qubits} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
     dim = 1 << p.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     for coeff, string in p.terms:

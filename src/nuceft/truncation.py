@@ -94,16 +94,20 @@ def ope_cutoff_error(ell_fm: float, eta: int, a_L_fm: float) -> float:
     return min(pairwise, counting)
 
 
-def choose_ope_cutoff(eps_trunc: float, t: float, eta: int, a_L_fm: float,
-                      max_multiple: int = 10 ** 4) -> int:
+# largest cutoff, in lattice units, that choose_ope_cutoff tries
+MAX_MULTIPLE = 10 ** 4
+
+
+def choose_ope_cutoff(eps_trunc: float, t: float, eta: int,
+                      a_L_fm: float) -> int:
     """Smallest integer k with t * rate(k * a_L) <= eps_trunc."""
     if eps_trunc <= 0:
         raise DomainError(f"truncation budget must be positive, got {eps_trunc}")
-    for k in range(1, max_multiple + 1):
+    for k in range(1, MAX_MULTIPLE + 1):
         if t * ope_cutoff_error(k * a_L_fm, eta, a_L_fm) <= eps_trunc:
             return k
     raise UnreachableBudgetError(
-        f"no cutoff within {max_multiple} lattice units meets {eps_trunc} MeV")
+        f"no cutoff within {MAX_MULTIPLE} lattice units meets {eps_trunc} MeV")
 
 
 def pi_max_bound(eta: int, E: float, eps_cut: float, params: OpeParams,

@@ -5,10 +5,11 @@ from nuceft.encodings import (LatticeSpec, QubitLayout, encode_fermion_sum,
                               encode_hopping, encode_ladder, encode_number,
                               vc_stabilizers)
 from nuceft.errors import GeometryError, UnsupportedOperatorError
-from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm, \
-    full_matrix, hopping, number_op
+from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm
 from nuceft.pauli import PauliSum, dense_matrix
 from nuceft.verify import verify_encodings
+
+from fermion_reference import dense_sum, hopping, number_op
 
 
 def test_raster_roundtrip_and_boustrophedon():
@@ -44,7 +45,7 @@ def test_jw_encoding_matches_fock_oracle():
         8, [FermionTerm(0.3, ((1, CREATE), (5, ANNIHILATE)))])
     h = h + h.adjoint()
     encoded = encode_fermion_sum(layout, 0.5 * h)
-    assert np.allclose(dense_matrix(encoded), 0.5 * full_matrix(h),
+    assert np.allclose(dense_matrix(encoded), 0.5 * dense_sum(h),
                        atol=1e-12)
 
 

@@ -11,46 +11,18 @@ from nuceft.encodings import LatticeSpec
 from nuceft.errors import ContractError, SizeError
 from nuceft.fock import (ANNIHILATE, CREATE, NUMBER, EtaSector, FermionSum,
                          FermionTerm, eta_seminorm, exact_evolution_error,
-                         fermion_commutator, full_matrix, hopping, normal_order,
-                         number_op, sector_matrix)
+                         fermion_commutator, normal_order, sector_matrix)
 from nuceft.models import pionless_layers
 from nuceft.params import pionless_params_for
 
-
-def dense_ladder(n_modes, mode, kind):
-    """Independent Jordan-Wigner oracle on the full 2^n space."""
-    dim = 1 << n_modes
-    mat = np.zeros((dim, dim))
-    for state in range(dim):
-        occupied = (state >> mode) & 1
-        if kind == CREATE and not occupied:
-            sign = (-1) ** bin(state & ((1 << mode) - 1)).count("1")
-            mat[state | (1 << mode), state] = sign
-        if kind == ANNIHILATE and occupied:
-            sign = (-1) ** bin(state & ((1 << mode) - 1)).count("1")
-            mat[state ^ (1 << mode), state] = sign
-    return mat
+from fermion_reference import (dense_factors, dense_sum, hopping, number_op,
+                               reference_full_matrix, reference_images)
 
 
-def dense_factors(n_modes, factors):
-    dim = 1 << n_modes
-    mat = np.eye(dim)
-    for mode, kind in factors:
-        if kind == NUMBER:
-            step = dense_ladder(n_modes, mode, CREATE) @ \
-                dense_ladder(n_modes, mode, ANNIHILATE)
-        else:
-            step = dense_ladder(n_modes, mode, kind)
-        mat = mat @ step
-    return mat
-
-
-def dense_sum(h):
-    dim = 1 << h.n_modes
-    out = np.zeros((dim, dim), dtype=complex)
-    for t in h.terms:
-        out = out + t.weight * dense_factors(h.n_modes, t.factors)
-    return out
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts with nothing kept between oracle calls."""
+    fock._KEPT.clear()
 
 
 def test_canonical_term_guards():
@@ -139,7 +111,7 @@ def test_eta_sector_basis():
 def test_sector_matrix_is_projection_of_full():
     h = hopping(0, 1, 3, 0.7) + number_op(2, 3, -1.3)
     sector = EtaSector(3, 1)
-    full = full_matrix(h)
+    full = reference_full_matrix(h)
     sub = full[np.ix_(sector.basis, sector.basis)]
     assert np.allclose(sector_matrix(h, sector), sub)
     assert np.allclose(full, dense_sum(h), atol=1e-12)
@@ -185,7 +157,7 @@ def test_oversized_block_is_refused_before_enumeration(monkeypatch):
     # of two modes maps the sum to itself
     unjoined = FermionSum(40, [FermionTerm(1.0 + m, ((m, NUMBER),))
                                for m in range(40)])
-    # warm the layout memo with the same groups at sizes under the cap
+    # keep the same sums at sizes under the cap
     eta_seminorm(chain(64, range(64)), 1)
     exact_evolution_error([chain(64, range(64))], 0.1, 1, 1, 1)
     eta_seminorm(unjoined, 1)
@@ -530,39 +502,12 @@ def test_non_finite_weight_is_refused(w):
 # finds its hits, flips its ladder modes right to left and adds its signed
 # weight, one term after another
 
-def reference_images(term, states):
-    need = vacant = 0
-    for m, k in term.factors:
-        if k == CREATE:
-            vacant |= 1 << m
-        else:
-            need |= 1 << m
-    need, vacant = np.uint64(need), np.uint64(vacant)
-    hit = np.flatnonzero(((states & need) == need) & ((states & vacant) == 0))
-    image = states[hit]
-    parity = np.zeros(len(hit), dtype=np.uint64)
-    for m, k in reversed(term.factors):
-        if k != NUMBER:
-            parity += np.bitwise_count(image & np.uint64((1 << m) - 1))
-            image = image ^ np.uint64(1 << m)
-    return hit, image, 1.0 - 2.0 * (parity & np.uint64(1))
-
-
 def reference_sector_matrix(h, sector):
     states = np.array(sector.basis, dtype=np.uint64)
     mat = np.zeros((sector.dim, sector.dim), dtype=complex)
     for term in h.terms:
         cols, image, sign = reference_images(term, states)
         mat[np.searchsorted(states, image), cols] += sign * term.weight
-    return mat
-
-
-def reference_full_matrix(h):
-    states = np.arange(1 << h.n_modes, dtype=np.uint64)
-    mat = np.zeros((len(states), len(states)), dtype=complex)
-    for term in h.terms:
-        cols, image, sign = reference_images(term, states)
-        mat[image.astype(np.intp), cols] += sign * term.weight
     return mat
 
 
@@ -575,24 +520,22 @@ def reference_block_buffer(h, blocks):
     return buf
 
 
-def assert_builders_equal_reference(h, etas, full=True):
+def assert_builders_equal_reference(h, etas):
     for eta in etas:
-        (table,), blocks = fock._blocked([h], eta)
-        assert np.array_equal(fock._block_buffer(table, blocks),
-                              reference_block_buffer(h, blocks))
+        _key, kept = fock._derived([h], eta)
+        (table,) = kept.tables
+        assert np.array_equal(fock._block_buffer(table, kept.blocks),
+                              reference_block_buffer(h, kept.blocks))
         sector = EtaSector(h.n_modes, eta)
         assert np.array_equal(sector_matrix(h, sector),
                               reference_sector_matrix(h, sector))
-    if full:
-        assert np.array_equal(full_matrix(h), reference_full_matrix(h))
 
 
 @pytest.mark.parametrize("shape, max_eta", [((2, 1, 1), 3), ((2, 2, 1), 4)])
 def test_builders_equal_the_per_term_loop_on_pionless_layers(shape, max_eta):
     layers = pionless_layers(LatticeSpec(*shape, 2.2), pionless_params_for(2.2))
     for layer in layers:
-        assert_builders_equal_reference(layer, range(max_eta + 1),
-                                        full=layer.n_modes <= 8)
+        assert_builders_equal_reference(layer, range(max_eta + 1))
 
 
 # terms with no ladder pair, with one and with two, in one sum, with
@@ -620,13 +563,6 @@ def test_builders_equal_the_per_term_loop_on_random_sums(h):
     assert_builders_equal_reference(h, range(h.n_modes + 1))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 5).flatmap(fermion_sums))
-def test_full_matrix_equals_the_per_term_loop_off_the_npfo_class(h):
-    """full_matrix also takes terms that change the particle number."""
-    assert np.array_equal(full_matrix(h), reference_full_matrix(h))
-
-
 def reference_action(term, state):
     """The image of a basis state under a term and its Jordan-Wigner sign,
     one factor at a time right to left in plain ints, or None where the
@@ -642,12 +578,11 @@ def reference_action(term, state):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 8).flatmap(
-    lambda n: st.one_of(fermion_sums(n), npfo_sums(n))))
+@given(st.integers(1, 8).flatmap(npfo_sums))
 def test_term_masks_give_the_factor_by_factor_action(h):
     """Each term's (flip, sign, odd) row maps every state it does not
     annihilate to the image and sign of its factors acting one by one."""
-    table = fock._terms(h, npfo=False)
+    table = fock._terms(h)
     for row, term in enumerate(h.terms):
         need, care, flip, sign, odd = (
             int(column[row]) for column in
@@ -661,88 +596,144 @@ def test_term_masks_give_the_factor_by_factor_action(h):
                                 (-1) ** ((state & sign).bit_count() + odd))
 
 
+# the one memo: per input, what depends on neither t, p nor r
+
+def key(sums, eta):
+    return (eta, tuple((h.n_modes, h.terms) for h in sums))
+
+
+def kept(layers, eta):
+    return key(layers, eta) in fock._KEPT
+
+
+def assert_memo_is(before):
+    """The memo holds the same inputs, in the same order, as ``before``."""
+    after = list(fock._KEPT.items())
+    assert [k for k, _ in after] == [k for k, _ in before]
+    assert all(a is b for (_, a), (_, b) in zip(after, before))
+
+
+def layout_arrays(input_kept):
+    blocks = input_kept.blocks
+    return [*(a for table in input_kept.tables for a in table),
+            blocks.states, blocks.row_base, blocks.local]
+
+
+def spectra_arrays(input_kept):
+    return [a for whole, parts in input_kept.spectra
+            for pair in (whole, *parts) for a in pair if a is not None]
+
+
 def test_layout_memo_is_read_only_and_bounded():
-    (_table,), blocks = fock._blocked([hopping(0, 1, 4)], 2)
-    assert fock._blocked([hopping(1, 0, 4, 0.5)], 2)[1] is blocks
-    for array in (blocks.states, blocks.row_base, blocks.local):
+    """A seminorm keeps the input's tables and layout, read-only, and no
+    eigensystems; the memo counts their entries against its bound."""
+    eta_seminorm(hopping(0, 1, 4), 2)
+    (input_kept,) = fock._KEPT.values()
+    assert input_kept.spectra is None
+    arrays = layout_arrays(input_kept)
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
-    for memo in (fock._layout, fock._orbits):
-        maxsize = memo.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 64
+            array[...] = 0
+    assert input_kept.entries == sum(a.size for a in arrays) \
+        <= fock.MAX_BLOCK ** 2
 
 
 def test_refused_layouts_are_never_cached():
+    """A call refused for its size or its input leaves the memo as it
+    was, in the same order; so each refusal is found anew."""
     too_big = chain(20, range(20))
-    before = fock._layout.cache_info()
+    eta_seminorm(too_big, 1)
+    exact_evolution_error(DIAGONAL_LAYERS, 0.7, 1, 1, 2)
+    before = list(fock._KEPT.items())
+    assert len(before) == 2
     for _ in range(3):
         with pytest.raises(SizeError):
             eta_seminorm(too_big, 5)
         with pytest.raises(SizeError):
             exact_evolution_error([too_big], 0.1, 1, 1, 5)
-    after = fock._layout.cache_info()
-    assert after.currsize == before.currsize
-    assert after.misses == before.misses + 6
-
-
-# the time-independent eigensystems of exact_evolution_error, kept per input
-
-def kept(layers, eta):
-    return (eta, tuple((h.n_modes, h.terms) for h in layers)) in fock._SPECTRA
+        with pytest.raises(SizeError):
+            eta_seminorm(number_op(0, 65), 1)
+        with pytest.raises(ValueError, match="outside"):
+            eta_seminorm(too_big, 21)
+        with pytest.raises(ValueError, match="step count"):
+            exact_evolution_error(DIAGONAL_LAYERS, 0.7, 1, 0, 2)
+    assert_memo_is(before)
 
 
 def test_spectra_memo_keys_on_content():
-    fock._SPECTRA.clear()
-    spectra = fock._spectra(DIAGONAL_LAYERS, 2)
+    value = exact_evolution_error(DIAGONAL_LAYERS, 0.7, 2, 3, 2)
+    (input_kept,) = fock._KEPT.values()
     copies = [FermionSum(h.n_modes, h.terms) for h in DIAGONAL_LAYERS]
-    assert fock._spectra(copies, 2) is spectra
-    assert len(fock._SPECTRA) == 1
+    assert exact_evolution_error(copies, 0.7, 2, 3, 2) == value
+    assert len(fock._KEPT) == 1
+    assert fock._KEPT[key(copies, 2)] is input_kept
     # a weight one ulp off is another input, with the value of an empty memo
     moved = [moved_by_one_ulp(DIAGONAL_LAYERS[0]), *DIAGONAL_LAYERS[1:]]
     value = exact_evolution_error(moved, 0.7, 2, 3, 2)
-    assert len(fock._SPECTRA) == 2
-    fock._SPECTRA.clear()
+    assert len(fock._KEPT) == 2
+    fock._KEPT.clear()
     assert exact_evolution_error(moved, 0.7, 2, 3, 2) == value
     # so is a sum whose terms are reassigned after a call
     h = FermionSum(4, DIAGONAL_LAYERS[0].terms)
     before = exact_evolution_error([h, *DIAGONAL_LAYERS[1:]], 0.7, 1, 2, 2)
     h.terms = hopping(0, 2, 4).terms
     after = exact_evolution_error([h, *DIAGONAL_LAYERS[1:]], 0.7, 1, 2, 2)
-    fock._SPECTRA.clear()
+    fock._KEPT.clear()
     assert after == exact_evolution_error(
         [hopping(0, 2, 4), *DIAGONAL_LAYERS[1:]], 0.7, 1, 2, 2)
     assert after != before
+    # and so is another eta; one layer has the key of a seminorm of it, and
+    # the evolution error adds its eigensystems to what the seminorm kept
+    fock._KEPT.clear()
+    layer = DIAGONAL_LAYERS[0]
+    eta_seminorm(layer, 2)
+    eta_seminorm(layer, 3)
+    seminorm_kept = fock._KEPT[key([layer], 2)]
+    exact_evolution_error([layer], 0.7, 1, 1, 2)
+    assert len(fock._KEPT) == 2
+    input_kept = fock._KEPT[key([layer], 2)]
+    assert input_kept.tables is seminorm_kept.tables
+    assert input_kept.blocks is seminorm_kept.blocks
+    assert input_kept.spectra is not None
 
 
 def test_spectra_memo_is_read_only():
-    fock._SPECTRA.clear()
-    for whole, parts in fock._spectra(DIAGONAL_LAYERS, 2):
+    exact_evolution_error(DIAGONAL_LAYERS, 0.7, 1, 1, 2)
+    (input_kept,) = fock._KEPT.values()
+    for _whole, parts in input_kept.spectra:
         assert parts[1][1] is None  # the number-only layer: no vectors
-        for array in (a for pair in (whole, *parts) for a in pair
-                      if a is not None):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+    layout, spectra = layout_arrays(input_kept), spectra_arrays(input_kept)
+    for array in layout + spectra:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert input_kept.entries == sum(a.size for a in layout + spectra)
 
 
 def test_refused_spectra_are_never_kept():
-    fock._SPECTRA.clear()
+    """A layer refused as not Hermitian leaves the memo as it was, also
+    where a seminorm of it is kept."""
     one_way = FermionSum(4, [FermionTerm(1.0, ((0, CREATE), (1, ANNIHILATE)))])
+    eta_seminorm(one_way, 2)
+    exact_evolution_error(DIAGONAL_LAYERS, 0.7, 1, 1, 2)
+    before = list(fock._KEPT.items())
     for _ in range(3):
         with pytest.raises(ContractError):
+            exact_evolution_error([one_way], 0.1, 1, 1, 2)
+        with pytest.raises(ContractError):
             exact_evolution_error([hopping(1, 2, 4), one_way], 0.1, 1, 1, 2)
-    assert not fock._SPECTRA
+    assert_memo_is(before)
+    assert fock._KEPT[key([one_way], 2)].spectra is None
 
 
 def test_spectra_memo_evicts_the_least_recently_used(monkeypatch):
     a, b, c = ([hopping(0, 1, 4, w), number_op(2, 4)] for w in (0.5, 0.6, 0.7))
-    fock._SPECTRA.clear()
     values = [exact_evolution_error(layers, 0.3, 2, 2, 2)
-              for layers in (a, b, c)]  # also keeps their shared layout
-    (entries,) = {n for _, n in fock._SPECTRA.values()}
+              for layers in (a, b, c)]
+    (entries,) = {input_kept.entries for input_kept in fock._KEPT.values()}
     # room for two of the three inputs
     monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt(3 * entries - 1))
     assert 2 * entries <= fock.MAX_BLOCK ** 2 < 3 * entries
-    fock._SPECTRA.clear()
+    fock._KEPT.clear()
     exact_evolution_error(a, 0.3, 2, 2, 2)
     exact_evolution_error(b, 0.3, 2, 2, 2)
     exact_evolution_error(a, 0.3, 2, 2, 2)  # a is now the more recent
@@ -751,20 +742,35 @@ def test_spectra_memo_evicts_the_least_recently_used(monkeypatch):
     # an input over the whole budget is computed, not kept, and evicts
     # nothing
     monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt(entries - 1))
+    before = list(fock._KEPT.items())
     assert exact_evolution_error(b, 0.3, 2, 2, 2) == values[1]
-    assert kept(a, 2) and not kept(b, 2) and kept(c, 2)
+    assert_memo_is(before)
 
 
 def test_spectra_memo_hits_equal_cold_values():
     layers = pionless((2, 1, 1))
     points = [(t, p, r) for t in (0.05, 0.5) for p in (1, 2) for r in (1, 3)]
-    fock._SPECTRA.clear()
     warm = [exact_evolution_error(layers, t, p, r, 3) for t, p, r in points]
     cold = []
     for t, p, r in points:
-        fock._SPECTRA.clear()
+        fock._KEPT.clear()
         cold.append(exact_evolution_error(layers, t, p, r, 3))
     assert warm == cold
+
+
+def test_seminorm_memo_hits_equal_cold_values():
+    """A seminorm of a kept input equals the one an empty memo gives, bit
+    for bit."""
+    cases = [(h, eta) for h in (*pionless((2, 1, 1)), MIXED)
+             for eta in (1, 2, 3)]
+    cold = []
+    for h, eta in cases:
+        fock._KEPT.clear()
+        cold.append(eta_seminorm(h, eta).hex())
+    for h, eta in cases:
+        eta_seminorm(h, eta)
+    assert len(fock._KEPT) == len(cases)
+    assert [eta_seminorm(h, eta).hex() for h, eta in cases] == cold
 
 
 def test_block_buffer_temporaries_are_bounded():
@@ -778,11 +784,11 @@ def test_block_buffer_temporaries_are_bounded():
     h = fermion_commutator(diag, fermion_commutator(kin_x, diag))
     h = FermionSum(h.n_modes, [FermionTerm(t.weight * (1 + t.factors[0][0] / 64),
                                            t.factors) for t in h])
-    (table,), blocks = fock._blocked([h], 3)
-    assert len(h) >= 1500 and len(blocks.states) >= 4000
+    _key, kept = fock._derived([h], 3)
+    assert len(h) >= 1500 and len(kept.blocks.states) >= 4000
     tracemalloc.start()
     try:
-        fock._block_buffer(table, blocks)
+        fock._block_buffer(kept.tables[0], kept.blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -794,29 +800,27 @@ def test_block_buffer_temporaries_are_bounded():
 def found_orbits(sums):
     n_modes = max(h.n_modes for h in sums)
     tables = [fock._terms(h) for h in sums]
-    return fock._orbits(fock._mode_groups(n_modes, tables),
-                        tuple(map(fock._signature, tables)))
+    return fock._orbits(fock._mode_groups(n_modes, tables), tables)
 
 
-def singleton_orbits(groups, signatures):
+def singleton_orbits(groups, tables):
     """Each group its own orbit: the detector finding no swap."""
     return tuple((g,) for g in range(len(groups)))
 
 
 def reduced_and_full(call):
     """call() on one block per orbit, and again on every block: the
-    reference, with the detector finding no swap.  The spectra memo is
-    emptied around each call, so that neither call reuses the other's
-    blocks."""
-    fock._SPECTRA.clear()
+    reference, with the detector finding no swap.  The memo is emptied
+    around each call, so that neither call reuses the other's blocks."""
+    fock._KEPT.clear()
     reduced = call()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock, "_orbits", singleton_orbits)
-        fock._SPECTRA.clear()
+        fock._KEPT.clear()
         try:
             return reduced, call()
         finally:
-            fock._SPECTRA.clear()
+            fock._KEPT.clear()
 
 
 def pionless(shape):
@@ -833,7 +837,8 @@ def test_orbit_blocks_equal_every_block_on_pionless_layers(shape):
     layers = pionless(shape)
     total = sum(layers[1:], layers[0])
     for eta in range(1, 5):
-        reduced, full = reduced_and_full(lambda: fock._blocked(layers, eta)[1])
+        reduced, full = reduced_and_full(
+            lambda: fock._derived(layers, eta)[1].blocks)
         assert len(reduced.states) < len(full.states)
         for h in [*layers, total]:
             assert close(*reduced_and_full(lambda: eta_seminorm(h, eta)))
@@ -944,13 +949,13 @@ def test_cap_counts_one_block_per_orbit(monkeypatch):
     entries, over the cap of 4096**2; one block per orbit holds 3,661,648.
     Its evolution error is not computed here."""
     layers = pionless((3, 2, 2))
-    _tables, blocks = fock._blocked(layers, 3)
+    blocks = fock._derived(layers, 3)[1].blocks
     assert max(d for _, _, d in blocks.stacks) == 1728
     assert blocks.size == 3_661_648
     with monkeypatch.context() as patch:
         patch.setattr(fock, "_orbits", singleton_orbits)
         with pytest.raises(SizeError, match="19664704 block entries"):
-            fock._blocked(layers, 3)
+            fock._derived(layers, 3)
     # at eta=4 the block of one nucleon per species has 12**4 = 20,736
     # states, and is refused before any state is enumerated
     def enumerate_states(modes, eta):
@@ -958,14 +963,13 @@ def test_cap_counts_one_block_per_orbit(monkeypatch):
 
     monkeypatch.setattr(fock, "_subsets", enumerate_states)
     with pytest.raises(SizeError, match="a block of 20736 states"):
-        fock._blocked(layers, 4)
+        fock._derived(layers, 4)
 
 
 def test_unjoined_swappable_modes_leave_one_block_per_count():
     # modes 1..39 are alike: at eta=10 the C(40, 10) blocks of one state
     # fall into two orbits, by the occupation of mode 0
-    (_table,), blocks = fock._blocked([number_op(0, 40, 2.5)], 10)
-    assert blocks.size == 2
+    assert fock._derived([number_op(0, 40, 2.5)], 10)[1].blocks.size == 2
     assert eta_seminorm(number_op(0, 40, 2.5), 10) == 2.5
 
 
@@ -992,8 +996,8 @@ def test_swap_carries_the_sign_of_the_re_sort(modes, pairs, numbers, w):
     assume(mapped.factors != factors)
 
     def orbits(terms):
-        table = fock._terms(FermionSum(6, terms))
-        return fock._orbits((SWAP_A, SWAP_B), (fock._signature(table),))
+        return fock._orbits((SWAP_A, SWAP_B),
+                            [fock._terms(FermionSum(6, terms))])
 
     term = FermionTerm(w, factors)
     assert orbits([term, mapped]) == ((0, 1),)
@@ -1039,9 +1043,12 @@ def test_swap_invariance_equals_the_term_by_term_map(case):
                 continue
             image = swapped(h, a, b)
             for s in (h, h + image, h - image):
-                table = fock._terms(s, npfo=False)
-                need, care, flip = table.need, table.care, table.flip
-                masks = np.stack((care & ~need, need & flip, need & ~flip))
+                masks = np.array(
+                    [[sum(1 << m for m, k in t.factors if k == kind)
+                      for t in s.terms]
+                     for kind in (CREATE, ANNIHILATE, NUMBER)],
+                    dtype=np.uint64).reshape(3, len(s))
+                weights = np.array([t.weight for t in s.terms])
                 want = {t.factors: t.weight for t in swapped(s, a, b)} == \
                     {t.factors: t.weight for t in s}
-                assert fock._swap_invariant(masks, table.weights, a, b) == want
+                assert fock._swap_invariant(masks, weights, a, b) == want

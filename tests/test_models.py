@@ -5,12 +5,14 @@ import pytest
 
 from nuceft.encodings import LatticeSpec
 from nuceft.errors import DomainError
-from nuceft.fock import NUMBER, eta_seminorm, full_matrix
+from nuceft.fock import NUMBER, eta_seminorm
 from nuceft.models import build_pionless, pionless_layers
 from nuceft.params import (C_TILDE_0, C_TILDE_1, CONSTANTS, HBAR_C,
                            OpeParams, ab_coefficients, convert_length,
                            hopping_coefficient, pionless_params_for,
                            yukawa_g1, yukawa_g2)
+
+from fermion_reference import reference_full_matrix
 
 
 def test_physical_constants():
@@ -84,11 +86,11 @@ def test_pionless_hamiltonian_small_lattice():
     lat = LatticeSpec(2, 1, 1, 2.2)
     params = pionless_params_for(2.2)
     h = build_pionless(lat, params)
-    mat = full_matrix(h)
+    mat = reference_full_matrix(h)
     assert np.allclose(mat, mat.conj().T)
     # layers resum to the full Hamiltonian
     layers = pionless_layers(lat, params)
-    total = sum((full_matrix(layer) for layer in layers),
+    total = sum((reference_full_matrix(layer) for layer in layers),
                 np.zeros((256, 256), dtype=complex))
     assert np.allclose(total, mat, atol=1e-10)
 
@@ -97,7 +99,7 @@ def test_pionless_vacuum_and_single_particle():
     lat = LatticeSpec(2, 1, 1, 2.2)
     params = pionless_params_for(2.2)
     h = build_pionless(lat, params)
-    mat = full_matrix(h)
+    mat = reference_full_matrix(h)
     # the interaction needs two particles: empty state has zero energy
     assert abs(mat[0, 0]) < 1e-12
     # single-particle energy is kinetic only: 6h diagonal plus one hop
@@ -108,7 +110,7 @@ def test_layers_internally_commute():
     lat = LatticeSpec(2, 1, 1, 2.2)
     params = pionless_params_for(2.2)
     for layer in pionless_layers(lat, params):
-        m = full_matrix(layer)
+        m = reference_full_matrix(layer)
         assert np.allclose(m @ m.conj().T, m.conj().T @ m)
 
 

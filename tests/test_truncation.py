@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from nuceft import truncation
 from nuceft.errors import DomainError, UnreachableBudgetError
 from nuceft.params import OpeParams
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
@@ -101,9 +102,11 @@ def test_choose_cutoff_reference_point():
     assert choose_ope_cutoff(0.1 / 6, 0.7635238930596975, 40, 2.2) == 10
 
 
-def test_choose_cutoff_unreachable():
-    with pytest.raises(UnreachableBudgetError):
-        choose_ope_cutoff(1e-30, 1.0, 40, 2.2, max_multiple=5)
+def test_choose_cutoff_unreachable(monkeypatch):
+    monkeypatch.setattr(truncation, "MAX_MULTIPLE", 5)
+    with pytest.raises(UnreachableBudgetError,
+                       match="no cutoff within 5 lattice units"):
+        choose_ope_cutoff(1e-30, 1.0, 40, 2.2)
 
 
 def test_pi_max_bounds_positive_and_monotone():
