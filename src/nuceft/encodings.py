@@ -17,6 +17,11 @@ Three encodings are provided:
 The raster order walks each x-y plane in an x-major boustrophedon and stacks
 planes along z, so x-neighbors are always adjacent in the 1D mode order.
 Species order within a site: up-proton, down-proton, up-neutron, down-neutron.
+
+Images are composed on the mask maps of ``nuceft.pauli`` (ladder, number,
+edge and dressing factors, and their sums and products), with the same
+intermediate sums and the same zeros dropped as the ``PauliSum`` operations,
+and each returned operator is built as one ``PauliSum``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, GeometryError, UnsupportedOperatorError
 from .fock import ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm
-from .pauli import PauliString, PauliSum, multiply
+from .pauli import (PauliString, PauliSum, _built, _merged, _plus, _scaled,
+                    _times, multiply)
 
 N_SPECIES = 4
 
@@ -208,13 +214,15 @@ def _edge_faces(lat: LatticeSpec, site, axis):
 # ladder operators
 
 
-def _jw_ladder(n_qubits: int, mode: int, kind: str) -> PauliSum:
+def _jw_ladder(mode: int, kind: str) -> dict:
     z_string = (1 << mode) - 1
     bit = 1 << mode
-    x_part = PauliString(n_qubits, bit, z_string)
-    y_part = PauliString(n_qubits, bit, z_string | bit)
     sign = 1j if kind == ANNIHILATE else -1j
-    return PauliSum(n_qubits, [(0.5, x_part), (0.5 * sign, y_part)])
+    return _merged([(0.5, bit, z_string, 0), (0.5 * sign, bit, z_string | bit, 0)])
+
+
+def _number(mode: int) -> dict:
+    return _merged([(0.5, 0, 0, 0), (-0.5, 0, 1 << mode, 0)])
 
 
 def _vc_majorana(layout: QubitLayout, site, which: str, barred: bool) -> PauliString:
@@ -244,18 +252,16 @@ def encode_ladder(layout: QubitLayout, site, species: int, kind: str) -> PauliSu
             "compact encoding represents only parity-preserving composites")
     # a vc ladder is the Jordan-Wigner one on its occupation qubit: its Z
     # string covers every qubit below, auxiliaries included
-    return _jw_ladder(layout.total_qubits, layout.qubit(site, species), kind)
+    return _built(layout.total_qubits,
+                  _jw_ladder(layout.qubit(site, species), kind))
 
 
 def encode_number(layout: QubitLayout, site, species: int) -> PauliSum:
     """(1 - Z)/2 on the occupation qubit, identical in all encodings."""
-    q = layout.qubit(site, species)
-    n = layout.total_qubits
-    return PauliSum(n, [(0.5, PauliString.identity(n)),
-                        (-0.5, PauliString(n, 0, 1 << q))])
+    return _built(layout.total_qubits, _number(layout.qubit(site, species)))
 
 
-def _aux_dressing(layout: QubitLayout, site_i, site_j, axis: int) -> PauliSum:
+def _aux_dressing(layout: QubitLayout, site_i, site_j, axis: int) -> dict:
     """i * maj(i) * majbar(j) along the directed path edge for this bond."""
     which = "mu" if axis == 1 else "nu"
     edges = layout.mu_edges if axis == 1 else layout.nu_edges
@@ -263,20 +269,19 @@ def _aux_dressing(layout: QubitLayout, site_i, site_j, axis: int) -> PauliSum:
     key = frozenset((lat.raster_index(site_i), lat.raster_index(site_j)))
     if key not in edges:
         raise GeometryError(f"bond {site_i}-{site_j} is not a path edge")
-    return PauliSum(layout.total_qubits, [(1.0, _vc_edge(layout, which, *edges[key]))])
+    edge = _vc_edge(layout, which, *edges[key])
+    return _merged([(1.0, edge.x_mask, edge.z_mask, edge.phase)])
 
 
-def _compact_edge(layout: QubitLayout, site_i, site_j, species: int, axis: int) -> PauliSum:
-    qi = layout.qubit(site_i, species)
-    qj = layout.qubit(site_j, species)
-    n = layout.total_qubits
+def _compact_edge(layout: QubitLayout, site_i, qi: int, qj: int, species: int,
+                  axis: int) -> dict:
     x_mask = (1 << qi) | (1 << qj)
     z_mask = 1 << qj  # X on the lower-raster end, Y on the other
     p_mask = 0
     for face in _edge_faces(layout.lattice, site_i, axis):
         if face in layout._faces:
             p_mask |= 1 << layout.face_qubit(species, face)
-    return PauliSum(n, [(1.0, PauliString(n, x_mask, z_mask | p_mask))])
+    return _merged([(1.0, x_mask, z_mask | p_mask, 0)])
 
 
 def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSum:
@@ -285,21 +290,20 @@ def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSu
     axis = lat.bond_axis(site_i, site_j)
     if lat.raster_index(site_i) > lat.raster_index(site_j):
         site_i, site_j = site_j, site_i
+    qi = layout.qubit(site_i, species)
+    qj = layout.qubit(site_j, species)
     if layout.encoding == "compact":
         # -(i/2) E(i,j) (V(j) - V(i)) reduces to (XX + YY)/2 times the face factor
-        edge = _compact_edge(layout, site_i, site_j, species, axis)
-        n = layout.total_qubits
-        v_i = PauliSum(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_i, species)))])
-        v_j = PauliSum(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_j, species)))])
-        return (-0.5j) * (edge * (v_j - v_i))
-    create_i = encode_ladder(layout, site_i, species, CREATE)
-    annih_i = encode_ladder(layout, site_i, species, ANNIHILATE)
-    create_j = encode_ladder(layout, site_j, species, CREATE)
-    annih_j = encode_ladder(layout, site_j, species, ANNIHILATE)
-    bare = create_i * annih_j + create_j * annih_i
+        edge = _compact_edge(layout, site_i, qi, qj, species, axis)
+        v_i = _merged([(1.0, 0, 1 << qi, 0)])
+        v_j = _merged([(1.0, 0, 1 << qj, 0)])
+        return _built(layout.total_qubits, _scaled(-0.5j, _times(
+            edge, _plus(v_j, _scaled(-1, v_i)), None)))
+    bare = _plus(_times(_jw_ladder(qi, CREATE), _jw_ladder(qj, ANNIHILATE), None),
+                 _times(_jw_ladder(qj, CREATE), _jw_ladder(qi, ANNIHILATE), None))
     if layout.encoding == "vc" and axis != 0:
-        bare = bare * _aux_dressing(layout, site_i, site_j, axis)
-    return bare
+        bare = _times(bare, _aux_dressing(layout, site_i, site_j, axis), None)
+    return _built(layout.total_qubits, bare)
 
 
 def vc_stabilizers(layout: QubitLayout) -> list[PauliString]:
@@ -322,17 +326,14 @@ def encode_fermion_sum(layout: QubitLayout, h: FermionSum) -> PauliSum:
     n = layout.total_qubits
     if h.n_modes != n:
         raise DimensionError(f"operator has {h.n_modes} modes, layout {n} qubits")
-    return PauliSum(n, (pair for term in h.terms for pair in _jw_term(n, term)))
+    return _built(n, _merged([(c, x, z, 0) for term in h.terms
+                              for (x, z), c in _jw_term(term).items()]))
 
 
-def _jw_term(n: int, term: FermionTerm) -> PauliSum:
+def _jw_term(term: FermionTerm) -> dict:
     """Jordan-Wigner image of one canonical fermion term."""
-    acc = PauliSum(n, [(term.weight, PauliString.identity(n))])
+    acc = _merged([(term.weight, 0, 0, 0)])
     for mode, kind in term.factors:
-        if kind == NUMBER:
-            factor = PauliSum(n, [(0.5, PauliString.identity(n)),
-                                  (-0.5, PauliString(n, 0, 1 << mode))])
-        else:
-            factor = _jw_ladder(n, mode, kind)
-        acc = acc * factor
+        acc = _times(acc, _number(mode) if kind == NUMBER
+                     else _jw_ladder(mode, kind), None)
     return acc

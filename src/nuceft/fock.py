@@ -53,9 +53,12 @@ neither t, p nor r: the term tables, the orbit-reduced block layout (its
 states, each state's place in its block and the stacks of equal-size
 blocks) and, once exact_evolution_error asks, per stack the eigensystems of
 each layer and of their sum, found with each layer's hermiticity check.
-The kept arrays are read-only and together hold at most MAX_BLOCK**2
-entries, the least recently used input going first; a call that raises
-leaves the memo as it was, and an input alone over that bound is not kept.
+The kept arrays are read-only.  Each input is charged the bytes of its
+arrays and of its Python objects, key and terms included, and the kept
+inputs together hold at most 16 * MAX_BLOCK**2 bytes, as much as MAX_BLOCK**2
+complex entries; the least recently used input goes first.  A hit hashes
+the terms of its key once.  A call that raises leaves the memo as it was,
+and an input alone over that bound is not kept.
 No value is kept: each call builds its own block buffer, or its own
 phases, step product and power, and takes its own norms.
 
@@ -66,6 +69,7 @@ matching the Jordan-Wigner string direction used by the encodings module.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from cmath import isfinite
 from itertools import combinations_with_replacement
@@ -328,8 +332,8 @@ def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
 # sector matrices, block by block
 
 # largest block the oracle diagonalizes; the blocks of one call together
-# hold at most MAX_BLOCK**2 entries, and so does all the oracle keeps
-# between calls
+# hold at most MAX_BLOCK**2 entries, and all the oracle keeps between calls
+# at most the bytes of as many complex entries
 MAX_BLOCK = 4096
 
 
@@ -657,27 +661,66 @@ class _Input(NamedTuple):
     tables: tuple[_Terms, ...]
     blocks: _Blocks
     spectra: tuple | None  # ((whole, (part, ...)), ...) per stack
-    entries: int           # array entries held
+    nbytes: int            # bytes held, key included
 
 
-# the inputs of recent calls, keyed on eta and each sum's mode count and
-# terms, in insertion order: the least recently used first
-_KEPT: dict[tuple, _Input] = {}
+class _Key:
+    """The memo key of an input: eta and each sum's mode count and terms.
+    The terms hash in Python, term by term, so the hash is taken once."""
+
+    __slots__ = ("parts", "hash")
+
+    def __init__(self, sums: Sequence[FermionSum], eta: int):
+        self.parts = (eta, tuple((h.n_modes, h.terms) for h in sums))
+        self.hash = hash(self.parts)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Key) and self.parts == other.parts
 
 
-def _frozen(arrays: Iterable[np.ndarray]) -> int:
-    """Make the arrays read-only, as kept arrays are; their entries."""
-    entries = 0
+# the inputs of recent calls in insertion order: the least recently used
+# first
+_KEPT: dict[_Key, _Input] = {}
+
+
+def _frozen(arrays: Iterable[np.ndarray]) -> None:
+    """Make the arrays read-only, as kept arrays are."""
     for a in arrays:
         a.flags.writeable = False
-        entries += a.size
-    return entries
 
 
-def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[tuple, _Input]:
+def _footprint(*roots) -> int:
+    """Bytes of the objects reachable from ``roots`` through keys, tuples,
+    the fields of terms and the bases of arrays, each counted once."""
+    seen = set()
+    total = 0
+    todo = list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, tuple):
+            todo.extend(obj)
+        elif isinstance(obj, _Key):
+            todo.append(obj.parts)
+        elif isinstance(obj, FermionTerm):
+            fields = vars(obj)
+            total += sys.getsizeof(fields)
+            todo.extend(fields.values())
+        elif isinstance(obj, np.ndarray) and obj.base is not None:
+            todo.append(obj.base)
+    return total
+
+
+def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[_Key, _Input]:
     """The memo key of an input and what the memo keeps for it, derived now
     if it keeps nothing.  The memo is left as it was."""
-    key = (eta, tuple((h.n_modes, h.terms) for h in sums))
+    key = _Key(sums, eta)
     kept = _KEPT.get(key)
     if kept is None:
         n_modes = max(h.n_modes for h in sums)
@@ -686,21 +729,23 @@ def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[tuple, _Input]:
         tables = tuple(_terms(h) for h in sums)
         groups = _mode_groups(n_modes, tables)
         blocks = _layout(n_modes, groups, _orbits(groups, tables), eta)
-        kept = _Input(tables, blocks, None, _frozen(
-            [*(a for table in tables for a in table),
-             blocks.states, blocks.row_base, blocks.local]))
+        _frozen([*(a for table in tables for a in table),
+                 blocks.states, blocks.row_base, blocks.local])
+        kept = _Input(tables, blocks, None, 0)
+        kept = kept._replace(nbytes=_footprint(key, kept))
     return key, kept
 
 
-def _keep(key: tuple, kept: _Input) -> None:
+def _keep(key: _Key, kept: _Input) -> None:
     """Keep an input as the most recently used; while the kept inputs hold
-    more than MAX_BLOCK**2 entries in all, the least recently used goes.
+    more than 16 * MAX_BLOCK**2 bytes in all, the least recently used goes.
     An input alone over that is not kept and drops nothing."""
-    if kept.entries > MAX_BLOCK ** 2:
+    budget = 16 * MAX_BLOCK ** 2
+    if kept.nbytes > budget:
         return
     new = _KEPT.pop(key, None) is not kept
     _KEPT[key] = kept
-    while new and sum(k.entries for k in _KEPT.values()) > MAX_BLOCK ** 2:
+    while new and sum(k.nbytes for k in _KEPT.values()) > budget:
         del _KEPT[next(iter(_KEPT))]
 
 
@@ -774,9 +819,10 @@ def _with_spectra(kept: _Input) -> _Input:
     spectra = tuple(zip((tuple(np.linalg.eigh(stack))
                          for stack in _stacks(total, kept.blocks)),
                         zip(*per_layer)))
-    return kept._replace(spectra=spectra, entries=kept.entries + _frozen(
-        a for whole, parts in spectra for pair in (whole, *parts)
-        for a in pair if a is not None))
+    _frozen(a for whole, parts in spectra for pair in (whole, *parts)
+            for a in pair if a is not None)
+    return kept._replace(spectra=spectra,
+                         nbytes=kept.nbytes + _footprint(spectra))
 
 
 def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,

@@ -12,6 +12,13 @@ Canonical output: a ``PauliSum`` holds each distinct string once, with phase
 For a product or a bracket of two sums the occurrences are the term pairs
 taken a-major (every term of b against the first term of a, then the next),
 and each coefficient is accumulated in that order.
+
+Sums compose on masks: ``_merged`` accumulates every sum, product, bracket,
+multiple and adjoint as a map ``{(x_mask, z_mask): coefficient}``, and the
+encoders compose their images on such maps.  ``_built`` turns a map into a
+``PauliSum``, building each string once without validation and checking
+only that the union of the masks fits, once per sum.  ``PauliString(...)``
+and ``multiply`` validate every string they build.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .errors import DimensionError, SizeError
 
 _PAULI_CHARS = "IXZY"  # index = x_bit + 2*z_bit
 _I_POWERS = tuple(1j ** k for k in range(4))
+_set = object.__setattr__  # what a frozen dataclass's __init__ calls
 
 
 @dataclass(frozen=True)
@@ -122,32 +130,104 @@ class PauliString:
         return mat
 
 
-def _product(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
-    """Masks of the product of two phase-0 strings, and its letter phase.
+def multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Group product a*b with the exact Z4 phase.
 
     Each factor is rewritten in X^x Z^z order (i per Y), Z^az past X^bx
     gives (-1)^|az & bx|, and the product goes back to letter form.
     """
-    x = ax ^ bx
-    z = az ^ bz
-    return x, z, ((ax & az).bit_count() + (bx & bz).bit_count()
-                  + 2 * (az & bx).bit_count() - (x & z).bit_count())
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Group product a*b with the exact Z4 phase."""
     if a.n_qubits != b.n_qubits:
         raise DimensionError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    x, z, g = _product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
-    return PauliString(a.n_qubits, x, z, a.phase + b.phase + g)
+    ax, az, bx, bz = a.x_mask, a.z_mask, b.x_mask, b.z_mask
+    x = ax ^ bx
+    z = az ^ bz
+    return PauliString(a.n_qubits, x, z, a.phase + b.phase
+                       + (ax & az).bit_count() + (bx & bz).bit_count()
+                       + 2 * (az & bx).bit_count() - (x & z).bit_count())
 
 
-def _canonical_terms(n_qubits: int, combined: dict[tuple[int, int], complex]
-                     ) -> tuple[tuple[complex, PauliString], ...]:
-    """One phase-0 string per accumulated (x_mask, z_mask), zeros dropped."""
-    return tuple((c, PauliString(n_qubits, x, z, 0))
-                 for (x, z), c in combined.items() if c != 0)
+# A canonical sum on masks: {(x_mask, z_mask): coefficient}, no zero
+# coefficient, keys in the order of their first occurrence.
+
+
+def _merged(terms: Iterable[tuple[complex, int, int, int]]
+            ) -> dict[tuple[int, int], complex]:
+    """Each (coeff, x_mask, z_mask, phase) adds coeff * i**phase to its
+    masks' coefficient, from 0 in input order; zeros are then dropped."""
+    combined: dict[tuple[int, int], complex] = {}
+    for coeff, x, z, phase in terms:
+        key = (x, z)
+        combined[key] = combined.get(key, 0) + coeff * _I_POWERS[phase]
+    return {key: c for key, c in combined.items() if c != 0}
+
+
+def _plus(a: dict, b: dict) -> dict:
+    return _merged([(c, x, z, 0) for (x, z), c in (*a.items(), *b.items())])
+
+
+def _scaled(scalar: complex, a: dict) -> dict:
+    return _merged([(scalar * c, x, z, 0) for (x, z), c in a.items()])
+
+
+def _times(a: dict, b: dict, parity: int | None) -> dict:
+    """ab, or with ``parity`` a bracket, over the term pairs a-major.
+
+    Two Pauli strings either commute or anticommute, so each pair's ab and
+    ba are equal or opposite: for ab - ba (parity 1) or ab + ba (parity 0)
+    a pair whose symplectic product has that parity contributes
+    2*ca*cb*(sa*sb) and any other pair cancels exactly.  The phase is the
+    one ``multiply`` gives.
+    """
+    b_terms = [(bx, bz, (bx & bz).bit_count(), cb) for (bx, bz), cb in b.items()]
+
+    def pairs():
+        for (ax, az), ca in a.items():
+            ya = (ax & az).bit_count()
+            if parity is not None:
+                ca = 2 * ca
+            for bx, bz, yb, cb in b_terms:
+                zx = az & bx
+                if parity is not None and \
+                        ((ax & bz) ^ zx).bit_count() & 1 != parity:
+                    continue
+                x = ax ^ bx
+                z = az ^ bz
+                yield (ca * cb, x, z, (ya + yb + 2 * zx.bit_count()
+                                       - (x & z).bit_count()) & 3)
+    return _merged(pairs())
+
+
+def _masks(p: "PauliSum") -> dict:
+    return {(s.x_mask, s.z_mask): c for c, s in p.terms}
+
+
+def _trusted(n_qubits: int, x_mask: int, z_mask: int) -> PauliString:
+    """A phase-0 string built without validation, for masks that the
+    caller checks.  Its fields are set as the dataclass sets them (reading
+    ``__dict__`` would add a dict of 64 bytes to each string)."""
+    string = object.__new__(PauliString)
+    _set(string, "n_qubits", n_qubits)
+    _set(string, "x_mask", x_mask)
+    _set(string, "z_mask", z_mask)
+    _set(string, "phase", 0)
+    return string
+
+
+def _built(n_qubits: int, combined: dict) -> "PauliSum":
+    """The PauliSum of a canonical sum on masks, each string built once.
+    The masks come from validated strings or qubit indices, or are XORs of
+    such masks, so only their union is checked to fit, once per sum."""
+    union = 0
+    for x, z in combined:
+        union |= x | z
+    if union >> max(n_qubits, 0):
+        raise DimensionError(f"mask exceeds {n_qubits} qubits: {union:#x}")
+    out = PauliSum.__new__(PauliSum)
+    out.n_qubits = n_qubits
+    out.terms = tuple((c, _trusted(n_qubits, x, z))
+                      for (x, z), c in combined.items())
+    return out
 
 
 class PauliSum:
@@ -161,15 +241,14 @@ class PauliSum:
     __slots__ = ("n_qubits", "terms")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, PauliString]] = ()):
-        self.n_qubits = n_qubits
-        combined: dict[tuple[int, int], complex] = {}
+        items = []
         for coeff, string in terms:
             if string.n_qubits != n_qubits:
                 raise DimensionError(
                     f"term acts on {string.n_qubits} qubits, sum on {n_qubits}")
-            key = (string.x_mask, string.z_mask)
-            combined[key] = combined.get(key, 0) + coeff * string.phase_value
-        self.terms = _canonical_terms(n_qubits, combined)
+            items.append((coeff, string.x_mask, string.z_mask, string.phase))
+        self.n_qubits = n_qubits
+        self.terms = _built(n_qubits, _merged(items)).terms
 
     @classmethod
     def from_string(cls, coeff: complex, string: PauliString) -> "PauliSum":
@@ -192,20 +271,21 @@ class PauliSum:
         if self.n_qubits != other.n_qubits:
             raise DimensionError(
                 f"qubit counts differ: {self.n_qubits} vs {other.n_qubits}")
-        return PauliSum(self.n_qubits, list(self.terms) + list(other.terms))
+        return _built(self.n_qubits, _plus(_masks(self), _masks(other)))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1) * other
 
     def __rmul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum(self.n_qubits, [(scalar * c, s) for c, s in self.terms])
+        return _built(self.n_qubits, _scaled(scalar, _masks(self)))
 
     def __mul__(self, other: "PauliSum") -> "PauliSum":
         return _products(self, other, None)
 
     def adjoint(self) -> "PauliSum":
         # stored strings are phase-free hence Hermitian
-        return PauliSum(self.n_qubits, [(c.conjugate(), s) for c, s in self.terms])
+        return _built(self.n_qubits, _merged(
+            [(c.conjugate(), s.x_mask, s.z_mask, 0) for c, s in self.terms]))
 
     def is_hermitian(self) -> bool:
         return all(abs(c.imag if isinstance(c, complex) else 0.0) == 0
@@ -233,35 +313,10 @@ def anticommutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
 
 
 def _products(a: PauliSum, b: PauliSum, parity: int | None) -> PauliSum:
-    """ab, or with ``parity`` a bracket, in one pass over the term pairs.
-
-    Coefficients accumulate on the masks, and each surviving string is
-    built once.  Two Pauli strings either commute or anticommute, so each
-    pair's ab and ba are equal or opposite: for ab - ba (parity 1) or
-    ab + ba (parity 0) a pair whose symplectic product has that parity
-    contributes 2*ca*cb*(sa*sb) and any other pair cancels exactly.
-    """
     if a.n_qubits != b.n_qubits:
         raise DimensionError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    b_terms = [(cb, sb.x_mask, sb.z_mask) for cb, sb in b.terms]
-    combined: dict[tuple[int, int], complex] = {}
-    for ca, sa in a.terms:
-        ax, az = sa.x_mask, sa.z_mask
-        for cb, bx, bz in b_terms:
-            if parity is None:
-                coeff = ca * cb
-            elif ((ax & bz) ^ (az & bx)).bit_count() % 2 == parity:
-                coeff = 2 * ca * cb
-            else:
-                continue
-            x, z, g = _product(ax, az, bx, bz)
-            key = (x, z)
-            combined[key] = combined.get(key, 0) + coeff * _I_POWERS[g % 4]
-    out = PauliSum.__new__(PauliSum)
-    out.n_qubits = a.n_qubits
-    out.terms = _canonical_terms(a.n_qubits, combined)
-    return out
+    return _built(a.n_qubits, _times(_masks(a), _masks(b), parity))
 
 
 # most qubits dense_matrix builds a matrix for

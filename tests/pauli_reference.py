@@ -1,0 +1,148 @@
+"""Reference compositions for the Pauli algebra and the encoders.
+
+``canonical`` sums (coefficient, string) pairs the way a canonical sum is
+defined, with no code from ``nuceft.pauli`` but the validating
+``PauliString``; ``pairwise`` builds a product or a bracket from
+``multiply``, one term pair at a time, and sums it so.  The encoder
+functions compose their images from public
+``PauliSum`` operations (sums, scalar multiples and products), in the
+order, and with the intermediate sums, that ``nuceft.encodings`` follows on
+masks; each intermediate sum drops its zeros.  ``exact_terms`` compares two
+sums bit for bit.  The lattice geometry (qubit layout, path edges, faces)
+is read from ``nuceft.encodings``: only the Pauli composition is
+independent.
+"""
+
+from types import SimpleNamespace
+
+from nuceft.encodings import _VC_MU, _VC_NU, _edge_faces
+from nuceft.fock import ANNIHILATE, CREATE, NUMBER
+from nuceft.pauli import PauliString, PauliSum, multiply
+
+
+def exact_terms(p):
+    """Terms with each coefficient as its repr, so signed zeros count."""
+    return [(repr(c), s) for c, s in p.terms]
+
+
+def canonical(n_qubits, terms):
+    """The canonical sum of (coeff, string) pairs: per (x_mask, z_mask),
+    coeff * i**phase accumulated from 0 in input order, then zero
+    coefficients dropped, each string built with phase 0."""
+    combined = {}
+    for coeff, s in terms:
+        key = (s.x_mask, s.z_mask)
+        combined[key] = combined.get(key, 0) + coeff * 1j ** s.phase
+    return SimpleNamespace(n_qubits=n_qubits, terms=tuple(
+        (c, PauliString(n_qubits, x, z)) for (x, z), c in combined.items()
+        if c != 0))
+
+
+def pairwise(a, b, keep=None):
+    """The product ab, or with ``keep`` (False for commuting pairs, True
+    for anticommuting ones) ab - ba or ab + ba, built pair by pair from
+    multiply, a-major."""
+    if keep is None:
+        prods = [(ca * cb, multiply(sa, sb))
+                 for ca, sa in a.terms for cb, sb in b.terms]
+    else:
+        prods = [(2 * ca * cb, multiply(sa, sb))
+                 for ca, sa in a.terms for cb, sb in b.terms
+                 if (not sa.commutes_with(sb)) == keep]
+    return canonical(a.n_qubits, prods)
+
+
+def jw_ladder(n_qubits, mode, kind):
+    z_string = (1 << mode) - 1
+    bit = 1 << mode
+    x_part = PauliString(n_qubits, bit, z_string)
+    y_part = PauliString(n_qubits, bit, z_string | bit)
+    sign = 1j if kind == ANNIHILATE else -1j
+    return PauliSum(n_qubits, [(0.5, x_part), (0.5 * sign, y_part)])
+
+
+def number(n_qubits, mode):
+    return PauliSum(n_qubits, [(0.5, PauliString.identity(n_qubits)),
+                               (-0.5, PauliString(n_qubits, 0, 1 << mode))])
+
+
+def encode_ladder(layout, site, species, kind):
+    return jw_ladder(layout.total_qubits, layout.qubit(site, species), kind)
+
+
+def encode_number(layout, site, species):
+    return number(layout.total_qubits, layout.qubit(site, species))
+
+
+def vc_majorana(layout, site, which, barred):
+    bit = 1 << (layout.qubit(site, 0) + (_VC_NU if which == "nu" else _VC_MU))
+    return PauliString(layout.total_qubits, bit,
+                       (bit - 1) | (bit if barred else 0))
+
+
+def vc_edge(layout, which, ra, rb):
+    lat = layout.lattice
+    prod = multiply(vc_majorana(layout, lat.site_at(ra), which, barred=False),
+                    vc_majorana(layout, lat.site_at(rb), which, barred=True))
+    return PauliString(prod.n_qubits, prod.x_mask, prod.z_mask, prod.phase + 1)
+
+
+def vc_stabilizers(layout):
+    return [vc_edge(layout, which, ra, rb)
+            for which, edges in (("mu", layout.mu_edges), ("nu", layout.nu_edges))
+            for ra, rb in edges.values()]
+
+
+def aux_dressing(layout, site_i, site_j, axis):
+    which = "mu" if axis == 1 else "nu"
+    edges = layout.mu_edges if axis == 1 else layout.nu_edges
+    lat = layout.lattice
+    key = frozenset((lat.raster_index(site_i), lat.raster_index(site_j)))
+    return PauliSum(layout.total_qubits,
+                    [(1.0, vc_edge(layout, which, *edges[key]))])
+
+
+def compact_edge(layout, site_i, site_j, species, axis):
+    qi = layout.qubit(site_i, species)
+    qj = layout.qubit(site_j, species)
+    n = layout.total_qubits
+    p_mask = 0
+    for face in _edge_faces(layout.lattice, site_i, axis):
+        if face in layout._faces:
+            p_mask |= 1 << layout.face_qubit(species, face)
+    return PauliSum(n, [(1.0, PauliString(n, (1 << qi) | (1 << qj),
+                                          (1 << qj) | p_mask))])
+
+
+def encode_hopping(layout, site_i, site_j, species):
+    lat = layout.lattice
+    axis = lat.bond_axis(site_i, site_j)
+    if lat.raster_index(site_i) > lat.raster_index(site_j):
+        site_i, site_j = site_j, site_i
+    if layout.encoding == "compact":
+        edge = compact_edge(layout, site_i, site_j, species, axis)
+        n = layout.total_qubits
+        v_i = PauliSum(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_i, species)))])
+        v_j = PauliSum(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_j, species)))])
+        return (-0.5j) * (edge * (v_j - v_i))
+    create_i = encode_ladder(layout, site_i, species, CREATE)
+    annih_i = encode_ladder(layout, site_i, species, ANNIHILATE)
+    create_j = encode_ladder(layout, site_j, species, CREATE)
+    annih_j = encode_ladder(layout, site_j, species, ANNIHILATE)
+    bare = create_i * annih_j + create_j * annih_i
+    if layout.encoding == "vc" and axis != 0:
+        bare = bare * aux_dressing(layout, site_i, site_j, axis)
+    return bare
+
+
+def jw_term(n, term):
+    acc = PauliSum(n, [(term.weight, PauliString.identity(n))])
+    for mode, kind in term.factors:
+        acc = acc * (number(n, mode) if kind == NUMBER
+                     else jw_ladder(n, mode, kind))
+    return acc
+
+
+def encode_fermion_sum(layout, h):
+    n = layout.total_qubits
+    return PauliSum(n, (pair for term in h.terms for pair in jw_term(n, term)))

@@ -6,10 +6,14 @@ from nuceft.encodings import (LatticeSpec, QubitLayout, encode_fermion_sum,
                               vc_stabilizers)
 from nuceft.errors import GeometryError, UnsupportedOperatorError
 from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm
+from nuceft.models import pionless_layers
+from nuceft.params import pionless_params_for
 from nuceft.pauli import PauliSum, dense_matrix
 from nuceft.verify import verify_encodings
 
+import pauli_reference as ref
 from fermion_reference import dense_sum, hopping, number_op
+from pauli_reference import exact_terms
 
 
 def test_raster_roundtrip_and_boustrophedon():
@@ -91,3 +95,38 @@ def test_vc_stabilizers_are_independent_commuting():
 def test_full_encoding_suite():
     for name, ok, detail in verify_encodings():
         assert ok, f"{name}: {detail}"
+
+
+def assert_exact(got, want):
+    assert got.n_qubits == want.n_qubits
+    assert exact_terms(got) == exact_terms(want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (2, 2, 1),
+                                   (3, 3, 3), (4, 2, 3)])
+def test_encoders_equal_the_pauli_sum_reference(shape):
+    """Every encoder output equals the PauliSum-level composition term for
+    term, in order, with the same coefficient bits."""
+    lat = LatticeSpec(*shape, 2.2)
+    for encoding in ("jw", "vc", "compact"):
+        layout = QubitLayout(encoding, lat)
+        for site in lat.sites():
+            for sp in range(4):
+                assert_exact(encode_number(layout, site, sp),
+                             ref.encode_number(layout, site, sp))
+                if encoding == "compact":
+                    continue
+                for kind in (CREATE, ANNIHILATE):
+                    assert_exact(encode_ladder(layout, site, sp, kind),
+                                 ref.encode_ladder(layout, site, sp, kind))
+        for si, sj, _axis in lat.bonds():
+            for sp in range(4):
+                for a, b in ((si, sj), (sj, si)):
+                    assert_exact(encode_hopping(layout, a, b, sp),
+                                 ref.encode_hopping(layout, a, b, sp))
+        if encoding == "vc":
+            assert vc_stabilizers(layout) == ref.vc_stabilizers(layout)
+    jw = QubitLayout("jw", lat)
+    for layer in pionless_layers(lat, pionless_params_for(2.2)):
+        assert_exact(encode_fermion_sum(jw, layer),
+                     ref.encode_fermion_sum(jw, layer))

@@ -599,7 +599,7 @@ def test_term_masks_give_the_factor_by_factor_action(h):
 # the one memo: per input, what depends on neither t, p nor r
 
 def key(sums, eta):
-    return (eta, tuple((h.n_modes, h.terms) for h in sums))
+    return fock._Key(sums, eta)
 
 
 def kept(layers, eta):
@@ -626,7 +626,8 @@ def spectra_arrays(input_kept):
 
 def test_layout_memo_is_read_only_and_bounded():
     """A seminorm keeps the input's tables and layout, read-only, and no
-    eigensystems; the memo counts their entries against its bound."""
+    eigensystems; the memo charges their bytes and more against its
+    bound."""
     eta_seminorm(hopping(0, 1, 4), 2)
     (input_kept,) = fock._KEPT.values()
     assert input_kept.spectra is None
@@ -634,8 +635,8 @@ def test_layout_memo_is_read_only_and_bounded():
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
-    assert input_kept.entries == sum(a.size for a in arrays) \
-        <= fock.MAX_BLOCK ** 2
+    assert sum(a.nbytes for a in arrays) < input_kept.nbytes \
+        <= 16 * fock.MAX_BLOCK ** 2
 
 
 def test_refused_layouts_are_never_cached():
@@ -706,7 +707,7 @@ def test_spectra_memo_is_read_only():
     for array in layout + spectra:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
-    assert input_kept.entries == sum(a.size for a in layout + spectra)
+    assert input_kept.nbytes > sum(a.nbytes for a in layout + spectra)
 
 
 def test_refused_spectra_are_never_kept():
@@ -729,10 +730,10 @@ def test_spectra_memo_evicts_the_least_recently_used(monkeypatch):
     a, b, c = ([hopping(0, 1, 4, w), number_op(2, 4)] for w in (0.5, 0.6, 0.7))
     values = [exact_evolution_error(layers, 0.3, 2, 2, 2)
               for layers in (a, b, c)]
-    (entries,) = {input_kept.entries for input_kept in fock._KEPT.values()}
+    (held,) = {input_kept.nbytes for input_kept in fock._KEPT.values()}
     # room for two of the three inputs
-    monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt(3 * entries - 1))
-    assert 2 * entries <= fock.MAX_BLOCK ** 2 < 3 * entries
+    monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt((3 * held - 1) // 16))
+    assert 2 * held <= 16 * fock.MAX_BLOCK ** 2 < 3 * held
     fock._KEPT.clear()
     exact_evolution_error(a, 0.3, 2, 2, 2)
     exact_evolution_error(b, 0.3, 2, 2, 2)
@@ -741,7 +742,7 @@ def test_spectra_memo_evicts_the_least_recently_used(monkeypatch):
     assert kept(a, 2) and not kept(b, 2) and kept(c, 2)
     # an input over the whole budget is computed, not kept, and evicts
     # nothing
-    monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt(entries - 1))
+    monkeypatch.setattr(fock, "MAX_BLOCK", math.isqrt((held - 1) // 16))
     before = list(fock._KEPT.items())
     assert exact_evolution_error(b, 0.3, 2, 2, 2) == values[1]
     assert_memo_is(before)
@@ -771,6 +772,57 @@ def test_seminorm_memo_hits_equal_cold_values():
         eta_seminorm(h, eta)
     assert len(fock._KEPT) == len(cases)
     assert [eta_seminorm(h, eta).hex() for h, eta in cases] == cold
+
+
+def test_memo_hit_hashes_its_key_once(monkeypatch):
+    """A count, not a timing: a warm call hashes each term of its key once,
+    and an evolution error on a kept input hits it."""
+    layers = pionless((2, 1, 1))
+    exact_evolution_error(layers, 0.1, 1, 1, 3)
+    eta_seminorm(layers[0], 3)
+    calls = [0]
+    term_hash = FermionTerm.__hash__
+
+    def counted(term):
+        calls[0] += 1
+        return term_hash(term)
+
+    monkeypatch.setattr(FermionTerm, "__hash__", counted)
+    before = list(fock._KEPT.items())
+    exact_evolution_error(layers, 0.2, 2, 3, 3)
+    assert calls[0] == sum(len(h) for h in layers)
+    assert_memo_is([before[1], before[0]])  # the hit is the most recent
+    calls[0] = 0
+    eta_seminorm(layers[0], 3)
+    assert calls[0] == len(layers[0])
+    assert_memo_is(before)
+
+
+def test_memo_bound_counts_what_it_keeps(monkeypatch):
+    """Many small inputs, each dropped by the caller after its call: what
+    the memo holds, measured as the memory that emptying it frees, is no
+    more than it charged, and stays within its bound when that is small.
+    No count cap drops any of them under the real bound."""
+
+    def held_and_charged():
+        tracemalloc.start()
+        try:
+            for k in range(120):
+                eta_seminorm(hopping(0, 1 + k % 3, 4, 1 + k / 1024), 2)
+            charged = sum(kept.nbytes for kept in fock._KEPT.values())
+            count = len(fock._KEPT)
+            held = tracemalloc.get_traced_memory()[0]
+            fock._KEPT.clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < held <= charged
+        return held, count
+
+    assert held_and_charged()[1] == 120
+    monkeypatch.setattr(fock, "MAX_BLOCK", 64)
+    held, count = held_and_charged()
+    assert held <= 16 * fock.MAX_BLOCK ** 2 and count >= 10
 
 
 def test_block_buffer_temporaries_are_bounded():

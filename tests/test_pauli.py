@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nuceft import pauli
+from nuceft.encodings import (LatticeSpec, QubitLayout, encode_fermion_sum,
+                              encode_hopping)
 from nuceft.errors import DimensionError, SizeError
+from nuceft.models import pionless_layers
+from nuceft.params import pionless_params_for
 from nuceft.pauli import (PauliString, PauliSum, anticommutator_sum,
                           commutator_sum, dense_matrix, multiply,
                           partition_commuting_layers)
+
+from pauli_reference import canonical, exact_terms, pairwise
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,15 +147,48 @@ N_QUBITS = 3
 COEFFS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
-def pauli_sums(x_masks=st.integers(0, 7), z_masks=st.integers(0, 7)):
-    """Sums over a few strings, each drawn up to three times with its own
-    coefficient and phase, so that repeated strings merge."""
+def term_lists(x_masks=st.integers(0, 7), z_masks=st.integers(0, 7),
+               coeffs=COEFFS):
+    """(coeff, string) pairs over a few strings, each drawn up to three
+    times with its own coefficient and phase, so that repeated strings
+    merge."""
     strings = st.lists(st.tuples(x_masks, z_masks), min_size=1, max_size=4)
     return strings.flatmap(lambda pool: st.lists(
-        st.tuples(COEFFS, st.sampled_from(pool), st.integers(0, 3)),
-        max_size=3 * len(pool))).map(lambda terms: PauliSum(N_QUBITS, [
+        st.tuples(coeffs, st.sampled_from(pool), st.integers(0, 3)),
+        max_size=3 * len(pool))).map(lambda terms: [
             (c, PauliString(N_QUBITS, x, z, phase))
-            for c, (x, z), phase in terms]))
+            for c, (x, z), phase in terms])
+
+
+def pauli_sums(x_masks=st.integers(0, 7), z_masks=st.integers(0, 7)):
+    return term_lists(x_masks, z_masks).map(
+        lambda terms: PauliSum(N_QUBITS, terms))
+
+
+# real, complex and integer coefficients, signed zeros among them
+ANY_COEFFS = st.one_of(COEFFS, st.floats(-2.0, 2.0), st.integers(-2, 2),
+                       st.sampled_from([0.0, -0.0, complex(-0.0, 0.0),
+                                        complex(0.0, -0.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists(coeffs=ANY_COEFFS), term_lists(coeffs=ANY_COEFFS),
+       ANY_COEFFS)
+def test_sums_equal_the_canonical_reference(terms_a, terms_b, scalar):
+    """A sum, a difference, a multiple and an adjoint have the terms of the
+    canonical sum of their parts, coefficient bits included."""
+    a, b = PauliSum(N_QUBITS, terms_a), PauliSum(N_QUBITS, terms_b)
+    minus_b = canonical(N_QUBITS, [(-1 * c, s) for c, s in b.terms])
+    for got, want in (
+            (a, canonical(N_QUBITS, terms_a)),
+            (a + b, canonical(N_QUBITS, a.terms + b.terms)),
+            (a - b, canonical(N_QUBITS, a.terms + minus_b.terms)),
+            (scalar * a, canonical(N_QUBITS,
+                                   [(scalar * c, s) for c, s in a.terms])),
+            (a.adjoint(), canonical(N_QUBITS, [(c.conjugate(), s)
+                                               for c, s in a.terms]))):
+        assert got.terms == want.terms
+        assert exact_terms(got) == exact_terms(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,25 +208,6 @@ def test_commuting_sums_have_an_empty_commutator(a, b):
     assert len(commutator_sum(a, b)) == 0
 
 
-def pairwise(a, b, keep=None):
-    """The product ab, or with ``keep`` (False for commuting pairs, True
-    for anticommuting ones) ab - ba or ab + ba, built pair by pair from
-    multiply, a-major."""
-    if keep is None:
-        prods = [(ca * cb, multiply(sa, sb))
-                 for ca, sa in a.terms for cb, sb in b.terms]
-    else:
-        prods = [(2 * ca * cb, multiply(sa, sb))
-                 for ca, sa in a.terms for cb, sb in b.terms
-                 if (not sa.commutes_with(sb)) == keep]
-    return PauliSum(a.n_qubits, prods)
-
-
-def exact_terms(p):
-    """Terms with each coefficient as its repr, so signed zeros count."""
-    return [(repr(c), s) for c, s in p.terms]
-
-
 @settings(max_examples=200, deadline=None)
 @given(pauli_sums(), pauli_sums())
 def test_products_equal_the_pairwise_reference(a, b):
@@ -200,28 +221,80 @@ def test_products_equal_the_pairwise_reference(a, b):
         assert all(s.phase == 0 for _, s in got.terms)
 
 
+def count_builds(monkeypatch):
+    """Counters of the strings built by the trusted builder, and of those
+    built through the validating constructor."""
+    built = {"trusted": 0, "validated": 0}
+    trusted, validate = pauli._trusted, PauliString.__post_init__
+
+    def counted_trusted(*args):
+        built["trusted"] += 1
+        return trusted(*args)
+
+    def counted_validate(string):
+        built["validated"] += 1
+        validate(string)
+
+    monkeypatch.setattr(pauli, "_trusted", counted_trusted)
+    monkeypatch.setattr(PauliString, "__post_init__", counted_validate)
+    return built
+
+
 def test_product_builds_each_string_once(monkeypatch):
     """A count, not a timing: one PauliString per term of the product of
-    the jw-encoded 2x2x1 kinetic and diagonal layers."""
-    from nuceft.encodings import LatticeSpec, QubitLayout, encode_fermion_sum
-    from nuceft.models import pionless_layers
-    from nuceft.params import pionless_params_for
-
+    the jw-encoded 2x2x1 kinetic and diagonal layers, none validated."""
     lattice = LatticeSpec(2, 2, 1, 2.2)
     jw = QubitLayout("jw", lattice)
     kin_x, _kin_y, diag = (encode_fermion_sum(jw, layer) for layer in
                            pionless_layers(lattice, pionless_params_for(2.2)))
-    built = [0]
-    validate = PauliString.__post_init__
-
-    def counted(string):
-        built[0] += 1
-        validate(string)
-
-    monkeypatch.setattr(PauliString, "__post_init__", counted)
+    built = count_builds(monkeypatch)
     product = kin_x * diag
     assert len(product) > len(kin_x) + len(diag)
-    assert built[0] == len(product)
+    assert built == {"trusted": len(product), "validated": 0}
+
+
+@pytest.mark.parametrize("encoding", ["jw", "vc", "compact"])
+def test_hopping_builds_each_string_once(monkeypatch, encoding):
+    """One trusted string per term of a y-bond hopping image; only the vc
+    dressing validates strings: its two Majoranas, their product and the
+    edge operator, i times that product."""
+    layout = QubitLayout(encoding, LatticeSpec(2, 2, 1, 2.2))
+    built = count_builds(monkeypatch)
+    image = encode_hopping(layout, (0, 0, 0), (0, 1, 0), 2)
+    assert built == {"trusted": len(image),
+                     "validated": 4 if encoding == "vc" else 0}
+
+
+def assert_validated(p):
+    """Every string of a sum equals the one the validating constructor
+    builds from its masks: same qubit count, phase 0, same fields."""
+    for _, s in p.terms:
+        assert type(s) is PauliString
+        checked = PauliString(p.n_qubits, s.x_mask, s.z_mask)
+        assert s == checked and vars(s) == vars(checked)
+        assert hash(s) == hash(checked) and repr(s) == repr(checked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums(), pauli_sums(), st.sampled_from(["jw", "vc", "compact"]),
+       st.sampled_from([(2, 1, 1), (2, 2, 1), (1, 2, 2)]),
+       st.integers(0, 3), st.data())
+def test_built_strings_equal_validated_ones(a, b, encoding, shape, species,
+                                            data):
+    for p in (a, b, a * b, commutator_sum(a, b), anticommutator_sum(a, b),
+              a + b, a - b, (0.5 - 2j) * a, a.adjoint()):
+        assert_validated(p)
+    lattice = LatticeSpec(*shape, 2.2)
+    site_i, site_j, _axis = data.draw(st.sampled_from(list(lattice.bonds())))
+    assert_validated(encode_hopping(QubitLayout(encoding, lattice),
+                                    site_i, site_j, species))
+
+
+def test_built_sum_checks_that_its_masks_fit():
+    """The one check a built sum makes: the union of its masks fits."""
+    assert len(pauli._built(3, {(4, 3): 1j})) == 1
+    with pytest.raises(DimensionError, match="mask exceeds 3 qubits"):
+        pauli._built(3, {(1, 0): 1j, (0, 8): 1j})
 
 
 def test_anticommuting_strings_have_an_empty_anticommutator():
