@@ -18,10 +18,10 @@ The raster order walks each x-y plane in an x-major boustrophedon and stacks
 planes along z, so x-neighbors are always adjacent in the 1D mode order.
 Species order within a site: up-proton, down-proton, up-neutron, down-neutron.
 
-Images are composed on the mask maps of ``nuceft.pauli`` (ladder, number,
-edge and dressing factors, and their sums and products), with the same
-intermediate sums and the same zeros dropped as the ``PauliSum`` operations,
-and each returned operator is built as one ``PauliSum``.
+Images are composed through public ``PauliSum`` operations (sums, scalar
+multiples and products) of factors made with ``PauliSum.from_masks``, so a
+``PauliSum`` stores each image as its mask map and no string is built until
+the image is read.  The vc path-edge operators are built once per layout.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, GeometryError, UnsupportedOperatorError
 from .fock import ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm
-from .pauli import (PauliString, PauliSum, _built, _merged, _plus, _scaled,
-                    _times, multiply)
+from .pauli import PauliString, PauliSum, multiply
 
 N_SPECIES = 4
 
@@ -144,10 +143,15 @@ class QubitLayout:
             self.total_qubits = 4 * n
         elif encoding == "vc":
             self.total_qubits = 6 * n
-            mu = _mu_path_edges(lattice)
-            nu = _nu_path_edges(lattice)
-            self.mu_edges = {frozenset(e): e for e in mu}
-            self.nu_edges = {frozenset(e): e for e in nu}
+            self.mu_edges = {frozenset(e): e for e in _mu_path_edges(lattice)}
+            self.nu_edges = {frozenset(e): e for e in _nu_path_edges(lattice)}
+            # the operator of each path edge, per bond axis it dresses: a y
+            # bond can be both a mu and a nu edge
+            self._dressings = {
+                axis: {key: _vc_edge(self, which, *edge)
+                       for key, edge in edges.items()}
+                for axis, which, edges in ((1, "mu", self.mu_edges),
+                                           (2, "nu", self.nu_edges))}
         else:
             # four stacked single-species codes, 2.5 qubits per mode budgeted
             self._block = math.ceil(2.5 * n)
@@ -214,15 +218,17 @@ def _edge_faces(lat: LatticeSpec, site, axis):
 # ladder operators
 
 
-def _jw_ladder(mode: int, kind: str) -> dict:
+def _jw_ladder(n_qubits: int, mode: int, kind: str) -> PauliSum:
     z_string = (1 << mode) - 1
     bit = 1 << mode
     sign = 1j if kind == ANNIHILATE else -1j
-    return _merged([(0.5, bit, z_string, 0), (0.5 * sign, bit, z_string | bit, 0)])
+    return PauliSum.from_masks(n_qubits, [(0.5, bit, z_string, 0),
+                                          (0.5 * sign, bit, z_string | bit, 0)])
 
 
-def _number(mode: int) -> dict:
-    return _merged([(0.5, 0, 0, 0), (-0.5, 0, 1 << mode, 0)])
+def _number(n_qubits: int, mode: int) -> PauliSum:
+    return PauliSum.from_masks(n_qubits, [(0.5, 0, 0, 0),
+                                          (-0.5, 0, 1 << mode, 0)])
 
 
 def _vc_majorana(layout: QubitLayout, site, which: str, barred: bool) -> PauliString:
@@ -252,36 +258,34 @@ def encode_ladder(layout: QubitLayout, site, species: int, kind: str) -> PauliSu
             "compact encoding represents only parity-preserving composites")
     # a vc ladder is the Jordan-Wigner one on its occupation qubit: its Z
     # string covers every qubit below, auxiliaries included
-    return _built(layout.total_qubits,
-                  _jw_ladder(layout.qubit(site, species), kind))
+    return _jw_ladder(layout.total_qubits, layout.qubit(site, species), kind)
 
 
 def encode_number(layout: QubitLayout, site, species: int) -> PauliSum:
     """(1 - Z)/2 on the occupation qubit, identical in all encodings."""
-    return _built(layout.total_qubits, _number(layout.qubit(site, species)))
+    return _number(layout.total_qubits, layout.qubit(site, species))
 
 
-def _aux_dressing(layout: QubitLayout, site_i, site_j, axis: int) -> dict:
+def _aux_dressing(layout: QubitLayout, site_i, site_j, axis: int) -> PauliSum:
     """i * maj(i) * majbar(j) along the directed path edge for this bond."""
-    which = "mu" if axis == 1 else "nu"
-    edges = layout.mu_edges if axis == 1 else layout.nu_edges
+    dressings = layout._dressings[axis]
     lat = layout.lattice
     key = frozenset((lat.raster_index(site_i), lat.raster_index(site_j)))
-    if key not in edges:
+    if key not in dressings:
         raise GeometryError(f"bond {site_i}-{site_j} is not a path edge")
-    edge = _vc_edge(layout, which, *edges[key])
-    return _merged([(1.0, edge.x_mask, edge.z_mask, edge.phase)])
+    return PauliSum.from_string(1.0, dressings[key])
 
 
 def _compact_edge(layout: QubitLayout, site_i, qi: int, qj: int, species: int,
-                  axis: int) -> dict:
+                  axis: int) -> PauliSum:
     x_mask = (1 << qi) | (1 << qj)
     z_mask = 1 << qj  # X on the lower-raster end, Y on the other
     p_mask = 0
     for face in _edge_faces(layout.lattice, site_i, axis):
         if face in layout._faces:
             p_mask |= 1 << layout.face_qubit(species, face)
-    return _merged([(1.0, x_mask, z_mask | p_mask, 0)])
+    return PauliSum.from_masks(layout.total_qubits,
+                               [(1.0, x_mask, z_mask | p_mask, 0)])
 
 
 def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSum:
@@ -292,27 +296,26 @@ def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSu
         site_i, site_j = site_j, site_i
     qi = layout.qubit(site_i, species)
     qj = layout.qubit(site_j, species)
+    n = layout.total_qubits
     if layout.encoding == "compact":
         # -(i/2) E(i,j) (V(j) - V(i)) reduces to (XX + YY)/2 times the face factor
         edge = _compact_edge(layout, site_i, qi, qj, species, axis)
-        v_i = _merged([(1.0, 0, 1 << qi, 0)])
-        v_j = _merged([(1.0, 0, 1 << qj, 0)])
-        return _built(layout.total_qubits, _scaled(-0.5j, _times(
-            edge, _plus(v_j, _scaled(-1, v_i)), None)))
-    bare = _plus(_times(_jw_ladder(qi, CREATE), _jw_ladder(qj, ANNIHILATE), None),
-                 _times(_jw_ladder(qj, CREATE), _jw_ladder(qi, ANNIHILATE), None))
+        v_i = PauliSum.from_masks(n, [(1.0, 0, 1 << qi, 0)])
+        v_j = PauliSum.from_masks(n, [(1.0, 0, 1 << qj, 0)])
+        return -0.5j * (edge * (v_j - v_i))
+    bare = (_jw_ladder(n, qi, CREATE) * _jw_ladder(n, qj, ANNIHILATE)
+            + _jw_ladder(n, qj, CREATE) * _jw_ladder(n, qi, ANNIHILATE))
     if layout.encoding == "vc" and axis != 0:
-        bare = _times(bare, _aux_dressing(layout, site_i, site_j, axis), None)
-    return _built(layout.total_qubits, bare)
+        bare = bare * _aux_dressing(layout, site_i, site_j, axis)
+    return bare
 
 
 def vc_stabilizers(layout: QubitLayout) -> list[PauliString]:
     """One stabilizer i*maj(a)*majbar(b) per directed path edge."""
     if layout.encoding != "vc":
         raise UnsupportedOperatorError("stabilizers are defined for the vc encoding only")
-    return [_vc_edge(layout, which, ra, rb)
-            for which, edges in (("mu", layout.mu_edges), ("nu", layout.nu_edges))
-            for ra, rb in edges.values()]
+    return [edge for dressings in layout._dressings.values()
+            for edge in dressings.values()]
 
 
 def encode_fermion_sum(layout: QubitLayout, h: FermionSum) -> PauliSum:
@@ -326,14 +329,14 @@ def encode_fermion_sum(layout: QubitLayout, h: FermionSum) -> PauliSum:
     n = layout.total_qubits
     if h.n_modes != n:
         raise DimensionError(f"operator has {h.n_modes} modes, layout {n} qubits")
-    return _built(n, _merged([(c, x, z, 0) for term in h.terms
-                              for (x, z), c in _jw_term(term).items()]))
+    return PauliSum.from_masks(n, [(c, x, z, 0) for term in h.terms
+                                   for (x, z), c in _jw_term(n, term).masks.items()])
 
 
-def _jw_term(term: FermionTerm) -> dict:
+def _jw_term(n_qubits: int, term: FermionTerm) -> PauliSum:
     """Jordan-Wigner image of one canonical fermion term."""
-    acc = _merged([(term.weight, 0, 0, 0)])
+    acc = PauliSum.from_masks(n_qubits, [(term.weight, 0, 0, 0)])
     for mode, kind in term.factors:
-        acc = _times(acc, _number(mode) if kind == NUMBER
-                     else _jw_ladder(mode, kind), None)
+        acc = acc * (_number(n_qubits, mode) if kind == NUMBER
+                     else _jw_ladder(n_qubits, mode, kind))
     return acc

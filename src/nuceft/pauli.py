@@ -13,12 +13,15 @@ For a product or a bracket of two sums the occurrences are the term pairs
 taken a-major (every term of b against the first term of a, then the next),
 and each coefficient is accumulated in that order.
 
-Sums compose on masks: ``_merged`` accumulates every sum, product, bracket,
-multiple and adjoint as a map ``{(x_mask, z_mask): coefficient}``, and the
-encoders compose their images on such maps.  ``_built`` turns a map into a
-``PauliSum``, building each string once without validation and checking
-only that the union of the masks fits, once per sum.  ``PauliString(...)``
-and ``multiply`` validate every string they build.
+A ``PauliSum`` stores its qubit count and its canonical map
+``{(x_mask, z_mask): coefficient}``, nothing else.  Every sum, product,
+bracket, multiple and adjoint reads maps and returns one, through the one
+accumulator ``_merged``, which checks once per sum that the union of the
+masks fits.  ``PauliSum.from_masks`` builds a sum from
+``(coeff, x_mask, z_mask, phase)`` terms the same way.  No string is built
+until ``.terms`` or iteration reads the sum; each read then builds the
+phase-0 strings without validation.  ``PauliString(...)`` and ``multiply``
+validate every string they build.
 """
 
 from __future__ import annotations
@@ -87,26 +90,16 @@ class PauliString:
     def support(self) -> int:
         return self.x_mask | self.z_mask
 
-    @property
-    def phase_value(self) -> complex:
-        return _I_POWERS[self.phase]
-
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
     def commutes_with(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise DimensionError(
-                f"qubit counts differ: {self.n_qubits} vs {other.n_qubits}")
+        _check_widths(self, other)
         sym = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
         return sym.bit_count() % 2 == 0
 
     def label(self) -> str:
-        chars = []
-        for q in range(self.n_qubits):
-            idx = ((self.x_mask >> q) & 1) + 2 * ((self.z_mask >> q) & 1)
-            chars.append(_PAULI_CHARS[idx])
-        return "".join(chars)
+        return _label(self.n_qubits, self.x_mask, self.z_mask)
 
     def __repr__(self) -> str:
         prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase]
@@ -136,9 +129,7 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     Each factor is rewritten in X^x Z^z order (i per Y), Z^az past X^bx
     gives (-1)^|az & bx|, and the product goes back to letter form.
     """
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(
-            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
+    _check_widths(a, b)
     ax, az, bx, bz = a.x_mask, a.z_mask, b.x_mask, b.z_mask
     x = ax ^ bx
     z = az ^ bz
@@ -147,31 +138,39 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
                        + 2 * (az & bx).bit_count() - (x & z).bit_count())
 
 
-# A canonical sum on masks: {(x_mask, z_mask): coefficient}, no zero
-# coefficient, keys in the order of their first occurrence.
+def _check_widths(a, b) -> None:
+    if a.n_qubits != b.n_qubits:
+        raise DimensionError(
+            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
 
 
-def _merged(terms: Iterable[tuple[complex, int, int, int]]
+def _label(n_qubits: int, x_mask: int, z_mask: int) -> str:
+    """Letters of qubits 0..n-1, qubit 0 leftmost."""
+    return "".join(_PAULI_CHARS[((x_mask >> q) & 1) + 2 * ((z_mask >> q) & 1)]
+                   for q in range(n_qubits))
+
+
+def _merged(n_qubits: int, terms: Iterable[tuple[complex, int, int, int]]
             ) -> dict[tuple[int, int], complex]:
-    """Each (coeff, x_mask, z_mask, phase) adds coeff * i**phase to its
-    masks' coefficient, from 0 in input order; zeros are then dropped."""
+    """The canonical map of a sum: each (coeff, x_mask, z_mask, phase) adds
+    coeff * i**phase to its masks' coefficient, from 0 in input order, and
+    zeros are then dropped.  A mask fits exactly when the union of all of
+    them does, so the fit is checked once per sum."""
     combined: dict[tuple[int, int], complex] = {}
     for coeff, x, z, phase in terms:
         key = (x, z)
-        combined[key] = combined.get(key, 0) + coeff * _I_POWERS[phase]
-    return {key: c for key, c in combined.items() if c != 0}
+        combined[key] = combined.get(key, 0) + coeff * _I_POWERS[phase & 3]
+    combined = {key: c for key, c in combined.items() if c != 0}
+    union = 0
+    for x, z in combined:
+        union |= x | z
+    if union >> max(n_qubits, 0):
+        raise DimensionError(f"mask exceeds {n_qubits} qubits: {union:#x}")
+    return combined
 
 
-def _plus(a: dict, b: dict) -> dict:
-    return _merged([(c, x, z, 0) for (x, z), c in (*a.items(), *b.items())])
-
-
-def _scaled(scalar: complex, a: dict) -> dict:
-    return _merged([(scalar * c, x, z, 0) for (x, z), c in a.items()])
-
-
-def _times(a: dict, b: dict, parity: int | None) -> dict:
-    """ab, or with ``parity`` a bracket, over the term pairs a-major.
+def _times(a: dict, b: dict, parity: int | None):
+    """The terms of ab, or with ``parity`` a bracket, term pairs a-major.
 
     Two Pauli strings either commute or anticommute, so each pair's ab and
     ba are equal or opposite: for ab - ba (parity 1) or ab + ba (parity 0)
@@ -180,32 +179,25 @@ def _times(a: dict, b: dict, parity: int | None) -> dict:
     one ``multiply`` gives.
     """
     b_terms = [(bx, bz, (bx & bz).bit_count(), cb) for (bx, bz), cb in b.items()]
-
-    def pairs():
-        for (ax, az), ca in a.items():
-            ya = (ax & az).bit_count()
-            if parity is not None:
-                ca = 2 * ca
-            for bx, bz, yb, cb in b_terms:
-                zx = az & bx
-                if parity is not None and \
-                        ((ax & bz) ^ zx).bit_count() & 1 != parity:
-                    continue
-                x = ax ^ bx
-                z = az ^ bz
-                yield (ca * cb, x, z, (ya + yb + 2 * zx.bit_count()
-                                       - (x & z).bit_count()) & 3)
-    return _merged(pairs())
-
-
-def _masks(p: "PauliSum") -> dict:
-    return {(s.x_mask, s.z_mask): c for c, s in p.terms}
+    for (ax, az), ca in a.items():
+        ya = (ax & az).bit_count()
+        if parity is not None:
+            ca = 2 * ca
+        for bx, bz, yb, cb in b_terms:
+            zx = az & bx
+            if parity is not None and \
+                    ((ax & bz) ^ zx).bit_count() & 1 != parity:
+                continue
+            x = ax ^ bx
+            z = az ^ bz
+            yield (ca * cb, x, z,
+                   ya + yb + 2 * zx.bit_count() - (x & z).bit_count())
 
 
 def _trusted(n_qubits: int, x_mask: int, z_mask: int) -> PauliString:
-    """A phase-0 string built without validation, for masks that the
-    caller checks.  Its fields are set as the dataclass sets them (reading
-    ``__dict__`` would add a dict of 64 bytes to each string)."""
+    """A phase-0 string built without validation, for masks that fit.
+    Its fields are set as the dataclass sets them (reading ``__dict__``
+    would add a dict of 64 bytes to each string)."""
     string = object.__new__(PauliString)
     _set(string, "n_qubits", n_qubits)
     _set(string, "x_mask", x_mask)
@@ -214,31 +206,16 @@ def _trusted(n_qubits: int, x_mask: int, z_mask: int) -> PauliString:
     return string
 
 
-def _built(n_qubits: int, combined: dict) -> "PauliSum":
-    """The PauliSum of a canonical sum on masks, each string built once.
-    The masks come from validated strings or qubit indices, or are XORs of
-    such masks, so only their union is checked to fit, once per sum."""
-    union = 0
-    for x, z in combined:
-        union |= x | z
-    if union >> max(n_qubits, 0):
-        raise DimensionError(f"mask exceeds {n_qubits} qubits: {union:#x}")
-    out = PauliSum.__new__(PauliSum)
-    out.n_qubits = n_qubits
-    out.terms = tuple((c, _trusted(n_qubits, x, z))
-                      for (x, z), c in combined.items())
-    return out
-
-
 class PauliSum:
     """Weighted sum of Pauli strings in canonical form.
 
-    Canonical form: every stored string has phase exponent 0 (phases are
-    folded into the complex coefficients), no two terms share identical
-    (x_mask, z_mask), and exact-zero coefficients are dropped.
+    ``masks`` is the canonical map {(x_mask, z_mask): coefficient}: every
+    string has phase 0 (phases are folded into the coefficients), no two
+    terms share their masks, and exact-zero coefficients are dropped.  It
+    is all a sum stores besides ``n_qubits``, and is not to be mutated.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "masks")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, PauliString]] = ()):
         items = []
@@ -248,14 +225,32 @@ class PauliSum:
                     f"term acts on {string.n_qubits} qubits, sum on {n_qubits}")
             items.append((coeff, string.x_mask, string.z_mask, string.phase))
         self.n_qubits = n_qubits
-        self.terms = _built(n_qubits, _merged(items)).terms
+        self.masks = _merged(n_qubits, items)
 
     @classmethod
     def from_string(cls, coeff: complex, string: PauliString) -> "PauliSum":
         return cls(string.n_qubits, [(coeff, string)])
 
+    @classmethod
+    def from_masks(cls, n_qubits: int,
+                   terms: Iterable[tuple[complex, int, int, int]]
+                   ) -> "PauliSum":
+        """The canonical sum of (coeff, x_mask, z_mask, phase) terms, each
+        coeff * i**phase times the phase-0 string of its masks."""
+        out = cls.__new__(cls)
+        out.n_qubits = n_qubits
+        out.masks = _merged(n_qubits, terms)
+        return out
+
+    @property
+    def terms(self) -> tuple[tuple[complex, PauliString], ...]:
+        """(coefficient, phase-0 string) pairs in canonical order, the
+        strings built on each read."""
+        n = self.n_qubits
+        return tuple((c, _trusted(n, x, z)) for (x, z), c in self.masks.items())
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.terms)
@@ -263,43 +258,45 @@ class PauliSum:
     @property
     def support(self) -> int:
         mask = 0
-        for _, s in self.terms:
-            mask |= s.support
+        for x, z in self.masks:
+            mask |= x | z
         return mask
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n_qubits != other.n_qubits:
-            raise DimensionError(
-                f"qubit counts differ: {self.n_qubits} vs {other.n_qubits}")
-        return _built(self.n_qubits, _plus(_masks(self), _masks(other)))
+        _check_widths(self, other)
+        return PauliSum.from_masks(self.n_qubits, [
+            (c, x, z, 0)
+            for (x, z), c in (*self.masks.items(), *other.masks.items())])
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1) * other
 
     def __rmul__(self, scalar: complex) -> "PauliSum":
-        return _built(self.n_qubits, _scaled(scalar, _masks(self)))
+        return PauliSum.from_masks(self.n_qubits, [
+            (scalar * c, x, z, 0) for (x, z), c in self.masks.items()])
 
     def __mul__(self, other: "PauliSum") -> "PauliSum":
         return _products(self, other, None)
 
     def adjoint(self) -> "PauliSum":
         # stored strings are phase-free hence Hermitian
-        return _built(self.n_qubits, _merged(
-            [(c.conjugate(), s.x_mask, s.z_mask, 0) for c, s in self.terms]))
+        return PauliSum.from_masks(self.n_qubits, [
+            (c.conjugate(), x, z, 0) for (x, z), c in self.masks.items()])
 
     def is_hermitian(self) -> bool:
         return all(abs(c.imag if isinstance(c, complex) else 0.0) == 0
-                   for c, _ in self.terms)
+                   for c in self.masks.values())
 
     def commutes_with(self, other: "PauliSum") -> bool:
-        return all(sa.commutes_with(sb)
-                   for _, sa in self.terms for _, sb in other.terms)
+        _check_widths(self, other)
+        return all(((ax & bz) ^ (az & bx)).bit_count() % 2 == 0
+                   for ax, az in self.masks for bx, bz in other.masks)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.masks:
             return f"PauliSum({self.n_qubits}, 0)"
-        parts = [f"({c:g})*{s.label()}" for c, s in self.terms]
-        return " + ".join(parts)
+        return " + ".join(f"({c:g})*{_label(self.n_qubits, x, z)}"
+                          for (x, z), c in self.masks.items())
 
 
 def commutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -313,10 +310,8 @@ def anticommutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
 
 
 def _products(a: PauliSum, b: PauliSum, parity: int | None) -> PauliSum:
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(
-            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return _built(a.n_qubits, _times(_masks(a), _masks(b), parity))
+    _check_widths(a, b)
+    return PauliSum.from_masks(a.n_qubits, _times(a.masks, b.masks, parity))
 
 
 # most qubits dense_matrix builds a matrix for

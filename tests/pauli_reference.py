@@ -3,21 +3,22 @@
 ``canonical`` sums (coefficient, string) pairs the way a canonical sum is
 defined, with no code from ``nuceft.pauli`` but the validating
 ``PauliString``; ``pairwise`` builds a product or a bracket from
-``multiply``, one term pair at a time, and sums it so.  The encoder
-functions compose their images from public
-``PauliSum`` operations (sums, scalar multiples and products), in the
-order, and with the intermediate sums, that ``nuceft.encodings`` follows on
-masks; each intermediate sum drops its zeros.  ``exact_terms`` compares two
-sums bit for bit.  The lattice geometry (qubit layout, path edges, faces)
-is read from ``nuceft.encodings``: only the Pauli composition is
-independent.
+``multiply``, one term pair at a time, and sums it so.  Both keep the
+validated strings they build, where a ``PauliSum`` stores only its mask map
+and builds its strings when read.  The encoder functions compose their
+images from ``canonical`` and ``pairwise`` alone, in the order, and with
+the intermediate sums, that ``nuceft.encodings`` follows with ``PauliSum``
+operations; each intermediate sum drops its zeros.  ``exact_terms``
+compares two sums bit for bit.  The lattice geometry (qubit layout, path
+edges, faces) is read from ``nuceft.encodings``: only the Pauli
+composition is independent.
 """
 
 from types import SimpleNamespace
 
 from nuceft.encodings import _VC_MU, _VC_NU, _edge_faces
 from nuceft.fock import ANNIHILATE, CREATE, NUMBER
-from nuceft.pauli import PauliString, PauliSum, multiply
+from nuceft.pauli import PauliString, multiply
 
 
 def exact_terms(p):
@@ -52,18 +53,26 @@ def pairwise(a, b, keep=None):
     return canonical(a.n_qubits, prods)
 
 
+def plus(a, b):
+    return canonical(a.n_qubits, a.terms + b.terms)
+
+
+def scaled(scalar, a):
+    return canonical(a.n_qubits, [(scalar * c, s) for c, s in a.terms])
+
+
 def jw_ladder(n_qubits, mode, kind):
     z_string = (1 << mode) - 1
     bit = 1 << mode
     x_part = PauliString(n_qubits, bit, z_string)
     y_part = PauliString(n_qubits, bit, z_string | bit)
     sign = 1j if kind == ANNIHILATE else -1j
-    return PauliSum(n_qubits, [(0.5, x_part), (0.5 * sign, y_part)])
+    return canonical(n_qubits, [(0.5, x_part), (0.5 * sign, y_part)])
 
 
 def number(n_qubits, mode):
-    return PauliSum(n_qubits, [(0.5, PauliString.identity(n_qubits)),
-                               (-0.5, PauliString(n_qubits, 0, 1 << mode))])
+    return canonical(n_qubits, [(0.5, PauliString.identity(n_qubits)),
+                                (-0.5, PauliString(n_qubits, 0, 1 << mode))])
 
 
 def encode_ladder(layout, site, species, kind):
@@ -98,8 +107,8 @@ def aux_dressing(layout, site_i, site_j, axis):
     edges = layout.mu_edges if axis == 1 else layout.nu_edges
     lat = layout.lattice
     key = frozenset((lat.raster_index(site_i), lat.raster_index(site_j)))
-    return PauliSum(layout.total_qubits,
-                    [(1.0, vc_edge(layout, which, *edges[key]))])
+    return canonical(layout.total_qubits,
+                     [(1.0, vc_edge(layout, which, *edges[key]))])
 
 
 def compact_edge(layout, site_i, site_j, species, axis):
@@ -110,8 +119,8 @@ def compact_edge(layout, site_i, site_j, species, axis):
     for face in _edge_faces(layout.lattice, site_i, axis):
         if face in layout._faces:
             p_mask |= 1 << layout.face_qubit(species, face)
-    return PauliSum(n, [(1.0, PauliString(n, (1 << qi) | (1 << qj),
-                                          (1 << qj) | p_mask))])
+    return canonical(n, [(1.0, PauliString(n, (1 << qi) | (1 << qj),
+                                           (1 << qj) | p_mask))])
 
 
 def encode_hopping(layout, site_i, site_j, species):
@@ -122,27 +131,28 @@ def encode_hopping(layout, site_i, site_j, species):
     if layout.encoding == "compact":
         edge = compact_edge(layout, site_i, site_j, species, axis)
         n = layout.total_qubits
-        v_i = PauliSum(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_i, species)))])
-        v_j = PauliSum(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_j, species)))])
-        return (-0.5j) * (edge * (v_j - v_i))
+        v_i = canonical(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_i, species)))])
+        v_j = canonical(n, [(1.0, PauliString(n, 0, 1 << layout.qubit(site_j, species)))])
+        return scaled(-0.5j, pairwise(edge, plus(v_j, scaled(-1, v_i))))
     create_i = encode_ladder(layout, site_i, species, CREATE)
     annih_i = encode_ladder(layout, site_i, species, ANNIHILATE)
     create_j = encode_ladder(layout, site_j, species, CREATE)
     annih_j = encode_ladder(layout, site_j, species, ANNIHILATE)
-    bare = create_i * annih_j + create_j * annih_i
+    bare = plus(pairwise(create_i, annih_j), pairwise(create_j, annih_i))
     if layout.encoding == "vc" and axis != 0:
-        bare = bare * aux_dressing(layout, site_i, site_j, axis)
+        bare = pairwise(bare, aux_dressing(layout, site_i, site_j, axis))
     return bare
 
 
 def jw_term(n, term):
-    acc = PauliSum(n, [(term.weight, PauliString.identity(n))])
+    acc = canonical(n, [(term.weight, PauliString.identity(n))])
     for mode, kind in term.factors:
-        acc = acc * (number(n, mode) if kind == NUMBER
-                     else jw_ladder(n, mode, kind))
+        acc = pairwise(acc, number(n, mode) if kind == NUMBER
+                       else jw_ladder(n, mode, kind))
     return acc
 
 
 def encode_fermion_sum(layout, h):
     n = layout.total_qubits
-    return PauliSum(n, (pair for term in h.terms for pair in jw_term(n, term)))
+    return canonical(n, [pair for term in h.terms
+                         for pair in jw_term(n, term).terms])

@@ -105,8 +105,9 @@ def assert_exact(got, want):
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (2, 2, 1),
                                    (3, 3, 3), (4, 2, 3)])
 def test_encoders_equal_the_pauli_sum_reference(shape):
-    """Every encoder output equals the PauliSum-level composition term for
-    term, in order, with the same coefficient bits."""
+    """Every encoder output equals the reference composition from
+    validated strings and multiply, term for term, in order, with the same
+    coefficient bits."""
     lat = LatticeSpec(*shape, 2.2)
     for encoding in ("jw", "vc", "compact"):
         layout = QubitLayout(encoding, lat)

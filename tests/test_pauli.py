@@ -222,7 +222,7 @@ def test_products_equal_the_pairwise_reference(a, b):
 
 
 def count_builds(monkeypatch):
-    """Counters of the strings built by the trusted builder, and of those
+    """Counters of the strings a read of ``.terms`` builds, and of those
     built through the validating constructor."""
     built = {"trusted": 0, "validated": 0}
     trusted, validate = pauli._trusted, PauliString.__post_init__
@@ -240,29 +240,37 @@ def count_builds(monkeypatch):
     return built
 
 
+def assert_built_on_read(built, p):
+    """No string built before ``p`` is read; each read of its terms builds
+    one string per term and validates none."""
+    assert built == {"trusted": 0, "validated": 0}
+    for reads in (1, 2):
+        assert len(p.terms) == len(p)
+        assert built == {"trusted": reads * len(p), "validated": 0}
+
+
 def test_product_builds_each_string_once(monkeypatch):
-    """A count, not a timing: one PauliString per term of the product of
-    the jw-encoded 2x2x1 kinetic and diagonal layers, none validated."""
+    """A count, not a timing: the product of the jw-encoded 2x2x1 kinetic
+    and diagonal layers builds no string, and a read of its terms builds
+    each once."""
     lattice = LatticeSpec(2, 2, 1, 2.2)
     jw = QubitLayout("jw", lattice)
+    built = count_builds(monkeypatch)
     kin_x, _kin_y, diag = (encode_fermion_sum(jw, layer) for layer in
                            pionless_layers(lattice, pionless_params_for(2.2)))
-    built = count_builds(monkeypatch)
     product = kin_x * diag
     assert len(product) > len(kin_x) + len(diag)
-    assert built == {"trusted": len(product), "validated": 0}
+    assert_built_on_read(built, product)
 
 
 @pytest.mark.parametrize("encoding", ["jw", "vc", "compact"])
 def test_hopping_builds_each_string_once(monkeypatch, encoding):
-    """One trusted string per term of a y-bond hopping image; only the vc
-    dressing validates strings: its two Majoranas, their product and the
-    edge operator, i times that product."""
+    """A y-bond hopping image builds no string, the vc dressing included
+    (its path-edge operators are built with the layout), and a read of
+    its terms builds each once."""
     layout = QubitLayout(encoding, LatticeSpec(2, 2, 1, 2.2))
     built = count_builds(monkeypatch)
-    image = encode_hopping(layout, (0, 0, 0), (0, 1, 0), 2)
-    assert built == {"trusted": len(image),
-                     "validated": 4 if encoding == "vc" else 0}
+    assert_built_on_read(built, encode_hopping(layout, (0, 0, 0), (0, 1, 0), 2))
 
 
 def assert_validated(p):
@@ -291,10 +299,12 @@ def test_built_strings_equal_validated_ones(a, b, encoding, shape, species,
 
 
 def test_built_sum_checks_that_its_masks_fit():
-    """The one check a built sum makes: the union of its masks fits."""
-    assert len(pauli._built(3, {(4, 3): 1j})) == 1
-    with pytest.raises(DimensionError, match="mask exceeds 3 qubits"):
-        pauli._built(3, {(1, 0): 1j, (0, 8): 1j})
+    """The one check a sum built from masks makes: the union of its masks
+    fits.  Each phase is read mod 4."""
+    assert PauliSum.from_masks(3, [(1j, 4, 3, 0), (0.5, 4, 3, 5)]).masks == {
+        (4, 3): 1.5j}
+    with pytest.raises(DimensionError, match="mask exceeds 3 qubits: 0x9"):
+        PauliSum.from_masks(3, [(1j, 1, 0, 0), (1j, 0, 8, 0)])
 
 
 def test_anticommuting_strings_have_an_empty_anticommutator():
