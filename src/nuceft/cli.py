@@ -180,8 +180,14 @@ def cmd_sweep(args) -> None:
     _, parse = SWEEP_FIELDS[axis]
     grid = []
     while (value := start + len(grid) * step) <= stop + 1e-12:
-        grid.append(float(f"{value:.12g}") if parse is float
-                    else int(round(value)))
+        if parse is float:
+            grid.append(float(f"{value:.12g}"))
+        elif value.is_integer():
+            grid.append(int(value))
+        else:
+            raise ConfigError(
+                f"sweep axis {axis} takes integers, but the grid from "
+                f"{start:g} step {step:g} reaches {value:.12g}")
     if not grid:
         raise ConfigError(
             f"empty sweep grid: from {start} to {stop} step {step}")

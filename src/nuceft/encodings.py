@@ -8,8 +8,9 @@ Three encodings are provided:
   site, six qubits per site.  Hopping along y (z) is dressed with the product
   of auxiliary Majorana operators i*mu(i)*mubar(j) (i*nu(i)*nubar(j)) so the
   Z strings cancel and the image stays geometrically local.  The code space
-  is fixed by one stabilizer per directed path edge; paths are chosen so that
-  every y bond and every z bond is a path edge.
+  is fixed by one stabilizer per directed path edge.  One walk makes both
+  path sets: a boustrophedon through each x-y (y-z) plane in columns along
+  y (z), so every y (z) bond is a mu (nu) path edge.
 * ``compact``: per-species edge/vertex construction with face ancillas,
   stacked four times (one independent copy per species).  Only
   parity-preserving composites (hopping, number) are representable.
@@ -104,28 +105,22 @@ class LatticeSpec:
         return diffs.index(1)
 
 
-def _snake(outer: int, inner: int):
-    """Walk an outer x inner grid column by column, alternating direction."""
-    for o in range(outer):
-        rng = range(inner) if o % 2 == 0 else range(inner - 1, -1, -1)
-        for i in rng:
-            yield o, i
-
-
-def _mu_path_edges(lat: LatticeSpec) -> list[tuple[int, int]]:
-    """Directed path edges in each x-y plane covering every y bond."""
+def _path_edges(lat: LatticeSpec, axis: int) -> list[tuple[int, int]]:
+    """Directed raster edges of the paths covering every bond along ``axis``
+    (1: y, one mu path per x-y plane; 2: z, one nu path per y-z plane).
+    Each path walks its plane in columns along ``axis``, alternating
+    direction."""
+    shift = axis - 1  # (column, row, plane) axes are (x, y, z) rotated
+    extents = (lat.Lx, lat.Ly, lat.Lz)
+    n_cols, n_rows, n_planes = extents[shift:] + extents[:shift]
     edges = []
-    for z in range(lat.Lz):
-        walk = [lat.raster_index((x, y, z)) for x, y in _snake(lat.Lx, lat.Ly)]
-        edges.extend(zip(walk, walk[1:]))
-    return edges
-
-
-def _nu_path_edges(lat: LatticeSpec) -> list[tuple[int, int]]:
-    """Directed path edges in each y-z plane covering every z bond."""
-    edges = []
-    for x in range(lat.Lx):
-        walk = [lat.raster_index((x, y, z)) for y, z in _snake(lat.Ly, lat.Lz)]
+    for plane in range(n_planes):
+        walk = []
+        for col in range(n_cols):
+            rows = range(n_rows) if col % 2 == 0 else range(n_rows - 1, -1, -1)
+            for row in rows:
+                cell = (col, row, plane)
+                walk.append(lat.raster_index(cell[3 - shift:] + cell[:3 - shift]))
         edges.extend(zip(walk, walk[1:]))
     return edges
 
@@ -143,15 +138,13 @@ class QubitLayout:
             self.total_qubits = 4 * n
         elif encoding == "vc":
             self.total_qubits = 6 * n
-            self.mu_edges = {frozenset(e): e for e in _mu_path_edges(lattice)}
-            self.nu_edges = {frozenset(e): e for e in _nu_path_edges(lattice)}
-            # the operator of each path edge, per bond axis it dresses: a y
-            # bond can be both a mu and a nu edge
+            # the operator of each path edge keyed by its two raster
+            # indices, per bond axis it dresses: a y bond can be both a mu
+            # and a nu edge
             self._dressings = {
-                axis: {key: _vc_edge(self, which, *edge)
-                       for key, edge in edges.items()}
-                for axis, which, edges in ((1, "mu", self.mu_edges),
-                                           (2, "nu", self.nu_edges))}
+                axis: {frozenset(edge): _vc_edge(self, which, *edge)
+                       for edge in _path_edges(lattice, axis)}
+                for axis, which in ((1, "mu"), (2, "nu"))}
         else:
             # four stacked single-species codes, 2.5 qubits per mode budgeted
             self._block = math.ceil(2.5 * n)
@@ -195,23 +188,15 @@ def _colored_faces(lat: LatticeSpec):
     return out
 
 
-def _edge_faces(lat: LatticeSpec, site, axis):
-    """Faces containing a given bond (candidates; existing ones returned)."""
+def _edge_faces(site, axis):
+    """The four faces that would contain the bond from ``site`` along
+    ``axis``, whether or not the lattice has them."""
     x, y, z = site
     if axis == 0:
-        cands = [("xy", x, y, z), ("xy", x, y - 1, z), ("xz", x, y, z), ("xz", x, y, z - 1)]
-    elif axis == 1:
-        cands = [("xy", x, y, z), ("xy", x - 1, y, z), ("yz", x, y, z), ("yz", x, y, z - 1)]
-    else:
-        cands = [("xz", x, y, z), ("xz", x - 1, y, z), ("yz", x, y, z), ("yz", x, y - 1, z)]
-    out = []
-    for o, fx, fy, fz in cands:
-        if fx < 0 or fy < 0 or fz < 0:
-            continue
-        spans = {"xy": (1, 1, 0), "xz": (1, 0, 1), "yz": (0, 1, 1)}[o]
-        if fx + spans[0] < lat.Lx and fy + spans[1] < lat.Ly and fz + spans[2] < lat.Lz:
-            out.append((o, fx, fy, fz))
-    return out
+        return [("xy", x, y, z), ("xy", x, y - 1, z), ("xz", x, y, z), ("xz", x, y, z - 1)]
+    if axis == 1:
+        return [("xy", x, y, z), ("xy", x - 1, y, z), ("yz", x, y, z), ("yz", x, y, z - 1)]
+    return [("xz", x, y, z), ("xz", x - 1, y, z), ("yz", x, y, z), ("yz", x, y - 1, z)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +251,13 @@ def encode_number(layout: QubitLayout, site, species: int) -> PauliSum:
     return _number(layout.total_qubits, layout.qubit(site, species))
 
 
-def _aux_dressing(layout: QubitLayout, site_i, site_j, axis: int) -> PauliSum:
-    """i * maj(i) * majbar(j) along the directed path edge for this bond."""
-    dressings = layout._dressings[axis]
-    lat = layout.lattice
-    key = frozenset((lat.raster_index(site_i), lat.raster_index(site_j)))
-    if key not in dressings:
-        raise GeometryError(f"bond {site_i}-{site_j} is not a path edge")
-    return PauliSum.from_string(1.0, dressings[key])
-
-
 def _compact_edge(layout: QubitLayout, site_i, qi: int, qj: int, species: int,
                   axis: int) -> PauliSum:
     x_mask = (1 << qi) | (1 << qj)
     z_mask = 1 << qj  # X on the lower-raster end, Y on the other
     p_mask = 0
-    for face in _edge_faces(layout.lattice, site_i, axis):
+    # only the coloured faces that exist carry an ancilla
+    for face in _edge_faces(site_i, axis):
         if face in layout._faces:
             p_mask |= 1 << layout.face_qubit(species, face)
     return PauliSum.from_masks(layout.total_qubits,
@@ -292,7 +268,8 @@ def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSu
     """Image of adag(i) a(j) + adag(j) a(i) for one species."""
     lat = layout.lattice
     axis = lat.bond_axis(site_i, site_j)
-    if lat.raster_index(site_i) > lat.raster_index(site_j):
+    ri, rj = lat.raster_index(site_i), lat.raster_index(site_j)
+    if ri > rj:
         site_i, site_j = site_j, site_i
     qi = layout.qubit(site_i, species)
     qj = layout.qubit(site_j, species)
@@ -306,7 +283,9 @@ def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSu
     bare = (_jw_ladder(n, qi, CREATE) * _jw_ladder(n, qj, ANNIHILATE)
             + _jw_ladder(n, qj, CREATE) * _jw_ladder(n, qi, ANNIHILATE))
     if layout.encoding == "vc" and axis != 0:
-        bare = bare * _aux_dressing(layout, site_i, site_j, axis)
+        # i * maj(i) * majbar(j): every y (z) bond is a mu (nu) path edge
+        bare = bare * PauliSum.from_string(
+            1.0, layout._dressings[axis][frozenset((ri, rj))])
     return bare
 
 

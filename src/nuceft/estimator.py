@@ -95,11 +95,7 @@ class CostReport(_CostReportFields):
         return self if self.extras is not None else self._replace(extras={})
 
     def to_json_dict(self) -> dict:
-        return {"schema-version": SCHEMA_VERSION, "t": self.t, "r": self.r,
-                "depth_total": self.depth_total, "rz_total": self.rz_total,
-                "T_total": self.T_total, "qubits": self.qubits,
-                "ancillas": self.ancillas, "ledger": self.ledger,
-                "extras": self.extras}
+        return {"schema-version": SCHEMA_VERSION, **self._asdict()}
 
 
 def crossing_time(a_L_fm: float, L: int, E_kin: float) -> float:

@@ -8,6 +8,7 @@ register sizing for the dynamical-pion model.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .errors import DomainError, UnreachableBudgetError
@@ -148,7 +149,16 @@ def boson_cutoffs(eta: int, E: float, eps_cut: float, params: OpeParams,
     a = convert_length(params.a_L)
     if n_b is None:
         raw = 2 * a ** 3 * Pi0 * pi0 / math.pi + 1
+        if not math.isfinite(raw):
+            raise DomainError(
+                f"the boson cutoffs pi_max={pi0:.6g} and Pi_max={Pi0:.6g} "
+                "overflow the float range: no register width can be sized")
         n_b = max(1, math.ceil(math.log2(raw)))
+    if n_b >= sys.float_info.max_exp:
+        raise DomainError(
+            f"register width n_b={n_b} is too wide: its 2^n_b - 1 levels "
+            f"overflow the float range (at most {sys.float_info.max_exp - 1} "
+            "bits)")
     delta_pi = 2 * pi0 / (2 ** n_b - 1)
     Pi_max = math.pi / (a ** 3 * delta_pi)
     delta_Pi = 2 * math.pi / (a ** 3 * delta_pi * 2 ** n_b)

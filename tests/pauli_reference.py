@@ -16,7 +16,7 @@ composition is independent.
 
 from types import SimpleNamespace
 
-from nuceft.encodings import _VC_MU, _VC_NU, _edge_faces
+from nuceft.encodings import _VC_MU, _VC_NU, _edge_faces, _path_edges
 from nuceft.fock import ANNIHILATE, CREATE, NUMBER
 from nuceft.pauli import PauliString, multiply
 
@@ -98,17 +98,17 @@ def vc_edge(layout, which, ra, rb):
 
 def vc_stabilizers(layout):
     return [vc_edge(layout, which, ra, rb)
-            for which, edges in (("mu", layout.mu_edges), ("nu", layout.nu_edges))
-            for ra, rb in edges.values()]
+            for axis, which in ((1, "mu"), (2, "nu"))
+            for ra, rb in _path_edges(layout.lattice, axis)]
 
 
 def aux_dressing(layout, site_i, site_j, axis):
     which = "mu" if axis == 1 else "nu"
-    edges = layout.mu_edges if axis == 1 else layout.nu_edges
     lat = layout.lattice
-    key = frozenset((lat.raster_index(site_i), lat.raster_index(site_j)))
+    ends = {lat.raster_index(site_i), lat.raster_index(site_j)}
+    (edge,) = [e for e in _path_edges(lat, axis) if set(e) == ends]
     return canonical(layout.total_qubits,
-                     [(1.0, vc_edge(layout, which, *edges[key]))])
+                     [(1.0, vc_edge(layout, which, *edge))])
 
 
 def compact_edge(layout, site_i, site_j, species, axis):
@@ -116,7 +116,7 @@ def compact_edge(layout, site_i, site_j, species, axis):
     qj = layout.qubit(site_j, species)
     n = layout.total_qubits
     p_mask = 0
-    for face in _edge_faces(layout.lattice, site_i, axis):
+    for face in _edge_faces(site_i, axis):
         if face in layout._faces:
             p_mask |= 1 << layout.face_qubit(species, face)
     return canonical(n, [(1.0, PauliString(n, (1 << qi) | (1 << qj),

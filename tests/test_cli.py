@@ -279,6 +279,36 @@ def test_zero_register_width_is_domain_error(capsys):
     assert "domain error:" in capsys.readouterr().err
 
 
+def test_register_width_beyond_the_float_range_is_refused(tmp_path, capsys):
+    import csv
+    code = main(["estimate", "--model", "dynpi", "--eta", "40", "--nb", "1024"])
+    assert code == 2
+    assert "register width n_b=1024" in capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "dynpi", "--task", "qpe", "--eta", "40",
+                 "--axis", "n_b", "--from", "1022", "--to", "1026",
+                 "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        notes = [row["notes"] for row in csv.DictReader(fh)]
+    assert len(notes) == 5 and all(notes)
+    assert notes[2].startswith("DomainError: register width n_b=1024")
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("eta", ["--from", "1", "--to", "3", "--step", "0.5"]),
+    ("L", ["--from", "2.5", "--to", "3.5"]),
+    ("ell", ["--from", "10", "--to", "11", "--step", "0.25"]),
+    ("n_b", ["--from", "4.5", "--to", "5"]),
+])
+def test_sweep_refuses_a_fractional_value_on_an_integer_axis(axis, grid,
+                                                              capsys):
+    assert main(["sweep", "--eta", "40", "--axis", axis, *grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: sweep axis {axis} takes "
+                                   "integers")
+
+
 def test_sweep_grid_has_no_accumulated_drift(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", *BENCH_ARGS, "--axis", "epsilon",

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nuceft.encodings import (LatticeSpec, QubitLayout, encode_fermion_sum,
-                              encode_hopping, encode_ladder, encode_number,
-                              vc_stabilizers)
+from nuceft.encodings import (LatticeSpec, QubitLayout, _path_edges,
+                              encode_fermion_sum, encode_hopping, encode_ladder,
+                              encode_number, vc_stabilizers)
 from nuceft.errors import GeometryError, UnsupportedOperatorError
 from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm
 from nuceft.models import pionless_layers
@@ -82,7 +82,7 @@ def test_vc_stabilizers_are_independent_commuting():
     layout = QubitLayout("vc", lat)
     stabs = vc_stabilizers(layout)
     # one stabilizer per directed path edge
-    assert len(stabs) == len(layout.mu_edges) + len(layout.nu_edges)
+    assert len(stabs) == len(_path_edges(lat, 1)) + len(_path_edges(lat, 2))
     for i, a in enumerate(stabs):
         for b in stabs[i + 1:]:
             assert a.commutes_with(b)
@@ -90,6 +90,24 @@ def test_vc_stabilizers_are_independent_commuting():
         sq = PauliSum.from_string(1.0, s) * PauliSum.from_string(1.0, s)
         ((c, string),) = list(sq)
         assert string.is_identity() and c == 1.0  # hermitian involution
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (1, 5, 2), (3, 1, 4),
+                                   (4, 3, 2), (3, 3, 3)])
+def test_every_y_and_z_bond_is_a_path_edge(shape):
+    """encode_hopping dresses a y (z) bond with the mu (nu) path edge on it
+    and has no fallback, so every such bond must be one; each path edge
+    joins nearest neighbours, so every dressing stays local."""
+    lat = LatticeSpec(*shape, 2.2)
+    for axis in (1, 2):
+        edges = _path_edges(lat, axis)
+        for ra, rb in edges:
+            lat.bond_axis(lat.site_at(ra), lat.site_at(rb))
+        on_path = {frozenset(edge) for edge in edges}
+        for si, sj, bond_axis in lat.bonds():
+            if bond_axis == axis:
+                ends = frozenset((lat.raster_index(si), lat.raster_index(sj)))
+                assert ends in on_path, (axis, si, sj)
 
 
 def test_full_encoding_suite():

@@ -193,14 +193,16 @@ def test_reports_are_finite_or_domain_errors(model):
     # shells for far longer than the rest of the grid
     ell_units = 10 if model == "ope" else None
     priced = 0
-    for order, task, convention, epsilon, delta_E in itertools.product(
+    # dynpi sizes its registers from cutoffs that overflow the float range
+    # at epsilon=1e-150, and 2^1024 - 1 levels overflow it too
+    for order, task, convention, epsilon, delta_E, n_b in itertools.product(
             (1, 2, 3), ("evolve", "qpe"), ("near-term", "fault-tolerant"),
-            (1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 0.1, 0.9),
-            (1.0, 1e-30, 1e-100)):
+            (1e-300, 1e-200, 1e-150, 1e-100, 1e-30, 1e-10, 0.1, 0.9),
+            (1.0, 1e-30, 1e-100), (None, 1024)):
         spec = TaskSpec(**{**BENCH, "model": model, "order": order,
                            "task": task, "convention": convention,
                            "epsilon": epsilon, "delta_E": delta_E,
-                           "ell_units": ell_units})
+                           "ell_units": ell_units, "n_b": n_b})
         try:
             report = estimate(spec)
         except DomainError:
