@@ -58,6 +58,10 @@ class TaskSpec(_TaskSpecFields):
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.L < 1:
             raise DomainError(f"lattice extent L must be >= 1, got {self.L}")
+        for name in ("ell_units", "n_b"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise DomainError(
+                    f"{name} must be >= 1 when given, got {getattr(self, name)}")
         if not 1 <= self.eta <= 4 * self.L ** 3:
             raise DomainError(
                 f"eta must lie in [1, 4 L^3] = [1, {4 * self.L ** 3}] "
@@ -202,9 +206,11 @@ def _dynpi(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
     return xi, extras, dynpi_step_cost(dig.n_b, spec.L, frame.controlled)
 
 
-# model -> (pricer, the product-formula orders its bound covers)
-_MODELS = {"pionless": (_pionless, (1, 2)), "ope": (_ope, (1,)),
-           "dynpi": (_dynpi, (1,))}
+# model -> (pricer, the product-formula orders its bound covers, the pins
+# it reads)
+_MODELS = {"pionless": (_pionless, (1, 2), ()),
+           "ope": (_ope, (1,), ("ell_units",)),
+           "dynpi": (_dynpi, (1,), ("n_b",))}
 _TASKS = {"evolve": _evolve, "qpe": _qpe}
 # each categorical TaskSpec field's values, from the table that prices them
 CHOICES = {"task": tuple(_TASKS), "model": tuple(_MODELS),
@@ -215,10 +221,14 @@ CHOICES = {"task": tuple(_TASKS), "model": tuple(_MODELS),
 def estimate(spec: TaskSpec) -> CostReport:
     """Resource estimate for crossing-time evolution or phase estimation."""
     check_priced(spec.model, spec.encoding)
-    price, orders = _MODELS[spec.model]
+    price, orders, pins = _MODELS[spec.model]
     if spec.order not in orders:
         raise DomainError(f"model {spec.model!r} is bounded only for "
                           f"order(s) {orders}, got {spec.order}")
+    for name in (pin for _, _, read in _MODELS.values() for pin in read):
+        if name not in pins and getattr(spec, name) is not None:
+            raise DomainError(f"model {spec.model!r} does not read {name}, "
+                              f"got {getattr(spec, name)}")
     frame = _TASKS[spec.task](spec)
     coeff, extras, step = price(spec, frame)
     r_app = steps_for_budget(spec.order, frame.t, coeff,

@@ -9,11 +9,17 @@ fixed-particle-number (eta) sector for semi-norms and exact product-formula
 errors.  It is the independent oracle behind every derived value.
 
 Canonical output: a ``FermionSum`` holds each distinct factor tuple once, in
-the order of its first occurrence, and drops exact-zero weights.  A product
-normal-orders into the terms its rewrite reaches; a commutator takes its
-term pairs a-major (every term of b against the first term of a, then the
-next) and adds each pair's ab, then its -ba, product by product in that
-order.
+the order of its first occurrence, and drops exact-zero weights.  Every
+product is first its action on occupation states (``_Action``, composed
+factor by factor).  Its terms are its creations, annihilations and numbers
+times 1 - N(h) for each hole h, a mode it needs empty and leaves so, one
+term per subset of the holes.  The subsets come number-carrying first,
+with the hole whose last creation factor comes first as the most
+significant bit (ascending modes in a product of two canonical terms):
+the order in which a rewrite by adjacent swaps first reaches them.  An
+adjoint reads each term's action backwards; a commutator takes its term
+pairs a-major (every term of b against the first term of a, then the next)
+and adds each pair's ab, then its -ba, in that order.
 
 The oracle is exact per conserved block.  Every mode group joined by the
 ladder factors of some term keeps its occupation count, so the eta sector
@@ -34,12 +40,11 @@ the pionless layers at eta=3 on three or more sites that is 3 of the 20
 blocks.
 
 Every matrix is assembled in one vectorized pass per sum.  The sum becomes
-one table of per-term masks and weights, checked once for number
-preservation and finite weights.  Its Jordan-Wigner string folds into one
-image mask and one sign mask per term: a term maps a state s to s ^ flip
-with the sign (-1)^(popcount(s & sign) + odd), where ``sign`` XORs the
-masks below the term's ladder modes and ``odd`` is the parity that the
-earlier flips add, so a hit costs one XOR and one popcount.  The
+one table of the terms' actions and weights, checked once for number
+preservation and finite weights.  A term maps a state s to s ^ flip with
+the sign (-1)^(popcount(s & sign) + odd), where ``sign`` XORs the masks
+below the term's ladder modes and ``odd`` is the parity that the earlier
+flips add, so a hit costs one XOR and one popcount.  The
 (term, state) hits are found term-major in chunks of about 2^20 pairs,
 which bounds the temporaries, and added in term order, so each entry sums
 its terms in the order a term-by-term loop would.  A layer of number
@@ -176,24 +181,16 @@ class FermionSum:
     def adjoint(self) -> "FermionSum":
         acc: dict[tuple[Factor, ...], float] = {}
         for t in self.terms:
-            rev = tuple(reversed(_expand_numbers(t.factors)))
-            conj = tuple((m, CREATE if k == ANNIHILATE else ANNIHILATE) for m, k in rev)
-            _merge(acc, _ordered(conj, t.weight.conjugate()))
+            x = _action(t.factors)
+            # the same map read backwards: s ^ flip goes to s with the sign
+            # s had, whose mask reads popcount(flip & sign) more on s ^ flip
+            _expand(x._replace(need=x.need ^ x.flip,
+                               odd=x.odd ^ (x.flip & x.sign).bit_count() & 1),
+                    t.weight.conjugate(), acc)
         return _from_weights(self.n_modes, acc)
 
     def __repr__(self) -> str:
         return " + ".join(repr(t) for t in self.terms) if self.terms else "0"
-
-
-def _expand_numbers(factors: Sequence[Factor]) -> list[Factor]:
-    out: list[Factor] = []
-    for m, k in factors:
-        if k == NUMBER:
-            out.append((m, CREATE))
-            out.append((m, ANNIHILATE))
-        else:
-            out.append((m, k))
-    return out
 
 
 def _check_kinds(factors: Iterable[Factor]) -> None:
@@ -203,12 +200,93 @@ def _check_kinds(factors: Iterable[Factor]) -> None:
                              f"{CREATE!r}, {ANNIHILATE!r} or {NUMBER!r})")
 
 
+class _Action(NamedTuple):
+    """What a product of factors does to an occupation state s: it keeps
+    the states with (s & care) == need, maps each to s ^ flip and signs it
+    (-1)^(popcount(s & sign) + odd).  A ladder factor on mode m flips bit m
+    with the sign of the occupied modes below it; a number factor keeps the
+    states with m occupied."""
+
+    need: int  # modes to be occupied
+    care: int  # modes to be occupied or empty
+    flip: int  # modes flipped
+    sign: int  # modes whose occupation sets the sign
+    odd: int   # parity added to the sign
+
+
+def _factor_action(m: int, k: str) -> _Action:
+    bit = 1 << int(m)
+    if k == NUMBER:
+        return _Action(bit, bit, 0, 0, 0)
+    return _Action(bit if k == ANNIHILATE else 0, bit, bit, bit - 1, 0)
+
+
+def _compose(x: _Action, y: _Action) -> _Action | None:
+    """x after y, or None when no state survives both.  y flips what x
+    reads: x keeps s ^ y.flip when (s & x.care) == x.need ^ (y.flip &
+    x.care), and its sign on s ^ y.flip reads popcount(y.flip & x.sign)
+    more than on s."""
+    need = x.need ^ (y.flip & x.care)
+    if (need ^ y.need) & x.care & y.care:
+        return None
+    return _Action(need | y.need, x.care | y.care, x.flip ^ y.flip,
+                   x.sign ^ y.sign,
+                   (x.odd + y.odd + (y.flip & x.sign).bit_count()) & 1)
+
+
+def _action(factors: Iterable[Factor]) -> _Action | None:
+    """The action of a product of factors, the rightmost acting first, or
+    None when it annihilates every state."""
+    x = _Action(0, 0, 0, 0, 0)
+    for m, k in factors:
+        x = _compose(x, _factor_action(m, k))
+        if x is None:
+            return None
+    return x
+
+
+def _split(need, flip):
+    """The creation, annihilation and number modes of an action, as masks;
+    of ints, or of a table's uint64 columns alike."""
+    return flip & ~need, flip & need, need & ~flip
+
+
+def _expand(x: _Action, w, acc: dict[tuple[Factor, ...], float],
+            rank=None) -> None:
+    """Add w times the product of action x into ``acc`` as canonical terms.
+
+    The product is its creations, annihilations and numbers times 1 - N(h)
+    for each hole h, a mode it needs empty and does not flip.  Each subset
+    of the holes gives a term with a number factor on each of its modes,
+    signed (-1)^|subset| times the ratio of x's sign to the canonical
+    ladder term's.  Both sign masks XOR the masks below the flipped modes,
+    so that ratio is (-1)^(x.odd + the ladder term's odd).  The subsets are
+    taken number-carrying first, the first hole by ``rank`` (ascending
+    modes by default) as the most significant bit: the order in which
+    adjacent swaps of the factors first reach them when ``rank`` is the
+    position of each hole's last creation factor, ascending in a product
+    of two canonical terms.  A zero contribution takes no place in
+    ``acc``."""
+    creations, annihilations, numbers = _split(x.need, x.flip)
+    ladder = tuple((m, CREATE) for m in _bits(creations)) + \
+        tuple((m, ANNIHILATE) for m in _bits(annihilations))
+    subsets = [(0, x.odd ^ _action(ladder).odd)]
+    for h in reversed(sorted(_bits(x.care & ~x.need & ~x.flip), key=rank)):
+        subsets = [(s | 1 << h, odd ^ 1) for s, odd in subsets] + subsets
+    for s, odd in subsets:
+        c = (-1 if odd else 1) * w
+        if c != 0.0:
+            key = ladder + tuple((m, NUMBER) for m in _bits(numbers | s))
+            acc[key] = acc.get(key, 0.0) + c
+
+
 def normal_order(factors: Sequence[Factor], weight: float = 1.0,
                  n_modes: int | None = None) -> FermionSum:
     """Rewrite an arbitrary ladder/number product as canonical FermionTerms.
 
-    Uses {a(i), a+(j)} = delta_ij and a(i)a(i) = a+(i)a+(i) = 0, then folds
-    matched a+(i)...a(i) pairs into number factors.
+    The product's action (``_compose``) is expanded into the terms that
+    {a(i), a+(j)} = delta_ij and a(i)a(i) = a+(i)a+(i) = 0 give, with
+    matched a+(i)...a(i) pairs folded into number factors (``_expand``).
     """
     if n_modes is None:
         n_modes = 1 + max((m for m, _ in factors), default=-1)
@@ -217,43 +295,12 @@ def normal_order(factors: Sequence[Factor], weight: float = 1.0,
     for m, _ in factors:
         if not 0 <= m < n_modes:
             raise ValueError(f"mode {m} outside universe of {n_modes}")
-    return _from_weights(n_modes, _ordered(tuple(_expand_numbers(factors)),
-                                           weight))
-
-
-def _ordered(fs: tuple[Factor, ...], weight: float
-             ) -> dict[tuple[Factor, ...], float]:
-    """{canonical factors: weight} of weight times a product of ladder
-    factors, keyed in the order the rewrite first reaches each term."""
     acc: dict[tuple[Factor, ...], float] = {}
-    stack: list[tuple[float, tuple[Factor, ...]]] = [(weight, fs)]
-    while stack:
-        w, fs = stack.pop()
-        pos = _first_violation(fs)
-        if pos is None:
-            key, sign = _to_canonical(fs)
-            if key is not None:
-                acc[key] = acc.get(key, 0.0) + sign * w
-            continue
-        (m1, k1), (m2, k2) = fs[pos], fs[pos + 1]
-        head, tail = fs[:pos], fs[pos + 2:]
-        if k1 == ANNIHILATE and k2 == CREATE:
-            if m1 == m2:
-                stack.append((w, head + tail))
-            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
-        else:  # same-kind pair out of order or repeated
-            if m1 == m2:
-                continue  # nilpotency: term vanishes
-            stack.append((-w, head + ((m2, k2), (m1, k1)) + tail))
-    return acc
-
-
-def _merge(acc: dict[tuple[Factor, ...], float],
-           part: dict[tuple[Factor, ...], float]) -> None:
-    """Add the non-zero weights of one ordered product into ``acc``."""
-    for f, w in part.items():
-        if w != 0.0:
-            acc[f] = acc.get(f, 0.0) + w
+    x = _action(factors)
+    if x is not None:
+        last = {int(m): i for i, (m, k) in enumerate(factors) if k == CREATE}
+        _expand(x, weight, acc, last.__getitem__)
+    return _from_weights(n_modes, acc)
 
 
 def _from_weights(n_modes: int, acc: dict[tuple[Factor, ...], float]) -> FermionSum:
@@ -266,66 +313,21 @@ def _from_weights(n_modes: int, acc: dict[tuple[Factor, ...], float]) -> Fermion
     return out
 
 
-def _first_violation(fs: tuple[Factor, ...]) -> int | None:
-    """Index of the first adjacent pair breaking normal order, or None."""
-    for i in range(len(fs) - 1):
-        (m1, k1), (m2, k2) = fs[i], fs[i + 1]
-        if k1 == ANNIHILATE and k2 == CREATE:
-            return i
-        if k1 == k2 and m1 >= m2:
-            return i
-    return None
-
-
-def _to_canonical(fs: tuple[Factor, ...]) -> tuple[tuple[Factor, ...] | None, int]:
-    """Fold matched creation/annihilation pairs into number factors.
-
-    Input is normal-ordered: strictly ascending creations, then strictly
-    ascending annihilations.  Returns (canonical factors, sign) or (None, 0)
-    when the term vanishes.
-    """
-    creates = [m for m, k in fs if k == CREATE]
-    annis = [m for m, k in fs if k == ANNIHILATE]
-    sign = 1
-    numbers = []
-    common = sorted(set(creates) & set(annis))
-    for m in common:
-        p = creates.index(m)
-        q = annis.index(m)
-        # move a+(m) right past later creations, a(m) left past earlier ones
-        sign *= (-1) ** (len(creates) - 1 - p) * (-1) ** q
-        creates.pop(p)
-        annis.pop(q)
-        numbers.append(m)
-    fac = tuple((m, CREATE) for m in creates) + \
-        tuple((m, ANNIHILATE) for m in annis) + \
-        tuple((m, NUMBER) for m in sorted(numbers))
-    return fac, sign
-
-
-def _prepared(term: FermionTerm) -> tuple[float, tuple[Factor, ...], int, bool]:
-    """A term's weight, ladder expansion, support mask, and whether it has
-    an odd number of ladder factors."""
-    support = 0
-    for m, _ in term.factors:
-        support |= 1 << m
-    odd = sum(k != NUMBER for _, k in term.factors) % 2 == 1
-    return term.weight, tuple(_expand_numbers(term.factors)), support, odd
-
-
 def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
     """[a, b] in canonical form; NPFO when a and b are NPFOs."""
     n = max(a.n_modes, b.n_modes)
-    b_terms = [_prepared(tb) for tb in b.terms]
+    b_terms = [(tb.weight, _action(tb.factors)) for tb in b.terms]
     acc: dict[tuple[Factor, ...], float] = {}
     for ta in a.terms:
-        wa, fa, support_a, odd_a = _prepared(ta)
-        for wb, fb, support_b, odd_b in b_terms:
-            if not support_a & support_b and not (odd_a and odd_b):
+        x = _action(ta.factors)
+        for wb, y in b_terms:
+            if not x.care & y.care and \
+                    not x.flip.bit_count() & y.flip.bit_count() & 1:
                 continue  # disjoint supports commute unless both terms are odd
-            w = wa * wb
-            _merge(acc, _ordered(fa + fb, w))
-            _merge(acc, _ordered(fb + fa, -w))
+            w = ta.weight * wb
+            for product, weight in ((_compose(x, y), w), (_compose(y, x), -w)):
+                if product is not None:
+                    _expand(product, weight, acc)
     return _from_weights(n, acc)
 
 
@@ -380,15 +382,8 @@ class EtaSector:
 
 
 class _Terms(NamedTuple):
-    """A sum as one table, a row per term: the modes a state must have
-    occupied and those it must have empty, its ladder modes, its sign mask
-    and parity, and its weight.  A term maps a state s it does not
-    annihilate to s ^ flip with the Jordan-Wigner sign
-    (-1)^(popcount(s & sign) + odd).  Ladder factor j acts, right to left,
-    on s ^ F_j, F_j the modes flipped before it, and popcount(a ^ b) has
-    the parity of popcount(a) + popcount(b); so ``sign`` is the XOR of the
-    ladder modes' ``bit - 1`` masks and ``odd`` is the parity of the sum
-    over j of popcount(F_j & (bit_j - 1))."""
+    """A sum as one table, a row per term: its action (``_Action``) and its
+    weight."""
 
     need: np.ndarray     # (terms,) modes to be occupied
     care: np.ndarray     # (terms,) modes to be occupied or empty
@@ -404,39 +399,24 @@ def _check_width(n_modes: int) -> None:
 
 
 def _terms(h: FermionSum) -> _Terms:
-    """The table of h; a term that does not preserve the particle number,
-    or has a non-finite weight, is refused."""
+    """The table of h, a row per term's action; a term that does not
+    preserve the particle number, or has a non-finite weight, is
+    refused."""
     _check_width(h.n_modes)
-    need, care, flips, signs, odds, weights = [], [], [], [], [], []
+    rows = []
     for term in h.terms:
-        occupied = vacant = balance = flip = sign = odd = 0
-        for m, k in reversed(term.factors):
-            bit = 1 << m
-            if k == CREATE:
-                vacant |= bit
-                balance += 1
-            else:
-                occupied |= bit
-                if k == ANNIHILATE:
-                    balance -= 1
-            if k != NUMBER:
-                odd += (flip & (bit - 1)).bit_count()
-                flip ^= bit
-                sign ^= bit - 1
-        if balance:
+        x = _action(term.factors)
+        creations, annihilations, _ = _split(x.need, x.flip)
+        if creations.bit_count() != annihilations.bit_count():
             raise ValueError("term does not preserve particle number")
         if not isfinite(term.weight):
             raise ValueError(f"term {term!r} has a non-finite weight")
-        need.append(occupied)
-        care.append(occupied | vacant)
-        flips.append(flip)
-        signs.append(sign)
-        odds.append(odd & 1)
-        weights.append(term.weight)
-    weights = np.array(weights)
+        rows.append(x)
+    need, care, flip, sign, odd = zip(*rows) if rows else ((),) * 5
+    weights = np.array([term.weight for term in h.terms])
     return _Terms(*(np.array(column, dtype=np.uint64)
-                    for column in (need, care, flips, signs)),
-                  np.array(odds, dtype=np.uint8),
+                    for column in (need, care, flip, sign)),
+                  np.array(odd, dtype=np.uint8),
                   weights if weights.dtype.kind == "c" else
                   weights.astype(float))
 
@@ -492,7 +472,13 @@ def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
 
 
 def _bits(mask: int) -> list[int]:
-    return [m for m in range(mask.bit_length()) if mask >> m & 1]
+    """The modes set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _swap_invariant(masks: np.ndarray, weights: np.ndarray,
@@ -532,8 +518,7 @@ def _orbits(groups: tuple[int, ...], tables: Sequence[_Terms]
     is tried against the nearest earlier group first; a pair already in one
     orbit is not tried, since the swaps found compose to swap it."""
     # each term's creation, annihilation and number modes
-    sums = [(np.stack((t.care & ~t.need, t.need & t.flip, t.need & ~t.flip)),
-             t.weights) for t in tables]
+    sums = [(np.stack(_split(t.need, t.flip)), t.weights) for t in tables]
     orbit = list(range(len(groups)))  # each group's orbit, as a group in it
     for j, b in enumerate(groups):
         for i in range(j - 1, -1, -1):

@@ -179,7 +179,7 @@ def _random_npfo_factors(rng: np.random.Generator,
     """Canonical NPFO factors over exactly these modes."""
     k = len(modes)
     pairs = int(rng.integers(0, k // 2 + 1))
-    shuffled = list(rng.permutation(modes))
+    shuffled = rng.permutation(modes).tolist()
     creates = sorted(shuffled[:pairs])
     annihs = sorted(shuffled[pairs:2 * pairs])
     numbers = sorted(shuffled[2 * pairs:])

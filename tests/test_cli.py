@@ -279,6 +279,22 @@ def test_zero_register_width_is_domain_error(capsys):
     assert "domain error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "pionless", "--nb", "0"], "n_b must be >= 1"),
+    (["--model", "pionless", "--ell", "-5"], "ell_units must be >= 1"),
+    (["--model", "dynpi", "--ell", "4"],
+     "model 'dynpi' does not read ell_units"),
+    (["--model", "ope", "--nb", "7"], "model 'ope' does not read n_b"),
+])
+def test_pins_below_one_or_unread_by_the_model_are_refused(flags, message,
+                                                           capsys):
+    assert main(["estimate", "--eta", "40", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error:")
+    assert message in captured.err
+
+
 def test_register_width_beyond_the_float_range_is_refused(tmp_path, capsys):
     import csv
     code = main(["estimate", "--model", "dynpi", "--eta", "40", "--nb", "1024"])

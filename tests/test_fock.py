@@ -16,7 +16,9 @@ from nuceft.models import pionless_layers
 from nuceft.params import pionless_params_for
 
 from fermion_reference import (dense_factors, dense_sum, hopping, number_op,
-                               reference_full_matrix, reference_images)
+                               reference_full_matrix, reference_images,
+                               rewrite_adjoint, rewrite_commutator,
+                               rewrite_normal_order)
 
 
 @pytest.fixture(autouse=True)
@@ -201,7 +203,7 @@ WEIGHTS = st.floats(-2.0, 2.0)
 
 
 @st.composite
-def fermion_sums(draw, n_modes):
+def fermion_sums(draw, n_modes, weights=WEIGHTS):
     """A sum with number factors, complex weights, repeated terms and
     terms that cancel exactly."""
     terms = []
@@ -210,9 +212,9 @@ def fermion_sums(draw, n_modes):
                               min_size=n_modes, max_size=n_modes))
         factors = tuple(sorted(((m, k) for m, k in enumerate(kinds) if k),
                                key=lambda f: (KIND_RANK[f[1]], f[0])))
-        weight = draw(WEIGHTS)
+        weight = draw(weights)
         if draw(st.booleans()):
-            weight = complex(weight, draw(WEIGHTS))
+            weight = complex(weight, draw(weights))
         terms.append(FermionTerm(weight, factors))
     if terms:
         terms += draw(st.lists(st.sampled_from(terms), max_size=2))
@@ -316,6 +318,51 @@ def test_commutator_and_adjoint_equal_the_pairwise_reference(pair):
     a, b = pair
     assert exact_terms(fermion_commutator(a, b)) == reference_commutator(a, b)
     assert exact_terms(a.adjoint()) == reference_adjoint(a)
+
+
+# signed zeros, and magnitudes whose products underflow to zero or fall
+# below the normal range
+EDGE_WEIGHTS = WEIGHTS | st.sampled_from(
+    (0.0, -0.0, 1e-200, -1e-200, 1e-160, 5e-324))
+KINDS = (CREATE, ANNIHILATE, NUMBER)
+
+
+@st.composite
+def factor_products(draw):
+    """Any product of factors on at most five modes, modes repeated."""
+    n = draw(st.integers(1, 5))
+    factor = st.tuples(st.integers(0, n - 1), st.sampled_from(KINDS))
+    return n, tuple(draw(st.lists(factor, max_size=10)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(factor_products(), EDGE_WEIGHTS | st.builds(complex, EDGE_WEIGHTS,
+                                                   EDGE_WEIGHTS))
+# two holes whose creations come in descending mode order: the rewrite
+# meets the hole on mode 3 first
+@example((4, ((0, ANNIHILATE), (3, ANNIHILATE), (3, CREATE), (0, CREATE))),
+         -0.5)
+@example((5, ((4, ANNIHILATE), (1, ANNIHILATE), (1, CREATE), (2, NUMBER),
+              (0, ANNIHILATE), (4, CREATE), (0, CREATE))), complex(-0.0, 2.0))
+def test_normal_order_equals_the_rewrite(product, weight):
+    """Term for term, in the order the rewrite by adjacent swaps first
+    reaches each term, with the same weights bit for bit."""
+    n, factors = product
+    assert exact_terms(normal_order(factors, weight, n)) == \
+        reference_terms(rewrite_normal_order(factors, weight))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    *(fermion_sums(n, EDGE_WEIGHTS) for _ in range(3)))))
+@example((*UNDERFLOW_PAIR, FermionSum(3)))
+def test_adjoint_and_commutators_equal_the_rewrite(sums):
+    a, b, c = sums
+    assert exact_terms(a.adjoint()) == reference_terms(rewrite_adjoint(a))
+    ab = fermion_commutator(a, b)
+    assert exact_terms(ab) == reference_terms(rewrite_commutator(a, b))
+    assert exact_terms(fermion_commutator(c, ab)) == \
+        reference_terms(rewrite_commutator(c, ab))
 
 
 def test_adjoint_returns_python_scalars():

@@ -1,6 +1,7 @@
 """Module boundaries of the package, read from its source with ``ast``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import nuceft
@@ -24,3 +25,24 @@ def test_no_module_imports_a_private_name_of_another():
     found = list(nuceft_imports())
     assert ("encodings.py", "pauli", "PauliSum") in found
     assert [i for i in found if i[2].startswith("_")] == []
+
+
+def top_level_imports():
+    """(module file, top-level package) of every import of the source, at
+    any depth; a relative import is of nuceft."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield path.name, alias.name.partition(".")[0]
+            elif isinstance(node, ast.ImportFrom):
+                yield path.name, ("nuceft" if node.level else
+                                  node.module.partition(".")[0])
+
+
+def test_the_package_needs_numpy_alone():
+    """Every import is of the standard library, numpy or nuceft."""
+    found = set(top_level_imports())
+    assert ("fock.py", "numpy") in found
+    allowed = sys.stdlib_module_names | {"numpy", "nuceft"}
+    assert sorted(i for i in found if i[1] not in allowed) == []
