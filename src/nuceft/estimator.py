@@ -9,6 +9,7 @@ coefficient into a Trotter step count, and prices the resulting circuit.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .costs import (STEP_LAYERS, StepCost, check_priced, dynpi_step_cost,
@@ -52,6 +53,14 @@ class TaskSpec(_TaskSpecFields):
             if getattr(self, name) not in choices:
                 raise DomainError(f"unknown {name} {getattr(self, name)!r} "
                                   f"(choose from {choices})")
+        for name in ("order", "L", "eta", "ell_units", "n_b"):
+            value = getattr(self, name)
+            if value is None and name in ("ell_units", "n_b"):
+                continue  # a pin may be left out
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            # as the Python int it equals: an int32 L overflows in the pipeline
+            self = self._replace(**{name: operator.index(value)})
         for name in ("epsilon", "E_kin", "delta_E", "E_max", "a_L"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(

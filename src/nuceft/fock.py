@@ -27,10 +27,12 @@ splits into blocks labelled by per-group counts (the four species counts
 for pionless layers).  Semi-norms and evolution errors are the largest over
 the blocks, computed with stacked linear algebra over blocks of equal size.
 Symmetric blocks are computed once per orbit, in two steps.  First, two
-mode groups of equal size are swapped mode by mode in order; a swap that
-maps every input sum to itself (term by term, with the fermionic sign of
-the re-sort and bit-equal weights) joins the two groups into one orbit, and
-a pair already in one orbit is not tried.  Any permutation of the counts
+mode groups of equal size are swapped mode by mode in order.  Each term's
+image is the product of its moved factors, re-sorted by the algebra above
+(``_action``, then ``_expand``, which carries the sign of the re-sort); a
+swap that maps every term of every input sum to a term of that sum with
+exactly its weight joins the two groups into one orbit, and a pair already
+in one orbit is not tried.  Any permutation of the counts
 of one orbit's groups gives a block of the same spectrum and the same
 product-formula error, so, second, only the blocks whose counts do not
 increase along each orbit are built: a walk takes the orbits one at a time,
@@ -245,12 +247,6 @@ def _action(factors: Iterable[Factor]) -> _Action | None:
     return x
 
 
-def _split(need, flip):
-    """The creation, annihilation and number modes of an action, as masks;
-    of ints, or of a table's uint64 columns alike."""
-    return flip & ~need, flip & need, need & ~flip
-
-
 def _expand(x: _Action, w, acc: dict[tuple[Factor, ...], float],
             rank=None) -> None:
     """Add w times the product of action x into ``acc`` as canonical terms.
@@ -267,9 +263,9 @@ def _expand(x: _Action, w, acc: dict[tuple[Factor, ...], float],
     position of each hole's last creation factor, ascending in a product
     of two canonical terms.  A zero contribution takes no place in
     ``acc``."""
-    creations, annihilations, numbers = _split(x.need, x.flip)
-    ladder = tuple((m, CREATE) for m in _bits(creations)) + \
-        tuple((m, ANNIHILATE) for m in _bits(annihilations))
+    numbers = x.need & ~x.flip
+    ladder = tuple((m, CREATE) for m in _bits(x.flip & ~x.need)) + \
+        tuple((m, ANNIHILATE) for m in _bits(x.flip & x.need))
     subsets = [(0, x.odd ^ _action(ladder).odd)]
     for h in reversed(sorted(_bits(x.care & ~x.need & ~x.flip), key=rank)):
         subsets = [(s | 1 << h, odd ^ 1) for s, odd in subsets] + subsets
@@ -393,6 +389,12 @@ class _Terms(NamedTuple):
     weights: np.ndarray  # (terms,) float, or complex if any weight is
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a bool, or a value that operator.index does not take."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name}={value!r} is not an integer")
+
+
 def _check_width(n_modes: int) -> None:
     if n_modes > 64:
         raise SizeError(f"{n_modes} modes exceeds the 64-bit occupation mask")
@@ -406,8 +408,7 @@ def _terms(h: FermionSum) -> _Terms:
     rows = []
     for term in h.terms:
         x = _action(term.factors)
-        creations, annihilations, _ = _split(x.need, x.flip)
-        if creations.bit_count() != annihilations.bit_count():
+        if (x.flip & ~x.need).bit_count() != (x.flip & x.need).bit_count():
             raise ValueError("term does not preserve particle number")
         if not isfinite(term.weight):
             raise ValueError(f"term {term!r} has a non-finite weight")
@@ -481,52 +482,37 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _swap_invariant(masks: np.ndarray, weights: np.ndarray,
-                    a: int, b: int) -> bool:
+def _swap_invariant(sums: Sequence[FermionSum], a: int, b: int) -> bool:
     """Whether swapping mode groups a and b, the k-th mode of one with the
-    k-th mode of the other, maps the sum to itself.  A mapped term re-sorts
-    its creations and its annihilations and takes the sign of those sorts;
-    its weight must equal the weight of the term it lands on exactly."""
-    image = {m: m for m in range(max(a, b).bit_length())}
-    for ma, mb in zip(_bits(a), _bits(b)):
-        image[ma], image[mb] = mb, ma
-    mapped = masks & ~np.uint64(a | b)
-    for m, to in image.items():
-        if m != to:
-            mapped |= ((masks >> np.uint64(m)) & 1) << np.uint64(to)
-    here = np.lexsort(masks[::-1])
-    there = np.lexsort(mapped[::-1])
-    if not np.array_equal(masks[:, here], mapped[:, there]):
-        return False
-    # the sorts' inversions: pairs m < m2 of a term's creations (or its
-    # annihilations) whose images fall the other way round
-    parity = np.zeros(masks.shape[1], dtype=np.uint64)
-    for m, to in image.items():
-        later = sum(1 << m2 for m2, to2 in image.items() if m2 > m and to2 < to)
-        if later:
-            for row in masks[:2]:
-                parity += ((row >> np.uint64(m)) & 1) * \
-                    np.bitwise_count(row & np.uint64(later))
-    return np.array_equal(weights[here],
-                          (1.0 - 2.0 * (parity & 1))[there] * weights[there])
+    k-th mode of the other, maps every sum to itself: each term's image,
+    its factors moved and re-sorted by the algebra (``_expand``), is a term
+    of its sum with exactly its weight.  The swap is one to one, so that
+    suffices; a term whose image is not stops the search."""
+    image = dict(zip(_bits(a) + _bits(b), _bits(b) + _bits(a)))
+    for h in sums:
+        terms = {t.factors: t.weight for t in h.terms}.items()
+        for t in h.terms:
+            mapped = {}  # distinct modes in any order leave no hole: one term
+            _expand(_action([(image.get(m, m), k) for m, k in t.factors]),
+                    t.weight, mapped)
+            if not mapped.items() <= terms:
+                return False
+    return True
 
 
-def _orbits(groups: tuple[int, ...], tables: Sequence[_Terms]
+def _orbits(groups: tuple[int, ...], sums: Sequence[FermionSum]
             ) -> tuple[tuple[int, ...], ...]:
     """The orbits of the mode groups under the swaps of two equal-size
     groups that map every sum to itself, each orbit ascending.  Each group
     is tried against the nearest earlier group first; a pair already in one
     orbit is not tried, since the swaps found compose to swap it."""
-    # each term's creation, annihilation and number modes
-    sums = [(np.stack(_split(t.need, t.flip)), t.weights) for t in tables]
     orbit = list(range(len(groups)))  # each group's orbit, as a group in it
     for j, b in enumerate(groups):
         for i in range(j - 1, -1, -1):
             a = groups[i]
             if a.bit_count() != b.bit_count() or orbit[i] == orbit[j]:
                 continue
-            if all(_swap_invariant(masks, weights, a, b)
-                   for masks, weights in sums):
+            if _swap_invariant(sums, a, b):
                 old = orbit[j]
                 orbit = [orbit[i] if o == old else o for o in orbit]
     return tuple(sorted({tuple(g for g in range(len(groups)) if orbit[g] == o)
@@ -705,6 +691,8 @@ def _footprint(*roots) -> int:
 def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[_Key, _Input]:
     """The memo key of an input and what the memo keeps for it, derived now
     if it keeps nothing.  The memo is left as it was."""
+    # checked before the lookup: eta=True or 1.0 would find eta=1's input
+    _check_integer("eta", eta)
     key = _Key(sums, eta)
     kept = _KEPT.get(key)
     if kept is None:
@@ -713,7 +701,7 @@ def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[_Key, _Input]:
             raise ValueError(f"eta={eta} outside [0, {n_modes}]")
         tables = tuple(_terms(h) for h in sums)
         groups = _mode_groups(n_modes, tables)
-        blocks = _layout(n_modes, groups, _orbits(groups, tables), eta)
+        blocks = _layout(n_modes, groups, _orbits(groups, sums), eta)
         _frozen([*(a for table in tables for a in table),
                  blocks.states, blocks.row_base, blocks.local])
         kept = _Input(tables, blocks, None, 0)
@@ -816,6 +804,8 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
     the largest over the blocks of conserved per-group counts, one block per
     orbit of the group swaps that map every layer to itself.  A layer of
     number factors alone is diagonal and exponentiated entry by entry."""
+    _check_integer("p", p)
+    _check_integer("r", r)
     if p not in (1, 2):
         raise ValueError(f"order p={p} not supported by the oracle")
     if r < 1:

@@ -127,15 +127,14 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Group product a*b with the exact Z4 phase.
 
     Each factor is rewritten in X^x Z^z order (i per Y), Z^az past X^bx
-    gives (-1)^|az & bx|, and the product goes back to letter form.
+    gives (-1)^|az & bx|, and the product goes back to letter form.  That
+    rule is ``_times``'s, for every product and bracket of sums; the
+    factors' own phases add to it.
     """
     _check_widths(a, b)
-    ax, az, bx, bz = a.x_mask, a.z_mask, b.x_mask, b.z_mask
-    x = ax ^ bx
-    z = az ^ bz
-    return PauliString(a.n_qubits, x, z, a.phase + b.phase
-                       + (ax & az).bit_count() + (bx & bz).bit_count()
-                       + 2 * (az & bx).bit_count() - (x & z).bit_count())
+    ((_, x, z, phase),) = _times({(a.x_mask, a.z_mask): 1},
+                                 {(b.x_mask, b.z_mask): 1}, None)
+    return PauliString(a.n_qubits, x, z, a.phase + b.phase + phase)
 
 
 def _check_widths(a, b) -> None:
@@ -175,8 +174,7 @@ def _times(a: dict, b: dict, parity: int | None):
     Two Pauli strings either commute or anticommute, so each pair's ab and
     ba are equal or opposite: for ab - ba (parity 1) or ab + ba (parity 0)
     a pair whose symplectic product has that parity contributes
-    2*ca*cb*(sa*sb) and any other pair cancels exactly.  The phase is the
-    one ``multiply`` gives.
+    2*ca*cb*(sa*sb) and any other pair cancels exactly.
     """
     b_terms = [(bx, bz, (bx & bz).bit_count(), cb) for (bx, bz), cb in b.items()]
     for (ax, az), ca in a.items():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nuceft.errors import DomainError, PrecisionError
@@ -139,11 +140,27 @@ def test_spec_validation():
     for field_name, value in (("epsilon", math.nan), ("epsilon", math.inf),
                               ("E_kin", math.nan), ("delta_E", math.inf),
                               ("E_max", math.inf), ("a_L", math.nan),
-                              ("L", 0), ("eta", 0), ("eta", 4 * 10 ** 3 + 1)):
+                              ("L", 0), ("eta", 0), ("eta", 4 * 10 ** 3 + 1),
+                              ("L", 10.5), ("eta", 40.5), ("eta", True),
+                              ("order", 2.0), ("ell_units", 3.0),
+                              ("n_b", 20.5), ("n_b", False)):
         with pytest.raises(DomainError, match=field_name):
             TaskSpec(**{**BENCH, field_name: value})
     # a full lattice is still a valid input
     assert TaskSpec(**{**BENCH, "L": 2, "eta": 32}).eta == 32
+
+
+def test_numpy_integers_price_as_python_ints():
+    """Any integer type is taken, and priced as the Python int it equals:
+    an int32 L or an int64 n_b would otherwise overflow in the pipeline."""
+    for fields in ({**BENCH, "L": np.int32(10), "eta": np.int64(40)},
+                   {**BENCH, "model": "dynpi", "n_b": np.int64(5)},
+                   {**BENCH, "model": "ope", "ell_units": np.int16(3)}):
+        spec = TaskSpec(**fields)
+        assert all(type(v) is int for v in (spec.L, spec.eta, spec.order))
+        assert estimate(spec) == estimate(TaskSpec(**{
+            k: int(v) if isinstance(v, np.integer) else v
+            for k, v in fields.items()}))
 
 
 def test_sweep_rows_and_failures():
