@@ -8,6 +8,11 @@ uncontrolled variants (controlled steps are what phase estimation applies).
 A priced (model, encoding) pair is declared by one ``STEP_LAYERS`` row: its
 step-layer inventory, its rotations per site and its qubits per site, each a
 function of the step's size.  A pair without a row is refused.
+
+A hopping layer whose encoded terms weigh at most w is 2w+2 deep, 2w+6
+controlled.  ``HOPPING_WEIGHT`` holds w (vc x/y/z 7/10/12, their stabilizer
+dressings differ; compact 4), as ``verify encodings`` checks.  The other
+depth tables are copied from the paper and follow no rule found here.
 """
 
 from __future__ import annotations
@@ -17,16 +22,20 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError
 
-# Single-axis hopping-layer depths for the auxiliary-qubit encoding; the
-# three axes differ because the stabilizer dressing differs per direction.
-KINETIC_DEPTH = {
-    ("x", False): 16, ("y", False): 22, ("z", False): 26,
-    ("x", True): 20, ("y", True): 26, ("z", True): 30,
-}
+HOPPING_WEIGHT = {"x": 7, "y": 10, "z": 12, "compact": 4}
 
-# All hopping axes look alike in the compact encoding.
-COMPACT_KINETIC_DEPTH = {False: 10, True: 14}
 
+def _hopping_depth(w: int, controlled: bool) -> int:
+    """Depth of a hopping layer whose terms have Pauli weight at most w."""
+    return 2 * w + (6 if controlled else 2)
+
+
+KINETIC_DEPTH = {(axis, c): _hopping_depth(HOPPING_WEIGHT[axis], c)
+                 for c in (False, True) for axis in "xyz"}
+COMPACT_KINETIC_DEPTH = {c: _hopping_depth(HOPPING_WEIGHT["compact"], c)
+                         for c in (False, True)}
+
+# Copied from the paper; no rule found here gives the tables below.
 # On-site density-density layer (same circuit in both encodings).
 CONTACT_DEPTH = {False: 8, True: 22}
 
@@ -44,15 +53,10 @@ class _StepCostFields(NamedTuple):
     rz_count: int
     qubits: int       # data qubits plus ancillas
     ancillas: int     # the control qubit(s) a controlled step adds
-    controlled: bool
-    encoding: str
-    model: str
-    order: int
 
 
 class StepCost(_StepCostFields):
-    """Cost of one Trotter step: depth, rotation and qubit counts, and
-    provenance."""
+    """Cost of one Trotter step: depth, rotation and qubit counts."""
 
     __slots__ = ()
 
@@ -187,8 +191,7 @@ def _step_cost(model: str, encoding: str, order: int, controlled: bool,
         rz *= 2
         ancillas = 1 + row.control_ancillas * sites
     return StepCost(compose_depth(row.stages(controlled, size), order), rz,
-                    row.qubits(size) * sites + ancillas, ancillas,
-                    controlled, encoding, model, order)
+                    row.qubits(size) * sites + ancillas, ancillas)
 
 
 def pionless_step_cost(encoding: str, order: int, controlled: bool,

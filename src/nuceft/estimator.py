@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from numbers import Real
 from typing import NamedTuple
 
 from .costs import (STEP_LAYERS, StepCost, check_priced, dynpi_step_cost,
@@ -61,10 +62,12 @@ class TaskSpec(_TaskSpecFields):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             # as the Python int it equals: an int32 L overflows in the pipeline
             self = self._replace(**{name: operator.index(value)})
-        for name in ("epsilon", "E_kin", "delta_E", "E_max", "a_L"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("epsilon", "E_kin", "delta_E", "E_max", "success", "a_L"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value)):
                 raise DomainError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+                    f"{name} must be a finite real number, got {value!r}")
         if self.L < 1:
             raise DomainError(f"lattice extent L must be >= 1, got {self.L}")
         for name in ("ell_units", "n_b"):
@@ -258,7 +261,7 @@ def estimate(spec: TaskSpec) -> CostReport:
                       ancillas=step.ancillas, ledger=ledger, extras=extras)
 
 
-# sweep axis -> (TaskSpec field, parser of the grid value)
+# sweep axis -> (TaskSpec field, the type of the CLI's grid values)
 SWEEP_FIELDS = {"eta": ("eta", int), "L": ("L", int),
                 "epsilon": ("epsilon", float), "ell": ("ell_units", int),
                 "n_b": ("n_b", int)}
@@ -269,13 +272,12 @@ SWEEP_HEADER = ("axis", "value", "r", "depth", "rz", "T", "qubits",
 
 
 def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
-    field_name, parse = SWEEP_FIELDS[axis]
+    field_name, _ = SWEEP_FIELDS[axis]
     row = {"axis": axis, "value": value, "r": "", "depth": "", "rz": "",
            "T": "", "qubits": "", "ell_or_nb": "", "notes": ""}
     try:
-        # through the constructor, which checks the new value (_replace
-        # would not)
-        spec = TaskSpec(**{**template._asdict(), field_name: parse(value)})
+        # unparsed, through the checks of the constructor (not _replace)
+        spec = TaskSpec(**{**template._asdict(), field_name: value})
         rep = estimate(spec)
     except DomainError as exc:
         row["notes"] = f"{type(exc).__name__}: {exc}"

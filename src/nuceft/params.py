@@ -93,8 +93,6 @@ class DigitizationSpec(NamedTuple):
 
     pi_max: float     # field cutoff, MeV^2 units of the dimensionful field
     Pi_max: float
-    delta_pi: float
-    delta_Pi: float
     n_b: int
 
 

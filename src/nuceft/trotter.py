@@ -24,15 +24,14 @@ from .params import (CONSTANTS, DigitizationSpec, OpeParams, PionlessParams,
 
 
 class _BoundReportFields(NamedTuple):
-    order: int
     classes: tuple[tuple[str, float], ...]
 
 
 class BoundReport(_BoundReportFields):
-    """Per-commutator-class breakdown of a product-formula error coefficient.
+    """Per-commutator-class breakdown of a p=1 error coefficient.
 
-    For order=1 the total is the zeta (or Xi) coefficient, whose error over
-    time t is product_formula_error(1, t, total) = (t^2/2) * total.  Every
+    The total is the zeta (or Xi) coefficient, whose error over time t is
+    product_formula_error(1, t, total) = (t^2/2) * total.  Every
     contribution is nonnegative.  ``report[label]`` is the contribution of
     one class; an integer index reads the tuple as usual.
     """
@@ -146,7 +145,7 @@ def ope_p1_bound(eta: int, params: OpeParams,
         ("lr_lr_cross", 3670016 * (1 / (12 * math.pi)) ** 2 * g4 * s_cross * eta),
         ("lr_lr_same", (1 / (12 * math.pi)) ** 2 * g4 * s_same * eta),
     )
-    return BoundReport(order=1, classes=classes)
+    return BoundReport(classes)
 
 
 # a sweep meets its cutoffs in runs, and one key at ell=317 holds 83,743
@@ -266,7 +265,7 @@ def dynpi_p1_bound(eta: int, params: OpeParams,
         ("weinberg_weinberg",
          384 * (1 / (4 * f_pi ** 2)) ** 2 * (3 * pm * Pm + 2 / a ** 3) * Pm * pm * eta),
     )
-    return BoundReport(order=1, classes=classes)
+    return BoundReport(classes)
 
 
 def general_npfo_bound(p: int, localities: Sequence[int],

@@ -161,6 +161,4 @@ def boson_cutoffs(eta: int, E: float, eps_cut: float, params: OpeParams,
             "bits)")
     delta_pi = 2 * pi0 / (2 ** n_b - 1)
     Pi_max = math.pi / (a ** 3 * delta_pi)
-    delta_Pi = 2 * math.pi / (a ** 3 * delta_pi * 2 ** n_b)
-    return DigitizationSpec(pi_max=pi0, Pi_max=Pi_max,
-                            delta_pi=delta_pi, delta_Pi=delta_Pi, n_b=n_b)
+    return DigitizationSpec(pi_max=pi0, Pi_max=Pi_max, n_b=n_b)

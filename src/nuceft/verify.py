@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from . import VERIFY_SUITES
+from .costs import HOPPING_WEIGHT
 from .encodings import (LatticeSpec, QubitLayout, encode_hopping,
                         encode_ladder, encode_number, vc_stabilizers)
 from .errors import DomainError
@@ -105,6 +106,19 @@ def _is_identity(p: PauliSum) -> bool:
     return s.is_identity() and abs(c - 1.0) <= ZERO_TOL
 
 
+def hopping_weights(lat: LatticeSpec) -> dict[str, int]:
+    """The largest Pauli weight of an encoded hopping term on ``lat``, keyed
+    as costs.HOPPING_WEIGHT: per vc axis, and over all compact bonds."""
+    vc, compact = QubitLayout("vc", lat), QubitLayout("compact", lat)
+    seen = dict.fromkeys(HOPPING_WEIGHT, 0)
+    for si, sj, axis in lat.bonds():
+        for key, layout in (("xyz"[axis], vc), ("compact", compact)):
+            seen[key] = max(seen[key], *(
+                s.weight for sp in range(4)
+                for _, s in encode_hopping(layout, si, sj, sp)))
+    return seen
+
+
 def verify_encodings() -> list[Check]:
     checks: list[Check] = []
     lat = LatticeSpec(2, 2, 1, 2.2)
@@ -153,24 +167,10 @@ def verify_encodings() -> list[Check]:
     checks.append(("vc stabilizers commute with every encoded term", ok,
                    f"{len(stabs)} stabilizers x {len(encoded)} terms"))
 
-    lat3 = LatticeSpec(2, 2, 2, 2.2)
-    layout3 = QubitLayout("vc", lat3)
-    want = {0: 7, 1: 10, 2: 12}
-    seen = {0: 0, 1: 0, 2: 0}
-    for si, sj, axis in lat3.bonds():
-        h = encode_hopping(layout3, si, sj, 0)
-        seen[axis] = max(seen[axis], max(s.weight for _, s in h))
-    ok = seen == want
-    checks.append(("vc hopping weights per axis are 7/10/12", ok,
-                   f"observed {seen[0]}/{seen[1]}/{seen[2]}"))
-
-    compact = QubitLayout("compact", lat3)
-    w_max = 0
-    for si, sj, _axis in lat3.bonds():
-        h = encode_hopping(compact, si, sj, 0)
-        w_max = max(w_max, max(s.weight for _, s in h))
-    checks.append(("compact hopping weight at most 4", w_max <= 4,
-                   f"observed {w_max}"))
+    seen = hopping_weights(LatticeSpec(2, 2, 2, 2.2))
+    checks.append(("hopping weights equal costs.HOPPING_WEIGHT",
+                   seen == HOPPING_WEIGHT,
+                   f"observed {seen}, priced {HOPPING_WEIGHT}"))
     return checks
 
 

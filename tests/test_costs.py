@@ -107,4 +107,4 @@ def test_qubit_counts():
 
 def test_step_cost_guards():
     with pytest.raises(DomainError):
-        StepCost(-1, 0, 6, 0, False, "vc", "pionless", 1)
+        StepCost(-1, 0, 6, 0)

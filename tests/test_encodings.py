@@ -9,7 +9,8 @@ from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm
 from nuceft.models import pionless_layers
 from nuceft.params import pionless_params_for
 from nuceft.pauli import PauliSum, dense_matrix
-from nuceft.verify import verify_encodings
+from nuceft import costs
+from nuceft.verify import hopping_weights, verify_encodings
 
 import pauli_reference as ref
 from fermion_reference import dense_sum, hopping, number_op
@@ -113,6 +114,20 @@ def test_every_y_and_z_bond_is_a_path_edge(shape):
 def test_full_encoding_suite():
     for name, ok, detail in verify_encodings():
         assert ok, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 3), (4, 3, 2)])
+def test_hopping_weights_equal_the_priced_table(shape):
+    """The kinetic depths are priced from these weights, so the encoders
+    must produce exactly them, not merely at most them."""
+    assert hopping_weights(LatticeSpec(*shape, 2.2)) == costs.HOPPING_WEIGHT
+
+
+def test_weight_check_fails_on_a_stale_table(monkeypatch):
+    monkeypatch.setitem(costs.HOPPING_WEIGHT, "y", 11)
+    [(name, ok, _)] = [check for check in verify_encodings()
+                       if "HOPPING_WEIGHT" in check[0]]
+    assert not ok, name
 
 
 def assert_exact(got, want):

@@ -143,7 +143,11 @@ def test_spec_validation():
                               ("L", 0), ("eta", 0), ("eta", 4 * 10 ** 3 + 1),
                               ("L", 10.5), ("eta", 40.5), ("eta", True),
                               ("order", 2.0), ("ell_units", 3.0),
-                              ("n_b", 20.5), ("n_b", False)):
+                              ("n_b", 20.5), ("n_b", False),
+                              ("epsilon", "0.1"), ("a_L", None),
+                              ("E_kin", True), ("delta_E", 1j),
+                              ("E_max", [140.0]), ("success", False),
+                              ("success", math.nan)):
         with pytest.raises(DomainError, match=field_name):
             TaskSpec(**{**BENCH, field_name: value})
     # a full lattice is still a valid input
@@ -179,6 +183,28 @@ def test_sweep_rows_and_failures():
         sweep(template, "eta", [])
     with pytest.raises(DomainError):
         sweep(template, "volume", [1])
+
+
+def test_sweep_passes_grid_values_unparsed():
+    """A grid value reaches TaskSpec as given, so its checks see it: 10.5
+    and True are not truncated to L=10 and L=1 but refused in the row."""
+    rows = sweep(TaskSpec(**BENCH), "L", [10.5, True, 10])
+    assert [row["value"] for row in rows] == [10.5, True, 10]
+    assert rows[0]["notes"] == "DomainError: L must be an integer, got 10.5"
+    assert rows[1]["notes"] == "DomainError: L must be an integer, got True"
+    assert rows[2]["notes"] == "" and rows[2]["r"] == estimate(
+        TaskSpec(**BENCH)).r
+    rows = sweep(TaskSpec(**BENCH), "epsilon", ["0.1"])
+    assert rows[0]["notes"] == \
+        "DomainError: epsilon must be a finite real number, got '0.1'"
+
+
+def test_real_fields_take_any_real_type():
+    """A real field takes any real number, as the value it is."""
+    from fractions import Fraction
+    spec = TaskSpec(**{**BENCH, "epsilon": np.float32(0.125),
+                       "E_kin": Fraction(10), "a_L": 2})
+    assert spec.epsilon == 0.125 and spec.E_kin == 10 and spec.a_L == 2
 
 
 def test_epsilon_sweep_monotone():

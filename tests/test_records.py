@@ -16,9 +16,9 @@ def _records():
         PhysicalConstants(),
         PionlessParams(2.2, 4.29, -40.19, 42.51),
         OpeParams.from_lecs(2.2),
-        DigitizationSpec(1.0, 2.0, 0.1, 0.2, 4),
-        StepCost(520, 42000, 6000, 0, False, "vc", "pionless", 1),
-        BoundReport(1, (("a", 1.0), ("b", 2.0))),
+        DigitizationSpec(1.0, 2.0, 4),
+        StepCost(520, 42000, 6000, 0),
+        BoundReport((("a", 1.0), ("b", 2.0))),
         TaskSpec(),
         CostReport(1.0, 2, 3, 4, 5.0, 6, 0, {"prod": 0.1}),
     ]
@@ -61,18 +61,18 @@ def test_bad_records_are_domain_errors():
         with pytest.raises(DomainError, match=f"unknown {field_name} '{value}'"):
             TaskSpec(**{field_name: value})
     with pytest.raises(DomainError, match="nonnegative"):
-        StepCost(0, -1, 6, 0, False, "vc", "pionless", 1)
+        StepCost(0, -1, 6, 0)
     # the field-cutoff bound refuses a spacing where A or B is not positive
     with pytest.raises(DomainError, match="a_L=0.3"):
         estimate(TaskSpec(model="dynpi", a_L=0.3))
     with pytest.raises(DomainError, match="negative bound"):
-        BoundReport(1, (("a", -1.0),))
+        BoundReport((("a", -1.0),))
 
 
 def test_bound_report_lookup():
-    report = BoundReport(1, (("a", 1.0), ("b", 2.0)))
+    report = BoundReport((("a", 1.0), ("b", 2.0)))
     assert report["b"] == 2.0 and report.total == 3.0
-    assert report[0] == 1 and tuple(report) == (1, report.classes)
+    assert report[0] == report.classes and tuple(report) == (report.classes,)
     with pytest.raises(KeyError):
         report["c"]
 

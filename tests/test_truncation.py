@@ -6,7 +6,7 @@ import pytest
 
 from nuceft import truncation
 from nuceft.errors import DomainError, UnreachableBudgetError
-from nuceft.params import OpeParams
+from nuceft.params import OpeParams, convert_length
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
                                ope_cutoff_error, pi_max_bound, realized_shells,
                                shell_count, shell_counts)
@@ -128,7 +128,11 @@ def test_boson_cutoffs_reference_register_width():
     # momentum cutoff absorbs the rounding: Pi_max >= its lower bound
     _, Pi0 = pi_max_bound(40, 400.0, eps_cut, lecs, 10)
     assert dig.Pi_max >= Pi0
-    assert dig.delta_pi == pytest.approx(2 * dig.pi_max / (2 ** 39 - 1))
+    # the 2^39 - 1 steps of width delta_pi span [-pi_max, pi_max], and
+    # Pi_max = pi / (a^3 delta_pi)
+    a = convert_length(2.2)
+    assert dig.Pi_max == pytest.approx(
+        math.pi * (2 ** 39 - 1) / (2 * a ** 3 * dig.pi_max), rel=1e-14)
 
 
 def test_boson_cutoffs_grow_with_budget_tightening():
