@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nuceft import costs
 from nuceft.encodings import (LatticeSpec, QubitLayout, _path_edges,
                               encode_fermion_sum, encode_hopping, encode_ladder,
                               encode_number, vc_stabilizers)
@@ -9,7 +10,6 @@ from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm
 from nuceft.models import pionless_layers
 from nuceft.params import pionless_params_for
 from nuceft.pauli import PauliSum, dense_matrix
-from nuceft import costs
 from nuceft.verify import hopping_weights, verify_encodings
 
 import pauli_reference as ref

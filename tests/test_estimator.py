@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,7 +202,6 @@ def test_sweep_passes_grid_values_unparsed():
 
 def test_real_fields_take_any_real_type():
     """A real field takes any real number, as the value it is."""
-    from fractions import Fraction
     spec = TaskSpec(**{**BENCH, "epsilon": np.float32(0.125),
                        "E_kin": Fraction(10), "a_L": 2})
     assert spec.epsilon == 0.125 and spec.E_kin == 10 and spec.a_L == 2
