@@ -49,7 +49,11 @@ below the term's ladder modes and ``odd`` is the parity that the earlier
 flips add, so a hit costs one XOR and one popcount.  The
 (term, state) hits are found term-major in chunks of about 2^20 pairs,
 which bounds the temporaries, and added in term order, so each entry sums
-its terms in the order a term-by-term loop would.  A layer of number
+its terms in the order a term-by-term loop would.  Every matrix takes the
+dtype of its table's weights: float64 when all of them are real (every
+pionless layer), complex128 when any is complex.  The eigensystems, the
+norms and the hermiticity check then run on real or complex kernels to
+match, and a sum of real and complex layers is complex.  A layer of number
 factors alone is diagonal, and is exponentiated entry by entry with no
 eigendecomposition.
 
@@ -62,10 +66,10 @@ blocks) and, once exact_evolution_error asks, per stack the eigensystems of
 each layer and of their sum, found with each layer's hermiticity check.
 The kept arrays are read-only.  Each input is charged the bytes of its
 arrays and of its Python objects, key and terms included, and the kept
-inputs together hold at most 16 * MAX_BLOCK**2 bytes, as much as MAX_BLOCK**2
-complex entries; the least recently used input goes first.  A hit hashes
-the terms of its key once.  A call that raises leaves the memo as it was,
-and an input alone over that bound is not kept.
+inputs together hold at most 16 * MAX_BLOCK**2 bytes (256 MiB); the least
+recently used input goes first.  A hit hashes the terms of its key once.  A
+call that raises leaves the memo as it was, and an input alone over that
+bound is not kept.
 No value is kept: each call builds its own block buffer, or its own
 phases, step product and power, and takes its own norms.
 
@@ -330,8 +334,10 @@ def fermion_commutator(a: FermionSum, b: FermionSum) -> FermionSum:
 # sector matrices, block by block
 
 # largest block the oracle diagonalizes; the blocks of one call together
-# hold at most MAX_BLOCK**2 entries, and all the oracle keeps between calls
-# at most the bytes of as many complex entries
+# hold at most MAX_BLOCK**2 entries, so a block buffer takes at most 128 MiB
+# for a real sum (float64) and 256 MiB for a complex one (complex128); all
+# the oracle keeps between calls takes at most 16 * MAX_BLOCK**2 bytes
+# (256 MiB)
 MAX_BLOCK = 4096
 
 
@@ -367,6 +373,9 @@ class EtaSector:
     basis: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        for name in ("n_modes", "eta"):
+            _check_integer(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not 0 <= self.eta <= self.n_modes:
             raise ValueError(f"eta={self.eta} outside [0, {self.n_modes}]")
         object.__setattr__(self, "basis", tuple(
@@ -450,11 +459,17 @@ def _accumulate(out: np.ndarray, table: _Terms, states: np.ndarray,
 
 
 def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
-    """Dense matrix of h restricted to the eta sector (particle-number block)."""
+    """Dense matrix of h restricted to the eta sector (particle-number
+    block): float64 when every weight of h is real, complex128 when any is
+    complex.  h and the sector must have the same mode count."""
+    if h.n_modes != sector.n_modes:
+        raise ValueError(f"sum on {h.n_modes} modes, sector on "
+                         f"{sector.n_modes} modes")
     states = np.array(sector.basis, dtype=np.uint64)
     dim = sector.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    _accumulate(mat.reshape(-1), _terms(h), states,
+    table = _terms(h)
+    mat = np.zeros((dim, dim), dtype=table.weights.dtype)
+    _accumulate(mat.reshape(-1), table, states,
                 lambda rows, cols: rows * dim + cols)
     return mat
 
@@ -724,8 +739,8 @@ def _keep(key: _Key, kept: _Input) -> None:
 
 def _block_buffer(table: _Terms, blocks: _Blocks) -> np.ndarray:
     """Every block matrix of a sum's table, flat in the layout of
-    ``blocks``."""
-    buf = np.zeros(blocks.size, dtype=complex)
+    ``blocks``, in the dtype of the table's weights."""
+    buf = np.zeros(blocks.size, dtype=table.weights.dtype)
     _accumulate(buf, table, blocks.states,
                 lambda rows, cols: blocks.row_base[rows] + blocks.local[cols])
     return buf
@@ -786,9 +801,9 @@ def _with_spectra(kept: _Input) -> _Input:
         else:
             per_layer.append([tuple(np.linalg.eigh(stack))
                               for stack in stacks])
-        # from 0, as sum() adds: the first layer makes a new buffer, and
-        # the rest add into it in layer order
-        total += buf
+        # from 0 in layer order, as sum() adds; not in place, so that a
+        # complex layer after real ones promotes the sum
+        total = total + buf
     spectra = tuple(zip((tuple(np.linalg.eigh(stack))
                          for stack in _stacks(total, kept.blocks)),
                         zip(*per_layer)))

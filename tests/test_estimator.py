@@ -107,6 +107,20 @@ def test_qpe_benchmark_report():
     assert rep.extras["step_depth"] == 630
 
 
+def test_qpe_at_its_defaults():
+    """delta_E = 1 MeV over E_max = 140 MeV takes m = ceil(log2 140) = 8
+    precision bits; success 0.3 pads ceil(log2(1 / (2 * 0.7) + 1/2)) = 1."""
+    spec = TaskSpec(task="qpe")
+    assert spec == TaskSpec(task="qpe", delta_E=1.0, E_max=140.0,
+                            success=0.3)
+    extras = estimate(spec).extras
+    m = math.ceil(math.log2(140.0 / 1.0))
+    n = m + math.ceil(math.log2(1 / (2 * (1 - 0.3)) + 1 / 2))
+    assert (m, n) == (8, 9)
+    assert (extras["m"], extras["n"], extras["applications"]) == \
+        (m, n, 2 ** n - 1)
+
+
 def test_qpe_resolution_guard():
     with pytest.raises(PrecisionError):
         estimate(TaskSpec(**{**BENCH, "task": "qpe", "delta_E": 200.0}))

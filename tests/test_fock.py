@@ -110,6 +110,25 @@ def test_eta_sector_basis():
     assert all(bin(s).count("1") == 2 for s in sector.basis)
 
 
+def test_eta_sector_refuses_a_bool_count():
+    with pytest.raises(ValueError, match="eta=True is not an integer"):
+        EtaSector(16, True)
+
+
+def test_eta_sector_refuses_a_float_count():
+    with pytest.raises(ValueError, match="eta=4.0 is not an integer"):
+        EtaSector(16, 4.0)
+    with pytest.raises(ValueError, match="n_modes=16.0 is not an integer"):
+        EtaSector(16.0, 4)
+
+
+def test_sector_matrix_refuses_a_sector_of_other_modes():
+    layers = pionless((2, 2, 1))
+    h = sum(layers[1:], layers[0])
+    with pytest.raises(ValueError, match="sum on 16 modes, sector on 8 modes"):
+        sector_matrix(h, EtaSector(8, 2))
+
+
 def test_sector_matrix_is_projection_of_full():
     h = hopping(0, 1, 3, 0.7) + number_op(2, 3, -1.3)
     sector = EtaSector(3, 1)
@@ -514,6 +533,73 @@ def test_oracle_on_layers_of_different_groups():
             assert close(exact_evolution_error(layers, 0.6, p, 2, eta), want)
             if 1 <= eta <= 5:
                 assert want > 1e-6
+
+
+def complex_hopping(i, j, n_modes, weight):
+    """weight * (i a+(i) a(j) - i a+(j) a(i)) for i < j: Hermitian, with
+    complex weights."""
+    return FermionSum(n_modes, [
+        FermionTerm(1j * weight, ((i, CREATE), (j, ANNIHILATE))),
+        FermionTerm(-1j * weight, ((j, CREATE), (i, ANNIHILATE)))])
+
+
+REAL_LAYER = hopping(0, 1, 4) + number_op(2, 4, 0.8)
+COMPLEX_LAYER = complex_hopping(1, 2, 4, 0.6) + number_op(3, 4, -0.5)
+
+
+@pytest.mark.parametrize("h, dtype", [(REAL_LAYER, np.float64),
+                                      (COMPLEX_LAYER, np.complex128)])
+def test_matrix_dtype_follows_the_weights(h, dtype):
+    assert sector_matrix(h, EtaSector(4, 2)).dtype == dtype
+    _key, kept = fock._derived([h], 2)
+    assert fock._block_buffer(kept.tables[0], kept.blocks).dtype == dtype
+
+
+@pytest.mark.parametrize("layers", [[REAL_LAYER, COMPLEX_LAYER],
+                                    [COMPLEX_LAYER, REAL_LAYER]])
+def test_real_and_complex_layers_sum_to_a_complex_matrix(layers):
+    """A complex layer after a real one promotes the summed buffer."""
+    for eta in range(5):
+        for p in (1, 2):
+            assert close(exact_evolution_error(layers, 0.7, p, 3, eta),
+                         dense_evolution_error(layers, 0.7, p, 3, eta))
+
+
+def as_complex(h):
+    """h with every weight a complex number."""
+    return FermionSum(h.n_modes, [FermionTerm(complex(t.weight), t.factors)
+                                  for t in h])
+
+
+def oracle_values(layers):
+    """The seminorm of the summed layers and their evolution errors at
+    p=1,2 and r=1,4, for eta 0 to 4, from an empty memo: a complex weight
+    equals its real part and hashes as it, so a kept input of the other
+    dtype would be found."""
+    fock._KEPT.clear()
+    total = sum(layers[1:], layers[0])
+    values = []
+    for eta in range(5):
+        values.append(eta_seminorm(total, eta))
+        values += [exact_evolution_error(layers, 0.02, p, r, eta)
+                   for p in (1, 2) for r in (1, 4)]
+    return values
+
+
+def test_real_kernels_agree_with_complex_on_pionless_layers():
+    """The pionless layers are real, so the oracle runs on float64; the
+    same layers with complex weights run on complex128, as every layer did
+    before the dtype followed the weights."""
+    layers = pionless((2, 2, 1))
+    got = oracle_values(layers)
+    assert all(vecs.dtype == np.float64
+               for (_vals, vecs), _parts in fock._derived(layers, 4)[1].spectra)
+    complex_layers = [as_complex(h) for h in layers]
+    want = oracle_values(complex_layers)
+    assert all(vecs.dtype == np.complex128 for (_vals, vecs), _parts
+               in fock._derived(complex_layers, 4)[1].spectra)
+    for g, w in zip(got, want):
+        assert close(g, w)
 
 
 def test_non_hermitian_layer_and_particle_number_are_refused():

@@ -199,6 +199,9 @@ def test_general_npfo_bound_reference_values():
     h = 10.58
     assert general_npfo_bound(1, [2, 2], [h, h], 2) == pytest.approx(
         h * h * (2 * 2 * 1 * 2 * 1 * 2 ** 2) * 2, rel=1e-12)
+    # k_min = 3: the divisor ceil(3 / 2) = 2 takes eta=7 to ceil(7 / 2) = 4
+    assert general_npfo_bound(1, [3, 3], [1, 1], 7) == pytest.approx(
+        (2 * 3 * 2 * 3 * 2 * 2 ** (1 + 3 / 2)) * math.ceil(7 / 2), rel=1e-12)
     with pytest.raises(DomainError):
         general_npfo_bound(1, [2], [1.0], 2)
     with pytest.raises(DomainError):

@@ -6,7 +6,8 @@ import pytest
 
 from nuceft import truncation
 from nuceft.errors import DomainError, UnreachableBudgetError
-from nuceft.params import OpeParams, convert_length
+from nuceft.params import (CONSTANTS, OpeParams, convert_length, yukawa_g1,
+                           yukawa_g2)
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
                                ope_cutoff_error, pi_max_bound, realized_shells,
                                shell_count, shell_counts)
@@ -87,6 +88,22 @@ def test_cutoff_error_edge_cases():
         ope_cutoff_error(4.4, -1, 2.2)
 
 
+def test_cutoff_error_takes_the_smaller_bound():
+    """At ell = a_L and eta=400 the site-counting bound (linear in eta) is
+    the smaller one; at eta=1 the pairwise one (quadratic) is."""
+    a = convert_length(2.2)
+    edge = 2 * a  # ell + a
+    m = CONSTANTS.m_pi
+    pairwise = 72 * yukawa_g1(edge) + 648 * yukawa_g2(edge)  # per eta^2
+    counting = (4 * math.pi / (m * m * a ** 3)) * edge * yukawa_g1(edge) \
+        * (720 * (m * a + m * a + 1) + 3888)  # per eta
+    assert 400 * counting < 400 ** 2 * pairwise
+    assert ope_cutoff_error(2.2, 400, 2.2) == pytest.approx(400 * counting,
+                                                           rel=1e-12)
+    assert pairwise < counting
+    assert ope_cutoff_error(2.2, 1, 2.2) == pytest.approx(pairwise, rel=1e-12)
+
+
 def test_choose_cutoff_budget_and_tightness():
     t = 0.7635238930596975
     # 50-point budget grid spanning loose to tight
@@ -100,6 +117,8 @@ def test_choose_cutoff_budget_and_tightness():
 
 def test_choose_cutoff_reference_point():
     assert choose_ope_cutoff(0.1 / 6, 0.7635238930596975, 40, 2.2) == 10
+    # a budget every cutoff meets: the search starts at one lattice unit
+    assert choose_ope_cutoff(1e9, 1.0, 40, 2.2) == 1
 
 
 def test_choose_cutoff_unreachable(monkeypatch):
