@@ -284,4 +284,8 @@ def t_synthesis(total_rz: int, eps_syn_total: float) -> float:
             f"the T count overflows the float range: about "
             f"10^{math.log10(total_rz):.0f} rotations at a synthesis budget "
             f"of {eps_syn_total:g}")
+    if t_count <= 0:
+        raise DomainError(
+            f"synthesis budget {eps_syn_total:g} is too large for {total_rz} "
+            "rotations: the T-count fit needs eps < 512*rz to be positive")
     return t_count

@@ -378,6 +378,9 @@ class EtaSector:
             object.__setattr__(self, name, int(getattr(self, name)))
         if not 0 <= self.eta <= self.n_modes:
             raise ValueError(f"eta={self.eta} outside [0, {self.n_modes}]")
+        if (dim := comb(self.n_modes, self.eta)) > MAX_BLOCK:
+            raise SizeError(f"eta={self.eta} sector of {self.n_modes} modes has"
+                            f" {dim} states; the oracle cap is {MAX_BLOCK}")
         object.__setattr__(self, "basis", tuple(
             _sector_states(self.n_modes, self.eta).tolist()))
 

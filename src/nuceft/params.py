@@ -51,16 +51,15 @@ def hopping_coefficient(a_L_fm: float) -> float:
     return 1.0 / (2.0 * CONSTANTS.M * a * a)
 
 
-class PionlessParams(NamedTuple):
-    a_L: float       # fm
+class PionlessParams(NamedTuple):  # keyed by a_L in the table below
     h: float         # MeV
     C_slash: float   # MeV
     D_slash: float   # MeV
 
 
 _PIONLESS_TABLE = {
-    1.4: PionlessParams(1.4, 10.58, -98.23, 127.84),
-    2.2: PionlessParams(2.2, 4.29, -40.19, 42.51),
+    1.4: PionlessParams(10.58, -98.23, 127.84),
+    2.2: PionlessParams(4.29, -40.19, 42.51),
 }
 
 

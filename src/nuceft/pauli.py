@@ -106,21 +106,9 @@ class PauliString:
         return f"{prefix}{self.label()}"
 
     def dense(self) -> np.ndarray:
-        """Exact 2^n x 2^n complex matrix (no cap; callers enforce one)."""
-        dim = 1 << self.n_qubits
-        cols = np.arange(dim, dtype=np.int64)
-        rows = cols ^ self.x_mask
-        # in X^x Z^z order the Z factors act first: sign (-1)^{|j & z|}
-        parity = np.zeros(dim, dtype=np.int64)
-        for q in range(self.n_qubits):
-            if (self.z_mask >> q) & 1:
-                parity ^= (cols >> q) & 1
-        # letter form differs from X^x Z^z by i per Y factor
-        xz_phase = (self.phase + (self.x_mask & self.z_mask).bit_count()) % 4
-        vals = (1j ** xz_phase) * np.where(parity, -1.0, 1.0)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = vals
-        return mat
+        """``dense_matrix`` of the one-term sum with coefficient i**phase."""
+        return dense_matrix(PauliSum.from_masks(
+            self.n_qubits, [(1, self.x_mask, self.z_mask, self.phase)]))
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
@@ -312,19 +300,23 @@ def _products(a: PauliSum, b: PauliSum, parity: int | None) -> PauliSum:
     return PauliSum.from_masks(a.n_qubits, _times(a.masks, b.masks, parity))
 
 
-# most qubits dense_matrix builds a matrix for
+# most qubits dense_matrix builds; its output is all it allocates that big
 MAX_DENSE_QUBITS = 14
 
 
 def dense_matrix(p: PauliSum) -> np.ndarray:
-    """Exact dense matrix of a PauliSum, refusing oversized requests."""
+    """Exact dense matrix of a PauliSum under the cap, from the masks alone:
+    (x, z) -> c adds c i**|x & z| (-1)**|j & z| at (j ^ x, j) for each j."""
     if p.n_qubits > MAX_DENSE_QUBITS:
         raise SizeError(
             f"{p.n_qubits} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
     dim = 1 << p.n_qubits
+    cols = np.arange(dim, dtype=np.int64)
     mat = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in p.terms:
-        mat += coeff * string.dense()
+    for (x, z), coeff in p.masks.items():
+        signs = np.where(np.bitwise_count(cols & z) & 1, -1.0, 1.0)
+        mat[cols ^ x, cols] += coeff * (
+            _I_POWERS[(x & z).bit_count() & 3] * signs)
     return mat
 
 

@@ -108,7 +108,8 @@ def choose_ope_cutoff(eps_trunc: float, t: float, eta: int,
         if t * ope_cutoff_error(k * a_L_fm, eta, a_L_fm) <= eps_trunc:
             return k
     raise UnreachableBudgetError(
-        f"no cutoff within {MAX_MULTIPLE} lattice units meets {eps_trunc} MeV")
+        f"no cutoff within {MAX_MULTIPLE} lattice units meets the "
+        f"truncation budget {eps_trunc:g} (a dimensionless norm error)")
 
 
 def pi_max_bound(eta: int, E: float, eps_cut: float, params: OpeParams,

@@ -310,6 +310,25 @@ def test_register_width_beyond_the_float_range_is_refused(tmp_path, capsys):
     assert notes[2].startswith("DomainError: register width n_b=1024")
 
 
+def test_a_budget_beyond_the_t_count_fit_is_refused(tmp_path, capsys):
+    import csv
+    for flags in (["--eta", "40", "--eps", "1e12"],
+                  ["--eta", "2", "--L", "1", "--eps", "1e6"]):
+        assert main(["estimate", "--model", "pionless", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: synthesis budget")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "pionless", "--eta", "2", "--L", "1",
+                 "--axis", "epsilon", "--from", "1000", "--to", "1e6",
+                 "--step", "999000", "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [bool(row["notes"]) for row in rows] == [False, True]
+    assert float(rows[0]["T"]) > 0
+    assert rows[1]["notes"].startswith("DomainError: synthesis budget 500000")
+
+
 @pytest.mark.parametrize("axis, grid", [
     ("eta", ["--from", "1", "--to", "3", "--step", "0.5"]),
     ("L", ["--from", "2.5", "--to", "3.5"]),

@@ -84,6 +84,14 @@ def test_t_synthesis():
         t_synthesis(0, 0.05)
     with pytest.raises(DomainError):
         t_synthesis(10, 0.0)
+    # 1.15*log2(2*rz/eps) + 9.2 > 0 only while eps < 512*rz; at rz=1,
+    # eps=256 the fit gives 1.15*(-7) + 9.2 = 1.15
+    assert t_synthesis(1, 256.0) == pytest.approx(1.15)
+    for rz, eps in ((42, 5e5), (42000, 5e11), (1, 1e6)):
+        with pytest.raises(DomainError) as info:
+            t_synthesis(rz, eps)
+        assert f"synthesis budget {eps:g} is too large for {rz} rotations" \
+            in str(info.value)
 
 
 def test_qubit_counts():

@@ -32,6 +32,9 @@ def test_qpe_ancilla_bits():
     assert qpe_ancilla_bits(8, 0.01) > qpe_ancilla_bits(8, 0.3)
     with pytest.raises(DomainError):
         qpe_ancilla_bits(8, 1.5)
+    # 1/(2 delta) + 1/2 = 3.5 + 0.5 = 4 exactly at delta = 1/7, so the
+    # padding is log2(4) = 2 bits and no more
+    assert qpe_ancilla_bits(8, 1 / 7) == 8 + 2
 
 
 def test_pionless_benchmark_report():
@@ -167,6 +170,17 @@ def test_spec_validation():
             TaskSpec(**{**BENCH, field_name: value})
     # a full lattice is still a valid input
     assert TaskSpec(**{**BENCH, "L": 2, "eta": 32}).eta == 32
+
+
+@pytest.mark.parametrize("model", ["pionless", "ope", "dynpi"])
+def test_one_site_lattice_is_priced_from_one_nucleon_to_full(model):
+    # L=1 holds 4 L^3 = 4 modes, so eta runs over [1, 4]
+    for eta in (1, 4):
+        spec = TaskSpec(model=model, L=1, eta=eta)
+        assert (spec.L, spec.eta) == (1, eta)
+        report = estimate(spec)
+        assert report.r >= 1 and report.rz_total >= 1
+        assert math.isfinite(report.T_total) and report.T_total > 0
 
 
 def test_numpy_integers_price_as_python_ints():

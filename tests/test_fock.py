@@ -191,6 +191,9 @@ def test_oversized_block_is_refused_before_enumeration(monkeypatch):
     # eta=10: blocks of one state, but C(40, 10) of them
     with pytest.raises(SizeError):
         eta_seminorm(unjoined, 10)
+    # a whole sector for sector_matrix: C(20, 10) = 184,756 states
+    with pytest.raises(SizeError, match="184756 states"):
+        EtaSector(20, 10)
 
 
 def test_exact_evolution_error_converges():

@@ -319,6 +319,27 @@ def test_dense_matrix_cap():
     big = PauliSum(15, [(1.0, PauliString.identity(15))])
     with pytest.raises(SizeError):
         dense_matrix(big)
+    with pytest.raises(SizeError):
+        PauliString.identity(15).dense()
+
+
+def test_dense_matrix_equals_the_kron_reference_on_phased_sums():
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        terms, ref = [], np.zeros((1 << n, 1 << n), dtype=complex)
+        for _ in range(int(rng.integers(1, 6))):
+            label = "".join(rng.choice(list("IXYZ"), size=n))
+            phase = int(rng.integers(0, 4))
+            coeff = complex(rng.normal(), rng.normal())
+            terms.append((coeff, PauliString.from_label(label, phase)))
+            ref += coeff * 1j ** phase * kron_label(label)
+        assert np.allclose(dense_matrix(PauliSum(n, terms)), ref,
+                           rtol=0, atol=1e-12)
+        for coeff, string in terms:
+            assert np.allclose(string.dense(),
+                               1j ** string.phase * kron_label(string.label()),
+                               rtol=0, atol=0)
 
 
 def test_partition_layers_are_disjoint_and_commuting():

@@ -14,7 +14,7 @@ from nuceft.trotter import BoundReport
 def _records():
     return [
         PhysicalConstants(),
-        PionlessParams(2.2, 4.29, -40.19, 42.51),
+        PionlessParams(4.29, -40.19, 42.51),
         OpeParams.from_lecs(2.2),
         DigitizationSpec(1.0, 2.0, 4),
         StepCost(520, 42000, 6000, 0),

@@ -6,8 +6,8 @@ import pytest
 
 from nuceft import truncation
 from nuceft.errors import DomainError, UnreachableBudgetError
-from nuceft.params import (CONSTANTS, OpeParams, convert_length, yukawa_g1,
-                           yukawa_g2)
+from nuceft.params import (CONSTANTS, OpeParams, ab_coefficients,
+                           convert_length, yukawa_g1, yukawa_g2)
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
                                ope_cutoff_error, pi_max_bound, realized_shells,
                                shell_count, shell_counts)
@@ -124,8 +124,11 @@ def test_choose_cutoff_reference_point():
 def test_choose_cutoff_unreachable(monkeypatch):
     monkeypatch.setattr(truncation, "MAX_MULTIPLE", 5)
     with pytest.raises(UnreachableBudgetError,
-                       match="no cutoff within 5 lattice units"):
+                       match="no cutoff within 5 lattice units") as info:
         choose_ope_cutoff(1e-30, 1.0, 40, 2.2)
+    # the budget is a norm error, not an energy
+    assert "truncation budget 1e-30" in str(info.value)
+    assert "MeV" not in str(info.value)
 
 
 def test_pi_max_bounds_positive_and_monotone():
@@ -136,6 +139,25 @@ def test_pi_max_bounds_positive_and_monotone():
     assert 0 < Pi1 < Pi2
     with pytest.raises(DomainError):
         pi_max_bound(40, 400.0, 1e-3, OpeParams.from_lecs(0.3), 10)
+
+
+def test_pi_max_bound_reference_formula():
+    # both cutoffs term by term at a point where the momentum cutoff's
+    # drive term 3 eta/(A B) (3 g_A/(f_pi a))^2 is about 2/9 of the sum
+    eta, E, eps_cut, L = 1, 0.0, 1e-2, 1
+    lecs = OpeParams.from_lecs(2.2)
+    A, B = ab_coefficients(2.2)
+    a = convert_length(2.2)
+    g_A, f_pi, m = CONSTANTS.g_A, CONSTANTS.f_pi, CONSTANTS.m_pi
+    lead = math.sqrt(3 * L ** 3 / eps_cut) + 1
+    e_shift = E + 8 * eta * abs(lecs.C) + 4 * eta * abs(lecs.C_I2)
+    mass = 9 * eta * m ** 2 * a ** 3 * (6 * g_A / (m ** 2 * f_pi * a ** 4)) ** 2
+    drive = 3 * g_A / (f_pi * a)
+    pi0, Pi0 = pi_max_bound(eta, E, eps_cut, lecs, L)
+    assert pi0 == pytest.approx(lead * (drive / A + math.sqrt(
+        e_shift / A + 3 * eta * (drive / A) ** 2 + mass / A)), rel=1e-12)
+    assert Pi0 == pytest.approx(lead * math.sqrt(
+        e_shift / B + 3 * eta / (A * B) * drive ** 2 + mass / B), rel=1e-12)
 
 
 def test_boson_cutoffs_reference_register_width():
@@ -152,6 +174,18 @@ def test_boson_cutoffs_reference_register_width():
     a = convert_length(2.2)
     assert dig.Pi_max == pytest.approx(
         math.pi * (2 ** 39 - 1) / (2 * a ** 3 * dig.pi_max), rel=1e-14)
+
+
+def test_boson_cutoffs_size_the_register_from_levels_plus_one():
+    # n_b = ceil(log2(2 a^3 Pi_max pi_max / pi + 1)); at a_L = 9.5 fm and
+    # eps_cut = 0.5 the product lies in (2, 3), so the + 1 gives 2 bits
+    # where a + 2 would give 3
+    lecs = OpeParams.from_lecs(9.5)
+    a = convert_length(9.5)
+    pi0, Pi0 = pi_max_bound(1, 0.0, 0.5, lecs, 1)
+    levels = 2 * a ** 3 * Pi0 * pi0 / math.pi
+    assert 2 < levels < 3
+    assert boson_cutoffs(1, 0.0, 0.5, lecs, 1).n_b == 2
 
 
 def test_boson_cutoffs_grow_with_budget_tightening():

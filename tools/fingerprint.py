@@ -1,0 +1,83 @@
+"""Print one md5 per group of outputs, to show that a change moves none.
+
+    python tools/fingerprint.py
+
+It fingerprints the checkout it sits in (its ``src`` and ``bench``), so two
+checkouts compare by running each one's copy.  The groups:
+
+- ``library.oracle``, ``library.algebra``: the canonical JSON of every
+  operation output of ``bench/library.Session`` at seed 0 (``bench`` is
+  imported, never written);
+- ``verify``: the stdout of ``nuceft verify all``;
+- ``jw.2x1x1``, ``jw.3x1x1``: ``pauli.dense_matrix`` of the Jordan-Wigner
+  image of the pionless H at a_L = 2.2 fm (8 and 12 qubits).  Signed zeros
+  are folded first, so matrices that ``np.array_equal`` calls equal share a
+  digest.
+
+Standard library and numpy only; outside the test suite.  The 12-qubit
+matrix alone takes 256 MiB.  One BLAS thread is pinned before numpy loads,
+as in ``tests/conftest.py``.
+"""
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import library  # noqa: E402
+from nuceft import cli, encodings, models, pauli  # noqa: E402
+
+
+def md5(data: bytes) -> str:
+    return hashlib.md5(data).hexdigest()
+
+
+def library_outputs(workload: str) -> str:
+    session = library.Session(workload, 0, None)
+    outputs = {op.kind: library.Session.canonical(op.run())
+               for op in session.ops}
+    return md5(json.dumps(outputs, sort_keys=True).encode())
+
+
+def verify_stdout() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all"])
+    if code != 0:
+        raise SystemExit(f"nuceft verify all exited {code}")
+    return md5(out.getvalue().encode())
+
+
+def jw_image(shape: tuple[int, int, int]) -> str:
+    lattice = encodings.LatticeSpec(*shape, 2.2)
+    h = models.build_pionless(lattice, models.pionless_params_for(2.2))
+    p = encodings.encode_fermion_sum(encodings.QubitLayout("jw", lattice), h)
+    mat = pauli.dense_matrix(p)
+    mat += 0.0  # -0.0 + 0.0 is +0.0
+    return md5(mat.tobytes())
+
+
+def main() -> None:
+    groups = [("library.oracle", lambda: library_outputs("oracle")),
+              ("library.algebra", lambda: library_outputs("algebra")),
+              ("verify", verify_stdout),
+              ("jw.2x1x1", lambda: jw_image((2, 1, 1))),
+              ("jw.3x1x1", lambda: jw_image((3, 1, 1)))]
+    for name, digest in groups:
+        start = time.perf_counter()
+        value = digest()
+        print(f"{name:16s} {value}  ({time.perf_counter() - start:.1f} s)")
+
+
+if __name__ == "__main__":
+    main()
