@@ -41,21 +41,22 @@ non-increasing run of counts that the later orbits can fill up to eta.  For
 the pionless layers at eta=3 on three or more sites that is 3 of the 20
 blocks.
 
-Every matrix is assembled in one vectorized pass per sum.  The sum becomes
-one table of the terms' actions and weights, checked once for number
-preservation and finite weights.  A term maps a state s to s ^ flip with
-the sign (-1)^(popcount(s & sign) + odd), where ``sign`` XORs the masks
-below the term's ladder modes and ``odd`` is the parity that the earlier
-flips add, so a hit costs one XOR and one popcount.  The
-(term, state) hits are found term-major in chunks of about 2^20 pairs,
-which bounds the temporaries, and added in term order, so each entry sums
-its terms in the order a term-by-term loop would.  Every matrix takes the
-dtype of its table's weights: float64 when all of them are real (every
-pionless layer), complex128 when any is complex.  The eigensystems, the
-norms and the hermiticity check then run on real or complex kernels to
-match, and a sum of real and complex layers is complex.  A layer of number
-factors alone is diagonal, and is exponentiated entry by entry with no
-eigendecomposition.
+Every matrix is assembled in one vectorized pass per sum, by one assembler
+into a flat buffer of blocks; the dense sector matrix is its one-block
+case, the whole sector as one block.  The sum becomes one table of the
+terms' actions and weights, checked once for number preservation and
+finite weights.  A term maps a state s to s ^ flip with the sign
+(-1)^(popcount(s & sign) + odd), where ``sign`` XORs the masks below the
+term's ladder modes and ``odd`` is the parity that the earlier flips add,
+so a hit costs one XOR and one popcount.  The (term, state) hits are
+found term-major in chunks of about 2^20 pairs, which bounds the
+temporaries, and added in term order, so each entry sums its terms in the
+order a term-by-term loop would.  Every matrix takes the dtype of its
+table's weights: float64 when all of them are real (every pionless layer),
+complex128 when any is complex.  The eigensystems, the norms and the
+hermiticity check then run on real or complex kernels to match, and a sum
+of real and complex layers is complex.  A layer of number factors alone is
+diagonal, and is exponentiated entry by entry with no eigendecomposition.
 
 Between calls the oracle keeps one memo, keyed on content: eta and each
 sum's mode count and terms (a tuple of frozen terms, so a sum whose terms
@@ -358,12 +359,6 @@ def _subsets(modes: int, eta: int) -> np.ndarray:
     return level.get(eta, empty)
 
 
-def _sector_states(n_modes: int, eta: int) -> np.ndarray:
-    """Occupation masks with popcount eta, ascending, as uint64."""
-    _check_width(n_modes)
-    return _subsets((1 << n_modes) - 1, eta)
-
-
 @dataclass(frozen=True)
 class EtaSector:
     """Enumeration of occupation bit patterns with popcount == eta."""
@@ -376,13 +371,12 @@ class EtaSector:
         for name in ("n_modes", "eta"):
             _check_integer(name, getattr(self, name))
             object.__setattr__(self, name, int(getattr(self, name)))
-        if not 0 <= self.eta <= self.n_modes:
-            raise ValueError(f"eta={self.eta} outside [0, {self.n_modes}]")
+        _check_sector(self.n_modes, self.eta)
         if (dim := comb(self.n_modes, self.eta)) > MAX_BLOCK:
             raise SizeError(f"eta={self.eta} sector of {self.n_modes} modes has"
                             f" {dim} states; the oracle cap is {MAX_BLOCK}")
         object.__setattr__(self, "basis", tuple(
-            _sector_states(self.n_modes, self.eta).tolist()))
+            _subsets((1 << self.n_modes) - 1, self.eta).tolist()))
 
     @property
     def dim(self) -> int:
@@ -407,7 +401,11 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name}={value!r} is not an integer")
 
 
-def _check_width(n_modes: int) -> None:
+def _check_sector(n_modes: int, eta: int) -> None:
+    """Refuse an eta outside [0, n_modes], or more modes than a 64-bit
+    occupation mask holds."""
+    if not 0 <= eta <= n_modes:
+        raise ValueError(f"eta={eta} outside [0, {n_modes}]")
     if n_modes > 64:
         raise SizeError(f"{n_modes} modes exceeds the 64-bit occupation mask")
 
@@ -416,7 +414,6 @@ def _terms(h: FermionSum) -> _Terms:
     """The table of h, a row per term's action; a term that does not
     preserve the particle number, or has a non-finite weight, is
     refused."""
-    _check_width(h.n_modes)
     rows = []
     for term in h.terms:
         x = _action(term.factors)
@@ -432,49 +429,6 @@ def _terms(h: FermionSum) -> _Terms:
                   np.array(odd, dtype=np.uint8),
                   weights if weights.dtype.kind == "c" else
                   weights.astype(float))
-
-
-# (term, state) pairs tested at once, which bounds the temporaries
-_CHUNK = 1 << 20
-
-
-def _accumulate(out: np.ndarray, table: _Terms, states: np.ndarray,
-                place) -> None:
-    """Add every term of the table into the flat array ``out``.
-
-    Each state a term does not annihilate goes to its image with the sign
-    the table's masks give; ``place(rows, cols)`` maps the positions in
-    ``states`` of an image and its source to an index of ``out``.  The hits
-    are taken term-major and added in that order, so each entry sums its
-    terms in term order."""
-    step = max(1, _CHUNK // max(len(states), 1))
-    for lo in range(0, len(table.weights), step):
-        hi = lo + step
-        term, cols = np.nonzero(
-            (states & table.care[lo:hi, None]) == table.need[lo:hi, None])
-        term += lo
-        source = states[cols]
-        parity = np.bitwise_count(source & table.sign[term]) ^ table.odd[term]
-        rows = np.searchsorted(states, source ^ table.flip[term])
-        hits = (1.0 - 2.0 * (parity & 1)) * table.weights[term]
-        # in out's dtype: numpy adds mixed dtypes on a slower path
-        np.add.at(out, place(rows, cols), hits.astype(out.dtype, copy=False))
-
-
-def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
-    """Dense matrix of h restricted to the eta sector (particle-number
-    block): float64 when every weight of h is real, complex128 when any is
-    complex.  h and the sector must have the same mode count."""
-    if h.n_modes != sector.n_modes:
-        raise ValueError(f"sum on {h.n_modes} modes, sector on "
-                         f"{sector.n_modes} modes")
-    states = np.array(sector.basis, dtype=np.uint64)
-    dim = sector.dim
-    table = _terms(h)
-    mat = np.zeros((dim, dim), dtype=table.weights.dtype)
-    _accumulate(mat.reshape(-1), table, states,
-                lambda rows, cols: rows * dim + cols)
-    return mat
 
 
 def _mode_groups(n_modes: int, tables: Sequence[_Terms]) -> tuple[int, ...]:
@@ -595,7 +549,7 @@ class _Blocks(NamedTuple):
 
     Blocks are laid out in one flat buffer, ordered by dimension, each
     block a row-major d x d matrix over its states in ascending order.
-    The arrays are kept between calls, so they are read-only.
+    The arrays of a layout kept between calls are read-only.
     """
 
     states: np.ndarray    # the blocks' states, ascending
@@ -715,8 +669,7 @@ def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[_Key, _Input]:
     kept = _KEPT.get(key)
     if kept is None:
         n_modes = max(h.n_modes for h in sums)
-        if not 0 <= eta <= n_modes:
-            raise ValueError(f"eta={eta} outside [0, {n_modes}]")
+        _check_sector(n_modes, eta)
         tables = tuple(_terms(h) for h in sums)
         groups = _mode_groups(n_modes, tables)
         blocks = _layout(n_modes, groups, _orbits(groups, sums), eta)
@@ -740,13 +693,49 @@ def _keep(key: _Key, kept: _Input) -> None:
         del _KEPT[next(iter(_KEPT))]
 
 
+# (term, state) pairs tested at once, which bounds the temporaries
+_CHUNK = 1 << 20
+
+
 def _block_buffer(table: _Terms, blocks: _Blocks) -> np.ndarray:
     """Every block matrix of a sum's table, flat in the layout of
-    ``blocks``, in the dtype of the table's weights."""
+    ``blocks``, in the dtype of the table's weights.
+
+    Each state a term does not annihilate goes to its image with the sign
+    the table's masks give, at the image's row and the source's column of
+    their block.  The hits are taken term-major and added in that order, so
+    each entry sums its terms in term order."""
+    states = blocks.states
     buf = np.zeros(blocks.size, dtype=table.weights.dtype)
-    _accumulate(buf, table, blocks.states,
-                lambda rows, cols: blocks.row_base[rows] + blocks.local[cols])
+    step = max(1, _CHUNK // max(len(states), 1))
+    for lo in range(0, len(table.weights), step):
+        hi = lo + step
+        term, cols = np.nonzero(
+            (states & table.care[lo:hi, None]) == table.need[lo:hi, None])
+        term += lo
+        source = states[cols]
+        parity = np.bitwise_count(source & table.sign[term]) ^ table.odd[term]
+        rows = np.searchsorted(states, source ^ table.flip[term])
+        hits = (1.0 - 2.0 * (parity & 1)) * table.weights[term]
+        # in buf's dtype: numpy adds mixed dtypes on a slower path
+        np.add.at(buf, blocks.row_base[rows] + blocks.local[cols],
+                  hits.astype(buf.dtype, copy=False))
     return buf
+
+
+def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
+    """Dense matrix of h restricted to the eta sector (particle-number
+    block): float64 when every weight of h is real, complex128 when any is
+    complex.  h and the sector must have the same mode count.  The sector
+    is laid out as one block, its states ascending, row-major."""
+    if h.n_modes != sector.n_modes:
+        raise ValueError(f"sum on {h.n_modes} modes, sector on "
+                         f"{sector.n_modes} modes")
+    dim = sector.dim
+    whole = _Blocks(np.array(sector.basis, dtype=np.uint64),
+                    np.arange(dim) * dim, np.arange(dim), ((0, 1, dim),),
+                    dim * dim)
+    return _block_buffer(_terms(h), whole).reshape(dim, dim)
 
 
 def _stacks(buf: np.ndarray, blocks: _Blocks) -> list[np.ndarray]:

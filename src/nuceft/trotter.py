@@ -32,8 +32,8 @@ class BoundReport(_BoundReportFields):
 
     The total is the zeta (or Xi) coefficient, whose error over time t is
     product_formula_error(1, t, total) = (t^2/2) * total.  Every
-    contribution is nonnegative.  ``report[label]`` is the contribution of
-    one class; an integer index reads the tuple as usual.
+    contribution is finite and nonnegative.  ``report[label]`` is the
+    contribution of one class; an integer index reads the tuple as usual.
     """
 
     __slots__ = ()
@@ -43,6 +43,9 @@ class BoundReport(_BoundReportFields):
         for label, value in self.classes:
             if value < 0:
                 raise DomainError(f"class {label!r} has negative bound {value}")
+            if not math.isfinite(value):
+                raise DomainError(f"class {label!r} has non-finite bound "
+                                  f"{value}")
         return self
 
     @property

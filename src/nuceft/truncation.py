@@ -121,6 +121,9 @@ def pi_max_bound(eta: int, E: float, eps_cut: float, params: OpeParams,
         raise DomainError(f"a_L={params.a_L} fm gives A={A:g}, B={B:g}; need both > 0")
     if eps_cut <= 0:
         raise DomainError(f"eps_cut must be positive, got {eps_cut}")
+    if eps_cut >= 1:
+        raise DomainError(f"eps_cut={eps_cut:g} must be below 1: the "
+                          "guaranteed overlap 1 - eps_cut must be positive")
     a = convert_length(params.a_L)
     g_A, f_pi, m = CONSTANTS.g_A, CONSTANTS.f_pi, CONSTANTS.m_pi
     lead = math.sqrt(3 * L ** 3 / eps_cut) + 1

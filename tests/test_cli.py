@@ -310,6 +310,31 @@ def test_register_width_beyond_the_float_range_is_refused(tmp_path, capsys):
     assert notes[2].startswith("DomainError: register width n_b=1024")
 
 
+def test_a_boson_cutoff_budget_of_one_or_more_is_refused(tmp_path, capsys):
+    import csv
+    # --eps 100 leaves eps_cut = (100/6)^2/2 = 138.9: no overlap is promised
+    assert main(["estimate", "--model", "dynpi", "--eta", "40",
+                 "--eps", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: eps_cut=138.889 must be "
+                                   "below 1")
+    # eps_cut = 0.5 at --eps 6 is still priced
+    assert main(["estimate", "--model", "dynpi", "--eta", "40",
+                 "--eps", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["ledger"]["eps_cut"] == 0.5
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "dynpi", "--eta", "40",
+                 "--axis", "epsilon", "--from", "1", "--to", "9",
+                 "--step", "4", "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["value"] for row in rows] == ["1.0", "5.0", "9.0"]
+    assert [row["notes"] for row in rows[:2]] == ["", ""]
+    assert rows[2]["notes"].startswith("DomainError: eps_cut=1.125 must be "
+                                       "below 1")
+
+
 def test_a_budget_beyond_the_t_count_fit_is_refused(tmp_path, capsys):
     import csv
     for flags in (["--eta", "40", "--eps", "1e12"],

@@ -9,6 +9,7 @@ import pytest
 from nuceft.errors import DomainError, PrecisionError
 from nuceft.estimator import (SWEEP_HEADER, CostReport, TaskSpec,
                               crossing_time, estimate, qpe_ancilla_bits, sweep)
+from nuceft.trotter import compose_total_error
 
 BENCH = dict(model="pionless", encoding="vc", task="evolve", L=10, a_L=2.2,
              eta=40, E_kin=10.0, epsilon=0.1, order=1,
@@ -132,6 +133,31 @@ def test_qpe_resolution_guard():
         with pytest.raises(PrecisionError, match="delta_E=1e-300"):
             estimate(TaskSpec(**{**BENCH, "model": model, "task": "qpe",
                                  "delta_E": 1e-300}))
+
+
+def test_qpe_refuses_an_eps_cut_that_underflows_alone():
+    # at m = 537 the product share per application is still a positive
+    # subnormal, but the boson-cutoff budget eps_cut rounds to 0, so only
+    # the eps_cut check of the ledger refuses this resolution
+    spec = TaskSpec(model="dynpi", task="qpe", eta=40, E_max=140.0,
+                    delta_E=140.0 / 2 ** 536.5)
+    m = math.ceil(math.log2(spec.E_max / spec.delta_E))
+    applications = 2 ** qpe_ancilla_bits(m, 1 - spec.success) - 1
+    ledger = compose_total_error("dynpi", math.sqrt(3) * math.pi / 2 ** m,
+                                 spec.convention)
+    assert m == 537
+    assert ledger["prod"] / applications > 0 and ledger["eps_cut"] == 0
+    with pytest.raises(PrecisionError, match="underflows"):
+        estimate(spec)
+
+
+def test_an_overflowing_bound_class_is_refused_by_name():
+    # n_b = 1013 makes seven Xi classes inf; t^2 underflows to 0 and
+    # 0 * inf would reach the step count as nan
+    with pytest.raises(DomainError,
+                       match="class '.*' has non-finite bound inf"):
+        estimate(TaskSpec(model="dynpi", task="qpe", eta=40, E_max=1e300,
+                          delta_E=1e299))
 
 
 def test_qpe_precision_scaling():

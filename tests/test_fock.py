@@ -165,9 +165,12 @@ def test_eta_seminorm_cap():
     assert eta_seminorm(species, 1) == pytest.approx(math.sqrt(3))
     assert eta_seminorm(species, 4) > 0
     assert eta_seminorm(number_op(0, 17, 1.0), 1) == pytest.approx(1.0)
-    # occupations are 64-bit masks
+    # occupations are 64-bit masks; EtaSector(65, 1) has 65 states, under
+    # the cap, so only the mask refuses it
     with pytest.raises(SizeError):
         eta_seminorm(number_op(0, 65, 1.0), 1)
+    with pytest.raises(SizeError, match="64-bit occupation mask"):
+        EtaSector(65, 1)
 
 
 def test_oversized_block_is_refused_before_enumeration(monkeypatch):

@@ -1,6 +1,8 @@
 """The contract of the estimate-path records: immutable tuples with value
 equality, constructor defaults, and construction-time checks."""
 
+import math
+
 import pytest
 
 from nuceft.costs import StepCost
@@ -67,6 +69,9 @@ def test_bad_records_are_domain_errors():
         estimate(TaskSpec(model="dynpi", a_L=0.3))
     with pytest.raises(DomainError, match="negative bound"):
         BoundReport((("a", -1.0),))
+    for value in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="class 'b' has non-finite bound"):
+            BoundReport((("a", 1.0), ("b", value)))
 
 
 def test_bound_report_lookup():

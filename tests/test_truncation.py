@@ -139,6 +139,11 @@ def test_pi_max_bounds_positive_and_monotone():
     assert 0 < Pi1 < Pi2
     with pytest.raises(DomainError):
         pi_max_bound(40, 400.0, 1e-3, OpeParams.from_lecs(0.3), 10)
+    # the cutoffs guarantee overlap 1 - eps_cut, which must be positive
+    for eps_cut in (1.0, 1.125):
+        with pytest.raises(DomainError, match=f"eps_cut={eps_cut:g} must be "
+                                              "below 1"):
+            pi_max_bound(40, 400.0, eps_cut, lecs, 10)
 
 
 def test_pi_max_bound_reference_formula():

@@ -12,7 +12,10 @@ checkouts compare by running each one's copy.  The groups:
 - ``jw.2x1x1``, ``jw.3x1x1``: ``pauli.dense_matrix`` of the Jordan-Wigner
   image of the pionless H at a_L = 2.2 fm (8 and 12 qubits).  Signed zeros
   are folded first, so matrices that ``np.array_equal`` calls equal share a
-  digest.
+  digest;
+- ``sector``: the dtype and bytes of ``fock.sector_matrix`` of the pionless
+  H and of each of its layers at a_L = 2.2 fm, on 2x1x1 at eta 0 to 8 and
+  on 2x2x1 at eta 0 to 4, signed zeros folded as above.
 
 Standard library and numpy only; outside the test suite.  The 12-qubit
 matrix alone takes 256 MiB.  One BLAS thread is pinned before numpy loads,
@@ -35,7 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import library  # noqa: E402
-from nuceft import cli, encodings, models, pauli  # noqa: E402
+from nuceft import cli, encodings, fock, models, pauli  # noqa: E402
 
 
 def md5(data: bytes) -> str:
@@ -67,12 +70,30 @@ def jw_image(shape: tuple[int, int, int]) -> str:
     return md5(mat.tobytes())
 
 
+def sector_matrices() -> str:
+    digest = hashlib.md5()
+    params = models.pionless_params_for(2.2)
+    for shape, max_eta in (((2, 1, 1), 8), ((2, 2, 1), 4)):
+        lattice = encodings.LatticeSpec(*shape, 2.2)
+        sums = [models.build_pionless(lattice, params),
+                *models.pionless_layers(lattice, params)]
+        for eta in range(max_eta + 1):
+            sector = fock.EtaSector(4 * lattice.n_sites, eta)
+            for h in sums:
+                mat = fock.sector_matrix(h, sector)
+                mat += 0.0  # -0.0 + 0.0 is +0.0
+                digest.update(mat.dtype.str.encode())
+                digest.update(mat.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     groups = [("library.oracle", lambda: library_outputs("oracle")),
               ("library.algebra", lambda: library_outputs("algebra")),
               ("verify", verify_stdout),
               ("jw.2x1x1", lambda: jw_image((2, 1, 1))),
-              ("jw.3x1x1", lambda: jw_image((3, 1, 1)))]
+              ("jw.3x1x1", lambda: jw_image((3, 1, 1))),
+              ("sector", sector_matrices)]
     for name, digest in groups:
         start = time.perf_counter()
         value = digest()
