@@ -242,7 +242,12 @@ def estimate(spec: TaskSpec) -> CostReport:
             raise DomainError(f"model {spec.model!r} does not read {name}, "
                               f"got {getattr(spec, name)}")
     frame = _TASKS[spec.task](spec)
-    coeff, extras, step = price(spec, frame)
+    try:
+        coeff, extras, step = price(spec, frame)
+    except ArithmeticError as exc:  # an a_L whose couplings leave the floats
+        raise DomainError(
+            f"model {spec.model!r} cannot be priced at a_L={spec.a_L:g} fm: "
+            f"{type(exc).__name__}: {exc}") from exc
     r_app = steps_for_budget(spec.order, frame.t, coeff,
                              frame.ledger["prod"] / frame.applications)
     r = r_app * frame.applications

@@ -361,11 +361,13 @@ def _subsets(modes: int, eta: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EtaSector:
-    """Enumeration of occupation bit patterns with popcount == eta."""
+    """Enumeration of occupation bit patterns with popcount == eta.
+
+    ``basis`` holds them ascending, as a read-only uint64 array."""
 
     n_modes: int
     eta: int
-    basis: tuple[int, ...] = field(init=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_modes", "eta"):
@@ -375,8 +377,9 @@ class EtaSector:
         if (dim := comb(self.n_modes, self.eta)) > MAX_BLOCK:
             raise SizeError(f"eta={self.eta} sector of {self.n_modes} modes has"
                             f" {dim} states; the oracle cap is {MAX_BLOCK}")
-        object.__setattr__(self, "basis", tuple(
-            _subsets((1 << self.n_modes) - 1, self.eta).tolist()))
+        basis = _subsets((1 << self.n_modes) - 1, self.eta)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -732,9 +735,8 @@ def sector_matrix(h: FermionSum, sector: EtaSector) -> np.ndarray:
         raise ValueError(f"sum on {h.n_modes} modes, sector on "
                          f"{sector.n_modes} modes")
     dim = sector.dim
-    whole = _Blocks(np.array(sector.basis, dtype=np.uint64),
-                    np.arange(dim) * dim, np.arange(dim), ((0, 1, dim),),
-                    dim * dim)
+    whole = _Blocks(sector.basis, np.arange(dim) * dim, np.arange(dim),
+                    ((0, 1, dim),), dim * dim)
     return _block_buffer(_terms(h), whole).reshape(dim, dim)
 
 

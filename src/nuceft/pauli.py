@@ -20,14 +20,14 @@ accumulator ``_merged``, which checks once per sum that the union of the
 masks fits.  ``PauliSum.from_masks`` builds a sum from
 ``(coeff, x_mask, z_mask, phase)`` terms the same way.  No string is built
 until ``.terms`` or iteration reads the sum; each read then builds the
-phase-0 strings without validation.  ``PauliString(...)`` and ``multiply``
-validate every string they build.
+phase-0 strings.  Every string is built by the validating constructor
+``PauliString(...)``, those that ``multiply`` returns included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import DimensionError, SizeError
 
 _PAULI_CHARS = "IXZY"  # index = x_bit + 2*z_bit
 _I_POWERS = tuple(1j ** k for k in range(4))
-_set = object.__setattr__  # what a frozen dataclass's __init__ calls
 
 
 @dataclass(frozen=True)
@@ -180,18 +179,6 @@ def _times(a: dict, b: dict, parity: int | None):
                    ya + yb + 2 * zx.bit_count() - (x & z).bit_count())
 
 
-def _trusted(n_qubits: int, x_mask: int, z_mask: int) -> PauliString:
-    """A phase-0 string built without validation, for masks that fit.
-    Its fields are set as the dataclass sets them (reading ``__dict__``
-    would add a dict of 64 bytes to each string)."""
-    string = object.__new__(PauliString)
-    _set(string, "n_qubits", n_qubits)
-    _set(string, "x_mask", x_mask)
-    _set(string, "z_mask", z_mask)
-    _set(string, "phase", 0)
-    return string
-
-
 class PauliSum:
     """Weighted sum of Pauli strings in canonical form.
 
@@ -233,20 +220,14 @@ class PauliSum:
         """(coefficient, phase-0 string) pairs in canonical order, the
         strings built on each read."""
         n = self.n_qubits
-        return tuple((c, _trusted(n, x, z)) for (x, z), c in self.masks.items())
+        return tuple((c, PauliString(n, x, z))
+                     for (x, z), c in self.masks.items())
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __iter__(self):
         return iter(self.terms)
-
-    @property
-    def support(self) -> int:
-        mask = 0
-        for x, z in self.masks:
-            mask |= x | z
-        return mask
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         _check_widths(self, other)
@@ -270,8 +251,7 @@ class PauliSum:
             (c.conjugate(), x, z, 0) for (x, z), c in self.masks.items()])
 
     def is_hermitian(self) -> bool:
-        return all(abs(c.imag if isinstance(c, complex) else 0.0) == 0
-                   for c in self.masks.values())
+        return all(c.imag == 0 for c in self.masks.values())
 
     def commutes_with(self, other: "PauliSum") -> bool:
         _check_widths(self, other)
@@ -318,32 +298,3 @@ def dense_matrix(p: PauliSum) -> np.ndarray:
         mat[cols ^ x, cols] += coeff * (
             _I_POWERS[(x & z).bit_count() & 3] * signs)
     return mat
-
-
-def partition_commuting_layers(terms: Sequence[PauliSum]) -> list[int]:
-    """First-fit greedy assignment of terms to layers, in input order.
-
-    A term joins the earliest layer whose members it commutes with and whose
-    qubit support is disjoint from its own.  Deterministic given input order.
-    """
-    if not terms:
-        raise ValueError("term list must be non-empty")
-    assignment: list[int] = []
-    layer_supports: list[int] = []
-    layer_members: list[list[PauliSum]] = []
-    for term in terms:
-        placed = False
-        for idx, sup in enumerate(layer_supports):
-            if sup & term.support:
-                continue
-            if all(term.commutes_with(m) for m in layer_members[idx]):
-                assignment.append(idx)
-                layer_supports[idx] |= term.support
-                layer_members[idx].append(term)
-                placed = True
-                break
-        if not placed:
-            assignment.append(len(layer_supports))
-            layer_supports.append(term.support)
-            layer_members.append([term])
-    return assignment

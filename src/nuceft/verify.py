@@ -21,7 +21,7 @@ from .fock import (ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm,
 from .models import pionless_layers
 from .params import pionless_params_for
 from .pauli import (PauliString, PauliSum, anticommutator_sum, commutator_sum,
-                    dense_matrix, multiply, partition_commuting_layers)
+                    dense_matrix, multiply)
 from .trotter import (pionless_p1_coefficient, pionless_p2_coefficient,
                       product_formula_error)
 
@@ -59,23 +59,6 @@ def verify_pauli() -> list[Check]:
         ("pauli commutes_with matches dense commutator",
          bad_comm == 0, f"{PAULI_TRIALS - bad_comm}/{PAULI_TRIALS} ok"),
     ]
-
-    terms = []
-    for _ in range(40):
-        s = _random_string(rng, n)
-        terms.append(PauliSum(n, [(1.0, PauliString(n, s.x_mask, s.z_mask))]))
-    layers = partition_commuting_layers(terms)
-    valid = True
-    by_layer: dict[int, list[PauliSum]] = {}
-    for term, lay in zip(terms, layers):
-        by_layer.setdefault(lay, []).append(term)
-    for members in by_layer.values():
-        for i, ti in enumerate(members):
-            for tj in members[i + 1:]:
-                if ti.support & tj.support or not ti.commutes_with(tj):
-                    valid = False
-    checks.append(("greedy layers are disjoint and commuting", valid,
-                   f"{len(by_layer)} layers over {len(terms)} terms"))
 
     rand_sums = []
     for _ in range(20):

@@ -48,6 +48,34 @@ def test_domain_error_exit_code(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("model, a_L", [
+    ("ope", "1e-300"), ("ope", "1e300"), ("ope", "1e100"),
+    ("dynpi", "1e300"), ("dynpi", "1e-300"), ("dynpi", "1e100"),
+])
+def test_an_a_l_that_overflows_the_couplings_is_refused(model, a_L, capsys):
+    assert main(["estimate", "--model", model, "--eta", "40",
+                 "--aL-fm", a_L]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: model {model!r} cannot be priced "
+                          f"at a_L={float(a_L):g} fm")
+
+
+def test_a_sweep_notes_an_a_l_that_overflows_the_couplings(tmp_path):
+    import csv
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "ope", "--eta", "40", "--aL-fm", "1e300",
+                 "--axis", "eta", "--from", "2", "--to", "6", "--step", "2",
+                 "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["value"] for row in rows] == ["2", "4", "6"]
+    for row in rows:
+        assert row["r"] == ""
+        assert row["notes"].startswith(
+            "DomainError: model 'ope' cannot be priced at a_L=1e+300 fm: "
+            "OverflowError")
+
+
 def test_unknown_flag_exit_code(capsys):
     assert main(["estimate", "--eta", "4", "--frobnicate", "1"]) == 1
 
@@ -247,6 +275,29 @@ def test_verify_suites(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert main(["verify", "nonsense"]) == 1
+
+
+VERIFY_ALL_CHECKS = (
+    "pauli multiply matches dense product",
+    "pauli commutes_with matches dense commutator",
+    "sum commutator matches dense commutator",
+    "jw ladders satisfy the anticommutation relations",
+    "vc ladders satisfy the anticommutation relations",
+    "vc stabilizers commute with every encoded term",
+    "hopping weights equal costs.HOPPING_WEIGHT",
+    "disjoint NPFO sums respect the occupancy seminorm bound",
+    "NPFO commutators respect the term-count and locality bounds",
+    "exact Trotter error never exceeds the analytic bound",
+)
+
+
+def test_verify_all_runs_the_named_checks_in_order(capsys):
+    """A check leaves ``verify all`` or is renamed only with this list."""
+    assert main(["verify", "all"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert [line.partition(" (")[0] for line in lines] == [
+        f"ok   {name}" for name in VERIFY_ALL_CHECKS]
+    assert summary == "10/10 checks passed"
 
 
 def test_verify_accepts_exactly_the_suites(capsys):

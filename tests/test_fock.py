@@ -110,6 +110,14 @@ def test_eta_sector_basis():
     assert all(bin(s).count("1") == 2 for s in sector.basis)
 
 
+def test_eta_sector_basis_is_a_read_only_uint64_array():
+    basis = EtaSector(16, 4).basis
+    assert basis.dtype == np.uint64 and not basis.flags.writeable
+    assert np.array_equal(basis, fock._subsets(2 ** 16 - 1, 4))
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0] = 0
+
+
 def test_eta_sector_refuses_a_bool_count():
     with pytest.raises(ValueError, match="eta=True is not an integer"):
         EtaSector(16, True)

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuceft import pauli
 from nuceft.encodings import (LatticeSpec, QubitLayout, encode_fermion_sum,
                               encode_hopping)
 from nuceft.errors import DimensionError, SizeError
 from nuceft.models import pionless_layers
 from nuceft.params import pionless_params_for
 from nuceft.pauli import (PauliString, PauliSum, anticommutator_sum,
-                          commutator_sum, dense_matrix, multiply,
-                          partition_commuting_layers)
+                          commutator_sum, dense_matrix, multiply)
 
 from pauli_reference import canonical, exact_terms, pairwise
 
@@ -135,6 +133,13 @@ def test_adjoint_of_hermitian_sum():
                        dense_matrix(h).conj().T)
 
 
+@pytest.mark.parametrize("coeff", [1j, np.complex64(1j), np.complex128(1j),
+                                   np.complex64(1 + 1e-3j)])
+def test_an_imaginary_part_of_any_complex_type_is_not_hermitian(coeff):
+    assert not PauliSum.from_masks(1, [(coeff, 1, 0, 0)]).is_hermitian()
+    assert PauliSum.from_masks(1, [(coeff.real, 1, 0, 0)]).is_hermitian()
+
+
 def test_adjoint_returns_python_complex():
     h = PauliSum(2, [(1.5, PauliString.from_label("XZ")),
                      (0.5 - 2j, PauliString.from_label("YY"))])
@@ -222,31 +227,26 @@ def test_products_equal_the_pairwise_reference(a, b):
 
 
 def count_builds(monkeypatch):
-    """Counters of the strings a read of ``.terms`` builds, and of those
-    built through the validating constructor."""
-    built = {"trusted": 0, "validated": 0}
-    trusted, validate = pauli._trusted, PauliString.__post_init__
-
-    def counted_trusted(*args):
-        built["trusted"] += 1
-        return trusted(*args)
+    """A counter of the strings built, each through the validating
+    constructor."""
+    built = {"validated": 0}
+    validate = PauliString.__post_init__
 
     def counted_validate(string):
         built["validated"] += 1
         validate(string)
 
-    monkeypatch.setattr(pauli, "_trusted", counted_trusted)
     monkeypatch.setattr(PauliString, "__post_init__", counted_validate)
     return built
 
 
 def assert_built_on_read(built, p):
     """No string built before ``p`` is read; each read of its terms builds
-    one string per term and validates none."""
-    assert built == {"trusted": 0, "validated": 0}
+    and validates one string per term."""
+    assert built == {"validated": 0}
     for reads in (1, 2):
         assert len(p.terms) == len(p)
-        assert built == {"trusted": reads * len(p), "validated": 0}
+        assert built == {"validated": reads * len(p)}
 
 
 def test_product_builds_each_string_once(monkeypatch):
@@ -340,31 +340,3 @@ def test_dense_matrix_equals_the_kron_reference_on_phased_sums():
             assert np.allclose(string.dense(),
                                1j ** string.phase * kron_label(string.label()),
                                rtol=0, atol=0)
-
-
-def test_partition_layers_are_disjoint_and_commuting():
-    rng = np.random.default_rng(11)
-    terms = [PauliSum(6, [(1.0, PauliString(6, int(rng.integers(64)),
-                                            int(rng.integers(64))))])
-             for _ in range(30)]
-    layers = partition_commuting_layers(terms)
-    assert len(layers) == len(terms)
-    grouped = {}
-    for term, lay in zip(terms, layers):
-        grouped.setdefault(lay, []).append(term)
-    assert sorted(grouped) == list(range(len(grouped)))
-    for members in grouped.values():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                assert not (a.support & b.support)
-                assert a.commutes_with(b)
-
-
-def test_partition_greedy_first_fit():
-    # identical single-qubit terms collide pairwise -> one layer each
-    x = PauliSum.from_string(1.0, PauliString.from_label("XI"))
-    layers = partition_commuting_layers([x, x, x])
-    assert layers == [0, 1, 2]
-    # disjoint terms share the first layer
-    y = PauliSum.from_string(1.0, PauliString.from_label("IY"))
-    assert partition_commuting_layers([x, y]) == [0, 0]

@@ -8,7 +8,9 @@ checkouts compare by running each one's copy.  The groups:
 - ``library.oracle``, ``library.algebra``: the canonical JSON of every
   operation output of ``bench/library.Session`` at seed 0 (``bench`` is
   imported, never written);
-- ``verify``: the stdout of ``nuceft verify all``;
+- ``verify.pauli``, ``verify.encodings``, ``verify.seminorm``,
+  ``verify.trotter``: the stdout of ``nuceft verify <suite>``, one group
+  per suite of ``nuceft.VERIFY_SUITES``;
 - ``jw.2x1x1``, ``jw.3x1x1``: ``pauli.dense_matrix`` of the Jordan-Wigner
   image of the pionless H at a_L = 2.2 fm (8 and 12 qubits).  Signed zeros
   are folded first, so matrices that ``np.array_equal`` calls equal share a
@@ -38,7 +40,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import library  # noqa: E402
-from nuceft import cli, encodings, fock, models, pauli  # noqa: E402
+from nuceft import (VERIFY_SUITES, cli, encodings, fock, models,  # noqa: E402
+                    pauli)
 
 
 def md5(data: bytes) -> str:
@@ -52,12 +55,12 @@ def library_outputs(workload: str) -> str:
     return md5(json.dumps(outputs, sort_keys=True).encode())
 
 
-def verify_stdout() -> str:
+def verify_stdout(suite: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", "all"])
+        code = cli.main(["verify", suite])
     if code != 0:
-        raise SystemExit(f"nuceft verify all exited {code}")
+        raise SystemExit(f"nuceft verify {suite} exited {code}")
     return md5(out.getvalue().encode())
 
 
@@ -90,7 +93,8 @@ def sector_matrices() -> str:
 def main() -> None:
     groups = [("library.oracle", lambda: library_outputs("oracle")),
               ("library.algebra", lambda: library_outputs("algebra")),
-              ("verify", verify_stdout),
+              *((f"verify.{suite}", lambda suite=suite: verify_stdout(suite))
+                for suite in VERIFY_SUITES),
               ("jw.2x1x1", lambda: jw_image((2, 1, 1))),
               ("jw.3x1x1", lambda: jw_image((3, 1, 1))),
               ("sector", sector_matrices)]
