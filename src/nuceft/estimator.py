@@ -187,9 +187,9 @@ def _qpe(spec: TaskSpec) -> _Frame:
 
 def _pionless(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
     params = pionless_params_for(spec.a_L)
-    bound = (pionless_p1_coefficient if spec.order == 1
-             else pionless_p2_coefficient)
-    return (bound(spec.eta, params), {},
+    coeff = (pionless_p1_coefficient(spec.eta, params).total
+             if spec.order == 1 else pionless_p2_coefficient(spec.eta, params))
+    return (coeff, {},
             pionless_step_cost(spec.encoding, spec.order, frame.controlled,
                                spec.L))
 
@@ -202,7 +202,7 @@ def _ope(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
                                 frame.t * frame.applications, spec.eta,
                                 spec.a_L)
     params = OpeParams.from_lecs(spec.a_L)
-    shells = realized_shells(ell * spec.a_L, spec.a_L)
+    shells = realized_shells(ell, spec.a_L)
     zeta = ope_p1_bound(spec.eta, params, shells).total
     return (zeta, {"ell_units": ell, "zeta": zeta},
             ope_step_cost(ell, spec.L, frame.controlled))

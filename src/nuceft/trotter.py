@@ -62,21 +62,23 @@ class BoundReport(_BoundReportFields):
 
 
 def pionless_p1_bound(t: float, eta: int, params: PionlessParams) -> float:
-    """First-order error for the contact-interaction Hamiltonian."""
+    """t^2 * zeta for the contact-interaction Hamiltonian: twice the
+    (t^2/2) * zeta that product_formula_error(1, t, zeta) budgets."""
     _check_time(t)
-    return t * t * pionless_p1_coefficient(eta, params)
+    return t * t * pionless_p1_coefficient(eta, params).total
 
 
-def pionless_p1_coefficient(eta: int, params: PionlessParams) -> float:
-    """The t^2 coefficient of pionless_p1_bound, which
-    product_formula_error takes as the p=1 coefficient zeta."""
+def pionless_p1_coefficient(eta: int, params: PionlessParams) -> BoundReport:
+    """zeta by class: kinetic_kinetic (15 h^2 eta) and kinetic_diagonal, the
+    hopping against the 2-, 3- and 4-body contacts (6 h (a1 [eta/2] + ...))."""
     _check_eta(eta)
     h, C, D = params.h, params.C_slash, params.D_slash
     a1 = 2 * abs(C)
     a2 = 2 * abs(3 * C + D) + abs(D)
     a3 = 2 * abs(6 * C + 4 * D) + 4 * abs(D)
-    return (15 * h * h * eta
-            + 6 * h * (a1 * (eta // 2) + a2 * (eta // 3) + a3 * (eta // 4)))
+    diagonal = a1 * (eta // 2) + a2 * (eta // 3) + a3 * (eta // 4)
+    return BoundReport((("kinetic_kinetic", 15 * h * h * eta),
+                        ("kinetic_diagonal", 6 * h * diagonal)))
 
 
 def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:

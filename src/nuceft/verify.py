@@ -246,9 +246,9 @@ def verify_trotter() -> list[Check]:
         layers = pionless_layers(LatticeSpec(*shape, 2.2), params)
         for t in grid_t:
             for eta in grid_eta:
-                for p, coefficient in ((1, pionless_p1_coefficient),
-                                       (2, pionless_p2_coefficient)):
-                    coeff = coefficient(eta, params)
+                for p, coeff in (
+                        (1, pionless_p1_coefficient(eta, params).total),
+                        (2, pionless_p2_coefficient(eta, params))):
                     for r in grid_r:
                         exact = exact_evolution_error(layers, t, p, r, eta)
                         # the bound the estimator budgets: r steps of t / r

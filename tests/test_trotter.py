@@ -10,7 +10,7 @@ from nuceft.params import (CONSTANTS, OpeParams, hopping_coefficient,
                            pionless_params_for)
 from nuceft.trotter import (compose_total_error, dynpi_p1_bound,
                             general_npfo_bound, ope_p1_bound,
-                            pionless_p1_bound,
+                            pionless_p1_bound, pionless_p1_coefficient,
                             pionless_p2_coefficient, product_formula_error,
                             steps_for_budget)
 from nuceft.truncation import boson_cutoffs, realized_shells
@@ -65,9 +65,32 @@ def test_pionless_bounds_scale_with_eta_floors():
     assert pionless_p1_bound(1.0, 0, params) == 0.0
 
 
+def test_pionless_p1_classes():
+    # each class by its formula, and each at most its generic counterpart:
+    # c04's combination read class by class
+    for a_L in (1.4, 2.2):
+        params = pionless_params_for(a_L)
+        h, C, D = params.h, params.C_slash, params.D_slash
+        for eta in range(201):
+            report = pionless_p1_coefficient(eta, params)
+            assert [label for label, _ in report.classes] == [
+                "kinetic_kinetic", "kinetic_diagonal"]
+            contacts = (2 * abs(C) * math.floor(eta / 2)
+                        + (2 * abs(3 * C + D) + abs(D)) * math.floor(eta / 3)
+                        + (2 * abs(6 * C + 4 * D) + 4 * abs(D))
+                        * math.floor(eta / 4))
+            assert report["kinetic_kinetic"] == 15 * h * h * eta
+            assert report["kinetic_diagonal"] == 6 * h * contacts
+            assert report["kinetic_kinetic"] <= 15 * general_npfo_bound(
+                1, [2, 2], [h, h], eta)
+            assert report["kinetic_diagonal"] <= 6 * (
+                general_npfo_bound(1, [2, 4], [h, C / 2], eta)
+                + general_npfo_bound(1, [2, 6], [h, D / 6], eta))
+
+
 def test_ope_p1_classes():
     params = OpeParams.from_lecs(2.2)
-    shells = realized_shells(22.0, 2.2)
+    shells = realized_shells(10, 2.2)
     report = ope_p1_bound(40, params, shells)
     # frozen total for the reference benchmark configuration
     assert report.total == pytest.approx(107429802320.93866, rel=1e-10)
@@ -115,7 +138,7 @@ def test_shell_sums_match_the_pair_loop_exactly():
     # ell 0 and 1 are the empty and the one-shell table, 17 is the last
     # table below the numpy switch, and 20 spans several blocks above it
     for ell in (0, 1, 13, 17, 18, 20):
-        shells = realized_shells(ell * 2.2, 2.2)
+        shells = realized_shells(ell, 2.2)
         pairs = len(shells) * (len(shells) - 1) // 2
         assert (pairs <= trotter._NUMPY_PAIRS) == (ell <= 17)
         assert ell != 20 or pairs > 4 * trotter._CHUNK
@@ -154,7 +177,7 @@ def test_plain_sum_rounds_after_every_addition():
 
 def test_ope_p1_shell_sums_are_memoized_by_value():
     params = OpeParams.from_lecs(2.2)
-    shells = realized_shells(22.0, 2.2)
+    shells = realized_shells(10, 2.2)
     trotter._shell_sums.cache_clear()
     cold = ope_p1_bound(40, params, shells)
     warm = ope_p1_bound(40, params, shells)

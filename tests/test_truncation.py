@@ -56,20 +56,36 @@ def test_shell_table_cumulative():
 
 
 def test_realized_shells():
-    shells = realized_shells(4.4, 2.2)
+    shells = realized_shells(2, 2.2)
     assert [q for _, q in shells] == [6, 12, 8, 6]
     assert shells[0][0] == pytest.approx(2.2)
     assert shells[-1][0] == pytest.approx(4.4)
-    assert realized_shells(1.0, 2.2) == ()
+    assert realized_shells(0, 2.2) == ()
 
 
 def test_realized_shells_are_memoized_per_cutoff():
     realized_shells.cache_clear()
-    cold = realized_shells(22.0, 2.2)
-    assert realized_shells(22.0, 2.2) is cold
+    cold = realized_shells(10, 2.2)
+    assert realized_shells(10, 2.2) is cold
     assert realized_shells.cache_info()[:2] == (1, 1)  # hits, misses
     realized_shells.cache_clear()
-    assert realized_shells(22.0, 2.2) == cold
+    assert realized_shells(10, 2.2) == cold
+
+
+def test_realized_shells_reach_the_outermost_shell(monkeypatch):
+    # the table must reach ell^2 exactly, which (ell a_L / a_L)^2 floors to
+    # ell^2 - 1 from ell = 3725 units at 2.2 fm and 2413 at 1.7 fm; the real
+    # walk there takes hours, so the stub only records what is asked
+    asked = []
+    monkeypatch.setattr(truncation, "shell_counts",
+                        lambda max_r_sq: asked.append(max_r_sq) or [1])
+    realized_shells.cache_clear()
+    try:
+        assert realized_shells(3725, 2.2) == ()
+        assert realized_shells(2413, 1.7) == ()
+    finally:
+        realized_shells.cache_clear()
+    assert asked == [13_875_625, 2413 ** 2]
 
 
 def test_cutoff_error_rate_decreases_with_range():

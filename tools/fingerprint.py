@@ -17,7 +17,13 @@ checkouts compare by running each one's copy.  The groups:
   digest;
 - ``sector``: the dtype and bytes of ``fock.sector_matrix`` of the pionless
   H and of each of its layers at a_L = 2.2 fm, on 2x1x1 at eta 0 to 8 and
-  on 2x2x1 at eta 0 to 4, signed zeros folded as above.
+  on 2x2x1 at eta 0 to 4, signed zeros folded as above;
+- ``estimate``: ``json.dumps(..., sort_keys=True)`` of every
+  ``estimator.estimate`` report (``to_json_dict()``, or the message of its
+  ``DomainError``) on ``ESTIMATE_GRID``: each ``costs.STEP_LAYERS`` pair at
+  each order it prices, both tasks and both conventions, eta in
+  ``ESTIMATE_ETAS``, at each model's spacings and pins.  It only builds
+  ``TaskSpec``s and calls ``estimate``, so it runs on older checkouts too.
 
 Standard library and numpy only; outside the test suite.  The 12-qubit
 matrix alone takes 256 MiB.  One BLAS thread is pinned before numpy loads,
@@ -32,6 +38,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -40,8 +47,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import library  # noqa: E402
-from nuceft import (VERIFY_SUITES, cli, encodings, fock, models,  # noqa: E402
-                    pauli)
+from nuceft import (VERIFY_SUITES, cli, costs, encodings,  # noqa: E402
+                    estimator, fock, models, pauli)
+from nuceft.errors import DomainError  # noqa: E402
+
+# model -> (the orders it prices, its spacings in fm, its pins)
+ESTIMATE_GRID = {
+    "pionless": ((1, 2), (1.4, 2.2), ({},)),
+    "ope": ((1,), (1.0, 1.4, 2.2), [{"ell_units": k} for k in range(1, 41)]),
+    "dynpi": ((1,), (1.0, 1.4, 2.2), [{"n_b": k} for k in range(1, 31)]),
+}
+ESTIMATE_ETAS = (1, 2, 3, 4, 7, 40, 400)
 
 
 def md5(data: bytes) -> str:
@@ -90,6 +106,25 @@ def sector_matrices() -> str:
     return digest.hexdigest()
 
 
+def estimates() -> str:
+    reports = []
+    for model, encoding in costs.STEP_LAYERS:
+        orders, spacings, pins = ESTIMATE_GRID[model]
+        # the pins outside the tasks and etas, so that each shell table is
+        # built once
+        for a_L, pin, order, task, convention, eta in itertools.product(
+                spacings, pins, orders, ("evolve", "qpe"),
+                ("fault-tolerant", "near-term"), ESTIMATE_ETAS):
+            spec = estimator.TaskSpec(task=task, model=model,
+                                      encoding=encoding, order=order, a_L=a_L,
+                                      eta=eta, convention=convention, **pin)
+            try:
+                reports.append([spec, estimator.estimate(spec).to_json_dict()])
+            except DomainError as exc:
+                reports.append([spec, str(exc)])
+    return md5(json.dumps(reports, sort_keys=True).encode())
+
+
 def main() -> None:
     groups = [("library.oracle", lambda: library_outputs("oracle")),
               ("library.algebra", lambda: library_outputs("algebra")),
@@ -97,7 +132,8 @@ def main() -> None:
                 for suite in VERIFY_SUITES),
               ("jw.2x1x1", lambda: jw_image((2, 1, 1))),
               ("jw.3x1x1", lambda: jw_image((3, 1, 1))),
-              ("sector", sector_matrices)]
+              ("sector", sector_matrices),
+              ("estimate", estimates)]
     for name, digest in groups:
         start = time.perf_counter()
         value = digest()
