@@ -2,8 +2,8 @@
 
 Three encodings are provided:
 
-* ``jw``: plain Jordan-Wigner with one qubit per fermionic mode, mode index
-  4*raster + species.
+* ``jw``: plain Jordan-Wigner with one qubit per fermionic mode, numbered
+  by ``mode_index``.
 * ``vc``: locality-preserving encoding with two auxiliary modes (mu, nu) per
   site, six qubits per site.  Hopping along y (z) is dressed with the product
   of auxiliary Majorana operators i*mu(i)*mubar(j) (i*nu(i)*nubar(j)) so the
@@ -105,6 +105,11 @@ class LatticeSpec:
         return diffs.index(1)
 
 
+def mode_index(lattice: LatticeSpec, site, species: int) -> int:
+    """The mode of (site, species): sites in raster order, species within."""
+    return N_SPECIES * lattice.raster_index(site) + species
+
+
 def _path_edges(lat: LatticeSpec, axis: int) -> list[tuple[int, int]]:
     """Directed raster edges of the paths covering every bond along ``axis``
     (1: y, one mu path per x-y plane; 2: z, one nu path per y-z plane).
@@ -155,9 +160,9 @@ class QubitLayout:
         """Qubit holding the occupation of (site, species)."""
         if not 0 <= species < N_SPECIES:
             raise DimensionError(f"species index {species} out of range")
-        r = self.lattice.raster_index(site)
         if self.encoding == "jw":
-            return 4 * r + species
+            return mode_index(self.lattice, site, species)
+        r = self.lattice.raster_index(site)
         if self.encoding == "vc":
             return 6 * r + species
         return species * self._block + r
@@ -298,7 +303,7 @@ def vc_stabilizers(layout: QubitLayout) -> list[PauliString]:
 
 
 def encode_fermion_sum(layout: QubitLayout, h: FermionSum) -> PauliSum:
-    """Encode a whole fermionic operator; modes are 4*raster + species.
+    """Encode a whole fermionic operator; modes are numbered by mode_index.
 
     Only the jw layout is supported here (the oracle comparison path); vc
     needs the dressed bond-level builders and compact has no ladder images.

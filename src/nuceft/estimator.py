@@ -54,9 +54,9 @@ class TaskSpec(_TaskSpecFields):
             if getattr(self, name) not in choices:
                 raise DomainError(f"unknown {name} {getattr(self, name)!r} "
                                   f"(choose from {choices})")
-        for name in ("order", "L", "eta", "ell_units", "n_b"):
+        for name in ("order", "L", "eta", *_PINS):
             value = getattr(self, name)
-            if value is None and name in ("ell_units", "n_b"):
+            if value is None and name in _PINS:
                 continue  # a pin may be left out
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -70,7 +70,7 @@ class TaskSpec(_TaskSpecFields):
                     f"{name} must be a finite real number, got {value!r}")
         if self.L < 1:
             raise DomainError(f"lattice extent L must be >= 1, got {self.L}")
-        for name in ("ell_units", "n_b"):
+        for name in _PINS:
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise DomainError(
                     f"{name} must be >= 1 when given, got {getattr(self, name)}")
@@ -223,6 +223,9 @@ def _dynpi(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
 _MODELS = {"pionless": (_pionless, (1, 2), ()),
            "ope": (_ope, (1,), ("ell_units",)),
            "dynpi": (_dynpi, (1,), ("n_b",))}
+# the TaskSpec fields that pin a sized intermediate, each reported in extras
+# under its own name
+_PINS = tuple(pin for _, _, read in _MODELS.values() for pin in read)
 _TASKS = {"evolve": _evolve, "qpe": _qpe}
 # each categorical TaskSpec field's values, from the table that prices them
 CHOICES = {"task": tuple(_TASKS), "model": tuple(_MODELS),
@@ -237,7 +240,7 @@ def estimate(spec: TaskSpec) -> CostReport:
     if spec.order not in orders:
         raise DomainError(f"model {spec.model!r} is bounded only for "
                           f"order(s) {orders}, got {spec.order}")
-    for name in (pin for _, _, read in _MODELS.values() for pin in read):
+    for name in _PINS:
         if name not in pins and getattr(spec, name) is not None:
             raise DomainError(f"model {spec.model!r} does not read {name}, "
                               f"got {getattr(spec, name)}")
@@ -289,8 +292,8 @@ def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
         return row
     row.update(r=rep.r, depth=rep.depth_total, rz=rep.rz_total,
                T=repr(rep.T_total), qubits=rep.qubits,
-               ell_or_nb=rep.extras.get("ell_units",
-                                        rep.extras.get("n_b", "")))
+               ell_or_nb=next((rep.extras[pin] for pin in _PINS
+                               if pin in rep.extras), ""))
     return row
 
 

@@ -2,22 +2,17 @@
 
 The one-pion-exchange and dynamical-pion models are priced from closed-form
 commutator bounds (``trotter``) and need no lattice operator.  The parameter
-objects live in ``params``.  Modes are indexed 4*raster + species, species
-order (up-p, down-p, up-n, down-n).
+objects live in ``params``.  Modes are numbered by ``encodings.mode_index``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .encodings import LatticeSpec
+from .encodings import N_SPECIES, LatticeSpec, mode_index
 from .fock import ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm
 # pionless_params_for is not used here; it stays importable from models
 from .params import PionlessParams, pionless_params_for  # noqa: F401
-
-
-def mode_index(lattice: LatticeSpec, site, species: int) -> int:
-    return 4 * lattice.raster_index(site) + species
 
 
 def pionless_layers(lattice: LatticeSpec, params: PionlessParams) -> list[FermionSum]:
@@ -32,13 +27,13 @@ def pionless_layers(lattice: LatticeSpec, params: PionlessParams) -> list[Fermio
     kinetic: dict[int, list[FermionTerm]] = {}
     for si, sj, axis in lattice.bonds():
         layer = kinetic.setdefault(2 * axis + si[axis] % 2, [])
-        for sp in range(4):
+        for sp in range(N_SPECIES):
             mi = mode_index(lattice, si, sp)
             mj = mode_index(lattice, sj, sp)
             lo, hi = min(mi, mj), max(mi, mj)
             layer.append(FermionTerm(-params.h, ((lo, CREATE), (hi, ANNIHILATE))))
             layer.append(FermionTerm(-params.h, ((hi, CREATE), (lo, ANNIHILATE))))
-    site_modes = [[mode_index(lattice, site, sp) for sp in range(4)]
+    site_modes = [[mode_index(lattice, site, sp) for sp in range(N_SPECIES)]
                   for site in lattice.sites()]
     diag = [FermionTerm(6 * params.h, ((m, NUMBER),))
             for modes in site_modes for m in modes]

@@ -2,7 +2,8 @@
 
 Plain ``math`` only, so the cost pipeline (trotter, truncation, estimator)
 runs without numpy.  Couplings and energies are in MeV (hbar = c = 1);
-lengths in fm are converted via hbar*c at the API boundary.
+lengths in fm are converted via hbar*c, ``CONSTANTS.hbar_c``, at the API
+boundary.
 
 The physics is fixed at the paper's values (``CONSTANTS``, ``C_TILDE_1``,
 ``C_TILDE_0``); no function takes a constant as a parameter.
@@ -21,15 +22,13 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-HBAR_C = 197.3269804  # MeV fm
-
 
 class PhysicalConstants(NamedTuple):
     M: float = 938.0      # nucleon mass, MeV
     m_pi: float = 135.0   # pion mass, MeV
     g_A: float = 1.26     # axial coupling
     f_pi: float = 93.0    # pion decay constant, MeV
-    hbar_c: float = HBAR_C
+    hbar_c: float = 197.3269804  # MeV fm
 
 
 CONSTANTS = PhysicalConstants()
@@ -42,7 +41,7 @@ def convert_length(a_fm: float) -> float:
     """fm -> 1/MeV."""
     if not a_fm > 0:
         raise DomainError(f"length must be positive, got {a_fm}")
-    return a_fm / HBAR_C
+    return a_fm / CONSTANTS.hbar_c
 
 
 def hopping_coefficient(a_L_fm: float) -> float:

@@ -189,7 +189,8 @@ def _shell_sums(shells: tuple[tuple[float, int], ...]) -> tuple[float, float, fl
 # pairs).  At the switch the pure-Python sum takes about 5 ms, a twentieth
 # of the numpy import that an estimate just above it pays.
 _NUMPY_PAIRS = 1 << 15
-# pair products per numpy block: 8,192 float64 entries, 64 KB
+# pair products per numpy block: at most 8,192 float64 entries (64 KB),
+# unless one row is longer
 _CHUNK = 1 << 13
 
 
@@ -198,12 +199,14 @@ def _cross_sum(qs: Sequence[int], us: Sequence[float]) -> float:
 
     The pairs are taken in row-major order (a, then b) and added strictly
     left to right, rounding after every addition.  Above _NUMPY_PAIRS,
-    numpy forms the same products with the same multiplications, a block
-    of at most _CHUNK at a time in the same order, and np.add.accumulate
-    (sequential, unlike np.sum) adds each block after the total so far.
-    A block may hold zero products past the end of a row; every product is
-    >= 0, and adding 0.0 leaves a total unchanged, so both paths give the
-    same bits.
+    numpy forms the same products with the same multiplications.  A block
+    is rows a .. a+k-1, each from column a + 1 on, with k the most rows
+    that fit in _CHUNK products (one row if it is longer), so it holds at
+    most max(_CHUNK, n) products.  Its pairs (a+i, b <= a+i) are set to
+    0.0, by assignment since a product may overflow to inf, and
+    np.add.accumulate (sequential, unlike np.sum) adds the block after the
+    total so far.  Every product is >= 0, and adding 0.0 leaves a total
+    unchanged, so both paths give the same bits.
     """
     n = len(qs)
     if n * (n - 1) // 2 <= _NUMPY_PAIRS:
@@ -211,27 +214,19 @@ def _cross_sum(qs: Sequence[int], us: Sequence[float]) -> float:
             map(mul, map(mul, repeat(qa * ua), qs[i + 1:]), us[i + 1:])
             for i, (qa, ua) in enumerate(zip(qs, us))))
     import numpy as np
-    # zero-padded, so that every row of a block, from its column a + 1 on,
-    # is one window of the same width
-    pad, window = np.zeros(n), min(n - 1, _CHUNK)
-    q = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((qs, pad)), window)
-    u = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((us, pad)), window)
-    c = np.array(qs, dtype=np.float64) * us
+    q, u = np.array(qs, dtype=np.float64), np.array(us, dtype=np.float64)
+    c = q * u
+    below = np.tri(math.isqrt(_CHUNK), k=-1, dtype=bool)
     total, a = 0.0, 0
     while a < n - 1:
-        width = min(n - 1 - a, _CHUNK)
-        rows = min(_CHUNK // width, n - 1 - a)
-        # rows a .. a+rows-1; only a row longer than a chunk takes more
-        # than one block
-        for b in range(a + 1, n, width):
-            block = c[a:a + rows, None] * q[b:b + rows, :width]
-            block *= u[b:b + rows, :width]
-            block = block.ravel()
-            block[0] += total
-            total = np.add.accumulate(block, out=block)[-1]
-        a += rows
+        k = max(1, min(_CHUNK // (n - 1 - a), n - 1 - a))
+        block = c[a:a + k, None] * q[a + 1:]
+        block *= u[a + 1:]
+        block[:, :k][below[:k, :k]] = 0.0
+        block = block.ravel()
+        block[0] += total
+        total = np.add.accumulate(block, out=block)[-1]
+        a += k
     return float(total)
 
 
@@ -287,8 +282,7 @@ def general_npfo_bound(p: int, localities: Sequence[int],
             f"{len(localities)}/{len(weights)}")
     if any(k < 1 for k in localities):
         raise DomainError("localities must be >= 1")
-    if eta < 0:
-        raise DomainError(f"eta must be >= 0, got {eta}")
+    _check_eta(eta)
     out = 1.0
     for w in weights:
         out *= abs(w)

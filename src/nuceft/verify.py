@@ -13,8 +13,9 @@ import numpy as np
 
 from . import VERIFY_SUITES
 from .costs import HOPPING_WEIGHT
-from .encodings import (LatticeSpec, QubitLayout, encode_hopping,
-                        encode_ladder, encode_number, vc_stabilizers)
+from .encodings import (N_SPECIES, LatticeSpec, QubitLayout, encode_hopping,
+                        encode_ladder, encode_number, mode_index,
+                        vc_stabilizers)
 from .errors import DomainError
 from .fock import (ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm,
                    eta_seminorm, exact_evolution_error, fermion_commutator)
@@ -97,7 +98,7 @@ def hopping_weights(lat: LatticeSpec) -> dict[str, int]:
     for si, sj, axis in lat.bonds():
         for key, layout in (("xyz"[axis], vc), ("compact", compact)):
             seen[key] = max(seen[key], *(
-                s.weight for sp in range(4)
+                s.weight for sp in range(N_SPECIES)
                 for _, s in encode_hopping(layout, si, sj, sp)))
     return seen
 
@@ -110,12 +111,11 @@ def verify_encodings() -> list[Check]:
     for encoding in ("jw", "vc"):
         layout = QubitLayout(encoding, lat)
         ladders = {}
-        for r in range(lat.n_sites):
-            site = lat.site_at(r)
-            for sp in range(4):
-                mode = 4 * r + sp
-                ladders[mode] = (encode_ladder(layout, site, sp, ANNIHILATE),
-                                 encode_ladder(layout, site, sp, CREATE))
+        for site in lat.sites():
+            for sp in range(N_SPECIES):
+                ladders[mode_index(lat, site, sp)] = (
+                    encode_ladder(layout, site, sp, ANNIHILATE),
+                    encode_ladder(layout, site, sp, CREATE))
         ok = True
         for i in range(n_modes):
             for j in range(n_modes):
@@ -136,11 +136,11 @@ def verify_encodings() -> list[Check]:
     stabs = vc_stabilizers(layout)
     encoded = []
     for si, sj, _axis in lat.bonds():
-        for sp in range(4):
+        for sp in range(N_SPECIES):
             encoded.append(encode_hopping(layout, si, sj, sp))
-    for r in range(lat.n_sites):
-        for sp in range(4):
-            encoded.append(encode_number(layout, lat.site_at(r), sp))
+    for site in lat.sites():
+        for sp in range(N_SPECIES):
+            encoded.append(encode_number(layout, site, sp))
     ok = True
     for stab in stabs:
         wrap = PauliSum.from_string(1.0, stab)

@@ -494,3 +494,19 @@ def test_estimate_does_not_import_the_oracle():
     """
     proc = _run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("ell, loads_numpy", [(17, False), (18, True)])
+def test_ope_estimate_loads_numpy_above_the_pair_switch(ell, loads_numpy):
+    # a range cutoff above 17 lattice units sums its shell pairs in numpy
+    code = f"""if True:
+        import contextlib, io, sys
+        import nuceft.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert nuceft.cli.main(["estimate", "--model", "ope",
+                                    "--eta", "40", "--ell", "{ell}"]) == 0
+        print("numpy" in sys.modules)
+    """
+    proc = _run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loads_numpy}\n"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nuceft import costs
-from nuceft.encodings import (LatticeSpec, QubitLayout, _path_edges,
-                              encode_fermion_sum, encode_hopping, encode_ladder,
-                              encode_number, vc_stabilizers)
+from nuceft.encodings import (N_SPECIES, LatticeSpec, QubitLayout,
+                              _path_edges, encode_fermion_sum, encode_hopping,
+                              encode_ladder, encode_number, vc_stabilizers)
 from nuceft.errors import GeometryError, UnsupportedOperatorError
 from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm
 from nuceft.models import pionless_layers
@@ -52,6 +52,29 @@ def test_jw_encoding_matches_fock_oracle():
     encoded = encode_fermion_sum(layout, 0.5 * h)
     assert np.allclose(dense_matrix(encoded), 0.5 * dense_sum(h),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1)])
+def test_kinetic_layers_encode_as_their_bonds(shape):
+    # models numbers the modes and the jw layout places their qubits by the
+    # one mode_index, so each kinetic layer is -h times its bonds' images
+    lat = LatticeSpec(*shape, 2.2)
+    params = pionless_params_for(2.2)
+    layout = QubitLayout("jw", lat)
+    bonds = {}
+    for si, sj, axis in lat.bonds():
+        bonds.setdefault((axis, si[axis] % 2), []).append((si, sj))
+    layers = pionless_layers(lat, params)[:-1]
+    assert len(layers) == len(bonds)
+    for layer, key in zip(layers, sorted(bonds)):
+        hops = PauliSum(layout.total_qubits)
+        for si, sj in bonds[key]:
+            for sp in range(N_SPECIES):
+                hops = hops + encode_hopping(layout, si, sj, sp)
+        want = (-params.h * hops).masks
+        got = encode_fermion_sum(layout, layer).masks
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - c) <= 1e-12 for k, c in want.items())
 
 
 def test_jw_number_operator_is_projector():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nuceft import estimator
 from nuceft.errors import DomainError, PrecisionError
 from nuceft.estimator import (SWEEP_HEADER, CostReport, TaskSpec,
                               crossing_time, estimate, qpe_ancilla_bits, sweep)
@@ -94,6 +95,19 @@ def test_forced_intermediates():
                                "n_b": 33}))
     assert rep.extras["n_b"] == 33
     assert rep.qubits == 6000 + 3000 * 33
+
+
+def test_pins_are_the_models_pins():
+    assert estimator._PINS == ("ell_units", "n_b")
+    for pin in estimator._PINS:
+        assert pin in TaskSpec._fields
+        assert TaskSpec._field_defaults[pin] is None
+    # each pinned estimate reports its pin under its own name, which the
+    # sweep's ell_or_nb column reads
+    for model, pin, value in (("ope", "ell_units", 13), ("dynpi", "n_b", 20)):
+        spec = TaskSpec(**{**BENCH, "model": model, pin: value})
+        assert estimate(spec).extras[pin] == value
+        assert sweep(spec, "eta", [40])[0]["ell_or_nb"] == value
 
 
 def test_qpe_benchmark_report():

@@ -7,8 +7,8 @@ from nuceft.encodings import LatticeSpec
 from nuceft.errors import DomainError
 from nuceft.fock import NUMBER, eta_seminorm
 from nuceft.models import build_pionless, pionless_layers
-from nuceft.params import (C_TILDE_0, C_TILDE_1, CONSTANTS, HBAR_C,
-                           OpeParams, ab_coefficients, convert_length,
+from nuceft.params import (C_TILDE_0, C_TILDE_1, CONSTANTS, OpeParams,
+                           ab_coefficients, convert_length,
                            hopping_coefficient, pionless_params_for,
                            yukawa_g1, yukawa_g2)
 
@@ -20,12 +20,12 @@ def test_physical_constants():
     assert CONSTANTS.m_pi == 135.0
     assert CONSTANTS.g_A == 1.26
     assert CONSTANTS.f_pi == 93.0
-    assert HBAR_C == 197.3269804 == CONSTANTS.hbar_c
+    assert CONSTANTS.hbar_c == 197.3269804
     assert (C_TILDE_1, C_TILDE_0) == (-5.021e-5, -5.714e-5)
 
 
 def test_convert_length():
-    assert convert_length(HBAR_C) == 1.0
+    assert convert_length(CONSTANTS.hbar_c) == 1.0
     assert convert_length(2.2) == pytest.approx(0.011149008, rel=1e-6)
     with pytest.raises(DomainError):
         convert_length(0.0)
@@ -51,7 +51,7 @@ def test_tabulated_couplings():
 def test_ope_params_from_lecs():
     # frozen against an independent evaluation of (3c1+c0)/4a^3, (c1-c0)/4a^3
     p = OpeParams.from_lecs(2.2)
-    a3 = (2.2 / HBAR_C) ** 3
+    a3 = (2.2 / CONSTANTS.hbar_c) ** 3
     assert p.C == pytest.approx((3 * -5.021e-5 + -5.714e-5) / (4 * a3))
     assert p.C_I2 == pytest.approx((-5.021e-5 - -5.714e-5) / (4 * a3))
     assert p.C == pytest.approx(-37.481262964064285)

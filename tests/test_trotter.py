@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nuceft import trotter
@@ -157,13 +158,44 @@ def test_cross_sum_splits_a_row_longer_than_a_block(monkeypatch):
     qs = [rng.randint(1, 48) for _ in range(300)]
     us = [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-12, 3) for _ in qs]
     expected = _pair_loop(qs, us)
-    # the first row is 299 pairs long, over five 64-pair blocks
+    # the first row is 299 pairs long, a block of its own past the
+    # 64-pair chunk
     monkeypatch.setattr(trotter, "_CHUNK", 64)
     assert len(qs) * (len(qs) - 1) // 2 > trotter._NUMPY_PAIRS
     assert trotter._cross_sum(qs, us) == expected
     # and the pure-Python path, with every table below the switch
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 6)
     assert trotter._cross_sum(qs, us) == expected
+
+
+@pytest.mark.parametrize("chunk", [4, 64])
+def test_cross_sum_numpy_branch_equals_the_pure_python_branch(monkeypatch,
+                                                              chunk):
+    rng = random.Random(chunk)
+    tables = []
+    for n in range(2, 131):
+        qs = [rng.randint(1, 48) for _ in range(n)]
+        tables.append(
+            (qs, [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-12, 3)
+                  for _ in qs]))
+    tables += [_bare_kernels(realized_shells(ell, 2.2))
+               for ell in (18, 25, 33, 40)]
+    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
+    plain = [trotter._cross_sum(qs, us) for qs, us in tables]
+    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 0)
+    monkeypatch.setattr(trotter, "_CHUNK", chunk)
+    assert [trotter._cross_sum(qs, us) for qs, us in tables] == plain
+
+
+def test_cross_sum_keeps_an_overflow_on_both_branches(monkeypatch):
+    # every product overflows to inf; a pair outside the sum zeroed by a
+    # multiplication would be nan
+    qs, us = [1] * 300, [1e160] * 300
+    assert len(qs) * (len(qs) - 1) // 2 > trotter._NUMPY_PAIRS
+    with np.errstate(over="ignore"):
+        assert trotter._cross_sum(qs, us) == math.inf
+    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
+    assert trotter._cross_sum(qs, us) == math.inf
 
 
 def test_plain_sum_rounds_after_every_addition():
