@@ -83,9 +83,11 @@ class TaskSpec(_TaskSpecFields):
         if not 0 < self.success < 1:
             raise DomainError(f"success probability must be in (0, 1), "
                               f"got {self.success}")
-        if self.delta_E <= 0:
-            raise DomainError(f"energy resolution must be positive, "
-                              f"got {self.delta_E}")
+        for name, what in (("delta_E", "energy resolution"),
+                           ("E_kin", "kinetic energy E_kin"),
+                           ("E_max", "spectral range E_max")):
+            if (value := getattr(self, name)) <= 0:
+                raise DomainError(f"{what} must be positive, got {value}")
         return self
 
 
@@ -119,7 +121,7 @@ def crossing_time(a_L_fm: float, L: int, E_kin: float) -> float:
     if L < 1:
         raise DomainError(f"lattice extent must be >= 1, got {L}")
     if E_kin <= 0:
-        raise DomainError("kinetic energy and mass must be positive")
+        raise DomainError(f"kinetic energy must be positive, got {E_kin}")
     return convert_length(a_L_fm) * L * math.sqrt(CONSTANTS.M / (2 * E_kin))
 
 
@@ -202,8 +204,7 @@ def _ope(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
                                 frame.t * frame.applications, spec.eta,
                                 spec.a_L)
     params = OpeParams.from_lecs(spec.a_L)
-    shells = realized_shells(ell, spec.a_L)
-    zeta = ope_p1_bound(spec.eta, params, shells).total
+    zeta = ope_p1_bound(spec.eta, params, realized_shells(ell)).total
     return (zeta, {"ell_units": ell, "zeta": zeta},
             ope_step_cost(ell, spec.L, frame.controlled))
 
@@ -281,8 +282,7 @@ SWEEP_HEADER = ("axis", "value", "r", "depth", "rz", "T", "qubits",
 
 def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
     field_name, _ = SWEEP_FIELDS[axis]
-    row = {"axis": axis, "value": value, "r": "", "depth": "", "rz": "",
-           "T": "", "qubits": "", "ell_or_nb": "", "notes": ""}
+    row = dict(dict.fromkeys(SWEEP_HEADER, ""), axis=axis, value=value)
     try:
         # unparsed, through the checks of the constructor (not _replace)
         spec = TaskSpec(**{**template._asdict(), field_name: value})

@@ -5,8 +5,8 @@ commutator-class sums for the one-pion-exchange and dynamical-pion models,
 a general nested-commutator bound for normal-ordered fermionic operators,
 and the error-budget splits that tie everything to a target accuracy.
 
-All coefficients are in MeV^(p+1); multiply by the appropriate power of the
-time step (in MeV^-1) to get a dimensionless error.
+All coefficients are in MeV^(p+1) and carry no time: product_formula_error
+applies the time step (in MeV^-1) to give a dimensionless error.
 """
 
 from __future__ import annotations
@@ -62,23 +62,20 @@ class BoundReport(_BoundReportFields):
 
 
 def pionless_p1_bound(t: float, eta: int, params: PionlessParams) -> float:
-    """t^2 * zeta for the contact-interaction Hamiltonian: twice the
-    (t^2/2) * zeta that product_formula_error(1, t, zeta) budgets."""
-    _check_time(t)
-    return t * t * pionless_p1_coefficient(eta, params).total
+    """t^2 * zeta for the contact-interaction Hamiltonian: twice
+    product_formula_error(1, t, zeta), the (t^2/2) * zeta the estimator
+    budgets, which is where the time enters."""
+    return 2 * product_formula_error(
+        1, t, pionless_p1_coefficient(eta, params).total)
 
 
 def pionless_p1_coefficient(eta: int, params: PionlessParams) -> BoundReport:
     """zeta by class: kinetic_kinetic (15 h^2 eta) and kinetic_diagonal, the
     hopping against the 2-, 3- and 4-body contacts (6 h (a1 [eta/2] + ...))."""
     _check_eta(eta)
-    h, C, D = params.h, params.C_slash, params.D_slash
-    a1 = 2 * abs(C)
-    a2 = 2 * abs(3 * C + D) + abs(D)
-    a3 = 2 * abs(6 * C + 4 * D) + 4 * abs(D)
-    diagonal = a1 * (eta // 2) + a2 * (eta // 3) + a3 * (eta // 4)
+    h = params.h
     return BoundReport((("kinetic_kinetic", 15 * h * h * eta),
-                        ("kinetic_diagonal", 6 * h * diagonal)))
+                        ("kinetic_diagonal", 6 * h * _contacts(eta, params))))
 
 
 def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
@@ -91,9 +88,6 @@ def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
     n4 = abs(6 * C + 4 * D) * f4
     c3 = abs(D) * f3
     c4 = 4 * abs(D) * f4
-    w2 = 2 * abs(C) * f2
-    w3 = (abs(D) + 2 * abs(3 * C + D)) * f3
-    w4 = (4 * abs(D) + 2 * abs(6 * C + 4 * D)) * f4
     u3 = abs(C / 2 + D / 6)
     u4 = abs(C / 2 + D / 3)
     q2 = 2 * C * C * f2
@@ -103,8 +97,18 @@ def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
     q4p = 8 * abs(D) * (6 * u4 + abs(D)) * f4
     return (1 / 12) * (125 * h ** 3 * eta
                        + 216 * h * h * (n2 + n3 + n4 + c3 + c4)
-                       + 60 * h * h * (w2 + w3 + w4)
+                       + 60 * h * h * _contacts(eta, params)
                        + 12 * h * (2 * (q2 + q3 + q4) + q3p + q4p))
+
+
+def _contacts(eta: int, params: PionlessParams) -> float:
+    """a1 [eta/2] + a2 [eta/3] + a3 [eta/4], the weights of the 2-, 3- and
+    4-body contacts against the hopping: a1 = 2|C|, a2 = 2|3C+D| + |D| and
+    a3 = 2|6C+4D| + 4|D|."""
+    C, D = params.C_slash, params.D_slash
+    return (2 * abs(C) * (eta // 2)
+            + (2 * abs(3 * C + D) + abs(D)) * (eta // 3)
+            + (2 * abs(6 * C + 4 * D) + 4 * abs(D)) * (eta // 4))
 
 
 def _nucleon_classes(eta: int, h: float, C: float,
@@ -122,12 +126,14 @@ def _nucleon_classes(eta: int, h: float, C: float,
 
 
 def ope_p1_bound(eta: int, params: OpeParams,
-                 shells: Sequence[tuple[float, int]]) -> BoundReport:
+                 shells: Sequence[tuple[int, int]]) -> BoundReport:
     """First-order commutator-class sum (zeta) for the pion-exchange model.
 
-    ``shells`` lists the realized interaction distances as (r in fm, q(r))
-    pairs with r <= the range cutoff; pass an empty sequence when the cutoff
-    excludes all pairs.
+    ``shells`` lists the realized interaction distances as (r^2, q(r))
+    pairs in lattice units with r <= the range cutoff (as
+    truncation.realized_shells gives them); pass an empty sequence when the
+    cutoff excludes all pairs.  The spacing that turns r into fm is
+    params.a_L, the one the couplings were fitted at.
     """
     _check_eta(eta)
     h = hopping_coefficient(params.a_L)
@@ -135,7 +141,7 @@ def ope_p1_bound(eta: int, params: OpeParams,
     a = convert_length(params.a_L)
     g2 = (CONSTANTS.g_A / (2 * CONSTANTS.f_pi)) ** 2
     g4 = g2 * g2
-    s_qu, s_cross, s_same = _shell_sums(tuple(shells))
+    s_qu, s_cross, s_same = _shell_sums(tuple(shells), params.a_L)
 
     classes = (
         *_nucleon_classes(eta, h, C, CI2),
@@ -156,11 +162,13 @@ def ope_p1_bound(eta: int, params: OpeParams,
 # a sweep meets its cutoffs in runs, and one key at ell=317 holds 83,743
 # shells, so a few entries suffice
 @lru_cache(maxsize=8)
-def _shell_sums(shells: tuple[tuple[float, int], ...]) -> tuple[float, float, float]:
+def _shell_sums(shells: tuple[tuple[int, int], ...],
+                a_L_fm: float) -> tuple[float, float, float]:
     """The eta-independent shell sums of ope_p1_bound: s_qu = sum q u,
     s_cross = sum over shell pairs a < b of q_a u_a q_b u_b, and s_same.
 
-    u is the bare radial kernel f(r)(g(r)+1); the coupling constants appear
+    Each (r^2, q) shell lies at r = a_L_fm sqrt(r^2) fm, and u is the bare
+    radial kernel f(r)(g(r)+1) there; the coupling constants appear
     explicitly in each class coefficient.  Each sum is taken in one fixed
     order and rounded after every addition (see _plain_sum): s_qu and
     s_same over the shells in table order, s_cross as _cross_sum says.  So
@@ -175,7 +183,8 @@ def _shell_sums(shells: tuple[tuple[float, int], ...]) -> tuple[float, float, fl
                                                  + 3 / (m * r) ** 2)
 
     qs = [q for _, q in shells]
-    us = [bare_kernel(convert_length(r_fm)) for r_fm, _ in shells]
+    us = [bare_kernel(convert_length(a_L_fm * math.sqrt(r_sq)))
+          for r_sq, _ in shells]
     s_qu = _plain_sum(map(mul, qs, us))
     s_cross = _cross_sum(qs, us)
     s_same = _plain_sum((3670016 * q * (q - 1) + 524288 * q) * u * u

@@ -62,10 +62,10 @@ def shell_counts(max_r_sq: int) -> list[int]:
 
 # a sweep meets its cutoffs in runs, so a few entries suffice
 @lru_cache(maxsize=8)
-def realized_shells(ell_units: int,
-                    a_L_fm: float) -> tuple[tuple[float, int], ...]:
-    """(distance in fm, q) for every nonzero shell with r/a_L <= ell_units."""
-    return tuple((a_L_fm * math.sqrt(r_sq), q)
+def realized_shells(ell_units: int) -> tuple[tuple[int, int], ...]:
+    """(r^2, q) in lattice units for every nonzero shell with r <= ell_units;
+    the spacing that turns r into a distance is the pricer's."""
+    return tuple((r_sq, q)
                  for r_sq, q in enumerate(shell_counts(ell_units * ell_units))
                  if r_sq and q)
 

@@ -146,6 +146,20 @@ def test_config_value_is_refused_as_its_flag_would_be(tmp_path, capsys):
     assert capsys.readouterr().out == from_config
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),
+    ("[1, 2]", "must be a JSON object"),
+])
+def test_config_that_is_not_a_readable_object_is_refused(content, message,
+                                                         tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["estimate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"eta": 40, "flux_capacitor": 1.21}))
@@ -231,6 +245,14 @@ def test_sweep_refuses_non_finite_bounds(bounds, capsys):
     assert err.startswith("config error:") and "must be finite" in err
 
 
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_sweep_refuses_a_step_that_is_not_positive(step, capsys):
+    assert main(["sweep", *BENCH_ARGS, "--axis", "eta", "--from", "2",
+                 "--to", "10", "--step", step]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --step must be positive"), err
+
+
 def _run_child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this nuceft."""
     src = os.path.dirname(os.path.dirname(nuceft.__file__))
@@ -275,6 +297,11 @@ def test_verify_suites(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert main(["verify", "nonsense"]) == 1
+    # the library refuses what the CLI's choices keep out
+    from nuceft.errors import DomainError
+    from nuceft.verify import run_suite
+    with pytest.raises(DomainError, match="^unknown verify suite 'nope' "):
+        run_suite("nope")
 
 
 VERIFY_ALL_CHECKS = (
@@ -289,6 +316,18 @@ VERIFY_ALL_CHECKS = (
     "NPFO commutators respect the term-count and locality bounds",
     "exact Trotter error never exceeds the analytic bound",
 )
+
+
+def test_a_failing_check_fails_verify(monkeypatch, capsys):
+    from nuceft import verify
+    monkeypatch.setitem(verify.SUITES, "pauli",
+                        lambda: [("planted", False, "0/1 ok")])
+    assert main(["verify", "pauli"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["FAIL planted (0/1 ok)",
+                                         "0/1 checks passed"]
+    assert captured.err == \
+        "domain error: 1 verification check(s) failed\n"
 
 
 def test_verify_all_runs_the_named_checks_in_order(capsys):
@@ -451,7 +490,21 @@ def test_non_finite_and_out_of_range_inputs_are_domain_errors(capsys):
              (["--L", "2", "--eta", "1000000"], "eta"),
              (["--order", "3"], "order"),
              (["--model", "ope", "--order", "2"], "order"),
-             (["--eps", "1e-200"], "T count")]
+             (["--eps", "1e-200"], "T count"),
+             (["--task", "qpe", "--Ekin-MeV", "-1"],
+              "kinetic energy E_kin must be positive, got -1.0"),
+             (["--Ekin-MeV", "0"],
+              "kinetic energy E_kin must be positive, got 0.0"),
+             (["--Emax-MeV", "-5"],
+              "spectral range E_max must be positive, got -5.0"),
+             (["--Emax-MeV", "0"],
+              "spectral range E_max must be positive, got 0.0"),
+             (["--task", "qpe", "--Emax-MeV", "0"],
+              "spectral range E_max must be positive, got 0.0"),
+             (["--task", "qpe", "--deltaE-MeV", "0"],
+              "energy resolution must be positive, got 0.0"),
+             (["--task", "qpe", "--Emax-MeV", "1e300", "--deltaE-MeV",
+               "1e-300"], "the error share per application underflows to 0")]
     for flags, field_name in cases:
         args = ["estimate", "--eta", "40", *flags]
         assert main(args) == 2, args

@@ -116,3 +116,7 @@ def test_qubit_counts():
 def test_step_cost_guards():
     with pytest.raises(DomainError):
         StepCost(-1, 0, 6, 0)
+    for L in (0, -1):
+        with pytest.raises(DomainError,
+                           match=f"^lattice extent must be >= 1, got {L}$"):
+            pionless_step_cost("vc", 1, False, L)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from nuceft import costs
 from nuceft.encodings import (N_SPECIES, LatticeSpec, QubitLayout,
                               _path_edges, encode_fermion_sum, encode_hopping,
                               encode_ladder, encode_number, vc_stabilizers)
-from nuceft.errors import GeometryError, UnsupportedOperatorError
+from nuceft.errors import (DimensionError, GeometryError,
+                           UnsupportedOperatorError)
 from nuceft.fock import ANNIHILATE, CREATE, FermionSum, FermionTerm
 from nuceft.models import pionless_layers
 from nuceft.params import pionless_params_for
@@ -34,6 +37,45 @@ def test_bond_axis_rejects_non_neighbors():
     lat = LatticeSpec(3, 3, 1, 2.2)
     with pytest.raises(GeometryError):
         lat.bond_axis((0, 0, 0), (2, 0, 0))
+
+
+def _layout(encoding, shape=(2, 1, 1)):
+    return QubitLayout(encoding, LatticeSpec(*shape, 2.2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LatticeSpec(0, 1, 1, 2.2), GeometryError,
+     "extents must be >= 1, got (0, 1, 1)"),
+    (lambda: LatticeSpec(2, 1, 1, 0.0), GeometryError,
+     "lattice spacing must be positive, got 0.0"),
+    (lambda: LatticeSpec(2, 1, 1, 2.2).raster_index((2, 0, 0)),
+     GeometryError, "site (2, 0, 0) outside lattice"),
+    (lambda: LatticeSpec(2, 1, 1, 2.2).site_at(2), GeometryError,
+     "raster index 2 out of range"),
+    (lambda: LatticeSpec(2, 1, 1, 2.2).site_at(-1), GeometryError,
+     "raster index -1 out of range"),
+    (lambda: LatticeSpec(2, 1, 1, 2.2).bond_axis((0, 0, 0), (0, 1, 0)),
+     GeometryError, "site outside lattice: (0, 0, 0), (0, 1, 0)"),
+    (lambda: _layout("bk"), ValueError, "unknown encoding 'bk'"),
+    (lambda: _layout("jw").qubit((0, 0, 0), 4), DimensionError,
+     "species index 4 out of range"),
+    (lambda: encode_ladder(_layout("jw"), (0, 0, 0), 0, "n"), ValueError,
+     "kind must be '+' or '-'"),
+    (lambda: encode_ladder(_layout("vc"), (0, 0, 0), 4, CREATE),
+     DimensionError, "species index 4 out of range"),
+    (lambda: _layout("vc").face_qubit(0, None), UnsupportedOperatorError,
+     "face ancillas exist only in the compact encoding"),
+    (lambda: vc_stabilizers(_layout("jw")), UnsupportedOperatorError,
+     "stabilizers are defined for the vc encoding only"),
+    (lambda: encode_fermion_sum(_layout("vc"), FermionSum(12)),
+     UnsupportedOperatorError, "direct operator encoding is jw-only"),
+    (lambda: encode_fermion_sum(_layout("jw"), FermionSum(7)),
+     DimensionError, "operator has 7 modes, layout 8 qubits"),
+])
+def test_encoding_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_qubit_budgets():

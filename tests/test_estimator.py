@@ -26,6 +26,9 @@ def test_crossing_time():
         2 * crossing_time(2.2, 10, 10.0))
     with pytest.raises(DomainError):
         crossing_time(2.2, 0, 10.0)
+    with pytest.raises(DomainError,
+                       match="^kinetic energy must be positive, got 0.0$"):
+        crossing_time(2.2, 10, 0.0)
 
 
 def test_qpe_ancilla_bits():
@@ -34,6 +37,9 @@ def test_qpe_ancilla_bits():
     assert qpe_ancilla_bits(8, 0.01) > qpe_ancilla_bits(8, 0.3)
     with pytest.raises(DomainError):
         qpe_ancilla_bits(8, 1.5)
+    with pytest.raises(DomainError,
+                       match="^need at least one precision bit, got 0$"):
+        qpe_ancilla_bits(0, 0.5)
     # 1/(2 delta) + 1/2 = 3.5 + 0.5 = 4 exactly at delta = 1/7, so the
     # padding is log2(4) = 2 bits and no more
     assert qpe_ancilla_bits(8, 1 / 7) == 8 + 2
@@ -205,7 +211,9 @@ def test_spec_validation():
                               ("epsilon", "0.1"), ("a_L", None),
                               ("E_kin", True), ("delta_E", 1j),
                               ("E_max", [140.0]), ("success", False),
-                              ("success", math.nan)):
+                              ("success", math.nan), ("E_kin", 0.0),
+                              ("E_kin", -1.0), ("E_max", 0.0),
+                              ("E_max", -5.0)):
         with pytest.raises(DomainError, match=field_name):
             TaskSpec(**{**BENCH, field_name: value})
     # a full lattice is still a valid input

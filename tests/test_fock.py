@@ -36,6 +36,13 @@ def test_canonical_term_guards():
         FermionTerm(1.0, ((0, "x"),))
     with pytest.raises(ValueError, match="unknown factor kind 'x'"):
         normal_order([(0, "x"), (1, CREATE)], 2.0)
+    with pytest.raises(ValueError,
+                       match=r"^modes out of order within group: "):
+        FermionTerm(1.0, ((1, CREATE), (0, CREATE)))
+    with pytest.raises(ValueError, match=r"^mode 2 outside universe of 2$"):
+        normal_order([(0, CREATE), (2, ANNIHILATE)], n_modes=2)
+    with pytest.raises(ValueError, match=r"^mode 3 outside universe of 3$"):
+        FermionSum(3, [FermionTerm(1.0, ((3, NUMBER),))])
     t = FermionTerm(2.0, ((0, CREATE), (1, ANNIHILATE), (2, NUMBER)))
     assert t.is_npfo
     assert t.locality == 3
@@ -629,6 +636,12 @@ def test_non_hermitian_layer_and_particle_number_are_refused():
 def test_non_finite_time_is_refused(t):
     with pytest.raises(ValueError, match="time t="):
         exact_evolution_error([hopping(0, 1, 4)], t, 1, 1, 2)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_an_order_the_oracle_has_no_formula_for_is_refused(p):
+    with pytest.raises(ValueError, match=rf"^order p={p} not supported"):
+        exact_evolution_error([hopping(0, 1, 4)], 0.1, p, 1, 2)
 
 
 def test_empty_layer_list_is_refused():

@@ -1,8 +1,11 @@
 """Module boundaries of the package, read from its source with ``ast``."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import nuceft
 
@@ -46,3 +49,12 @@ def test_the_package_needs_numpy_alone():
     assert ("fock.py", "numpy") in found
     allowed = sys.stdlib_module_names | {"numpy", "nuceft"}
     assert sorted(i for i in found if i[1] not in allowed) == []
+
+
+def test_the_lazy_exports_are_the_modules_names():
+    """The algebra and the oracle load on first access to their names."""
+    for name, module in nuceft._LAZY.items():
+        assert getattr(nuceft, name) is getattr(
+            importlib.import_module(f"nuceft.{module}"), name)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        nuceft.nope

@@ -87,6 +87,14 @@ def test_dimension_mismatch_rejected():
         multiply(PauliString.from_label("X"), PauliString.from_label("XX"))
     with pytest.raises(DimensionError, match="negative qubit count"):
         PauliString(-1, 0, 0)
+    with pytest.raises(DimensionError, match="^mask exceeds 2 qubits: "
+                       "x=0x4 z=0x0$"):
+        PauliString(2, 4, 0)
+    with pytest.raises(DimensionError,
+                       match="^term acts on 2 qubits, sum on 3$"):
+        PauliSum(3, [(1.0, PauliString.from_label("XZ"))])
+    with pytest.raises(ValueError, match="^invalid Pauli character 'Q'$"):
+        PauliString.from_label("XQ")
 
 
 def test_sum_canonicalization_merges_terms():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,7 +15,7 @@ from nuceft.trotter import (compose_total_error, dynpi_p1_bound,
                             pionless_p1_bound, pionless_p1_coefficient,
                             pionless_p2_coefficient, product_formula_error,
                             steps_for_budget)
-from nuceft.truncation import boson_cutoffs, realized_shells
+from nuceft.truncation import boson_cutoffs, realized_shells, shell_count
 from nuceft.verify import verify_trotter
 
 
@@ -47,6 +48,49 @@ def test_pionless_p1_frozen_value():
     params14 = pionless_params_for(1.4)
     assert pionless_p1_bound(1.0, 2, params14) == pytest.approx(
         15829.372800000001)
+
+
+def pionless_p2_reference(eta, params):
+    """The t^3 coefficient as four bracketed terms, with the contact
+    weights of the hopping written out as w2, w3 and w4."""
+    h, C, D = params.h, params.C_slash, params.D_slash
+    f2, f3, f4 = eta // 2, eta // 3, eta // 4
+    n2 = abs(C) * f2
+    n3 = abs(3 * C + D) * f3
+    n4 = abs(6 * C + 4 * D) * f4
+    c3 = abs(D) * f3
+    c4 = 4 * abs(D) * f4
+    w2 = 2 * abs(C) * f2
+    w3 = (abs(D) + 2 * abs(3 * C + D)) * f3
+    w4 = (4 * abs(D) + 2 * abs(6 * C + 4 * D)) * f4
+    u3 = abs(C / 2 + D / 6)
+    u4 = abs(C / 2 + D / 3)
+    q2 = 2 * C * C * f2
+    q3 = 4 * u3 * (12 * u3 + abs(D)) * f3
+    q4 = 24 * u4 * (6 * u4 + abs(D)) * f4
+    q3p = (8 * abs(D) * u3 + (2 / 3) * D * D) * f3
+    q4p = 8 * abs(D) * (6 * u4 + abs(D)) * f4
+    return (1 / 12) * (125 * h ** 3 * eta
+                       + 216 * h * h * (n2 + n3 + n4 + c3 + c4)
+                       + 60 * h * h * (w2 + w3 + w4)
+                       + 12 * h * (2 * (q2 + q3 + q4) + q3p + q4p))
+
+
+def test_pionless_p2_equals_the_four_bracket_formula():
+    for a_L in (1.4, 2.2):
+        params = pionless_params_for(a_L)
+        for eta in range(201):
+            assert pionless_p2_coefficient(eta, params) == \
+                pionless_p2_reference(eta, params), (a_L, eta)
+
+
+def test_pionless_p1_bound_is_t_squared_zeta():
+    # time enters only through product_formula_error: 2 (t^2/2) zeta
+    params = pionless_params_for(2.2)
+    for eta in range(51):
+        zeta = pionless_p1_coefficient(eta, params).total
+        for t in (0, 1e-3, 0.02, 0.5, 1, 3.7, 1e3):
+            assert pionless_p1_bound(t, eta, params) == t * t * zeta
 
 
 def test_pionless_p2_frozen_value():
@@ -91,7 +135,7 @@ def test_pionless_p1_classes():
 
 def test_ope_p1_classes():
     params = OpeParams.from_lecs(2.2)
-    shells = realized_shells(10, 2.2)
+    shells = realized_shells(10)
     report = ope_p1_bound(40, params, shells)
     # frozen total for the reference benchmark configuration
     assert report.total == pytest.approx(107429802320.93866, rel=1e-10)
@@ -124,33 +168,40 @@ def _pair_loop(qs, us):
     return total
 
 
-def _bare_kernels(shells):
+def _bare_kernels(shells, a_L):
     m = CONSTANTS.m_pi
     qs, us = [], []
-    for r_fm, q in shells:
-        r = r_fm / CONSTANTS.hbar_c
+    for r_sq, q in shells:
+        r = a_L * math.sqrt(r_sq) / CONSTANTS.hbar_c
         qs.append(q)
         us.append((m * m * math.exp(-m * r) / r)
                   * (2 + 3 / (m * r) + 3 / (m * r) ** 2))
     return qs, us
 
 
+def test_realized_shells_are_the_nonzero_shells_within_the_cutoff():
+    for ell in range(13):
+        assert realized_shells(ell) == tuple(
+            (r_sq, shell_count(r_sq)) for r_sq in range(1, ell * ell + 1)
+            if shell_count(r_sq))
+
+
 def test_shell_sums_match_the_pair_loop_exactly():
     # ell 0 and 1 are the empty and the one-shell table, 17 is the last
     # table below the numpy switch, and 20 spans several blocks above it
-    for ell in (0, 1, 13, 17, 18, 20):
-        shells = realized_shells(ell, 2.2)
+    for a_L, ell in itertools.product((1.0, 1.4, 2.2), (0, 1, 13, 17, 18, 20)):
+        shells = realized_shells(ell)
         pairs = len(shells) * (len(shells) - 1) // 2
         assert (pairs <= trotter._NUMPY_PAIRS) == (ell <= 17)
         assert ell != 20 or pairs > 4 * trotter._CHUNK
-        sums = trotter._shell_sums(tuple(shells))
-        qs, us = _bare_kernels(shells)
+        sums = trotter._shell_sums(tuple(shells), a_L)
+        qs, us = _bare_kernels(shells, a_L)
         plain_qu = plain_same = 0
         for q, u in zip(qs, us):
             plain_qu += q * u
             plain_same += (3670016 * q * (q - 1) + 524288 * q) * u * u
         assert sums == (plain_qu, _pair_loop(qs, us), plain_same)
-    assert repr(trotter._shell_sums(())) == "(0, 0, 0)"
+    assert repr(trotter._shell_sums((), 2.2)) == "(0, 0, 0)"
 
 
 def test_cross_sum_splits_a_row_longer_than_a_block(monkeypatch):
@@ -178,7 +229,7 @@ def test_cross_sum_numpy_branch_equals_the_pure_python_branch(monkeypatch,
         tables.append(
             (qs, [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-12, 3)
                   for _ in qs]))
-    tables += [_bare_kernels(realized_shells(ell, 2.2))
+    tables += [_bare_kernels(realized_shells(ell), 2.2)
                for ell in (18, 25, 33, 40)]
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
     plain = [trotter._cross_sum(qs, us) for qs, us in tables]
@@ -209,7 +260,7 @@ def test_plain_sum_rounds_after_every_addition():
 
 def test_ope_p1_shell_sums_are_memoized_by_value():
     params = OpeParams.from_lecs(2.2)
-    shells = realized_shells(10, 2.2)
+    shells = realized_shells(10)
     trotter._shell_sums.cache_clear()
     cold = ope_p1_bound(40, params, shells)
     warm = ope_p1_bound(40, params, shells)
@@ -318,6 +369,41 @@ def test_compose_total_error_channels():
     assert led["prod"] == pytest.approx(0.05)
     # the state-overlap share converts quadratically to a trace-distance cut
     assert led["eps_cut"] == pytest.approx((0.05 / 2) ** 2 / 2)
+
+
+def _dynpi_at(L):
+    lecs = OpeParams.from_lecs(2.2)
+    dig = boson_cutoffs(40, 400.0, (0.05 / 2) ** 2 / 2, lecs, 10)
+    return dynpi_p1_bound(40, lecs, dig, L)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compose_total_error("nucleon", 0.1, "fault-tolerant"),
+     "unknown model/convention 'nucleon'/'fault-tolerant'"),
+    (lambda: compose_total_error("ope", 0.1, "someday"),
+     "unknown model/convention 'ope'/'someday'"),
+    (lambda: compose_total_error("pionless", 0.0, "near-term"),
+     "error budget must be positive, got 0.0"),
+    (lambda: compose_total_error("dynpi", -0.1, "fault-tolerant"),
+     "error budget must be positive, got -0.1"),
+    (lambda: product_formula_error(1, 0.5, -1.0),
+     "coefficient must be >= 0, got -1.0"),
+    (lambda: product_formula_error(2, -0.5, 1.0), "time must be >= 0, got -0.5"),
+    (lambda: pionless_p1_bound(-1.0, 40, pionless_params_for(2.2)),
+     "time must be >= 0, got -1.0"),
+    (lambda: pionless_p1_coefficient(-1, pionless_params_for(2.2)),
+     "eta must be >= 0, got -1"),
+    (lambda: pionless_p2_coefficient(-2, pionless_params_for(2.2)),
+     "eta must be >= 0, got -2"),
+    (lambda: ope_p1_bound(-1, OpeParams.from_lecs(2.2), ()),
+     "eta must be >= 0, got -1"),
+    (lambda: _dynpi_at(0), "lattice extent must be >= 1, got 0"),
+])
+def test_analytic_core_refusals(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError
+    assert str(info.value) == message
 
 
 def test_oracle_dominance_suite():

@@ -38,6 +38,9 @@ def test_shell_counts_match_shell_count():
                                           for r_sq in range(max_r_sq + 1)]
     with pytest.raises(DomainError):
         shell_counts(-1)
+    with pytest.raises(DomainError,
+                       match=r"^squared radius must be >= 0, got -1$"):
+        shell_count(-1)
 
 
 def test_shell_counts_fill_the_radius_40_ball():
@@ -56,33 +59,34 @@ def test_shell_table_cumulative():
 
 
 def test_realized_shells():
-    shells = realized_shells(2, 2.2)
+    shells = realized_shells(2)
     assert [q for _, q in shells] == [6, 12, 8, 6]
-    assert shells[0][0] == pytest.approx(2.2)
-    assert shells[-1][0] == pytest.approx(4.4)
-    assert realized_shells(0, 2.2) == ()
+    # the innermost shell at one spacing, the outermost at two
+    assert shells[0][0] == 1
+    assert shells[-1][0] == 4
+    assert realized_shells(0) == ()
 
 
 def test_realized_shells_are_memoized_per_cutoff():
     realized_shells.cache_clear()
-    cold = realized_shells(10, 2.2)
-    assert realized_shells(10, 2.2) is cold
+    cold = realized_shells(10)
+    assert realized_shells(10) is cold
     assert realized_shells.cache_info()[:2] == (1, 1)  # hits, misses
     realized_shells.cache_clear()
-    assert realized_shells(10, 2.2) == cold
+    assert realized_shells(10) == cold
 
 
 def test_realized_shells_reach_the_outermost_shell(monkeypatch):
-    # the table must reach ell^2 exactly, which (ell a_L / a_L)^2 floors to
-    # ell^2 - 1 from ell = 3725 units at 2.2 fm and 2413 at 1.7 fm; the real
+    # the table must reach ell^2 exactly, which (ell a_L / a_L)^2 would
+    # floor to ell^2 - 1 at 3725 units (2.2 fm) and 2413 (1.7 fm); the real
     # walk there takes hours, so the stub only records what is asked
     asked = []
     monkeypatch.setattr(truncation, "shell_counts",
                         lambda max_r_sq: asked.append(max_r_sq) or [1])
     realized_shells.cache_clear()
     try:
-        assert realized_shells(3725, 2.2) == ()
-        assert realized_shells(2413, 1.7) == ()
+        assert realized_shells(3725) == ()
+        assert realized_shells(2413) == ()
     finally:
         realized_shells.cache_clear()
     assert asked == [13_875_625, 2413 ** 2]
@@ -135,6 +139,9 @@ def test_choose_cutoff_reference_point():
     assert choose_ope_cutoff(0.1 / 6, 0.7635238930596975, 40, 2.2) == 10
     # a budget every cutoff meets: the search starts at one lattice unit
     assert choose_ope_cutoff(1e9, 1.0, 40, 2.2) == 1
+    with pytest.raises(DomainError,
+                       match=r"^truncation budget must be positive, got 0.0$"):
+        choose_ope_cutoff(0.0, 1.0, 40, 2.2)
 
 
 def test_choose_cutoff_unreachable(monkeypatch):
@@ -195,6 +202,9 @@ def test_boson_cutoffs_reference_register_width():
     a = convert_length(2.2)
     assert dig.Pi_max == pytest.approx(
         math.pi * (2 ** 39 - 1) / (2 * a ** 3 * dig.pi_max), rel=1e-14)
+    with pytest.raises(DomainError,
+                       match=r"^register width n_b must be >= 1, got 0$"):
+        boson_cutoffs(40, 400.0, eps_cut, lecs, 10, n_b=0)
 
 
 def test_boson_cutoffs_size_the_register_from_levels_plus_one():
