@@ -8,14 +8,14 @@ checks use fixed seeds; a verify run is deterministic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import VERIFY_SUITES
 from .costs import HOPPING_WEIGHT
 from .encodings import (N_SPECIES, LatticeSpec, QubitLayout, encode_hopping,
-                        encode_ladder, encode_number, mode_index,
-                        vc_stabilizers)
+                        encode_ladder, encode_number, vc_stabilizers)
 from .errors import DomainError
 from .fock import (ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm,
                    eta_seminorm, exact_evolution_error, fermion_commutator)
@@ -39,43 +39,36 @@ def _random_string(rng: np.random.Generator, n_qubits: int) -> PauliString:
     return PauliString(n_qubits, x, z, int(rng.integers(0, 4)))
 
 
+def _tally(name: str, cases: Iterable[bool], what: str = "ok") -> Check:
+    """A counted check: it passes when every case does, and says how many
+    did.  A case passes only when its value is within its bound, so NaN
+    fails."""
+    cases = [bool(case) for case in cases]
+    return name, all(cases), f"{sum(cases)}/{len(cases)} {what}"
+
+
 def verify_pauli() -> list[Check]:
     rng = np.random.default_rng(20260823)
     n = 5
-    bad_mult = 0
-    bad_comm = 0
-    for _ in range(PAULI_TRIALS):
-        a = _random_string(rng, n)
-        b = _random_string(rng, n)
-        prod = multiply(a, b)
-        if not np.allclose(prod.dense(), a.dense() @ b.dense(), atol=1e-12):
-            bad_mult += 1
-        brackets = a.dense() @ b.dense() - b.dense() @ a.dense()
-        vanishes = bool(np.allclose(brackets, 0, atol=1e-12))
-        if a.commutes_with(b) != vanishes:
-            bad_comm += 1
-    checks = [
-        ("pauli multiply matches dense product",
-         bad_mult == 0, f"{PAULI_TRIALS - bad_mult}/{PAULI_TRIALS} ok"),
-        ("pauli commutes_with matches dense commutator",
-         bad_comm == 0, f"{PAULI_TRIALS - bad_comm}/{PAULI_TRIALS} ok"),
+    pairs = [(_random_string(rng, n), _random_string(rng, n))
+             for _ in range(PAULI_TRIALS)]
+    sums = [PauliSum(n, [(complex(rng.normal(), rng.normal()),
+                          _random_string(rng, n)) for _ in range(3)])
+            for _ in range(20)]
+    return [
+        _tally("pauli multiply matches dense product", (
+            np.allclose(multiply(a, b).dense(), a.dense() @ b.dense(),
+                        atol=1e-12) for a, b in pairs)),
+        _tally("pauli commutes_with matches dense commutator", (
+            a.commutes_with(b) == np.allclose(
+                a.dense() @ b.dense() - b.dense() @ a.dense(), 0, atol=1e-12)
+            for a, b in pairs)),
+        _tally("sum commutator matches dense commutator", (
+            np.allclose(dense_matrix(commutator_sum(a, b)),
+                        dense_matrix(a) @ dense_matrix(b)
+                        - dense_matrix(b) @ dense_matrix(a), atol=1e-10)
+            for a, b in zip(sums[0::2], sums[1::2], strict=True))),
     ]
-
-    rand_sums = []
-    for _ in range(20):
-        rand_sums.append(PauliSum(n, [
-            (complex(rng.normal(), rng.normal()), _random_string(rng, n))
-            for _ in range(3)]))
-    bad_sum = 0
-    for i in range(0, 20, 2):
-        a, b = rand_sums[i], rand_sums[i + 1]
-        lhs = dense_matrix(commutator_sum(a, b))
-        rhs = dense_matrix(a) @ dense_matrix(b) - dense_matrix(b) @ dense_matrix(a)
-        if not np.allclose(lhs, rhs, atol=1e-10):
-            bad_sum += 1
-    checks.append(("sum commutator matches dense commutator",
-                   bad_sum == 0, f"{10 - bad_sum}/10 ok"))
-    return checks
 
 
 def _is_zero(p: PauliSum) -> bool:
@@ -110,43 +103,26 @@ def verify_encodings() -> list[Check]:
 
     for encoding in ("jw", "vc"):
         layout = QubitLayout(encoding, lat)
-        ladders = {}
-        for site in lat.sites():
-            for sp in range(N_SPECIES):
-                ladders[mode_index(lat, site, sp)] = (
-                    encode_ladder(layout, site, sp, ANNIHILATE),
+        ladders = [(encode_ladder(layout, site, sp, ANNIHILATE),
                     encode_ladder(layout, site, sp, CREATE))
-        ok = True
-        for i in range(n_modes):
-            for j in range(n_modes):
-                a_i, adag_i = ladders[i]
-                a_j, adag_j = ladders[j]
-                if not _is_zero(anticommutator_sum(a_i, a_j)):
-                    ok = False
-                mixed = anticommutator_sum(a_i, adag_j)
-                if i == j:
-                    if not _is_identity(mixed):
-                        ok = False
-                elif not _is_zero(mixed):
-                    ok = False
+                   for site in lat.sites() for sp in range(N_SPECIES)]
+        ok = all(_is_zero(anticommutator_sum(a_i, a_j))
+                 and (_is_identity if i == j else _is_zero)(
+                     anticommutator_sum(a_i, adag_j))
+                 for i, (a_i, _) in enumerate(ladders)
+                 for j, (a_j, adag_j) in enumerate(ladders))
         checks.append((f"{encoding} ladders satisfy the anticommutation "
                        f"relations", ok, f"{n_modes}x{n_modes} mode pairs"))
 
     layout = QubitLayout("vc", lat)
     stabs = vc_stabilizers(layout)
-    encoded = []
-    for si, sj, _axis in lat.bonds():
-        for sp in range(N_SPECIES):
-            encoded.append(encode_hopping(layout, si, sj, sp))
-    for site in lat.sites():
-        for sp in range(N_SPECIES):
-            encoded.append(encode_number(layout, site, sp))
-    ok = True
-    for stab in stabs:
-        wrap = PauliSum.from_string(1.0, stab)
-        for term in encoded:
-            if not wrap.commutes_with(term):
-                ok = False
+    encoded = ([encode_hopping(layout, si, sj, sp)
+                for si, sj, _axis in lat.bonds() for sp in range(N_SPECIES)]
+               + [encode_number(layout, site, sp)
+                  for site in lat.sites() for sp in range(N_SPECIES)])
+    ok = all(wrap.commutes_with(term)
+             for wrap in (PauliSum.from_string(1.0, s) for s in stabs)
+             for term in encoded)
     checks.append(("vc stabilizers commute with every encoded term", ok,
                    f"{len(stabs)} stabilizers x {len(encoded)} terms"))
 
@@ -171,9 +147,8 @@ def _random_npfo_factors(rng: np.random.Generator,
                  + [(m, NUMBER) for m in numbers])
 
 
-def verify_seminorm() -> list[Check]:
-    rng = np.random.default_rng(41)
-    norm_bad = 0
+def _seminorm_cases(rng: np.random.Generator):
+    """Whether each random disjoint NPFO sum's seminorm is within its bound."""
     for _ in range(SEMINORM_TRIALS):
         n_modes = int(rng.integers(4, 13))
         order = list(rng.permutation(n_modes))
@@ -196,13 +171,12 @@ def verify_seminorm() -> list[Check]:
         eta = int(rng.integers(0, n_modes + 1))
         bound = j_max * min(math.ceil(eta / math.ceil(k_min / 2)),
                             len(tuples)) if eta else 0.0
-        if eta_seminorm(x, eta) > bound + 1e-9:
-            norm_bad += 1
-    checks = [("disjoint NPFO sums respect the occupancy seminorm bound",
-               norm_bad == 0,
-               f"{SEMINORM_TRIALS - norm_bad}/{SEMINORM_TRIALS} ok")]
+        yield eta_seminorm(x, eta) <= bound + 1e-9
 
-    comm_bad = 0
+
+def _commutator_cases(rng: np.random.Generator):
+    """Whether each random overlapping NPFO pair's live commutator is within
+    both its term-count and its locality bound."""
     tried = 0
     while tried < SEMINORM_TRIALS:
         n_modes = int(rng.integers(4, 11))
@@ -220,14 +194,18 @@ def verify_seminorm() -> list[Check]:
         if not live:
             continue
         tried += 1
-        if len(live) > 2 ** (1 + min(k_a, k_b) / 2):
-            comm_bad += 1
-        if max(t.locality for t in live) > k_a + k_b - 1:
-            comm_bad += 1
-    checks.append(("NPFO commutators respect the term-count and locality "
-                   "bounds", comm_bad == 0,
-                   f"{SEMINORM_TRIALS - comm_bad}/{SEMINORM_TRIALS} ok"))
-    return checks
+        yield (len(live) <= 2 ** (1 + min(k_a, k_b) / 2)
+               and max(t.locality for t in live) <= k_a + k_b - 1)
+
+
+def verify_seminorm() -> list[Check]:
+    rng = np.random.default_rng(41)  # the seminorm trials draw first
+    return [
+        _tally("disjoint NPFO sums respect the occupancy seminorm bound",
+               _seminorm_cases(rng)),
+        _tally("NPFO commutators respect the term-count and locality bounds",
+               _commutator_cases(rng)),
+    ]
 
 
 # (lattice, times, particle numbers, step counts): 2x1x1 on a full grid,
@@ -240,24 +218,19 @@ TROTTER_GRIDS = (
 
 def verify_trotter() -> list[Check]:
     params = pionless_params_for(2.2)
-    violations = 0
-    total = 0
-    for shape, grid_t, grid_eta, grid_r in TROTTER_GRIDS:
-        layers = pionless_layers(LatticeSpec(*shape, 2.2), params)
-        for t in grid_t:
-            for eta in grid_eta:
-                for p, coeff in (
-                        (1, pionless_p1_coefficient(eta, params).total),
-                        (2, pionless_p2_coefficient(eta, params))):
-                    for r in grid_r:
-                        exact = exact_evolution_error(layers, t, p, r, eta)
-                        # the bound the estimator budgets: r steps of t / r
-                        bound = r * product_formula_error(p, t / r, coeff)
-                        total += 1
-                        if exact > bound * (1 + 1e-9):
-                            violations += 1
-    return [("exact Trotter error never exceeds the analytic bound",
-             violations == 0, f"{total - violations}/{total} grid points ok")]
+    return [_tally(
+        "exact Trotter error never exceeds the analytic bound", (
+            # the bound the estimator budgets: r steps of t / r
+            exact_evolution_error(layers, t, p, r, eta)
+            <= r * product_formula_error(p, t / r, coeff) * (1 + 1e-9)
+            for shape, grid_t, grid_eta, grid_r in TROTTER_GRIDS
+            for layers in [pionless_layers(LatticeSpec(*shape, 2.2), params)]
+            for t in grid_t for eta in grid_eta
+            for p, coeff in (
+                (1, pionless_p1_coefficient(eta, params).total),
+                (2, pionless_p2_coefficient(eta, params)))
+            for r in grid_r),
+        "grid points ok")]
 
 
 SUITES = dict(zip(VERIFY_SUITES, (verify_pauli, verify_encodings,

@@ -1,12 +1,17 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import nuceft
+from nuceft import encodings, pauli, verify
 from nuceft.cli import MAX_SWEEP_POINTS, main
+from nuceft.fock import ANNIHILATE
 
 BENCH_ARGS = ["--model", "pionless", "--encoding", "vc", "--task", "evolve",
               "--L", "10", "--aL-fm", "2.2", "--eta", "40",
@@ -299,27 +304,30 @@ def test_verify_suites(capsys):
     assert main(["verify", "nonsense"]) == 1
     # the library refuses what the CLI's choices keep out
     from nuceft.errors import DomainError
-    from nuceft.verify import run_suite
     with pytest.raises(DomainError, match="^unknown verify suite 'nope' "):
-        run_suite("nope")
+        verify.run_suite("nope")
 
 
-VERIFY_ALL_CHECKS = (
-    "pauli multiply matches dense product",
-    "pauli commutes_with matches dense commutator",
-    "sum commutator matches dense commutator",
-    "jw ladders satisfy the anticommutation relations",
-    "vc ladders satisfy the anticommutation relations",
-    "vc stabilizers commute with every encoded term",
-    "hopping weights equal costs.HOPPING_WEIGHT",
-    "disjoint NPFO sums respect the occupancy seminorm bound",
-    "NPFO commutators respect the term-count and locality bounds",
-    "exact Trotter error never exceeds the analytic bound",
+WEIGHTS = "{'x': 7, 'y': 10, 'z': 12, 'compact': 4}"
+VERIFY_ALL_CHECKS = (   # (name, detail) of each check, in order
+    ("pauli multiply matches dense product", "100/100 ok"),
+    ("pauli commutes_with matches dense commutator", "100/100 ok"),
+    ("sum commutator matches dense commutator", "10/10 ok"),
+    ("jw ladders satisfy the anticommutation relations", "16x16 mode pairs"),
+    ("vc ladders satisfy the anticommutation relations", "16x16 mode pairs"),
+    ("vc stabilizers commute with every encoded term",
+     "5 stabilizers x 32 terms"),
+    ("hopping weights equal costs.HOPPING_WEIGHT",
+     f"observed {WEIGHTS}, priced {WEIGHTS}"),
+    ("disjoint NPFO sums respect the occupancy seminorm bound", "200/200 ok"),
+    ("NPFO commutators respect the term-count and locality bounds",
+     "200/200 ok"),
+    ("exact Trotter error never exceeds the analytic bound",
+     "58/58 grid points ok"),
 )
 
 
 def test_a_failing_check_fails_verify(monkeypatch, capsys):
-    from nuceft import verify
     monkeypatch.setitem(verify.SUITES, "pauli",
                         lambda: [("planted", False, "0/1 ok")])
     assert main(["verify", "pauli"]) == 2
@@ -331,18 +339,85 @@ def test_a_failing_check_fails_verify(monkeypatch, capsys):
 
 
 def test_verify_all_runs_the_named_checks_in_order(capsys):
-    """A check leaves ``verify all`` or is renamed only with this list."""
+    """A check leaves ``verify all``, is renamed or changes its number of
+    cases only with this list."""
     assert main(["verify", "all"]) == 0
-    *lines, summary = capsys.readouterr().out.splitlines()
-    assert [line.partition(" (")[0] for line in lines] == [
-        f"ok   {name}" for name in VERIFY_ALL_CHECKS]
-    assert summary == "10/10 checks passed"
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"ok   {name} ({detail})" for name, detail in VERIFY_ALL_CHECKS),
+        "10/10 checks passed"]
+
+
+def _times_i(a, b):
+    product = pauli.multiply(a, b)
+    return dataclasses.replace(product, phase=product.phase + 1)
+
+
+class _AntiCommuting(pauli.PauliString):
+    def commutes_with(self, other):
+        return not super().commutes_with(other)
+
+
+def _always_annihilating(layout, site, species, kind):
+    return encodings.encode_ladder(layout, site, species, ANNIHILATE)
+
+
+def _with_x_on_qubit_0(layout):
+    return [dataclasses.replace(s, x_mask=s.x_mask ^ 1)
+            for s in encodings.vc_stabilizers(layout)]
+
+
+def _wide_commutator(a, b):
+    term = SimpleNamespace(weight=1.0, locality=100)
+    return SimpleNamespace(terms=[term] * 100)
+
+
+LADDERS = "ladders satisfy the anticommutation relations"
+
+
+# (suite, the name in nuceft.verify replaced, its stub, the failed checks)
+PLANTED_DEFECTS = [
+    ("pauli", "multiply", _times_i,
+     {"pauli multiply matches dense product": "0/100 ok"}),
+    ("pauli", "PauliString", _AntiCommuting,
+     {"pauli commutes_with matches dense commutator": "0/100 ok"}),
+    ("pauli", "commutator_sum", pauli.anticommutator_sum,
+     {"sum commutator matches dense commutator": "0/10 ok"}),
+    ("seminorm", "eta_seminorm", lambda x, eta: math.nan,
+     {"disjoint NPFO sums respect the occupancy seminorm bound":
+      "0/200 ok"}),
+    # each trial breaks both bounds and still counts once
+    ("seminorm", "fermion_commutator", _wide_commutator,
+     {"NPFO commutators respect the term-count and locality bounds":
+      "0/200 ok"}),
+    ("trotter", "exact_evolution_error", lambda *args: math.nan,
+     {"exact Trotter error never exceeds the analytic bound":
+      "0/58 grid points ok"}),
+    ("encodings", "encode_ladder", _always_annihilating,
+     {f"jw {LADDERS}": "16x16 mode pairs",
+      f"vc {LADDERS}": "16x16 mode pairs"}),
+    ("encodings", "vc_stabilizers", _with_x_on_qubit_0,
+     {"vc stabilizers commute with every encoded term":
+      "5 stabilizers x 32 terms"}),
+]
+
+
+@pytest.mark.parametrize("suite, name, stub, failed", PLANTED_DEFECTS,
+                         ids=[name for _, name, _, _ in PLANTED_DEFECTS])
+def test_a_planted_defect_fails_its_check_with_the_right_count(
+        monkeypatch, suite, name, stub, failed):
+    """Every case of a counted check that is not within its bound fails
+    once, a NaN included; the uncounted checks fail as a whole."""
+    monkeypatch.setattr(verify, name, stub)
+    got = {check: (passed, detail)
+           for check, passed, detail in verify.run_suite(suite)
+           if check in failed}
+    assert got == {check: (False, detail) for check, detail in failed.items()}
+    assert all(passed is False for passed, _ in got.values())
 
 
 def test_verify_accepts_exactly_the_suites(capsys):
     import re
 
-    from nuceft import verify
     assert main(["verify", "--help"]) == 0
     usage = capsys.readouterr().out.splitlines()[0]
     accepted = re.search(r"\{(.*)\}", usage).group(1).split(",")

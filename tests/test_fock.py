@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,13 @@ def test_canonical_term_guards():
     assert t.is_npfo
     assert t.locality == 3
     assert t.modes() == frozenset({0, 1, 2})
+
+
+def test_term_repr():
+    assert repr(FermionTerm(2.0, ())) == "2.0*1"
+    assert repr(FermionTerm(
+        2.0, ((0, CREATE), (1, ANNIHILATE), (2, NUMBER)))) == \
+        "2.0*a+(0) a(1) N(2)"
 
 
 def test_npfo_requires_balanced_ladders():
@@ -1002,6 +1010,14 @@ def test_memo_bound_counts_what_it_keeps(monkeypatch):
     monkeypatch.setattr(fock, "MAX_BLOCK", 64)
     held, count = held_and_charged()
     assert held <= 16 * fock.MAX_BLOCK ** 2 and count >= 10
+
+
+def test_footprint_counts_a_view_and_its_base_once_each():
+    base = np.zeros(10)
+    view = base[2:5]
+    both = sys.getsizeof(view) + sys.getsizeof(base)
+    assert fock._footprint(view) == both
+    assert fock._footprint(view, view, base) == both
 
 
 def test_block_buffer_temporaries_are_bounded():

@@ -114,6 +114,13 @@ def test_sum_phase_folded_into_coefficient():
     assert np.allclose(dense_matrix(s), -X)
 
 
+def test_sum_repr():
+    assert repr(PauliSum(2, [])) == "PauliSum(2, 0)"
+    assert repr(PauliSum(2, [(1.0, PauliString.from_label("XI")),
+                             (-0.5j, PauliString.from_label("ZY"))])) == \
+        "(1+0j)*XI + (0-0.5j)*ZY"
+
+
 def test_sum_product_matches_dense():
     rng = np.random.default_rng(7)
     for _ in range(20):
