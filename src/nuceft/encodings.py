@@ -19,10 +19,10 @@ The raster order walks each x-y plane in an x-major boustrophedon and stacks
 planes along z, so x-neighbors are always adjacent in the 1D mode order.
 Species order within a site: up-proton, down-proton, up-neutron, down-neutron.
 
-Images are composed through public ``PauliSum`` operations (sums, scalar
-multiples and products) of factors made with ``PauliSum.from_masks``, so a
-``PauliSum`` stores each image as its mask map and no string is built until
-the image is read.  The vc path-edge operators are built once per layout.
+Images are made with ``PauliSum.from_masks``, and a hopping image is
+written from its masks; the ladder composition in
+``tests/pauli_reference.py`` checks each bit for bit.  No string is built
+until an image is read.  The vc path-edge operators are built once per layout.
 """
 
 from __future__ import annotations
@@ -256,21 +256,9 @@ def encode_number(layout: QubitLayout, site, species: int) -> PauliSum:
     return _number(layout.total_qubits, layout.qubit(site, species))
 
 
-def _compact_edge(layout: QubitLayout, site_i, qi: int, qj: int, species: int,
-                  axis: int) -> PauliSum:
-    x_mask = (1 << qi) | (1 << qj)
-    z_mask = 1 << qj  # X on the lower-raster end, Y on the other
-    p_mask = 0
-    # only the coloured faces that exist carry an ancilla
-    for face in _edge_faces(site_i, axis):
-        if face in layout._faces:
-            p_mask |= 1 << layout.face_qubit(species, face)
-    return PauliSum.from_masks(layout.total_qubits,
-                               [(1.0, x_mask, z_mask | p_mask, 0)])
-
-
 def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSum:
-    """Image of adag(i) a(j) + adag(j) a(i) for one species."""
+    """Image of adag(i) a(j) + adag(j) a(i) for one species, written from
+    its masks: (XX + YY)/2 times the Z string between or the face factor."""
     lat = layout.lattice
     axis = lat.bond_axis(site_i, site_j)
     ri, rj = lat.raster_index(site_i), lat.raster_index(site_j)
@@ -278,15 +266,20 @@ def encode_hopping(layout: QubitLayout, site_i, site_j, species: int) -> PauliSu
         site_i, site_j = site_j, site_i
     qi = layout.qubit(site_i, species)
     qj = layout.qubit(site_j, species)
+    ends = (1 << qi) | (1 << qj)
     n = layout.total_qubits
     if layout.encoding == "compact":
-        # -(i/2) E(i,j) (V(j) - V(i)) reduces to (XX + YY)/2 times the face factor
-        edge = _compact_edge(layout, site_i, qi, qj, species, axis)
-        v_i = PauliSum.from_masks(n, [(1.0, 0, 1 << qi, 0)])
-        v_j = PauliSum.from_masks(n, [(1.0, 0, 1 << qj, 0)])
-        return -0.5j * (edge * (v_j - v_i))
-    bare = (_jw_ladder(n, qi, CREATE) * _jw_ladder(n, qj, ANNIHILATE)
-            + _jw_ladder(n, qj, CREATE) * _jw_ladder(n, qi, ANNIHILATE))
+        # -(i/2) E(i,j) (V(j) - V(i)) reduces to (XX + YY)/2 times Z on
+        # the ancillas of the coloured faces that exist
+        faces = 0
+        for face in _edge_faces(site_i, axis):
+            if face in layout._faces:
+                faces |= 1 << layout.face_qubit(species, face)
+        return PauliSum.from_masks(n, [(0.5, ends, faces, 0),
+                                       (0.5, ends, faces | ends, 0)])
+    between = (1 << qj) - (1 << (qi + 1))  # the qubits strictly between
+    bare = PauliSum.from_masks(n, [(0.5, ends, between | ends, 0),
+                                   (0.5, ends, between, 0)])
     if layout.encoding == "vc" and axis != 0:
         # i * maj(i) * majbar(j): every y (z) bond is a mu (nu) path edge
         bare = bare * PauliSum.from_string(

@@ -261,7 +261,8 @@ def _expand(x: _Action, w, acc: dict[tuple[Factor, ...], float],
     of the holes gives a term with a number factor on each of its modes,
     signed (-1)^|subset| times the ratio of x's sign to the canonical
     ladder term's.  Both sign masks XOR the masks below the flipped modes,
-    so that ratio is (-1)^(x.odd + the ladder term's odd).  The subsets are
+    so that ratio is (-1)^(x.odd + the ladder term's inversions, its pairs
+    with the creation mode above the annihilation mode).  The subsets are
     taken number-carrying first, the first hole by ``rank`` (ascending
     modes by default) as the most significant bit: the order in which
     adjacent swaps of the factors first reach them when ``rank`` is the
@@ -269,9 +270,11 @@ def _expand(x: _Action, w, acc: dict[tuple[Factor, ...], float],
     of two canonical terms.  A zero contribution takes no place in
     ``acc``."""
     numbers = x.need & ~x.flip
-    ladder = tuple((m, CREATE) for m in _bits(x.flip & ~x.need)) + \
-        tuple((m, ANNIHILATE) for m in _bits(x.flip & x.need))
-    subsets = [(0, x.odd ^ _action(ladder).odd)]
+    creations, annihilations = x.flip & ~x.need, _bits(x.flip & x.need)
+    ladder = tuple((m, CREATE) for m in _bits(creations)) + \
+        tuple((m, ANNIHILATE) for m in annihilations)
+    subsets = [(0, (x.odd + sum((creations >> (m + 1)).bit_count()
+                                for m in annihilations)) & 1)]
     for h in reversed(sorted(_bits(x.care & ~x.need & ~x.flip), key=rank)):
         subsets = [(s | 1 << h, odd ^ 1) for s, odd in subsets] + subsets
     for s, odd in subsets:

@@ -30,6 +30,7 @@ Check = tuple[str, bool, str]
 
 PAULI_TRIALS = 100      # random string pairs verify_pauli checks densely
 SEMINORM_TRIALS = 200   # random sums, then commutator pairs, it checks
+COMMUTATOR_DRAWS = 10 * SEMINORM_TRIALS  # pairs drawn at most to fill them
 ZERO_TOL = 1e-12        # a Pauli coefficient at most this is zero
 
 
@@ -176,9 +177,11 @@ def _seminorm_cases(rng: np.random.Generator):
 
 def _commutator_cases(rng: np.random.Generator):
     """Whether each random overlapping NPFO pair's live commutator is within
-    both its term-count and its locality bound."""
-    tried = 0
-    while tried < SEMINORM_TRIALS:
+    both its term-count and its locality bound.  A trial that
+    ``COMMUTATOR_DRAWS`` draws leave without a live commutator fails."""
+    tried = draws = 0
+    while tried < SEMINORM_TRIALS and draws < COMMUTATOR_DRAWS:
+        draws += 1
         n_modes = int(rng.integers(4, 11))
         k_a = int(rng.integers(2, min(5, n_modes) + 1))
         k_b = int(rng.integers(2, min(5, n_modes) + 1))
@@ -196,6 +199,7 @@ def _commutator_cases(rng: np.random.Generator):
         tried += 1
         yield (len(live) <= 2 ** (1 + min(k_a, k_b) / 2)
                and max(t.locality for t in live) <= k_a + k_b - 1)
+    yield from [False] * (SEMINORM_TRIALS - tried)
 
 
 def verify_seminorm() -> list[Check]:

@@ -6,9 +6,10 @@ defined, with no code from ``nuceft.pauli`` but the validating
 ``multiply``, one term pair at a time, and sums it so.  Both keep the
 validated strings they build, where a ``PauliSum`` stores only its mask map
 and builds its strings when read.  The encoder functions compose their
-images from ``canonical`` and ``pairwise`` alone, in the order, and with
-the intermediate sums, that ``nuceft.encodings`` follows with ``PauliSum``
-operations; each intermediate sum drops its zeros.  ``exact_terms``
+images from ``canonical`` and ``pairwise`` alone: a hopping image, which
+``nuceft.encodings`` writes from its masks, is composed here from the
+ladder images (jw, vc) or the edge and vertex operators (compact), each
+intermediate sum dropping its zeros.  ``exact_terms``
 compares two sums bit for bit.  The lattice geometry (qubit layout, path
 edges, faces) is read from ``nuceft.encodings``: only the Pauli
 composition is independent.

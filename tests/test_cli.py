@@ -11,7 +11,7 @@ import pytest
 import nuceft
 from nuceft import encodings, pauli, verify
 from nuceft.cli import MAX_SWEEP_POINTS, main
-from nuceft.fock import ANNIHILATE
+from nuceft.fock import ANNIHILATE, FermionSum
 
 BENCH_ARGS = ["--model", "pionless", "--encoding", "vc", "--task", "evolve",
               "--L", "10", "--aL-fm", "2.2", "--eta", "40",
@@ -413,6 +413,24 @@ def test_a_planted_defect_fails_its_check_with_the_right_count(
            if check in failed}
     assert got == {check: (False, detail) for check, detail in failed.items()}
     assert all(passed is False for passed, _ in got.values())
+
+
+def test_a_commutator_that_is_always_zero_fails_at_once(monkeypatch):
+    """A defect that zeroes every commutator leaves no live trial: the
+    draws stop at their cap and every trial fails, where an uncapped loop
+    would draw forever (the stub stops one past the cap)."""
+    calls = []
+
+    def zero(a, b):
+        calls.append(None)
+        assert len(calls) <= verify.COMMUTATOR_DRAWS, "the draws are not capped"
+        return FermionSum(max(a.n_modes, b.n_modes))
+
+    monkeypatch.setattr(verify, "fermion_commutator", zero)
+    assert verify.run_suite("seminorm")[1] == (
+        "NPFO commutators respect the term-count and locality bounds",
+        False, "0/200 ok")
+    assert 0 < len(calls) <= verify.COMMUTATOR_DRAWS
 
 
 def test_verify_accepts_exactly_the_suites(capsys):

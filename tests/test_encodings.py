@@ -200,12 +200,15 @@ def assert_exact(got, want):
     assert exact_terms(got) == exact_terms(want)
 
 
+# (1, 3, 2) has no x bond and (3, 1, 2) no y bond, so no mu path edge
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (2, 2, 1),
-                                   (3, 3, 3), (4, 2, 3)])
+                                   (3, 3, 3), (4, 2, 3), (1, 3, 2),
+                                   (3, 1, 2)])
 def test_encoders_equal_the_pauli_sum_reference(shape):
     """Every encoder output equals the reference composition from
     validated strings and multiply, term for term, in order, with the same
-    coefficient bits."""
+    coefficient bits: the hopping images, written from their masks, equal
+    the ladder products on every bond kind."""
     lat = LatticeSpec(*shape, 2.2)
     for encoding in ("jw", "vc", "compact"):
         layout = QubitLayout(encoding, lat)

@@ -413,6 +413,29 @@ def test_adjoint_and_commutators_equal_the_rewrite(sums):
         reference_terms(rewrite_commutator(c, ab))
 
 
+@st.composite
+def canonical_ladders(draw):
+    """A canonical ladder term's factors: creations, then annihilations,
+    each ascending, on disjoint modes."""
+    modes = draw(st.lists(st.integers(0, 15), unique=True, max_size=10))
+    k = draw(st.integers(0, len(modes)))
+    return (tuple((m, CREATE) for m in sorted(modes[:k]))
+            + tuple((m, ANNIHILATE) for m in sorted(modes[k:])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_ladders())
+def test_ladder_parity_is_its_inversion_count(ladder):
+    """_expand reads the canonical ladder's sign parity from the masks
+    alone; it equals the parity of the factor-by-factor composition.  With
+    the product's own parity cleared, the one term written is signed by
+    the ladder's alone."""
+    x = fock._action(ladder)
+    acc = {}
+    fock._expand(x._replace(odd=0), 1.0, acc)
+    assert acc == {ladder: -1.0 if x.odd else 1.0}
+
+
 def test_adjoint_returns_python_scalars():
     h = FermionSum(3, [FermionTerm(1.5, ((0, CREATE), (1, ANNIHILATE))),
                        FermionTerm(0.5 - 2j, ((2, NUMBER),))])
