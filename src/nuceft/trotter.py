@@ -12,6 +12,7 @@ applies the time step (in MeV^-1) to give a dimensionless error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -171,10 +172,13 @@ def _shell_sums(shells: tuple[tuple[int, int], ...],
     radial kernel f(r)(g(r)+1) there; the coupling constants appear
     explicitly in each class coefficient.  Each sum is taken in one fixed
     order and rounded after every addition (see _plain_sum): s_qu and
-    s_same over the shells in table order, s_cross as _cross_sum says.  So
-    the three values are the same bits on every Python and on either side
-    of _cross_sum's size switch.  A sweep prices many points at one cutoff,
-    so the O(S^2) s_cross is computed once per shell table.
+    s_same over the shells in table order, s_cross as _cross_sum says.
+    _cross_sum forms only the pair products of at least half an ulp of its
+    total after the first row: a smaller product cannot change a running
+    total under round-to-nearest.  So the three values are the bits of the
+    full sums, on every Python and on either side of _cross_sum's numpy
+    switch.  A sweep prices many points at one cutoff, so s_cross is
+    computed once per shell table.
     """
     m = CONSTANTS.m_pi
 
@@ -192,57 +196,89 @@ def _shell_sums(shells: tuple[tuple[int, int], ...],
     return s_qu, s_cross, s_same
 
 
-# above this many shell pairs _cross_sum runs on numpy.  Every table up to
-# ell = 17 lattice units stays below it, so an estimate there never imports
-# numpy (the benchmark's ope estimates and eta sweep reach ell = 13, 10,011
-# pairs).  At the switch the pure-Python sum takes about 5 ms, a twentieth
-# of the numpy import that an estimate just above it pays.
+# above this many shell pairs left after the first row and _cross_sum's
+# half-ulp cut, it adds them in numpy, with the same bits.  At 2.2 fm the
+# cut leaves at most 25,186 at any cutoff (of the 890,445 pairs of ell = 40
+# lattice units and the 3.5e9 of ell = 317 alike), so an estimate or sweep
+# there never imports numpy; at 1.0 fm, ell = 40 leaves 367,022.  At the
+# switch the pure-Python sum takes about 5 ms, a twentieth of the numpy
+# import that a sum just above it pays.
 _NUMPY_PAIRS = 1 << 15
-# pair products per numpy block: at most 8,192 float64 entries (64 KB),
-# unless one row is longer
-_CHUNK = 1 << 13
 
 
 def _cross_sum(qs: Sequence[int], us: Sequence[float]) -> float:
-    """s_cross = sum over a < b of ((q_a u_a) q_b) u_b.
+    """s_cross = sum over a < b of ((q_a u_a) q_b) u_b, for counts q >= 0
+    and kernels u >= 0.
 
     The pairs are taken in row-major order (a, then b) and added strictly
-    left to right, rounding after every addition.  Above _NUMPY_PAIRS,
-    numpy forms the same products with the same multiplications.  A block
-    is rows a .. a+k-1, each from column a + 1 on, with k the most rows
-    that fit in _CHUNK products (one row if it is longer), so it holds at
-    most max(_CHUNK, n) products.  Its pairs (a+i, b <= a+i) are set to
-    0.0, by assignment since a product may overflow to inf, and
-    np.add.accumulate (sequential, unlike np.sum) adds the block after the
-    total so far.  Every product is >= 0, and adding 0.0 leaves a total
-    unchanged, so both paths give the same bits.
+    left to right, rounding after every addition, so every running total
+    is at least T, the total after row 0.  Any product below half an ulp of
+    T therefore leaves the total unchanged, and is not formed (see
+    _kept_rows).  The result has the same bits as the sum of every pair.
+    When more than _NUMPY_PAIRS pairs are kept, numpy forms them with the
+    same multiplications, and np.add.accumulate (sequential, unlike np.sum)
+    adds each row after the total so far.  Fewer than two shells give the
+    int 0, the empty sum.
     """
     n = len(qs)
-    if n * (n - 1) // 2 <= _NUMPY_PAIRS:
+    if n < 2:
+        return 0
+    cs = list(map(mul, qs, us))
+    total = _plain_sum(map(mul, map(mul, repeat(cs[0]), qs[1:]), us[1:]))
+    rows = _kept_rows(cs, total)
+    if sum(end - a - 1 for a, end in rows) <= _NUMPY_PAIRS:
         return _plain_sum(chain.from_iterable(
-            map(mul, map(mul, repeat(qa * ua), qs[i + 1:]), us[i + 1:])
-            for i, (qa, ua) in enumerate(zip(qs, us))))
+            map(mul, map(mul, repeat(cs[a]), qs[a + 1:end]), us[a + 1:end])
+            for a, end in rows), total)
     import numpy as np
     q, u = np.array(qs, dtype=np.float64), np.array(us, dtype=np.float64)
-    c = q * u
-    below = np.tri(math.isqrt(_CHUNK), k=-1, dtype=bool)
-    total, a = 0.0, 0
-    while a < n - 1:
-        k = max(1, min(_CHUNK // (n - 1 - a), n - 1 - a))
-        block = c[a:a + k, None] * q[a + 1:]
-        block *= u[a + 1:]
-        block[:, :k][below[:k, :k]] = 0.0
-        block = block.ravel()
-        block[0] += total
-        total = np.add.accumulate(block, out=block)[-1]
-        a += k
-    return float(total)
+    for a, end in rows:
+        row = cs[a] * q[a + 1:end]
+        row *= u[a + 1:end]
+        row[0] += total
+        total = float(np.add.accumulate(row, out=row)[-1])
+    return total
 
 
-def _plain_sum(xs) -> float:
-    """xs added left to right, rounding after every addition, as builtin
-    sum did before Python 3.12 began to compensate float sums."""
-    return deque(accumulate(xs, initial=0), maxlen=1)[0]
+def _kept_rows(cs: list[float], total: float) -> list[tuple[int, int]]:
+    """The rows a >= 1 of _cross_sum that can change its total, each as
+    (a, end): the pairs (a, b) with a < b < end.
+
+    h = ulp(total) / 2, and a product p < h leaves any running total T >=
+    total unchanged under round-to-nearest (T + p lies below the midpoint
+    between T and the next float).  With w = max(c, 2^-1022), c = q u, and
+    top[b] the largest w at b or after it, the product of pair (a, b) is at
+    most w_a top[b] (1 + 5 2^-53), so a pair whose bound w_a top[b]
+    (1 + 1e-15) is below h is not formed.  top falls with b, so the kept
+    pairs of a row are a prefix, and the rows stop at the first a with
+    top[a] top[a+1] below the cut.  The floor on w bounds the underflow of
+    a subnormal c or q u.  A total that is not finite, or not above 2^-900
+    (so that h lies far above the subnormals), keeps every pair.  A finite
+    total means that c_0 and every later u are finite, so no c is nan and
+    max is well defined.
+    """
+    n = len(cs)
+    if not 2.0 ** -900 < total < math.inf:
+        return [(a, n) for a in range(1, n - 1)]
+    half_ulp, margin = math.ulp(total) / 2, 1 + 1e-15
+    tiny = 2.0 ** -1022
+    top = list(accumulate(reversed([max(c, tiny) for c in cs]), max))[::-1]
+    rows = []
+    for a in range(1, n - 1):
+        if top[a] * top[a + 1] * margin < half_ulp:
+            break
+        w = max(cs[a], tiny)
+        end = bisect_left(top, True, a + 1, n,
+                          key=lambda t: w * t * margin < half_ulp)
+        if end > a + 1:
+            rows.append((a, end))
+    return rows
+
+
+def _plain_sum(xs, start=0) -> float:
+    """xs added to start left to right, rounding after every addition, as
+    builtin sum did before Python 3.12 began to compensate float sums."""
+    return deque(accumulate(xs, initial=start), maxlen=1)[0]
 
 
 def dynpi_p1_bound(eta: int, params: OpeParams,

@@ -642,15 +642,19 @@ def test_estimate_does_not_import_the_oracle():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("ell, loads_numpy", [(17, False), (18, True)])
-def test_ope_estimate_loads_numpy_above_the_pair_switch(ell, loads_numpy):
-    # a range cutoff above 17 lattice units sums its shell pairs in numpy
+@pytest.mark.parametrize("a_L, ell, loads_numpy",
+                         [(2.2, 18, False), (2.2, 40, False), (1.0, 40, True)])
+def test_ope_estimate_loads_numpy_above_the_pair_switch(a_L, ell,
+                                                        loads_numpy):
+    # the shell pairs left after the cut are added in numpy above 32,768:
+    # at 2.2 fm no cutoff keeps that many, at 1.0 fm ell = 40 keeps 367,022
     code = f"""if True:
         import contextlib, io, sys
         import nuceft.cli
         with contextlib.redirect_stdout(io.StringIO()):
             assert nuceft.cli.main(["estimate", "--model", "ope",
-                                    "--eta", "40", "--ell", "{ell}"]) == 0
+                                    "--eta", "40", "--aL-fm", "{a_L}",
+                                    "--ell", "{ell}"]) == 0
         print("numpy" in sys.modules)
     """
     proc = _run_child(["-c", code])

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuceft import trotter
 from nuceft.errors import DomainError
@@ -186,16 +188,34 @@ def test_realized_shells_are_the_nonzero_shells_within_the_cutoff():
             if shell_count(r_sq))
 
 
-def test_shell_sums_match_the_pair_loop_exactly():
-    # ell 0 and 1 are the empty and the one-shell table, 17 is the last
-    # table below the numpy switch, and 20 spans several blocks above it
-    for a_L, ell in itertools.product((1.0, 1.4, 2.2), (0, 1, 13, 17, 18, 20)):
+def _cross_sum_branch(monkeypatch, qs, us):
+    """_cross_sum of a table, and whether it added its pairs in numpy."""
+    arrays = []
+    array = np.array
+
+    def counting_array(*args, **kwargs):
+        arrays.append(1)
+        return array(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "array", counting_array)
+        value = trotter._cross_sum(qs, us)
+    return value, bool(arrays)
+
+
+def test_shell_sums_match_the_pair_loop_exactly(monkeypatch):
+    # ell 0 and 1 are the empty and the one-shell table.  At 2.2 fm the
+    # cut leaves every table below the numpy switch; at 1.0 and 1.4 fm the
+    # tables from ell = 18 on keep more pairs than it (at 1.0 fm, ell = 40
+    # keeps 367,022 of its 890,445 after the first row) and add them in numpy
+    in_numpy = set(itertools.product((1.0, 1.4), (18, 20, 40)))
+    for a_L, ell in itertools.product((1.0, 1.4, 2.2),
+                                      (0, 1, 13, 17, 18, 20, 40)):
         shells = realized_shells(ell)
-        pairs = len(shells) * (len(shells) - 1) // 2
-        assert (pairs <= trotter._NUMPY_PAIRS) == (ell <= 17)
-        assert ell != 20 or pairs > 4 * trotter._CHUNK
         sums = trotter._shell_sums(tuple(shells), a_L)
         qs, us = _bare_kernels(shells, a_L)
+        assert _cross_sum_branch(monkeypatch, qs, us) == (
+            sums[1], (a_L, ell) in in_numpy)
         plain_qu = plain_same = 0
         for q, u in zip(qs, us):
             plain_qu += q * u
@@ -204,25 +224,10 @@ def test_shell_sums_match_the_pair_loop_exactly():
     assert repr(trotter._shell_sums((), 2.2)) == "(0, 0, 0)"
 
 
-def test_cross_sum_splits_a_row_longer_than_a_block(monkeypatch):
-    rng = random.Random(19)
-    qs = [rng.randint(1, 48) for _ in range(300)]
-    us = [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-12, 3) for _ in qs]
-    expected = _pair_loop(qs, us)
-    # the first row is 299 pairs long, a block of its own past the
-    # 64-pair chunk
-    monkeypatch.setattr(trotter, "_CHUNK", 64)
-    assert len(qs) * (len(qs) - 1) // 2 > trotter._NUMPY_PAIRS
-    assert trotter._cross_sum(qs, us) == expected
-    # and the pure-Python path, with every table below the switch
-    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 6)
-    assert trotter._cross_sum(qs, us) == expected
-
-
-@pytest.mark.parametrize("chunk", [4, 64])
+@pytest.mark.parametrize("seed", [4, 64])
 def test_cross_sum_numpy_branch_equals_the_pure_python_branch(monkeypatch,
-                                                              chunk):
-    rng = random.Random(chunk)
+                                                              seed):
+    rng = random.Random(seed)
     tables = []
     for n in range(2, 131):
         qs = [rng.randint(1, 48) for _ in range(n)]
@@ -234,13 +239,70 @@ def test_cross_sum_numpy_branch_equals_the_pure_python_branch(monkeypatch,
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
     plain = [trotter._cross_sum(qs, us) for qs, us in tables]
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 0)
-    monkeypatch.setattr(trotter, "_CHUNK", chunk)
     assert [trotter._cross_sum(qs, us) for qs, us in tables] == plain
 
 
+@st.composite
+def _kernel_tables(draw):
+    """(qs, us): counts 0..48 and kernels that are 0 or lie in a drawn
+    span of up to 60 decades within 1e-300..1e300, unsorted or sorted
+    falling by kernel (as real tables are) or by q u, with at most one
+    entry whose products overflow or one inf kernel beside a zero count
+    (an inf * 0 pair)."""
+    n = draw(st.integers(0, 300))
+    low = draw(st.integers(-300, 300))
+    high = min(300, low + draw(st.integers(0, 60)))
+    qs = draw(st.lists(st.integers(0, 48), min_size=n, max_size=n))
+    us = draw(st.lists(
+        st.one_of(st.just(0.0),
+                  st.builds(lambda m, e: m * 10.0 ** e,
+                            st.floats(1.0, 9.99), st.integers(low, high))),
+        min_size=n, max_size=n))
+    order = draw(st.sampled_from(["kernel", "product", "none"]))
+    if order != "none":
+        pairs = sorted(zip(qs, us), reverse=True,
+                       key=lambda p: p[1] if order == "kernel" else p[0] * p[1])
+        qs, us = [q for q, _ in pairs], [u for _, u in pairs]
+    special = draw(st.sampled_from(["none", "overflow", "inf"]))
+    if n and special != "none":
+        i = draw(st.integers(0, n - 1))
+        if special == "overflow":
+            qs[i], us[i] = max(qs[i], 2), 1e308
+        else:
+            us[i], qs[draw(st.integers(0, n - 1))] = math.inf, 0
+    return qs, us
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_tables())
+def test_cross_sum_cuts_only_pairs_that_cannot_change_the_total(table):
+    qs, us = table
+    want = repr(_pair_loop(qs, us))
+    for switch in (0, 10 ** 12):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(trotter, "_NUMPY_PAIRS", switch)
+            assert repr(trotter._cross_sum(qs, us)) == want
+
+
+def test_cross_sum_forms_a_few_percent_of_the_pairs_at_2_2_fm(monkeypatch):
+    # 890,445 pairs at ell = 40; summing them all takes two mul calls each
+    calls = []
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return x * y
+
+    shells = realized_shells(40)
+    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
+    monkeypatch.setattr(trotter, "mul", counting_mul)
+    trotter._shell_sums.cache_clear()
+    ope_p1_bound(40, OpeParams.from_lecs(2.2), shells)
+    assert 0 < len(calls) <= 60_000
+
+
 def test_cross_sum_keeps_an_overflow_on_both_branches(monkeypatch):
-    # every product overflows to inf; a pair outside the sum zeroed by a
-    # multiplication would be nan
+    # every product overflows to inf, so the first row's total is inf and
+    # every pair is kept, above the numpy switch
     qs, us = [1] * 300, [1e160] * 300
     assert len(qs) * (len(qs) - 1) // 2 > trotter._NUMPY_PAIRS
     with np.errstate(over="ignore"):

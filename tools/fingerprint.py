@@ -23,7 +23,11 @@ checkouts compare by running each one's copy.  The groups:
   ``DomainError``) on ``ESTIMATE_GRID``: each ``costs.STEP_LAYERS`` pair at
   each order it prices, both tasks and both conventions, eta in
   ``ESTIMATE_ETAS``, at each model's spacings and pins.  It only builds
-  ``TaskSpec``s and calls ``estimate``, so it runs on older checkouts too.
+  ``TaskSpec``s and calls ``estimate``, so it runs on older checkouts too;
+- ``shell_sums``: the ``repr`` of ``trotter._shell_sums`` of
+  ``truncation.realized_shells(ell)`` at each a_L in ``SHELL_SPACINGS`` and
+  ell in ``SHELL_CUTOFFS``, from the empty table to 14.2 million shell
+  pairs, on either side of the numpy switch of ``trotter._cross_sum``.
 
 Standard library and numpy only; outside the test suite.  The 12-qubit
 matrix alone takes 256 MiB.  One BLAS thread is pinned before numpy loads,
@@ -48,7 +52,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import library  # noqa: E402
 from nuceft import (VERIFY_SUITES, cli, costs, encodings,  # noqa: E402
-                    estimator, fock, models, pauli)
+                    estimator, fock, models, pauli, trotter, truncation)
 from nuceft.errors import DomainError  # noqa: E402
 
 # model -> (the orders it prices, its spacings in fm, its pins)
@@ -58,6 +62,8 @@ ESTIMATE_GRID = {
     "dynpi": ((1,), (1.0, 1.4, 2.2), [{"n_b": k} for k in range(1, 31)]),
 }
 ESTIMATE_ETAS = (1, 2, 3, 4, 7, 40, 400)
+SHELL_SPACINGS = (0.5, 1.0, 1.4, 2.2, 3.0)
+SHELL_CUTOFFS = (0, 1, 2, 5, 13, 17, 18, 25, 40, 60, 80)
 
 
 def md5(data: bytes) -> str:
@@ -125,6 +131,12 @@ def estimates() -> str:
     return md5(json.dumps(reports, sort_keys=True).encode())
 
 
+def shell_sums() -> str:
+    sums = [repr(trotter._shell_sums(truncation.realized_shells(ell), a_L))
+            for a_L, ell in itertools.product(SHELL_SPACINGS, SHELL_CUTOFFS)]
+    return md5("\n".join(sums).encode())
+
+
 def main() -> None:
     groups = [("library.oracle", lambda: library_outputs("oracle")),
               ("library.algebra", lambda: library_outputs("algebra")),
@@ -133,7 +145,8 @@ def main() -> None:
               ("jw.2x1x1", lambda: jw_image((2, 1, 1))),
               ("jw.3x1x1", lambda: jw_image((3, 1, 1))),
               ("sector", sector_matrices),
-              ("estimate", estimates)]
+              ("estimate", estimates),
+              ("shell_sums", shell_sums)]
     for name, digest in groups:
         start = time.perf_counter()
         value = digest()
