@@ -202,7 +202,7 @@ def pionless_step_cost(encoding: str, order: int, controlled: bool,
     return _step_cost("pionless", encoding, order, controlled, L, 0)
 
 
-def interaction_ball_sites(ell_units: float) -> int:
+def interaction_ball_sites(ell_units: int) -> int:
     """Number of lattice sites within the interaction range, padded by one
     spacing: ceil(4 pi (ell/a + 1)^3 / 3)."""
     if ell_units < 1:
@@ -211,7 +211,7 @@ def interaction_ball_sites(ell_units: float) -> int:
     return math.ceil(4 * math.pi * (ell_units + 1) ** 3 / 3)
 
 
-def ope_step_cost(ell_units: float, L: int, controlled: bool) -> StepCost:
+def ope_step_cost(ell_units: int, L: int, controlled: bool) -> StepCost:
     """Step cost for the one-pion-exchange model with range cutoff
     ell = ell_units * a_L (p=1 only)."""
     return _step_cost("ope", "vc", 1, controlled, L,

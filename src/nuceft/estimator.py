@@ -20,7 +20,7 @@ from .params import CONSTANTS, OpeParams, convert_length, pionless_params_for
 from .trotter import (CHANNELS, compose_total_error, dynpi_p1_bound,
                       ope_p1_bound, pionless_p1_coefficient,
                       pionless_p2_coefficient, steps_for_budget)
-from .truncation import boson_cutoffs, choose_ope_cutoff, realized_shells
+from .truncation import boson_cutoffs, choose_ope_cutoff
 
 SCHEMA_VERSION = 1
 
@@ -204,7 +204,7 @@ def _ope(spec: TaskSpec, frame: _Frame) -> tuple[float, dict, StepCost]:
                                 frame.t * frame.applications, spec.eta,
                                 spec.a_L)
     params = OpeParams.from_lecs(spec.a_L)
-    zeta = ope_p1_bound(spec.eta, params, realized_shells(ell)).total
+    zeta = ope_p1_bound(spec.eta, params, ell).total
     return (zeta, {"ell_units": ell, "zeta": zeta},
             ope_step_cost(ell, spec.L, frame.controlled))
 

@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError
 from .params import (CONSTANTS, DigitizationSpec, OpeParams, PionlessParams,
                      convert_length, hopping_coefficient)
+from .truncation import check_cutoff, realized_shells
 
 
 class _BoundReportFields(NamedTuple):
@@ -126,23 +127,23 @@ def _nucleon_classes(eta: int, h: float, C: float,
     )
 
 
-def ope_p1_bound(eta: int, params: OpeParams,
-                 shells: Sequence[tuple[int, int]]) -> BoundReport:
+def ope_p1_bound(eta: int, params: OpeParams, ell_units: int) -> BoundReport:
     """First-order commutator-class sum (zeta) for the pion-exchange model.
 
-    ``shells`` lists the realized interaction distances as (r^2, q(r))
-    pairs in lattice units with r <= the range cutoff (as
-    truncation.realized_shells gives them); pass an empty sequence when the
-    cutoff excludes all pairs.  The spacing that turns r into fm is
-    params.a_L, the one the couplings were fitted at.
+    The long-range classes sum over the shells of truncation.realized_shells
+    out to the range cutoff ell_units (lattice units; 0 excludes all pairs).
+    The spacing that turns r into fm is params.a_L, the one the couplings
+    were fitted at.
     """
     _check_eta(eta)
+    # checked before the lookup: True or 2.0 would find the sums of 1 or 2
+    check_cutoff(ell_units)
     h = hopping_coefficient(params.a_L)
     C, CI2 = abs(params.C), abs(params.C_I2)
     a = convert_length(params.a_L)
     g2 = (CONSTANTS.g_A / (2 * CONSTANTS.f_pi)) ** 2
     g4 = g2 * g2
-    s_qu, s_cross, s_same = _shell_sums(tuple(shells), params.a_L)
+    s_qu, s_cross, s_same = _shell_sums(ell_units, params.a_L)
 
     classes = (
         *_nucleon_classes(eta, h, C, CI2),
@@ -160,13 +161,12 @@ def ope_p1_bound(eta: int, params: OpeParams,
     return BoundReport(classes)
 
 
-# a sweep meets its cutoffs in runs, and one key at ell=317 holds 83,743
-# shells, so a few entries suffice
+# a sweep meets its cutoffs in runs, so a few entries suffice
 @lru_cache(maxsize=8)
-def _shell_sums(shells: tuple[tuple[int, int], ...],
-                a_L_fm: float) -> tuple[float, float, float]:
-    """The eta-independent shell sums of ope_p1_bound: s_qu = sum q u,
-    s_cross = sum over shell pairs a < b of q_a u_a q_b u_b, and s_same.
+def _shell_sums(ell_units: int, a_L_fm: float) -> tuple[float, float, float]:
+    """The eta-independent shell sums of ope_p1_bound over the shells of
+    realized_shells(ell_units): s_qu = sum q u, s_cross = sum over shell
+    pairs a < b of q_a u_a q_b u_b, and s_same.
 
     Each (r^2, q) shell lies at r = a_L_fm sqrt(r^2) fm, and u is the bare
     radial kernel f(r)(g(r)+1) there; the coupling constants appear
@@ -177,10 +177,10 @@ def _shell_sums(shells: tuple[tuple[int, int], ...],
     total after the first row: a smaller product cannot change a running
     total under round-to-nearest.  So the three values are the bits of the
     full sums, on every Python and on either side of _cross_sum's numpy
-    switch.  A sweep prices many points at one cutoff, so s_cross is
-    computed once per shell table.
+    switch.
     """
     m = CONSTANTS.m_pi
+    shells = realized_shells(ell_units)
 
     def bare_kernel(r: float) -> float:
         return (m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r)

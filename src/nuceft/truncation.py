@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 
 from .errors import DomainError, UnreachableBudgetError
 from .params import (CONSTANTS, DigitizationSpec, OpeParams, ab_coefficients,
@@ -60,30 +59,37 @@ def shell_counts(max_r_sq: int) -> list[int]:
     return counts
 
 
-# a sweep meets its cutoffs in runs, so a few entries suffice
-@lru_cache(maxsize=8)
+def check_cutoff(ell_units: int) -> None:
+    """Refuse a range cutoff that is a bool, not an integer, or negative."""
+    if isinstance(ell_units, bool) or not hasattr(type(ell_units), "__index__"):
+        raise DomainError(f"range cutoff must be an integer, got {ell_units!r}")
+    if ell_units < 0:
+        raise DomainError(f"range cutoff must be >= 0, got {ell_units}")
+
+
 def realized_shells(ell_units: int) -> tuple[tuple[int, int], ...]:
     """(r^2, q) in lattice units for every nonzero shell with r <= ell_units;
     the spacing that turns r into a distance is the pricer's."""
+    check_cutoff(ell_units)
     return tuple((r_sq, q)
                  for r_sq, q in enumerate(shell_counts(ell_units * ell_units))
                  if r_sq and q)
 
 
-def ope_cutoff_error(ell_fm: float, eta: int, a_L_fm: float) -> float:
-    """Error *rate* (MeV) of dropping interactions beyond range ell.
+def ope_cutoff_error(ell_units: int, eta: int, a_L_fm: float) -> float:
+    """Error *rate* (MeV) of dropping interactions beyond ell_units * a_L_fm.
 
     Multiply by evolution time for the norm error.  Minimum of the pairwise
     (eta^2) bound and the site-counting (eta) bound.
     """
     if eta < 0:
         raise DomainError(f"eta must be >= 0, got {eta}")
-    if ell_fm < a_L_fm:
-        raise DomainError(f"cutoff ell={ell_fm} fm below spacing {a_L_fm} fm")
+    if ell_units < 1:
+        raise DomainError(f"cutoff ell={ell_units} below 1 lattice unit")
     if eta == 0:
         return 0.0
     a = convert_length(a_L_fm)
-    ell = convert_length(ell_fm)
+    ell = convert_length(ell_units * a_L_fm)
     edge = ell + a
     m = CONSTANTS.m_pi
     pairwise = eta * eta * (72 * yukawa_g1(edge) + 648 * yukawa_g2(edge))
@@ -98,11 +104,11 @@ MAX_MULTIPLE = 10 ** 4
 
 def choose_ope_cutoff(eps_trunc: float, t: float, eta: int,
                       a_L_fm: float) -> int:
-    """Smallest integer k with t * rate(k * a_L) <= eps_trunc."""
+    """Smallest integer k with t * ope_cutoff_error(k, ...) <= eps_trunc."""
     if eps_trunc <= 0:
         raise DomainError(f"truncation budget must be positive, got {eps_trunc}")
     for k in range(1, MAX_MULTIPLE + 1):
-        if t * ope_cutoff_error(k * a_L_fm, eta, a_L_fm) <= eps_trunc:
+        if t * ope_cutoff_error(k, eta, a_L_fm) <= eps_trunc:
             return k
     raise UnreachableBudgetError(
         f"no cutoff within {MAX_MULTIPLE} lattice units meets the "

@@ -132,9 +132,9 @@ def test_c08_truncation_bounds():
     for i in range(50):
         eps = 10.0 ** (2 - 0.12 * i)
         k = choose_ope_cutoff(eps, T_CROSS, 40, 2.2)
-        tight &= T_CROSS * ope_cutoff_error(k * 2.2, 40, 2.2) <= eps
+        tight &= T_CROSS * ope_cutoff_error(k, 40, 2.2) <= eps
         if k > 1:
-            tight &= T_CROSS * ope_cutoff_error((k - 1) * 2.2, 40, 2.2) > eps
+            tight &= T_CROSS * ope_cutoff_error(k - 1, 40, 2.2) > eps
     ok &= tight
 
     lecs = OpeParams.from_lecs(2.2)

@@ -137,8 +137,7 @@ def test_pionless_p1_classes():
 
 def test_ope_p1_classes():
     params = OpeParams.from_lecs(2.2)
-    shells = realized_shells(10)
-    report = ope_p1_bound(40, params, shells)
+    report = ope_p1_bound(40, params, 10)
     # frozen total for the reference benchmark configuration
     assert report.total == pytest.approx(107429802320.93866, rel=1e-10)
     h = hopping_coefficient(2.2)
@@ -148,13 +147,13 @@ def test_ope_p1_classes():
     assert all(v >= 0 for _, v in report.classes)
     assert report["lr_lr_cross"] > report["kinetic_kinetic"]
     # quadratic eta scaling is absent: all classes are linear in eta
-    double = ope_p1_bound(80, params, shells)
+    double = ope_p1_bound(80, params, 10)
     assert double.total == pytest.approx(2 * report.total, rel=1e-12)
 
 
 def test_ope_p1_empty_shells():
     params = OpeParams.from_lecs(2.2)
-    report = ope_p1_bound(4, params, [])
+    report = ope_p1_bound(4, params, 0)
     assert report["kinetic_lr"] == 0.0
     assert report["lr_lr_same"] == 0.0
     assert report.total > 0  # contact pieces remain
@@ -211,9 +210,8 @@ def test_shell_sums_match_the_pair_loop_exactly(monkeypatch):
     in_numpy = set(itertools.product((1.0, 1.4), (18, 20, 40)))
     for a_L, ell in itertools.product((1.0, 1.4, 2.2),
                                       (0, 1, 13, 17, 18, 20, 40)):
-        shells = realized_shells(ell)
-        sums = trotter._shell_sums(tuple(shells), a_L)
-        qs, us = _bare_kernels(shells, a_L)
+        sums = trotter._shell_sums(ell, a_L)
+        qs, us = _bare_kernels(realized_shells(ell), a_L)
         assert _cross_sum_branch(monkeypatch, qs, us) == (
             sums[1], (a_L, ell) in in_numpy)
         plain_qu = plain_same = 0
@@ -221,7 +219,7 @@ def test_shell_sums_match_the_pair_loop_exactly(monkeypatch):
             plain_qu += q * u
             plain_same += (3670016 * q * (q - 1) + 524288 * q) * u * u
         assert sums == (plain_qu, _pair_loop(qs, us), plain_same)
-    assert repr(trotter._shell_sums((), 2.2)) == "(0, 0, 0)"
+    assert repr(trotter._shell_sums(0, 2.2)) == "(0, 0, 0)"
 
 
 @pytest.mark.parametrize("seed", [4, 64])
@@ -292,11 +290,10 @@ def test_cross_sum_forms_a_few_percent_of_the_pairs_at_2_2_fm(monkeypatch):
         calls.append(1)
         return x * y
 
-    shells = realized_shells(40)
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
     monkeypatch.setattr(trotter, "mul", counting_mul)
     trotter._shell_sums.cache_clear()
-    ope_p1_bound(40, OpeParams.from_lecs(2.2), shells)
+    ope_p1_bound(40, OpeParams.from_lecs(2.2), 40)
     assert 0 < len(calls) <= 60_000
 
 
@@ -321,14 +318,32 @@ def test_plain_sum_rounds_after_every_addition():
 
 
 def test_ope_p1_shell_sums_are_memoized_by_value():
-    params = OpeParams.from_lecs(2.2)
-    shells = realized_shells(10)
+    # one cache, keyed on (cutoff, spacing): the default ope eta sweep misses
+    # once per cutoff it meets, 6 to 13 lattice units
     trotter._shell_sums.cache_clear()
-    cold = ope_p1_bound(40, params, shells)
-    warm = ope_p1_bound(40, params, shells)
-    assert repr(warm.classes) == repr(cold.classes)
-    assert ope_p1_bound(40, params, tuple(shells)).classes == cold.classes
-    assert trotter._shell_sums.cache_info().misses == 1
+    rows = sweep(TaskSpec(model="ope"), "eta", range(2, 401, 2))
+    assert {row["ell_or_nb"] for row in rows} == set(range(6, 14))
+    assert trotter._shell_sums.cache_info()[:2] == (192, 8)  # hits, misses
+    assert not hasattr(realized_shells, "cache_clear")
+
+
+@pytest.mark.parametrize("ell, message", [
+    (-1, "range cutoff must be >= 0, got -1"),
+    (-2, "range cutoff must be >= 0, got -2"),
+    (2.5, "range cutoff must be an integer, got 2.5"),
+    (2.0, "range cutoff must be an integer, got 2.0"),
+    (True, "range cutoff must be an integer, got True"),
+])
+def test_a_negative_or_non_integer_cutoff_is_refused(ell, message):
+    params = OpeParams.from_lecs(2.2)
+    # True and 2.0 hash like the cached cutoffs 1 and 2, and must not hit them
+    ope_p1_bound(4, params, 1)
+    ope_p1_bound(4, params, 2)
+    for call in (lambda: realized_shells(ell),
+                 lambda: ope_p1_bound(4, params, ell)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):

@@ -67,15 +67,6 @@ def test_realized_shells():
     assert realized_shells(0) == ()
 
 
-def test_realized_shells_are_memoized_per_cutoff():
-    realized_shells.cache_clear()
-    cold = realized_shells(10)
-    assert realized_shells(10) is cold
-    assert realized_shells.cache_info()[:2] == (1, 1)  # hits, misses
-    realized_shells.cache_clear()
-    assert realized_shells(10) == cold
-
-
 def test_realized_shells_reach_the_outermost_shell(monkeypatch):
     # the table must reach ell^2 exactly, which (ell a_L / a_L)^2 would
     # floor to ell^2 - 1 at 3725 units (2.2 fm) and 2413 (1.7 fm); the real
@@ -83,29 +74,25 @@ def test_realized_shells_reach_the_outermost_shell(monkeypatch):
     asked = []
     monkeypatch.setattr(truncation, "shell_counts",
                         lambda max_r_sq: asked.append(max_r_sq) or [1])
-    realized_shells.cache_clear()
-    try:
-        assert realized_shells(3725) == ()
-        assert realized_shells(2413) == ()
-    finally:
-        realized_shells.cache_clear()
+    assert realized_shells(3725) == ()
+    assert realized_shells(2413) == ()
     assert asked == [13_875_625, 2413 ** 2]
 
 
 def test_cutoff_error_rate_decreases_with_range():
-    rates = [ope_cutoff_error(k * 2.2, 40, 2.2) for k in range(1, 30)]
+    rates = [ope_cutoff_error(k, 40, 2.2) for k in range(1, 30)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
-    assert ope_cutoff_error(22.0, 40, 2.2) == pytest.approx(
+    assert ope_cutoff_error(10, 40, 2.2) == pytest.approx(
         0.01577059043252916)
-    assert ope_cutoff_error(4.4, 40, 2.2) == pytest.approx(14464.373516179827)
+    assert ope_cutoff_error(2, 40, 2.2) == pytest.approx(14464.373516179827)
 
 
 def test_cutoff_error_edge_cases():
-    assert ope_cutoff_error(4.4, 0, 2.2) == 0.0
+    assert ope_cutoff_error(2, 0, 2.2) == 0.0
     with pytest.raises(DomainError):
-        ope_cutoff_error(1.0, 40, 2.2)
+        ope_cutoff_error(0, 40, 2.2)
     with pytest.raises(DomainError):
-        ope_cutoff_error(4.4, -1, 2.2)
+        ope_cutoff_error(2, -1, 2.2)
 
 
 def test_cutoff_error_takes_the_smaller_bound():
@@ -118,10 +105,10 @@ def test_cutoff_error_takes_the_smaller_bound():
     counting = (4 * math.pi / (m * m * a ** 3)) * edge * yukawa_g1(edge) \
         * (720 * (m * a + m * a + 1) + 3888)  # per eta
     assert 400 * counting < 400 ** 2 * pairwise
-    assert ope_cutoff_error(2.2, 400, 2.2) == pytest.approx(400 * counting,
-                                                           rel=1e-12)
+    assert ope_cutoff_error(1, 400, 2.2) == pytest.approx(400 * counting,
+                                                         rel=1e-12)
     assert pairwise < counting
-    assert ope_cutoff_error(2.2, 1, 2.2) == pytest.approx(pairwise, rel=1e-12)
+    assert ope_cutoff_error(1, 1, 2.2) == pytest.approx(pairwise, rel=1e-12)
 
 
 def test_choose_cutoff_budget_and_tightness():
@@ -130,9 +117,9 @@ def test_choose_cutoff_budget_and_tightness():
     for i in range(50):
         eps = 10.0 ** (2 - 0.12 * i)
         k = choose_ope_cutoff(eps, t, 40, 2.2)
-        assert t * ope_cutoff_error(k * 2.2, 40, 2.2) <= eps
+        assert t * ope_cutoff_error(k, 40, 2.2) <= eps
         if k > 1:
-            assert t * ope_cutoff_error((k - 1) * 2.2, 40, 2.2) > eps
+            assert t * ope_cutoff_error(k - 1, 40, 2.2) > eps
 
 
 def test_choose_cutoff_reference_point():

@@ -24,10 +24,10 @@ checkouts compare by running each one's copy.  The groups:
   each order it prices, both tasks and both conventions, eta in
   ``ESTIMATE_ETAS``, at each model's spacings and pins.  It only builds
   ``TaskSpec``s and calls ``estimate``, so it runs on older checkouts too;
-- ``shell_sums``: the ``repr`` of ``trotter._shell_sums`` of
-  ``truncation.realized_shells(ell)`` at each a_L in ``SHELL_SPACINGS`` and
-  ell in ``SHELL_CUTOFFS``, from the empty table to 14.2 million shell
-  pairs, on either side of the numpy switch of ``trotter._cross_sum``.
+- ``shell_sums``: the ``repr`` of ``trotter._shell_sums(ell, a_L)`` at
+  each a_L in ``SHELL_SPACINGS`` and ell in ``SHELL_CUTOFFS``, from the
+  empty table to 14.2 million shell pairs, on either side of the numpy
+  switch of ``trotter._cross_sum``.
 
 Standard library and numpy only; outside the test suite.  The 12-qubit
 matrix alone takes 256 MiB.  One BLAS thread is pinned before numpy loads,
@@ -52,7 +52,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import library  # noqa: E402
 from nuceft import (VERIFY_SUITES, cli, costs, encodings,  # noqa: E402
-                    estimator, fock, models, pauli, trotter, truncation)
+                    estimator, fock, models, pauli, trotter)
 from nuceft.errors import DomainError  # noqa: E402
 
 # model -> (the orders it prices, its spacings in fm, its pins)
@@ -132,7 +132,7 @@ def estimates() -> str:
 
 
 def shell_sums() -> str:
-    sums = [repr(trotter._shell_sums(truncation.realized_shells(ell), a_L))
+    sums = [repr(trotter._shell_sums(ell, a_L))
             for a_L, ell in itertools.product(SHELL_SPACINGS, SHELL_CUTOFFS)]
     return md5("\n".join(sums).encode())
 
