@@ -4,13 +4,14 @@ import math
 
 import pytest
 
-from nuceft import truncation
+from nuceft import trotter, truncation
 from nuceft.errors import DomainError, UnreachableBudgetError
 from nuceft.params import (CONSTANTS, OpeParams, ab_coefficients,
                            convert_length, yukawa_g1, yukawa_g2)
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
                                ope_cutoff_error, pi_max_bound, realized_shells,
                                shell_count, shell_counts)
+from nuceft.trotter import ope_p1_bound
 
 
 def brute_force_histogram(reach):
@@ -65,6 +66,28 @@ def test_realized_shells():
     assert shells[0][0] == 1
     assert shells[-1][0] == 4
     assert realized_shells(0) == ()
+
+
+def test_realized_shells_are_memoized_per_cutoff(monkeypatch):
+    # realized_shells keeps no cache of its own: the shell sums that
+    # ope_p1_bound reads, keyed on (cutoff, spacing), walk a cutoff's table
+    # once whatever the eta, and again only after their cache is cleared
+    walk = truncation.shell_counts
+    walked = []
+    monkeypatch.setattr(truncation, "shell_counts",
+                        lambda max_r_sq: walked.append(max_r_sq)
+                        or walk(max_r_sq))
+    params = OpeParams.from_lecs(2.2)
+    trotter._shell_sums.cache_clear()
+    cold = ope_p1_bound(4, params, 10)
+    assert ope_p1_bound(4, params, 10) == cold
+    ope_p1_bound(40, params, 10)
+    assert walked == [100]
+    assert trotter._shell_sums.cache_info()[:2] == (2, 1)  # hits, misses
+    trotter._shell_sums.cache_clear()
+    assert ope_p1_bound(4, params, 10) == cold
+    assert walked == [100, 100]
+    assert not hasattr(realized_shells, "cache_clear")
 
 
 def test_realized_shells_reach_the_outermost_shell(monkeypatch):
