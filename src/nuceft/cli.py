@@ -175,9 +175,10 @@ def cmd_sweep(args) -> None:
         raise ConfigError(
             f"sweep grid of {span + 1:.6g} points from {start} to {stop} "
             f"step {step}; at most {MAX_SWEEP_POINTS} points are priced")
+    parse = next(parse for _, field, parse, _ in _SPEC_OPTIONS
+                 if field == SWEEP_FIELDS[axis])
     # each point from its index, so no rounding error accumulates; 12
     # significant digits drop the representation error of start + i * step
-    _, parse = SWEEP_FIELDS[axis]
     grid = []
     while (value := start + len(grid) * step) <= stop + 1e-12:
         if parse is float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 HOPPING_WEIGHT = {"x": 7, "y": 10, "z": 12, "compact": 4}
 
@@ -180,8 +180,7 @@ def _step_cost(model: str, encoding: str, order: int, controlled: bool,
                L: int, size: int) -> StepCost:
     """One step of a priced pair on L^3 sites.  A controlled step doubles
     the rotations and adds one control qubit plus the pair's ancillas."""
-    if L < 1:
-        raise DomainError(f"lattice extent must be >= 1, got {L}")
+    L = check_count(L, "lattice extent", 1)
     check_priced(model, encoding)
     row = STEP_LAYERS[(model, encoding)]
     sites = L ** 3
@@ -197,7 +196,7 @@ def _step_cost(model: str, encoding: str, order: int, controlled: bool,
 def pionless_step_cost(encoding: str, order: int, controlled: bool,
                        L: int = 1) -> StepCost:
     """Step cost for the contact-interaction model."""
-    if order not in (1, 2):
+    if check_count(order, "order") not in (1, 2):
         raise DomainError(f"product-formula order must be 1 or 2, got {order}")
     return _step_cost("pionless", encoding, order, controlled, L, 0)
 
@@ -205,9 +204,7 @@ def pionless_step_cost(encoding: str, order: int, controlled: bool,
 def interaction_ball_sites(ell_units: int) -> int:
     """Number of lattice sites within the interaction range, padded by one
     spacing: ceil(4 pi (ell/a + 1)^3 / 3)."""
-    if ell_units < 1:
-        raise DomainError(
-            f"range cutoff must be >= 1 lattice unit, got {ell_units}")
+    ell_units = check_count(ell_units, "range cutoff", 1)
     return math.ceil(4 * math.pi * (ell_units + 1) ** 3 / 3)
 
 
@@ -261,17 +258,15 @@ def dynpi_step_cost(n_b: int, L: int, controlled: bool) -> StepCost:
     The paper's published headline polynomial, (45 n_b^2 + 114 n_b + 76)
     L^3, is looser than this tally and is not priced.
     """
-    if n_b < 1:
-        raise DomainError(f"register width n_b must be >= 1, got {n_b}")
+    n_b = check_count(n_b, "register width n_b", 1)
     return _step_cost("dynpi", "vc", 1, controlled, L, n_b)
 
 
 def t_synthesis(total_rz: int, eps_syn_total: float) -> float:
     """Expected T count to synthesize total_rz rotations within a shared
     accuracy budget, split evenly per rotation."""
-    if total_rz < 1:
-        raise DomainError(f"need at least one rotation, got {total_rz}")
-    if eps_syn_total <= 0:
+    total_rz = check_count(total_rz, "rotation count", 1)
+    if not eps_syn_total > 0:
         raise DomainError(
             f"synthesis budget must be positive, got {eps_syn_total}")
     try:

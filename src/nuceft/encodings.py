@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionError, GeometryError, UnsupportedOperatorError
+from .errors import (DimensionError, GeometryError, UnsupportedOperatorError,
+                     check_count)
 from .fock import ANNIHILATE, CREATE, NUMBER, FermionSum, FermionTerm
 from .pauli import PauliString, PauliSum, multiply
 
@@ -51,9 +52,9 @@ class LatticeSpec:
     a_L: float
 
     def __post_init__(self):
-        if min(self.Lx, self.Ly, self.Lz) < 1:
-            raise GeometryError(f"extents must be >= 1, got "
-                                f"({self.Lx}, {self.Ly}, {self.Lz})")
+        for name in ("Lx", "Ly", "Lz"):
+            object.__setattr__(self, name, check_count(
+                getattr(self, name), f"extent {name}", 1, GeometryError))
         if not self.a_L > 0:
             raise GeometryError(f"lattice spacing must be positive, got {self.a_L}")
 

@@ -4,6 +4,8 @@ CLI mapping: ConfigError -> exit 1, DomainError (and subclasses) -> exit 2.
 Everything else is a programming error and propagates normally.
 """
 
+import operator
+
 
 class NuceftError(Exception):
     """Base class for all package-specific errors."""
@@ -43,3 +45,15 @@ class PrecisionError(DomainError):
 
 class ConfigError(NuceftError, ValueError):
     """Malformed configuration file or flag combination."""
+
+
+def check_count(value, what: str, minimum: int = 0, error=DomainError) -> int:
+    """The Python int that a count equals, refusing with ``error`` (named
+    by ``what``) a bool, a value that operator.index does not take (2.0 is
+    refused) and a value below ``minimum``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{what} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value}")
+    return value

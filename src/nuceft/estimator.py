@@ -9,13 +9,12 @@ coefficient into a Trotter step count, and prices the resulting circuit.
 from __future__ import annotations
 
 import math
-import operator
 from numbers import Real
 from typing import NamedTuple
 
 from .costs import (STEP_LAYERS, StepCost, check_priced, dynpi_step_cost,
                     ope_step_cost, pionless_step_cost, t_synthesis)
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, check_count
 from .params import CONSTANTS, OpeParams, convert_length, pionless_params_for
 from .trotter import (CHANNELS, compose_total_error, dynpi_p1_bound,
                       ope_p1_bound, pionless_p1_coefficient,
@@ -54,31 +53,25 @@ class TaskSpec(_TaskSpecFields):
             if getattr(self, name) not in choices:
                 raise DomainError(f"unknown {name} {getattr(self, name)!r} "
                                   f"(choose from {choices})")
-        for name in ("order", "L", "eta", *_PINS):
-            value = getattr(self, name)
-            if value is None and name in _PINS:
-                continue  # a pin may be left out
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            # as the Python int it equals: an int32 L overflows in the pipeline
-            self = self._replace(**{name: operator.index(value)})
+        # each count as the Python int it equals: an int32 L overflows in
+        # the pipeline; a pin may be left out
+        self = self._replace(
+            order=check_count(self.order, "order"),
+            L=check_count(self.L, "lattice extent L", 1),
+            eta=check_count(self.eta, "eta", 1),
+            **{pin: check_count(getattr(self, pin), pin, 1)
+               for pin in _PINS if getattr(self, pin) is not None})
         for name in ("epsilon", "E_kin", "delta_E", "E_max", "success", "a_L"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, Real)
                     or not math.isfinite(value)):
                 raise DomainError(
                     f"{name} must be a finite real number, got {value!r}")
-        if self.L < 1:
-            raise DomainError(f"lattice extent L must be >= 1, got {self.L}")
-        for name in _PINS:
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise DomainError(
-                    f"{name} must be >= 1 when given, got {getattr(self, name)}")
-        if not 1 <= self.eta <= 4 * self.L ** 3:
+        if self.eta > 4 * self.L ** 3:
             raise DomainError(
                 f"eta must lie in [1, 4 L^3] = [1, {4 * self.L ** 3}] "
                 f"(the modes of the lattice), got {self.eta}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise DomainError(f"error budget must be positive, got {self.epsilon}")
         if not 0 < self.success < 1:
             raise DomainError(f"success probability must be in (0, 1), "
@@ -86,7 +79,7 @@ class TaskSpec(_TaskSpecFields):
         for name, what in (("delta_E", "energy resolution"),
                            ("E_kin", "kinetic energy E_kin"),
                            ("E_max", "spectral range E_max")):
-            if (value := getattr(self, name)) <= 0:
+            if not (value := getattr(self, name)) > 0:
                 raise DomainError(f"{what} must be positive, got {value}")
         return self
 
@@ -118,9 +111,8 @@ class CostReport(_CostReportFields):
 
 def crossing_time(a_L_fm: float, L: int, E_kin: float) -> float:
     """Time for a nucleon of the given kinetic energy to cross the lattice."""
-    if L < 1:
-        raise DomainError(f"lattice extent must be >= 1, got {L}")
-    if E_kin <= 0:
+    L = check_count(L, "lattice extent", 1)
+    if not E_kin > 0:
         raise DomainError(f"kinetic energy must be positive, got {E_kin}")
     return convert_length(a_L_fm) * L * math.sqrt(CONSTANTS.M / (2 * E_kin))
 
@@ -130,8 +122,7 @@ def qpe_ancilla_bits(m: int, delta: float) -> int:
     to 1 - delta."""
     if not 0 < delta < 1:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    if m < 1:
-        raise DomainError(f"need at least one precision bit, got {m}")
+    m = check_count(m, "precision bits m", 1)
     return m + math.ceil(math.log2(1 / (2 * delta) + 0.5))
 
 
@@ -270,10 +261,9 @@ def estimate(spec: TaskSpec) -> CostReport:
                       ancillas=step.ancillas, ledger=ledger, extras=extras)
 
 
-# sweep axis -> (TaskSpec field, the type of the CLI's grid values)
-SWEEP_FIELDS = {"eta": ("eta", int), "L": ("L", int),
-                "epsilon": ("epsilon", float), "ell": ("ell_units", int),
-                "n_b": ("n_b", int)}
+# sweep axis -> the TaskSpec field it varies
+SWEEP_FIELDS = {"eta": "eta", "L": "L", "epsilon": "epsilon",
+                "ell": "ell_units", "n_b": "n_b"}
 SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 SWEEP_HEADER = ("axis", "value", "r", "depth", "rz", "T", "qubits",
@@ -281,7 +271,7 @@ SWEEP_HEADER = ("axis", "value", "r", "depth", "rz", "T", "qubits",
 
 
 def _sweep_point(template: TaskSpec, axis: str, value) -> dict:
-    field_name, _ = SWEEP_FIELDS[axis]
+    field_name = SWEEP_FIELDS[axis]
     row = dict(dict.fromkeys(SWEEP_HEADER, ""), axis=axis, value=value)
     try:
         # unparsed, through the checks of the constructor (not _replace)

@@ -90,7 +90,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractError, SizeError
+from .errors import ContractError, SizeError, check_count
 
 CREATE = "+"
 ANNIHILATE = "-"
@@ -374,8 +374,8 @@ class EtaSector:
 
     def __post_init__(self):
         for name in ("n_modes", "eta"):
-            _check_integer(name, getattr(self, name))
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name,
+                               check_count(getattr(self, name), name))
         _check_sector(self.n_modes, self.eta)
         if (dim := comb(self.n_modes, self.eta)) > MAX_BLOCK:
             raise SizeError(f"eta={self.eta} sector of {self.n_modes} modes has"
@@ -401,16 +401,10 @@ class _Terms(NamedTuple):
     weights: np.ndarray  # (terms,) float, or complex if any weight is
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a bool, or a value that operator.index does not take."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name}={value!r} is not an integer")
-
-
 def _check_sector(n_modes: int, eta: int) -> None:
-    """Refuse an eta outside [0, n_modes], or more modes than a 64-bit
+    """Refuse an eta (a count) above n_modes, or more modes than a 64-bit
     occupation mask holds."""
-    if not 0 <= eta <= n_modes:
+    if eta > n_modes:
         raise ValueError(f"eta={eta} outside [0, {n_modes}]")
     if n_modes > 64:
         raise SizeError(f"{n_modes} modes exceeds the 64-bit occupation mask")
@@ -670,7 +664,7 @@ def _derived(sums: Sequence[FermionSum], eta: int) -> tuple[_Key, _Input]:
     """The memo key of an input and what the memo keeps for it, derived now
     if it keeps nothing.  The memo is left as it was."""
     # checked before the lookup: eta=True or 1.0 would find eta=1's input
-    _check_integer("eta", eta)
+    eta = check_count(eta, "eta")
     key = _Key(sums, eta)
     kept = _KEPT.get(key)
     if kept is None:
@@ -816,12 +810,9 @@ def exact_evolution_error(layers: Sequence[FermionSum], t: float, p: int,
     the largest over the blocks of conserved per-group counts, one block per
     orbit of the group swaps that map every layer to itself.  A layer of
     number factors alone is diagonal and exponentiated entry by entry."""
-    _check_integer("p", p)
-    _check_integer("r", r)
-    if p not in (1, 2):
+    if check_count(p, "order p") not in (1, 2):
         raise ValueError(f"order p={p} not supported by the oracle")
-    if r < 1:
-        raise ValueError("step count r must be >= 1")
+    r = check_count(r, "step count r", 1)
     if not isfinite(t):
         raise ValueError(f"time t={t} is not finite")
     if not layers:

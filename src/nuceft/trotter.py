@@ -19,10 +19,10 @@ from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .params import (CONSTANTS, DigitizationSpec, OpeParams, PionlessParams,
                      convert_length, hopping_coefficient)
-from .truncation import check_cutoff, realized_shells
+from .truncation import realized_shells
 
 
 class _BoundReportFields(NamedTuple):
@@ -74,7 +74,7 @@ def pionless_p1_bound(t: float, eta: int, params: PionlessParams) -> float:
 def pionless_p1_coefficient(eta: int, params: PionlessParams) -> BoundReport:
     """zeta by class: kinetic_kinetic (15 h^2 eta) and kinetic_diagonal, the
     hopping against the 2-, 3- and 4-body contacts (6 h (a1 [eta/2] + ...))."""
-    _check_eta(eta)
+    eta = check_count(eta, "eta")
     h = params.h
     return BoundReport((("kinetic_kinetic", 15 * h * h * eta),
                         ("kinetic_diagonal", 6 * h * _contacts(eta, params))))
@@ -82,7 +82,7 @@ def pionless_p1_coefficient(eta: int, params: PionlessParams) -> BoundReport:
 
 def pionless_p2_coefficient(eta: int, params: PionlessParams) -> float:
     """The t^3 coefficient of the second-order bound."""
-    _check_eta(eta)
+    eta = check_count(eta, "eta")
     h, C, D = params.h, params.C_slash, params.D_slash
     f2, f3, f4 = eta // 2, eta // 3, eta // 4
     n2 = abs(C) * f2
@@ -135,9 +135,9 @@ def ope_p1_bound(eta: int, params: OpeParams, ell_units: int) -> BoundReport:
     The spacing that turns r into fm is params.a_L, the one the couplings
     were fitted at.
     """
-    _check_eta(eta)
+    eta = check_count(eta, "eta")
     # checked before the lookup: True or 2.0 would find the sums of 1 or 2
-    check_cutoff(ell_units)
+    ell_units = check_count(ell_units, "range cutoff")
     h = hopping_coefficient(params.a_L)
     C, CI2 = abs(params.C), abs(params.C_I2)
     a = convert_length(params.a_L)
@@ -284,9 +284,8 @@ def _plain_sum(xs, start=0) -> float:
 def dynpi_p1_bound(eta: int, params: OpeParams,
                    digitization: DigitizationSpec, L: int) -> BoundReport:
     """First-order commutator-class sum (Xi) for the dynamical-pion model."""
-    _check_eta(eta)
-    if L < 1:
-        raise DomainError(f"lattice extent must be >= 1, got {L}")
+    eta = check_count(eta, "eta")
+    L = check_count(L, "lattice extent", 1)
     h = hopping_coefficient(params.a_L)
     C, CI2 = abs(params.C), abs(params.C_I2)
     a = convert_length(params.a_L)
@@ -321,13 +320,13 @@ def general_npfo_bound(p: int, localities: Sequence[int],
     Requires p+1 locality/weight entries (one per layer entering the
     (p+1)-deep nested commutator).
     """
+    p = check_count(p, "order p", 1)
     if len(localities) != p + 1 or len(weights) != p + 1:
         raise DomainError(
             f"need {p + 1} locality/weight entries, got "
             f"{len(localities)}/{len(weights)}")
-    if any(k < 1 for k in localities):
-        raise DomainError("localities must be >= 1")
-    _check_eta(eta)
+    localities = [check_count(k, "locality", 1) for k in localities]
+    eta = check_count(eta, "eta")
     out = 1.0
     for w in weights:
         out *= abs(w)
@@ -350,8 +349,9 @@ def product_formula_error(p: int, t: float, coefficient: float) -> float:
     p=1 takes zeta (error (t^2/2) zeta) and p=2 takes the full t^3
     coefficient.  No other order is bounded.
     """
+    p = check_count(p, "order p")
     _check_time(t)
-    if coefficient < 0:
+    if not coefficient >= 0:
         raise DomainError(f"coefficient must be >= 0, got {coefficient}")
     if p == 1:
         return t * t * coefficient / 2
@@ -363,7 +363,7 @@ def product_formula_error(p: int, t: float, coefficient: float) -> float:
 
 def steps_for_budget(p: int, t: float, coefficient: float, budget: float) -> int:
     """Fewest Trotter steps r with r * error(t/r) <= budget."""
-    if budget <= 0:
+    if not budget > 0:
         raise DomainError(f"error budget must be positive, got {budget}")
     _check_time(t)
     single = product_formula_error(p, t, coefficient)
@@ -398,7 +398,7 @@ def compose_total_error(model: str, epsilon: float, convention: str) -> dict:
     """
     if (model, convention) not in CHANNELS:
         raise DomainError(f"unknown model/convention {model!r}/{convention!r}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"error budget must be positive, got {epsilon}")
     channels = CHANNELS[(model, convention)]
     share = epsilon / len(channels)
@@ -410,10 +410,5 @@ def compose_total_error(model: str, epsilon: float, convention: str) -> dict:
 
 
 def _check_time(t: float) -> None:
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t}")
-
-
-def _check_eta(eta: int) -> None:
-    if eta < 0:
-        raise DomainError(f"eta must be >= 0, got {eta}")

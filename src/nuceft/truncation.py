@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError, UnreachableBudgetError
+from .errors import DomainError, UnreachableBudgetError, check_count
 from .params import (CONSTANTS, DigitizationSpec, OpeParams, ab_coefficients,
                      convert_length, yukawa_g1, yukawa_g2)
 
@@ -21,8 +21,7 @@ def shell_count(r_sq: int) -> int:
     A direct O(r_sq) count, kept as the reference that shell_counts is
     tested against.
     """
-    if r_sq < 0:
-        raise DomainError(f"squared radius must be >= 0, got {r_sq}")
+    r_sq = check_count(r_sq, "squared radius")
     if r_sq == 0:
         return 1
     count = 0
@@ -45,8 +44,7 @@ def shell_counts(max_r_sq: int) -> list[int]:
     Each sorted point stands for its sign flips (2 per nonzero coordinate)
     and its distinct coordinate orders (6, 3 or 1).
     """
-    if max_r_sq < 0:
-        raise DomainError(f"squared radius must be >= 0, got {max_r_sq}")
+    max_r_sq = check_count(max_r_sq, "squared radius")
     counts = [0] * (max_r_sq + 1)
     for i in range(math.isqrt(max_r_sq) + 1):
         ii = i * i
@@ -59,18 +57,10 @@ def shell_counts(max_r_sq: int) -> list[int]:
     return counts
 
 
-def check_cutoff(ell_units: int) -> None:
-    """Refuse a range cutoff that is a bool, not an integer, or negative."""
-    if isinstance(ell_units, bool) or not hasattr(type(ell_units), "__index__"):
-        raise DomainError(f"range cutoff must be an integer, got {ell_units!r}")
-    if ell_units < 0:
-        raise DomainError(f"range cutoff must be >= 0, got {ell_units}")
-
-
 def realized_shells(ell_units: int) -> tuple[tuple[int, int], ...]:
     """(r^2, q) in lattice units for every nonzero shell with r <= ell_units;
     the spacing that turns r into a distance is the pricer's."""
-    check_cutoff(ell_units)
+    ell_units = check_count(ell_units, "range cutoff")
     return tuple((r_sq, q)
                  for r_sq, q in enumerate(shell_counts(ell_units * ell_units))
                  if r_sq and q)
@@ -82,10 +72,8 @@ def ope_cutoff_error(ell_units: int, eta: int, a_L_fm: float) -> float:
     Multiply by evolution time for the norm error.  Minimum of the pairwise
     (eta^2) bound and the site-counting (eta) bound.
     """
-    if eta < 0:
-        raise DomainError(f"eta must be >= 0, got {eta}")
-    if ell_units < 1:
-        raise DomainError(f"cutoff ell={ell_units} below 1 lattice unit")
+    eta = check_count(eta, "eta")
+    ell_units = check_count(ell_units, "range cutoff", 1)
     if eta == 0:
         return 0.0
     a = convert_length(a_L_fm)
@@ -105,8 +93,10 @@ MAX_MULTIPLE = 10 ** 4
 def choose_ope_cutoff(eps_trunc: float, t: float, eta: int,
                       a_L_fm: float) -> int:
     """Smallest integer k with t * ope_cutoff_error(k, ...) <= eps_trunc."""
-    if eps_trunc <= 0:
+    if not eps_trunc > 0:
         raise DomainError(f"truncation budget must be positive, got {eps_trunc}")
+    if not t >= 0:
+        raise DomainError(f"time must be >= 0, got {t}")
     for k in range(1, MAX_MULTIPLE + 1):
         if t * ope_cutoff_error(k, eta, a_L_fm) <= eps_trunc:
             return k
@@ -119,10 +109,12 @@ def pi_max_bound(eta: int, E: float, eps_cut: float, params: OpeParams,
                  L: int) -> tuple[float, float]:
     """Field and conjugate-momentum cutoffs guaranteeing state overlap
     1 - eps_cut at energy E with eta nucleons (lower bounds, pre-rounding)."""
+    eta = check_count(eta, "eta")
+    L = check_count(L, "lattice extent", 1)
     A, B = ab_coefficients(params.a_L)
     if A <= 0 or B <= 0:
         raise DomainError(f"a_L={params.a_L} fm gives A={A:g}, B={B:g}; need both > 0")
-    if eps_cut <= 0:
+    if not eps_cut > 0:
         raise DomainError(f"eps_cut must be positive, got {eps_cut}")
     if eps_cut >= 1:
         raise DomainError(f"eps_cut={eps_cut:g} must be below 1: the "
@@ -150,8 +142,8 @@ def boson_cutoffs(eta: int, E: float, eps_cut: float, params: OpeParams,
     cutoff absorbs the rounding (delta_pi = 2 pi_max / (2^n_b - 1),
     Pi_max = pi / (a^3 delta_pi)).
     """
-    if n_b is not None and n_b < 1:
-        raise DomainError(f"register width n_b must be >= 1, got {n_b}")
+    if n_b is not None:
+        n_b = check_count(n_b, "register width n_b", 1)
     pi0, Pi0 = pi_max_bound(eta, E, eps_cut, params, L)
     a = convert_length(params.a_L)
     if n_b is None:

@@ -45,7 +45,7 @@ def _layout(encoding, shape=(2, 1, 1)):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: LatticeSpec(0, 1, 1, 2.2), GeometryError,
-     "extents must be >= 1, got (0, 1, 1)"),
+     "extent Lx must be >= 1, got 0"),
     (lambda: LatticeSpec(2, 1, 1, 0.0), GeometryError,
      "lattice spacing must be positive, got 0.0"),
     (lambda: LatticeSpec(2, 1, 1, 2.2).raster_index((2, 0, 0)),

@@ -38,7 +38,7 @@ def test_qpe_ancilla_bits():
     with pytest.raises(DomainError):
         qpe_ancilla_bits(8, 1.5)
     with pytest.raises(DomainError,
-                       match="^need at least one precision bit, got 0$"):
+                       match="^precision bits m must be >= 1, got 0$"):
         qpe_ancilla_bits(0, 0.5)
     # 1/(2 delta) + 1/2 = 3.5 + 0.5 = 4 exactly at delta = 1/7, so the
     # padding is log2(4) = 2 bits and no more
@@ -267,8 +267,10 @@ def test_sweep_passes_grid_values_unparsed():
     and True are not truncated to L=10 and L=1 but refused in the row."""
     rows = sweep(TaskSpec(**BENCH), "L", [10.5, True, 10])
     assert [row["value"] for row in rows] == [10.5, True, 10]
-    assert rows[0]["notes"] == "DomainError: L must be an integer, got 10.5"
-    assert rows[1]["notes"] == "DomainError: L must be an integer, got True"
+    assert rows[0]["notes"] == \
+        "DomainError: lattice extent L must be an integer, got 10.5"
+    assert rows[1]["notes"] == \
+        "DomainError: lattice extent L must be an integer, got True"
     assert rows[2]["notes"] == "" and rows[2]["r"] == estimate(
         TaskSpec(**BENCH)).r
     rows = sweep(TaskSpec(**BENCH), "epsilon", ["0.1"])

@@ -152,6 +152,9 @@ def test_choose_cutoff_reference_point():
     with pytest.raises(DomainError,
                        match=r"^truncation budget must be positive, got 0.0$"):
         choose_ope_cutoff(0.0, 1.0, 40, 2.2)
+    # a negative time would make every rate meet the budget
+    with pytest.raises(DomainError, match=r"^time must be >= 0, got -1.0$"):
+        choose_ope_cutoff(0.01, -1.0, 40, 2.2)
 
 
 def test_choose_cutoff_unreachable(monkeypatch):
