@@ -12,7 +12,7 @@ applies the time step (in MeV^-1) to give a dimensionless error.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError, check_count
 from .params import (CONSTANTS, DigitizationSpec, OpeParams, PionlessParams,
                      convert_length, hopping_coefficient)
-from .truncation import realized_shells
+from .truncation import shell_counts
 
 
 class _BoundReportFields(NamedTuple):
@@ -130,10 +130,10 @@ def _nucleon_classes(eta: int, h: float, C: float,
 def ope_p1_bound(eta: int, params: OpeParams, ell_units: int) -> BoundReport:
     """First-order commutator-class sum (zeta) for the pion-exchange model.
 
-    The long-range classes sum over the shells of truncation.realized_shells
-    out to the range cutoff ell_units (lattice units; 0 excludes all pairs).
-    The spacing that turns r into fm is params.a_L, the one the couplings
-    were fitted at.
+    The long-range classes sum over the lattice shells (see
+    truncation.shell_counts) out to the range cutoff ell_units (lattice
+    units; 0 excludes all pairs).  The spacing that turns r into fm is
+    params.a_L, the one the couplings were fitted at.
     """
     eta = check_count(eta, "eta")
     # checked before the lookup: True or 2.0 would find the sums of 1 or 2
@@ -161,71 +161,145 @@ def ope_p1_bound(eta: int, params: OpeParams, ell_units: int) -> BoundReport:
     return BoundReport(classes)
 
 
+class _ShellTable(NamedTuple):
+    """The shells of one spacing out to the largest cutoff priced so far.
+
+    counts is the shell_counts histogram out to the table's r^2; r_sqs,
+    qs, us and cs = q u list its nonzero shells r^2 > 0 in r^2 order.
+    Entry n of each prefix sum is that sum over the first n shells: s_qu
+    of q u, s_same of its same-shell term, and row0 of the row-0 pair
+    products ((c_0 q_b) u_b), 0 < b < n, the total T of _kept_rows.
+    """
+
+    a_L_fm: float | None
+    counts: list[int]
+    r_sqs: list[int]
+    qs: list[int]
+    us: list[float]
+    cs: list[float]
+    s_qu: list[float]
+    s_same: list[float]
+    row0: list[float]
+
+
+def _grown(table: _ShellTable, max_r_sq: int, a_L_fm: float) -> _ShellTable:
+    """table grown to r^2 <= max_r_sq, as a new table; a table of another
+    spacing is started afresh.  Each prefix sum carries on from its last
+    entry, so every entry has the bits of one sum over the whole table."""
+    if table.a_L_fm != a_L_fm:
+        table = _EMPTY_TABLE._replace(a_L_fm=a_L_fm)
+    if max_r_sq < len(table.counts):
+        return table
+    m = CONSTANTS.m_pi
+
+    def bare_kernel(r: float) -> float:
+        return (m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r)
+                                                 + 3 / (m * r) ** 2)
+
+    counts = shell_counts(max_r_sq, table.counts)
+    shells = [(r_sq, q) for r_sq, q in enumerate(counts[len(table.counts):],
+                                                 len(table.counts))
+              if r_sq and q]
+    r_sqs = [r_sq for r_sq, _ in shells]
+    qs = [q for _, q in shells]
+    us = [bare_kernel(convert_length(a_L_fm * math.sqrt(r_sq)))
+          for r_sq in r_sqs]
+    cs = list(map(mul, qs, us))
+    c0 = (table.cs or cs or [0])[0]
+    row0 = list(map(mul, map(mul, repeat(c0), qs), us))
+    if row0 and not table.cs:
+        row0[0] = 0  # shell 0 has no earlier shell to pair with
+    return _ShellTable(
+        a_L_fm, counts, table.r_sqs + r_sqs, table.qs + qs, table.us + us,
+        table.cs + cs, _extended(table.s_qu, cs),
+        _extended(table.s_same, ((3670016 * q * (q - 1) + 524288 * q) * u * u
+                                 for q, u in zip(qs, us))),
+        _extended(table.row0, row0))
+
+
+def _extended(prefix: list, xs) -> list:
+    """The prefix sums prefix, extended by xs as _plain_sum adds them."""
+    return prefix[:-1] + list(accumulate(xs, initial=prefix[-1]))
+
+
+# no table grows in place: _grown builds new lists, so this one stays empty
+_EMPTY_TABLE = _ShellTable(None, [], [], [], [], [], [0], [0], [0])
+# the table of the spacing priced last, and the last pair sum as
+# ((spacing, T, kept rows), s_cross)
+_table = _EMPTY_TABLE
+_last_pairs: tuple = (None, 0)
+
+
 # a sweep meets its cutoffs in runs, so a few entries suffice
 @lru_cache(maxsize=8)
 def _shell_sums(ell_units: int, a_L_fm: float) -> tuple[float, float, float]:
-    """The eta-independent shell sums of ope_p1_bound over the shells of
-    realized_shells(ell_units): s_qu = sum q u, s_cross = sum over shell
+    """The eta-independent shell sums of ope_p1_bound over the nonzero
+    shells with r <= ell_units: s_qu = sum q u, s_cross = sum over shell
     pairs a < b of q_a u_a q_b u_b, and s_same.
 
     Each (r^2, q) shell lies at r = a_L_fm sqrt(r^2) fm, and u is the bare
     radial kernel f(r)(g(r)+1) there; the coupling constants appear
     explicitly in each class coefficient.  Each sum is taken in one fixed
     order and rounded after every addition (see _plain_sum): s_qu and
-    s_same over the shells in table order, s_cross as _cross_sum says.
-    _cross_sum forms only the pair products of at least half an ulp of its
-    total after the first row: a smaller product cannot change a running
-    total under round-to-nearest.  So the three values are the bits of the
-    full sums, on every Python and on either side of _cross_sum's numpy
-    switch.
+    s_same over the shells in r^2 order, s_cross over the pairs in
+    row-major order, after its row-0 total T.  Only the pair products of at
+    least half an ulp of T are formed (see _kept_rows): a smaller product
+    cannot change a running total under round-to-nearest.  So the three
+    values are the bits of the full sums, on every Python and on either
+    side of _add_rows's numpy switch.
+
+    The sums are read from one _ShellTable, of the spacing priced last,
+    grown to the largest cutoff asked so far.  A smaller cutoff reads
+    prefix n of s_qu, s_same and T, where n counts its shells, with the
+    bits of a sum over those n shells alone.  s_cross is T plus the
+    products of the rows _kept_rows keeps, so it is fixed by the spacing,
+    T and those rows; a cutoff whose (spacing, T, kept rows) equal the last
+    pair sum's reuses it, and the sums of ell = 27 to 40 at 2.2 fm share
+    one.
     """
-    m = CONSTANTS.m_pi
-    shells = realized_shells(ell_units)
+    global _table, _last_pairs
+    r_sq = ell_units * ell_units
+    table = _table = _grown(_table, r_sq, a_L_fm)
+    n = bisect_right(table.r_sqs, r_sq)
+    total = table.row0[n]
+    rows = _kept_rows(table.cs[:n], total)
+    s_cross = total
+    if rows:
+        key = (a_L_fm, total, rows)
+        last_key, s_cross = _last_pairs
+        if last_key != key:
+            s_cross = _add_rows(table.qs, table.us, table.cs, rows, total)
+            _last_pairs = key, s_cross
+    return table.s_qu[n], s_cross, table.s_same[n]
 
-    def bare_kernel(r: float) -> float:
-        return (m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r)
-                                                 + 3 / (m * r) ** 2)
 
-    qs = [q for _, q in shells]
-    us = [bare_kernel(convert_length(a_L_fm * math.sqrt(r_sq)))
-          for r_sq, _ in shells]
-    s_qu = _plain_sum(map(mul, qs, us))
-    s_cross = _cross_sum(qs, us)
-    s_same = _plain_sum((3670016 * q * (q - 1) + 524288 * q) * u * u
-                        for q, u in zip(qs, us))
-    return s_qu, s_cross, s_same
+def _clear_shell_caches() -> None:
+    """Empty _shell_sums's cache, the shell table and the last pair sum."""
+    global _table, _last_pairs
+    _shell_sums.cache_clear()
+    _table, _last_pairs = _EMPTY_TABLE, (None, 0)
 
 
-# above this many shell pairs left after the first row and _cross_sum's
-# half-ulp cut, it adds them in numpy, with the same bits.  At 2.2 fm the
-# cut leaves at most 25,186 at any cutoff (of the 890,445 pairs of ell = 40
-# lattice units and the 3.5e9 of ell = 317 alike), so an estimate or sweep
-# there never imports numpy; at 1.0 fm, ell = 40 leaves 367,022.  At the
-# switch the pure-Python sum takes about 5 ms, a twentieth of the numpy
-# import that a sum just above it pays.
+# above this many shell pairs left after the first row and the half-ulp
+# cut of _kept_rows, _add_rows adds them in numpy, with the same bits.  At
+# 2.2 fm the cut leaves at most 25,186 at any cutoff (of the 890,445 pairs
+# of ell = 40 lattice units and the 3.5e9 of ell = 317 alike), so an
+# estimate or sweep there never imports numpy; at 1.0 fm, ell = 40 leaves
+# 367,022.  At the switch the pure-Python sum takes about 5 ms, a
+# twentieth of the numpy import that a sum just above it pays.
 _NUMPY_PAIRS = 1 << 15
 
 
-def _cross_sum(qs: Sequence[int], us: Sequence[float]) -> float:
-    """s_cross = sum over a < b of ((q_a u_a) q_b) u_b, for counts q >= 0
-    and kernels u >= 0.
+def _add_rows(qs: Sequence[int], us: Sequence[float], cs: Sequence[float],
+              rows: list[tuple[int, int]], total: float) -> float:
+    """total plus the pair products ((c_a q_b) u_b) of rows, each row (a,
+    end) the pairs a < b < end, in row-major order and left to right,
+    rounding after every addition.
 
-    The pairs are taken in row-major order (a, then b) and added strictly
-    left to right, rounding after every addition, so every running total
-    is at least T, the total after row 0.  Any product below half an ulp of
-    T therefore leaves the total unchanged, and is not formed (see
-    _kept_rows).  The result has the same bits as the sum of every pair.
     When more than _NUMPY_PAIRS pairs are kept, numpy forms them with the
     same multiplications, and np.add.accumulate (sequential, unlike np.sum)
-    adds each row after the total so far.  Fewer than two shells give the
-    int 0, the empty sum.
+    adds each row after the total so far.
     """
-    n = len(qs)
-    if n < 2:
-        return 0
-    cs = list(map(mul, qs, us))
-    total = _plain_sum(map(mul, map(mul, repeat(cs[0]), qs[1:]), us[1:]))
-    rows = _kept_rows(cs, total)
     if sum(end - a - 1 for a, end in rows) <= _NUMPY_PAIRS:
         return _plain_sum(chain.from_iterable(
             map(mul, map(mul, repeat(cs[a]), qs[a + 1:end]), us[a + 1:end])
@@ -241,8 +315,8 @@ def _cross_sum(qs: Sequence[int], us: Sequence[float]) -> float:
 
 
 def _kept_rows(cs: list[float], total: float) -> list[tuple[int, int]]:
-    """The rows a >= 1 of _cross_sum that can change its total, each as
-    (a, end): the pairs (a, b) with a < b < end.
+    """The rows a >= 1 of the pair sum over cs that can change its total
+    after row 0, each as (a, end): the pairs (a, b) with a < b < end.
 
     h = ulp(total) / 2, and a product p < h leaves any running total T >=
     total unchanged under round-to-nearest (T + p lies below the midpoint
@@ -329,6 +403,8 @@ def general_npfo_bound(p: int, localities: Sequence[int],
     eta = check_count(eta, "eta")
     out = 1.0
     for w in weights:
+        if not math.isfinite(w):
+            raise DomainError(f"weight must be finite, got {w}")
         out *= abs(w)
     running = localities[0]
     for m in range(2, p + 2):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Sequence
 
 from .errors import DomainError, UnreachableBudgetError, check_count
 from .params import (CONSTANTS, DigitizationSpec, OpeParams, ab_coefficients,
@@ -37,33 +38,32 @@ def shell_count(r_sq: int) -> int:
     return count
 
 
-def shell_counts(max_r_sq: int) -> list[int]:
-    """shell_count(r_sq) for every r_sq in 0..max_r_sq, from one walk over
-    the sorted points i >= j >= k >= 0 of the ball.
+def shell_counts(max_r_sq: int, known: Sequence[int] = ()) -> list[int]:
+    """shell_count(r_sq) for every r_sq in 0..max_r_sq, as a new list.
+
+    known is this histogram out to some r^2 = old, len(known) - 1 (the
+    empty histogram, old = -1, by default).  The walk visits only the
+    sorted points i >= j >= k >= 0 with old < i^2 + j^2 + k^2 <= max_r_sq:
+    for each (i, j), k starts at isqrt(old - i^2 - j^2) + 1.  So extending
+    a histogram gives the list that one walk from scratch gives, and a
+    max_r_sq at or below old gives a prefix of known.
 
     Each sorted point stands for its sign flips (2 per nonzero coordinate)
     and its distinct coordinate orders (6, 3 or 1).
     """
     max_r_sq = check_count(max_r_sq, "squared radius")
-    counts = [0] * (max_r_sq + 1)
+    old = len(known) - 1
+    counts = list(known[:max_r_sq + 1]) + [0] * (max_r_sq - old)
     for i in range(math.isqrt(max_r_sq) + 1):
         ii = i * i
         for j in range(min(i, math.isqrt(max_r_sq - ii)) + 1):
             ij = ii + j * j
-            for k in range(min(j, math.isqrt(max_r_sq - ij)) + 1):
+            first = math.isqrt(old - ij) + 1 if old >= ij else 0
+            for k in range(first, min(j, math.isqrt(max_r_sq - ij)) + 1):
                 orders = 1 if i == k else 3 if i == j or j == k else 6
                 signs = 1 << ((i > 0) + (j > 0) + (k > 0))
                 counts[ij + k * k] += orders * signs
     return counts
-
-
-def realized_shells(ell_units: int) -> tuple[tuple[int, int], ...]:
-    """(r^2, q) in lattice units for every nonzero shell with r <= ell_units;
-    the spacing that turns r into a distance is the pricer's."""
-    ell_units = check_count(ell_units, "range cutoff")
-    return tuple((r_sq, q)
-                 for r_sq, q in enumerate(shell_counts(ell_units * ell_units))
-                 if r_sq and q)
 
 
 def ope_cutoff_error(ell_units: int, eta: int, a_L_fm: float) -> float:
@@ -111,6 +111,8 @@ def pi_max_bound(eta: int, E: float, eps_cut: float, params: OpeParams,
     1 - eps_cut at energy E with eta nucleons (lower bounds, pre-rounding)."""
     eta = check_count(eta, "eta")
     L = check_count(L, "lattice extent", 1)
+    if not E >= 0:
+        raise DomainError(f"energy E must be >= 0, got {E}")
     A, B = ab_coefficients(params.a_L)
     if A <= 0 or B <= 0:
         raise DomainError(f"a_L={params.a_L} fm gives A={A:g}, B={B:g}; need both > 0")

@@ -23,8 +23,8 @@ from nuceft.trotter import (BoundReport, compose_total_error, dynpi_p1_bound,
                             pionless_p1_coefficient, pionless_p2_coefficient,
                             product_formula_error, steps_for_budget)
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
-                               ope_cutoff_error, pi_max_bound, realized_shells,
-                               shell_count, shell_counts)
+                               ope_cutoff_error, pi_max_bound, shell_count,
+                               shell_counts)
 
 from fermion_reference import hopping
 
@@ -144,7 +144,6 @@ _COUNTS = {
     "steps_for_budget": (lambda n: steps_for_budget(n, 0.1, 1.0, 1e-3), 0, 2),
     "shell_count": (shell_count, 0, 3),
     "shell_counts": (shell_counts, 0, 3),
-    "realized_shells": (realized_shells, 0, 3),
     "ope_cutoff_error.ell_units": (lambda n: ope_cutoff_error(n, 4, 2.2),
                                    1, 3),
     "ope_cutoff_error.eta": (lambda n: ope_cutoff_error(2, n, 2.2), 0, 3),

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
+from operator import mul
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from nuceft.trotter import (compose_total_error, dynpi_p1_bound,
                             pionless_p1_bound, pionless_p1_coefficient,
                             pionless_p2_coefficient, product_formula_error,
                             steps_for_budget)
-from nuceft.truncation import boson_cutoffs, realized_shells, shell_count
+from nuceft.truncation import boson_cutoffs, shell_count, shell_counts
 from nuceft.verify import verify_trotter
 
 
@@ -169,6 +171,12 @@ def _pair_loop(qs, us):
     return total
 
 
+def _shells(ell):
+    """(r^2, q) of every nonzero shell with r <= ell, from one fresh walk."""
+    return [(r_sq, q) for r_sq, q in enumerate(shell_counts(ell * ell))
+            if r_sq and q]
+
+
 def _bare_kernels(shells, a_L):
     m = CONSTANTS.m_pi
     qs, us = [], []
@@ -181,10 +189,31 @@ def _bare_kernels(shells, a_L):
 
 
 def test_realized_shells_are_the_nonzero_shells_within_the_cutoff():
-    for ell in range(13):
-        assert realized_shells(ell) == tuple(
-            (r_sq, shell_count(r_sq)) for r_sq in range(1, ell * ell + 1)
-            if shell_count(r_sq))
+    # the shell table, grown one cutoff at a time or in one step, lists
+    # each cutoff's shells as a prefix
+    for cutoffs in (range(13), [12]):
+        trotter._clear_shell_caches()
+        for ell in cutoffs:
+            trotter._shell_sums(ell, 2.2)
+        table = trotter._table
+        assert table.counts == [shell_count(r_sq) for r_sq in range(145)]
+        for ell in range(13):
+            n = bisect_right(table.r_sqs, ell * ell)
+            assert list(zip(table.r_sqs[:n], table.qs[:n])) == [
+                (r_sq, shell_count(r_sq)) for r_sq in range(1, ell * ell + 1)
+                if shell_count(r_sq)]
+
+
+def _cross_sum(qs, us):
+    """s_cross of a whole kernel table, as _shell_sums takes it: the row-0
+    total T, then the rows _kept_rows keeps, added by _add_rows."""
+    cs = list(map(mul, qs, us))
+    total = 0
+    if cs:
+        total = trotter._plain_sum(
+            map(mul, map(mul, itertools.repeat(cs[0]), qs[1:]), us[1:]))
+    rows = trotter._kept_rows(cs, total)
+    return trotter._add_rows(qs, us, cs, rows, total) if rows else total
 
 
 def _cross_sum_branch(monkeypatch, qs, us):
@@ -198,7 +227,7 @@ def _cross_sum_branch(monkeypatch, qs, us):
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "array", counting_array)
-        value = trotter._cross_sum(qs, us)
+        value = _cross_sum(qs, us)
     return value, bool(arrays)
 
 
@@ -211,7 +240,7 @@ def test_shell_sums_match_the_pair_loop_exactly(monkeypatch):
     for a_L, ell in itertools.product((1.0, 1.4, 2.2),
                                       (0, 1, 13, 17, 18, 20, 40)):
         sums = trotter._shell_sums(ell, a_L)
-        qs, us = _bare_kernels(realized_shells(ell), a_L)
+        qs, us = _bare_kernels(_shells(ell), a_L)
         assert _cross_sum_branch(monkeypatch, qs, us) == (
             sums[1], (a_L, ell) in in_numpy)
         plain_qu = plain_same = 0
@@ -232,12 +261,11 @@ def test_cross_sum_numpy_branch_equals_the_pure_python_branch(monkeypatch,
         tables.append(
             (qs, [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-12, 3)
                   for _ in qs]))
-    tables += [_bare_kernels(realized_shells(ell), 2.2)
-               for ell in (18, 25, 33, 40)]
+    tables += [_bare_kernels(_shells(ell), 2.2) for ell in (18, 25, 33, 40)]
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
-    plain = [trotter._cross_sum(qs, us) for qs, us in tables]
+    plain = [_cross_sum(qs, us) for qs, us in tables]
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 0)
-    assert [trotter._cross_sum(qs, us) for qs, us in tables] == plain
+    assert [_cross_sum(qs, us) for qs, us in tables] == plain
 
 
 @st.composite
@@ -279,7 +307,7 @@ def test_cross_sum_cuts_only_pairs_that_cannot_change_the_total(table):
     for switch in (0, 10 ** 12):
         with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
             patch.setattr(trotter, "_NUMPY_PAIRS", switch)
-            assert repr(trotter._cross_sum(qs, us)) == want
+            assert repr(_cross_sum(qs, us)) == want
 
 
 def test_cross_sum_forms_a_few_percent_of_the_pairs_at_2_2_fm(monkeypatch):
@@ -292,7 +320,7 @@ def test_cross_sum_forms_a_few_percent_of_the_pairs_at_2_2_fm(monkeypatch):
 
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
     monkeypatch.setattr(trotter, "mul", counting_mul)
-    trotter._shell_sums.cache_clear()
+    trotter._clear_shell_caches()
     ope_p1_bound(40, OpeParams.from_lecs(2.2), 40)
     assert 0 < len(calls) <= 60_000
 
@@ -303,9 +331,9 @@ def test_cross_sum_keeps_an_overflow_on_both_branches(monkeypatch):
     qs, us = [1] * 300, [1e160] * 300
     assert len(qs) * (len(qs) - 1) // 2 > trotter._NUMPY_PAIRS
     with np.errstate(over="ignore"):
-        assert trotter._cross_sum(qs, us) == math.inf
+        assert _cross_sum(qs, us) == math.inf
     monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
-    assert trotter._cross_sum(qs, us) == math.inf
+    assert _cross_sum(qs, us) == math.inf
 
 
 def test_plain_sum_rounds_after_every_addition():
@@ -319,12 +347,13 @@ def test_plain_sum_rounds_after_every_addition():
 
 def test_ope_p1_shell_sums_are_memoized_by_value():
     # one cache, keyed on (cutoff, spacing): the default ope eta sweep misses
-    # once per cutoff it meets, 6 to 13 lattice units
-    trotter._shell_sums.cache_clear()
+    # once per cutoff it meets, 6 to 13 lattice units, and reads them all
+    # from one shell table grown to the largest
+    trotter._clear_shell_caches()
     rows = sweep(TaskSpec(model="ope"), "eta", range(2, 401, 2))
     assert {row["ell_or_nb"] for row in rows} == set(range(6, 14))
     assert trotter._shell_sums.cache_info()[:2] == (192, 8)  # hits, misses
-    assert not hasattr(realized_shells, "cache_clear")
+    assert len(trotter._table.counts) == 13 * 13 + 1
 
 
 @pytest.mark.parametrize("ell, message", [
@@ -339,23 +368,59 @@ def test_a_negative_or_non_integer_cutoff_is_refused(ell, message):
     # True and 2.0 hash like the cached cutoffs 1 and 2, and must not hit them
     ope_p1_bound(4, params, 1)
     ope_p1_bound(4, params, 2)
-    for call in (lambda: realized_shells(ell),
-                 lambda: ope_p1_bound(4, params, ell)):
-        with pytest.raises(DomainError) as info:
-            call()
-        assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        ope_p1_bound(4, params, ell)
+    assert str(info.value) == message
+
+
+def _fresh_shell_sums(ell, a_L):
+    trotter._clear_shell_caches()
+    return repr(trotter._shell_sums(ell, a_L))
+
+
+def test_shell_table_prices_each_cutoff_as_a_fresh_table():
+    # runs of 7 cutoffs, each run at 1.0, 1.4 and 2.2 fm in turn, so the
+    # table is started afresh, grown and read as a prefix; 1.0 and 1.4 fm
+    # add their pairs in numpy from ell = 18 on
+    spacings, cutoffs = (1.0, 1.4, 2.2), list(range(61))
+    want = {(ell, a_L): _fresh_shell_sums(ell, a_L)
+            for ell, a_L in itertools.product(cutoffs, spacings)}
+    shuffled = cutoffs[:]
+    random.Random(39).shuffle(shuffled)
+    for order in (cutoffs, cutoffs[::-1], shuffled):
+        trotter._clear_shell_caches()
+        for start in range(0, len(order), 7):
+            for a_L in spacings:
+                for ell in order[start:start + 7]:
+                    assert repr(trotter._shell_sums(ell, a_L)) == \
+                        want[ell, a_L], (ell, a_L)
+
+
+def test_ell_sweep_reuses_the_last_pair_sum(monkeypatch):
+    # ell = 1 has one shell and no pair; from ell = 27 to 40 at 2.2 fm the
+    # row-0 total and the kept rows stay those of ell = 26
+    calls = []
+    add_rows = trotter._add_rows
+    monkeypatch.setattr(trotter, "_add_rows",
+                        lambda *args: calls.append(1) or add_rows(*args))
+    trotter._clear_shell_caches()
+    rows = sweep(TaskSpec(model="ope"), "ell", range(1, 41))
+    assert [row["ell_or_nb"] for row in rows] == list(range(1, 41))
+    assert len(calls) == 25
+    assert len(trotter._table.qs) == 1335
+    assert trotter._shell_sums(26, 2.2)[1] == trotter._shell_sums(40, 2.2)[1]
 
 
 def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
     evaluations = []
-    cross_sum = trotter._cross_sum
+    add_rows = trotter._add_rows
 
-    def counting_cross_sum(qs, us):
+    def counting_add_rows(*args):
         evaluations.append(1)
-        return cross_sum(qs, us)
+        return add_rows(*args)
 
-    monkeypatch.setattr(trotter, "_cross_sum", counting_cross_sum)
-    trotter._shell_sums.cache_clear()
+    monkeypatch.setattr(trotter, "_add_rows", counting_add_rows)
+    trotter._clear_shell_caches()
     rows = sweep(TaskSpec(model="ope"), "eta", range(2, 401, 2))
     cutoffs = {row["ell_or_nb"] for row in rows}
     assert len(rows) == 200 and not any(row["notes"] for row in rows)
@@ -389,6 +454,13 @@ def test_general_npfo_bound_reference_values():
         general_npfo_bound(1, [2], [1.0], 2)
     with pytest.raises(DomainError):
         general_npfo_bound(2, [2, 2, 0], [1, 1, 1], 2)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_general_npfo_bound_refuses_a_non_finite_weight(weight):
+    with pytest.raises(DomainError,
+                       match=f"^weight must be finite, got {weight}$"):
+        general_npfo_bound(1, [2, 2], [weight, 1.0], 2)
 
 
 def test_by_hand_comparison():

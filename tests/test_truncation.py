@@ -9,8 +9,8 @@ from nuceft.errors import DomainError, UnreachableBudgetError
 from nuceft.params import (CONSTANTS, OpeParams, ab_coefficients,
                            convert_length, yukawa_g1, yukawa_g2)
 from nuceft.truncation import (boson_cutoffs, choose_ope_cutoff,
-                               ope_cutoff_error, pi_max_bound, realized_shells,
-                               shell_count, shell_counts)
+                               ope_cutoff_error, pi_max_bound, shell_count,
+                               shell_counts)
 from nuceft.trotter import ope_p1_bound
 
 
@@ -44,6 +44,16 @@ def test_shell_counts_match_shell_count():
         shell_count(-1)
 
 
+def test_shell_counts_extend_a_histogram_to_the_walk_from_scratch():
+    # from the empty histogram, from r^2 = 0 and from every old r^2 on
+    # either side of the new one
+    for new in range(65):
+        want = shell_counts(new)
+        assert shell_counts(new, ()) == want
+        for old in range(65):
+            assert shell_counts(new, shell_counts(old)) == want, (old, new)
+
+
 def test_shell_counts_fill_the_radius_40_ball():
     ball = sum(1 for i, j, k in itertools.product(range(-40, 41), repeat=3)
                if i * i + j * j + k * k <= 1600)
@@ -60,34 +70,41 @@ def test_shell_table_cumulative():
 
 
 def test_realized_shells():
-    shells = realized_shells(2)
-    assert [q for _, q in shells] == [6, 12, 8, 6]
+    # the shell table of ope_p1_bound's sums
+    trotter._clear_shell_caches()
+    trotter._shell_sums(2, 2.2)
+    table = trotter._table
+    assert table.qs == [6, 12, 8, 6]
     # the innermost shell at one spacing, the outermost at two
-    assert shells[0][0] == 1
-    assert shells[-1][0] == 4
-    assert realized_shells(0) == ()
+    assert table.r_sqs[0] == 1
+    assert table.r_sqs[-1] == 4
+    trotter._clear_shell_caches()
+    trotter._shell_sums(0, 2.2)
+    assert trotter._table.r_sqs == []
 
 
 def test_realized_shells_are_memoized_per_cutoff(monkeypatch):
-    # realized_shells keeps no cache of its own: the shell sums that
-    # ope_p1_bound reads, keyed on (cutoff, spacing), walk a cutoff's table
-    # once whatever the eta, and again only after their cache is cleared
+    # the shell sums that ope_p1_bound reads, keyed on (cutoff, spacing),
+    # walk a cutoff's table once whatever the eta, and again only after
+    # their caches are emptied; a larger cutoff walks only its new points
     walk = truncation.shell_counts
     walked = []
-    monkeypatch.setattr(truncation, "shell_counts",
-                        lambda max_r_sq: walked.append(max_r_sq)
-                        or walk(max_r_sq))
+    monkeypatch.setattr(trotter, "shell_counts",
+                        lambda max_r_sq, *known: walked.append(max_r_sq)
+                        or walk(max_r_sq, *known))
     params = OpeParams.from_lecs(2.2)
-    trotter._shell_sums.cache_clear()
+    trotter._clear_shell_caches()
     cold = ope_p1_bound(4, params, 10)
     assert ope_p1_bound(4, params, 10) == cold
     ope_p1_bound(40, params, 10)
     assert walked == [100]
     assert trotter._shell_sums.cache_info()[:2] == (2, 1)  # hits, misses
-    trotter._shell_sums.cache_clear()
+    trotter._clear_shell_caches()
     assert ope_p1_bound(4, params, 10) == cold
     assert walked == [100, 100]
-    assert not hasattr(realized_shells, "cache_clear")
+    ope_p1_bound(4, params, 12)
+    ope_p1_bound(4, params, 11)
+    assert walked == [100, 100, 144]
 
 
 def test_realized_shells_reach_the_outermost_shell(monkeypatch):
@@ -95,10 +112,14 @@ def test_realized_shells_reach_the_outermost_shell(monkeypatch):
     # floor to ell^2 - 1 at 3725 units (2.2 fm) and 2413 (1.7 fm); the real
     # walk there takes hours, so the stub only records what is asked
     asked = []
-    monkeypatch.setattr(truncation, "shell_counts",
-                        lambda max_r_sq: asked.append(max_r_sq) or [1])
-    assert realized_shells(3725) == ()
-    assert realized_shells(2413) == ()
+    monkeypatch.setattr(trotter, "shell_counts",
+                        lambda max_r_sq, known: asked.append(max_r_sq) or [1])
+    trotter._clear_shell_caches()
+    try:
+        assert trotter._shell_sums(3725, 2.2) == (0, 0, 0)
+        assert trotter._shell_sums(2413, 1.7) == (0, 0, 0)
+    finally:
+        trotter._clear_shell_caches()
     assert asked == [13_875_625, 2413 ** 2]
 
 
@@ -180,6 +201,17 @@ def test_pi_max_bounds_positive_and_monotone():
         with pytest.raises(DomainError, match=f"eps_cut={eps_cut:g} must be "
                                               "below 1"):
             pi_max_bound(40, 400.0, eps_cut, lecs, 10)
+
+
+def test_pi_max_bound_refuses_a_nan_or_negative_energy():
+    lecs = OpeParams.from_lecs(2.2)
+    for E in (math.nan, -1e9):
+        message = f"^energy E must be >= 0, got {E}$"
+        for call in (lambda: pi_max_bound(4, E, 1e-3, lecs, 4),
+                     lambda: boson_cutoffs(4, E, 1e-3, lecs, 4),
+                     lambda: boson_cutoffs(4, E, 1e-3, lecs, 4, n_b=3)):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 def test_pi_max_bound_reference_formula():
