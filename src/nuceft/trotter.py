@@ -12,10 +12,9 @@ applies the time step (in MeV^-1) to give a dimensionless error.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
-from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -136,7 +135,6 @@ def ope_p1_bound(eta: int, params: OpeParams, ell_units: int) -> BoundReport:
     params.a_L, the one the couplings were fitted at.
     """
     eta = check_count(eta, "eta")
-    # checked before the lookup: True or 2.0 would find the sums of 1 or 2
     ell_units = check_count(ell_units, "range cutoff")
     h = hopping_coefficient(params.a_L)
     C, CI2 = abs(params.C), abs(params.C_I2)
@@ -162,24 +160,17 @@ def ope_p1_bound(eta: int, params: OpeParams, ell_units: int) -> BoundReport:
 
 
 class _ShellTable(NamedTuple):
-    """The shells of one spacing out to the largest cutoff priced so far.
-
-    counts is the shell_counts histogram out to the table's r^2; r_sqs,
-    qs, us and cs = q u list its nonzero shells r^2 > 0 in r^2 order.
-    Entry n of each prefix sum is that sum over the first n shells: s_qu
-    of q u, s_same of its same-shell term, and row0 of the row-0 pair
-    products ((c_0 q_b) u_b), 0 < b < n, the total T of _kept_rows.
-    """
+    """The shells of one spacing out to the largest cutoff priced so far:
+    the shell_counts histogram, its nonzero shells r^2 > 0 in r^2 order,
+    and, with c = q u, prefix sums over them of c (s_qu), of c times the
+    s_qu before it (s_cross) and of the same-shell term (s_same)."""
 
     a_L_fm: float | None
     counts: list[int]
     r_sqs: list[int]
-    qs: list[int]
-    us: list[float]
-    cs: list[float]
     s_qu: list[float]
+    s_cross: list[float]
     s_same: list[float]
-    row0: list[float]
 
 
 def _grown(table: _ShellTable, max_r_sq: int, a_L_fm: float) -> _ShellTable:
@@ -191,30 +182,21 @@ def _grown(table: _ShellTable, max_r_sq: int, a_L_fm: float) -> _ShellTable:
     if max_r_sq < len(table.counts):
         return table
     m = CONSTANTS.m_pi
-
-    def bare_kernel(r: float) -> float:
-        return (m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r)
-                                                 + 3 / (m * r) ** 2)
-
     counts = shell_counts(max_r_sq, table.counts)
-    shells = [(r_sq, q) for r_sq, q in enumerate(counts[len(table.counts):],
-                                                 len(table.counts))
-              if r_sq and q]
-    r_sqs = [r_sq for r_sq, _ in shells]
-    qs = [q for _, q in shells]
-    us = [bare_kernel(convert_length(a_L_fm * math.sqrt(r_sq)))
-          for r_sq in r_sqs]
+    r_sqs = [r_sq for r_sq in range(len(table.counts), len(counts))
+             if r_sq and counts[r_sq]]
+    qs = [counts[r_sq] for r_sq in r_sqs]
+    # the bare radial kernel f(r)(g(r)+1) at r = a_L_fm sqrt(r^2) fm
+    us = [(m * m * math.exp(-m * r) / r) * (2 + 3 / (m * r) + 3 / (m * r) ** 2)
+          for r in (convert_length(a_L_fm * math.sqrt(r_sq))
+                    for r_sq in r_sqs)]
     cs = list(map(mul, qs, us))
-    c0 = (table.cs or cs or [0])[0]
-    row0 = list(map(mul, map(mul, repeat(c0), qs), us))
-    if row0 and not table.cs:
-        row0[0] = 0  # shell 0 has no earlier shell to pair with
+    s_qu = _extended(table.s_qu, cs)
     return _ShellTable(
-        a_L_fm, counts, table.r_sqs + r_sqs, table.qs + qs, table.us + us,
-        table.cs + cs, _extended(table.s_qu, cs),
+        a_L_fm, counts, table.r_sqs + r_sqs, s_qu,
+        _extended(table.s_cross, map(mul, cs, s_qu[len(table.r_sqs):])),
         _extended(table.s_same, ((3670016 * q * (q - 1) + 524288 * q) * u * u
-                                 for q, u in zip(qs, us))),
-        _extended(table.row0, row0))
+                                 for q, u in zip(qs, us))))
 
 
 def _extended(prefix: list, xs) -> list:
@@ -223,130 +205,28 @@ def _extended(prefix: list, xs) -> list:
 
 
 # no table grows in place: _grown builds new lists, so this one stays empty
-_EMPTY_TABLE = _ShellTable(None, [], [], [], [], [], [0], [0], [0])
-# the table of the spacing priced last, and the last pair sum as
-# ((spacing, T, kept rows), s_cross)
-_table = _EMPTY_TABLE
-_last_pairs: tuple = (None, 0)
+_EMPTY_TABLE = _ShellTable(None, [], [], [0], [0], [0])
+_table = _EMPTY_TABLE  # the table of the spacing priced last
 
 
-# a sweep meets its cutoffs in runs, so a few entries suffice
-@lru_cache(maxsize=8)
 def _shell_sums(ell_units: int, a_L_fm: float) -> tuple[float, float, float]:
     """The eta-independent shell sums of ope_p1_bound over the nonzero
     shells with r <= ell_units: s_qu = sum q u, s_cross = sum over shell
-    pairs a < b of q_a u_a q_b u_b, and s_same.
-
-    Each (r^2, q) shell lies at r = a_L_fm sqrt(r^2) fm, and u is the bare
-    radial kernel f(r)(g(r)+1) there; the coupling constants appear
-    explicitly in each class coefficient.  Each sum is taken in one fixed
-    order and rounded after every addition (see _plain_sum): s_qu and
-    s_same over the shells in r^2 order, s_cross over the pairs in
-    row-major order, after its row-0 total T.  Only the pair products of at
-    least half an ulp of T are formed (see _kept_rows): a smaller product
-    cannot change a running total under round-to-nearest.  So the three
-    values are the bits of the full sums, on every Python and on either
-    side of _add_rows's numpy switch.
-
-    The sums are read from one _ShellTable, of the spacing priced last,
-    grown to the largest cutoff asked so far.  A smaller cutoff reads
-    prefix n of s_qu, s_same and T, where n counts its shells, with the
-    bits of a sum over those n shells alone.  s_cross is T plus the
-    products of the rows _kept_rows keeps, so it is fixed by the spacing,
-    T and those rows; a cutoff whose (spacing, T, kept rows) equal the last
-    pair sum's reuses it, and the sums of ell = 27 to 40 at 2.2 fm share
-    one.
-    """
-    global _table, _last_pairs
-    r_sq = ell_units * ell_units
-    table = _table = _grown(_table, r_sq, a_L_fm)
-    n = bisect_right(table.r_sqs, r_sq)
-    total = table.row0[n]
-    rows = _kept_rows(table.cs[:n], total)
-    s_cross = total
-    if rows:
-        key = (a_L_fm, total, rows)
-        last_key, s_cross = _last_pairs
-        if last_key != key:
-            s_cross = _add_rows(table.qs, table.us, table.cs, rows, total)
-            _last_pairs = key, s_cross
-    return table.s_qu[n], s_cross, table.s_same[n]
+    pairs a < b of q_a u_a q_b u_b, and s_same, read as entry n of the
+    prefix sums of the _ShellTable of a_L_fm, n the number of those shells.
+    Each has the bits of one left-to-right sum over them (see _plain_sum).
+    The terms of s_cross are all >= 0, so it does not cancel as
+    ((sum c)^2 - sum c^2)/2 does when one shell dominates."""
+    global _table
+    table = _table = _grown(_table, ell_units ** 2, a_L_fm)
+    n = bisect_right(table.r_sqs, ell_units ** 2)
+    return table.s_qu[n], table.s_cross[n], table.s_same[n]
 
 
-def _clear_shell_caches() -> None:
-    """Empty _shell_sums's cache, the shell table and the last pair sum."""
-    global _table, _last_pairs
-    _shell_sums.cache_clear()
-    _table, _last_pairs = _EMPTY_TABLE, (None, 0)
-
-
-# above this many shell pairs left after the first row and the half-ulp
-# cut of _kept_rows, _add_rows adds them in numpy, with the same bits.  At
-# 2.2 fm the cut leaves at most 25,186 at any cutoff (of the 890,445 pairs
-# of ell = 40 lattice units and the 3.5e9 of ell = 317 alike), so an
-# estimate or sweep there never imports numpy; at 1.0 fm, ell = 40 leaves
-# 367,022.  At the switch the pure-Python sum takes about 5 ms, a
-# twentieth of the numpy import that a sum just above it pays.
-_NUMPY_PAIRS = 1 << 15
-
-
-def _add_rows(qs: Sequence[int], us: Sequence[float], cs: Sequence[float],
-              rows: list[tuple[int, int]], total: float) -> float:
-    """total plus the pair products ((c_a q_b) u_b) of rows, each row (a,
-    end) the pairs a < b < end, in row-major order and left to right,
-    rounding after every addition.
-
-    When more than _NUMPY_PAIRS pairs are kept, numpy forms them with the
-    same multiplications, and np.add.accumulate (sequential, unlike np.sum)
-    adds each row after the total so far.
-    """
-    if sum(end - a - 1 for a, end in rows) <= _NUMPY_PAIRS:
-        return _plain_sum(chain.from_iterable(
-            map(mul, map(mul, repeat(cs[a]), qs[a + 1:end]), us[a + 1:end])
-            for a, end in rows), total)
-    import numpy as np
-    q, u = np.array(qs, dtype=np.float64), np.array(us, dtype=np.float64)
-    for a, end in rows:
-        row = cs[a] * q[a + 1:end]
-        row *= u[a + 1:end]
-        row[0] += total
-        total = float(np.add.accumulate(row, out=row)[-1])
-    return total
-
-
-def _kept_rows(cs: list[float], total: float) -> list[tuple[int, int]]:
-    """The rows a >= 1 of the pair sum over cs that can change its total
-    after row 0, each as (a, end): the pairs (a, b) with a < b < end.
-
-    h = ulp(total) / 2, and a product p < h leaves any running total T >=
-    total unchanged under round-to-nearest (T + p lies below the midpoint
-    between T and the next float).  With w = max(c, 2^-1022), c = q u, and
-    top[b] the largest w at b or after it, the product of pair (a, b) is at
-    most w_a top[b] (1 + 5 2^-53), so a pair whose bound w_a top[b]
-    (1 + 1e-15) is below h is not formed.  top falls with b, so the kept
-    pairs of a row are a prefix, and the rows stop at the first a with
-    top[a] top[a+1] below the cut.  The floor on w bounds the underflow of
-    a subnormal c or q u.  A total that is not finite, or not above 2^-900
-    (so that h lies far above the subnormals), keeps every pair.  A finite
-    total means that c_0 and every later u are finite, so no c is nan and
-    max is well defined.
-    """
-    n = len(cs)
-    if not 2.0 ** -900 < total < math.inf:
-        return [(a, n) for a in range(1, n - 1)]
-    half_ulp, margin = math.ulp(total) / 2, 1 + 1e-15
-    tiny = 2.0 ** -1022
-    top = list(accumulate(reversed([max(c, tiny) for c in cs]), max))[::-1]
-    rows = []
-    for a in range(1, n - 1):
-        if top[a] * top[a + 1] * margin < half_ulp:
-            break
-        w = max(cs[a], tiny)
-        end = bisect_left(top, True, a + 1, n,
-                          key=lambda t: w * t * margin < half_ulp)
-        if end > a + 1:
-            rows.append((a, end))
-    return rows
+def _clear_shell_table() -> None:
+    """Start _shell_sums from the empty table."""
+    global _table
+    _table = _EMPTY_TABLE
 
 
 def _plain_sum(xs, start=0) -> float:

@@ -614,8 +614,7 @@ def test_estimate_does_not_import_the_oracle():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert nuceft.cli.main(
                     ["estimate", "--model", model, "--eta", "40"]) == 0
-        # the benchmark's ope estimates and eta sweep price tables below
-        # the numpy switch of the shell-pair sum
+        # and the benchmark's ope estimates and eta sweep
         for argv in (["--task", "qpe"], ["--ell", "13"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert nuceft.cli.main(["estimate", "--model", "ope",
@@ -642,12 +641,10 @@ def test_estimate_does_not_import_the_oracle():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("a_L, ell, loads_numpy",
-                         [(2.2, 18, False), (2.2, 40, False), (1.0, 40, True)])
-def test_ope_estimate_loads_numpy_above_the_pair_switch(a_L, ell,
-                                                        loads_numpy):
-    # the shell pairs left after the cut are added in numpy above 32,768:
-    # at 2.2 fm no cutoff keeps that many, at 1.0 fm ell = 40 keeps 367,022
+@pytest.mark.parametrize("a_L, ell", [(2.2, 18), (2.2, 40), (1.0, 40)])
+def test_an_ope_estimate_never_loads_numpy(a_L, ell):
+    # the shell sums are prefix sums in pure Python at every spacing and
+    # cutoff, 890,445 shell pairs at ell = 40 included
     code = f"""if True:
         import contextlib, io, sys
         import nuceft.cli
@@ -659,4 +656,4 @@ def test_ope_estimate_loads_numpy_above_the_pair_switch(a_L, ell,
     """
     proc = _run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{loads_numpy}\n"
+    assert proc.stdout == "False\n"

@@ -2,12 +2,10 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from operator import mul
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nuceft import trotter
 from nuceft.errors import DomainError
@@ -161,16 +159,6 @@ def test_ope_p1_empty_shells():
     assert report.total > 0  # contact pieces remain
 
 
-def _pair_loop(qs, us):
-    """s_cross by the definition: ((q_a u_a) q_b) u_b over a < b in
-    row-major order, added left to right."""
-    total = 0
-    for a in range(len(qs)):
-        for b in range(a + 1, len(qs)):
-            total += qs[a] * us[a] * qs[b] * us[b]
-    return total
-
-
 def _shells(ell):
     """(r^2, q) of every nonzero shell with r <= ell, from one fresh walk."""
     return [(r_sq, q) for r_sq, q in enumerate(shell_counts(ell * ell))
@@ -192,148 +180,37 @@ def test_realized_shells_are_the_nonzero_shells_within_the_cutoff():
     # the shell table, grown one cutoff at a time or in one step, lists
     # each cutoff's shells as a prefix
     for cutoffs in (range(13), [12]):
-        trotter._clear_shell_caches()
+        trotter._clear_shell_table()
         for ell in cutoffs:
             trotter._shell_sums(ell, 2.2)
         table = trotter._table
         assert table.counts == [shell_count(r_sq) for r_sq in range(145)]
         for ell in range(13):
             n = bisect_right(table.r_sqs, ell * ell)
-            assert list(zip(table.r_sqs[:n], table.qs[:n])) == [
-                (r_sq, shell_count(r_sq)) for r_sq in range(1, ell * ell + 1)
-                if shell_count(r_sq)]
+            assert table.r_sqs[:n] == [r_sq for r_sq in range(1, ell * ell + 1)
+                                       if shell_count(r_sq)]
 
 
-def _cross_sum(qs, us):
-    """s_cross of a whole kernel table, as _shell_sums takes it: the row-0
-    total T, then the rows _kept_rows keeps, added by _add_rows."""
-    cs = list(map(mul, qs, us))
-    total = 0
-    if cs:
-        total = trotter._plain_sum(
-            map(mul, map(mul, itertools.repeat(cs[0]), qs[1:]), us[1:]))
-    rows = trotter._kept_rows(cs, total)
-    return trotter._add_rows(qs, us, cs, rows, total) if rows else total
-
-
-def _cross_sum_branch(monkeypatch, qs, us):
-    """_cross_sum of a table, and whether it added its pairs in numpy."""
-    arrays = []
-    array = np.array
-
-    def counting_array(*args, **kwargs):
-        arrays.append(1)
-        return array(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "array", counting_array)
-        value = _cross_sum(qs, us)
-    return value, bool(arrays)
-
-
-def test_shell_sums_match_the_pair_loop_exactly(monkeypatch):
-    # ell 0 and 1 are the empty and the one-shell table.  At 2.2 fm the
-    # cut leaves every table below the numpy switch; at 1.0 and 1.4 fm the
-    # tables from ell = 18 on keep more pairs than it (at 1.0 fm, ell = 40
-    # keeps 367,022 of its 890,445 after the first row) and add them in numpy
-    in_numpy = set(itertools.product((1.0, 1.4), (18, 20, 40)))
+def test_shell_sums_match_their_plain_loops():
+    # ell 0 and 1 are the empty and the one-shell table.  s_qu and s_same
+    # are plain sums in r^2 order; s_cross adds each shell's c = q u times
+    # the sum of c before it, within 1e-14 of the exact pair sum (9.3e-15
+    # at 1.4 fm, ell = 40)
     for a_L, ell in itertools.product((1.0, 1.4, 2.2),
                                       (0, 1, 13, 17, 18, 20, 40)):
         sums = trotter._shell_sums(ell, a_L)
         qs, us = _bare_kernels(_shells(ell), a_L)
-        assert _cross_sum_branch(monkeypatch, qs, us) == (
-            sums[1], (a_L, ell) in in_numpy)
-        plain_qu = plain_same = 0
+        plain_qu = plain_cross = plain_same = 0
         for q, u in zip(qs, us):
-            plain_qu += q * u
+            c = q * u
+            plain_cross += c * plain_qu
+            plain_qu += c
             plain_same += (3670016 * q * (q - 1) + 524288 * q) * u * u
-        assert sums == (plain_qu, _pair_loop(qs, us), plain_same)
+        assert repr(sums) == repr((plain_qu, plain_cross, plain_same))
+        cs = [Fraction(c) for c in map(mul, qs, us)]
+        exact = (sum(cs) ** 2 - sum(c * c for c in cs)) / 2
+        assert abs(Fraction(sums[1]) - exact) <= Fraction(1e-14) * exact
     assert repr(trotter._shell_sums(0, 2.2)) == "(0, 0, 0)"
-
-
-@pytest.mark.parametrize("seed", [4, 64])
-def test_cross_sum_numpy_branch_equals_the_pure_python_branch(monkeypatch,
-                                                              seed):
-    rng = random.Random(seed)
-    tables = []
-    for n in range(2, 131):
-        qs = [rng.randint(1, 48) for _ in range(n)]
-        tables.append(
-            (qs, [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-12, 3)
-                  for _ in qs]))
-    tables += [_bare_kernels(_shells(ell), 2.2) for ell in (18, 25, 33, 40)]
-    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
-    plain = [_cross_sum(qs, us) for qs, us in tables]
-    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 0)
-    assert [_cross_sum(qs, us) for qs, us in tables] == plain
-
-
-@st.composite
-def _kernel_tables(draw):
-    """(qs, us): counts 0..48 and kernels that are 0 or lie in a drawn
-    span of up to 60 decades within 1e-300..1e300, unsorted or sorted
-    falling by kernel (as real tables are) or by q u, with at most one
-    entry whose products overflow or one inf kernel beside a zero count
-    (an inf * 0 pair)."""
-    n = draw(st.integers(0, 300))
-    low = draw(st.integers(-300, 300))
-    high = min(300, low + draw(st.integers(0, 60)))
-    qs = draw(st.lists(st.integers(0, 48), min_size=n, max_size=n))
-    us = draw(st.lists(
-        st.one_of(st.just(0.0),
-                  st.builds(lambda m, e: m * 10.0 ** e,
-                            st.floats(1.0, 9.99), st.integers(low, high))),
-        min_size=n, max_size=n))
-    order = draw(st.sampled_from(["kernel", "product", "none"]))
-    if order != "none":
-        pairs = sorted(zip(qs, us), reverse=True,
-                       key=lambda p: p[1] if order == "kernel" else p[0] * p[1])
-        qs, us = [q for q, _ in pairs], [u for _, u in pairs]
-    special = draw(st.sampled_from(["none", "overflow", "inf"]))
-    if n and special != "none":
-        i = draw(st.integers(0, n - 1))
-        if special == "overflow":
-            qs[i], us[i] = max(qs[i], 2), 1e308
-        else:
-            us[i], qs[draw(st.integers(0, n - 1))] = math.inf, 0
-    return qs, us
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_kernel_tables())
-def test_cross_sum_cuts_only_pairs_that_cannot_change_the_total(table):
-    qs, us = table
-    want = repr(_pair_loop(qs, us))
-    for switch in (0, 10 ** 12):
-        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-            patch.setattr(trotter, "_NUMPY_PAIRS", switch)
-            assert repr(_cross_sum(qs, us)) == want
-
-
-def test_cross_sum_forms_a_few_percent_of_the_pairs_at_2_2_fm(monkeypatch):
-    # 890,445 pairs at ell = 40; summing them all takes two mul calls each
-    calls = []
-
-    def counting_mul(x, y):
-        calls.append(1)
-        return x * y
-
-    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
-    monkeypatch.setattr(trotter, "mul", counting_mul)
-    trotter._clear_shell_caches()
-    ope_p1_bound(40, OpeParams.from_lecs(2.2), 40)
-    assert 0 < len(calls) <= 60_000
-
-
-def test_cross_sum_keeps_an_overflow_on_both_branches(monkeypatch):
-    # every product overflows to inf, so the first row's total is inf and
-    # every pair is kept, above the numpy switch
-    qs, us = [1] * 300, [1e160] * 300
-    assert len(qs) * (len(qs) - 1) // 2 > trotter._NUMPY_PAIRS
-    with np.errstate(over="ignore"):
-        assert _cross_sum(qs, us) == math.inf
-    monkeypatch.setattr(trotter, "_NUMPY_PAIRS", 10 ** 12)
-    assert _cross_sum(qs, us) == math.inf
 
 
 def test_plain_sum_rounds_after_every_addition():
@@ -345,17 +222,6 @@ def test_plain_sum_rounds_after_every_addition():
     assert repr(trotter._plain_sum([])) == "0"
 
 
-def test_ope_p1_shell_sums_are_memoized_by_value():
-    # one cache, keyed on (cutoff, spacing): the default ope eta sweep misses
-    # once per cutoff it meets, 6 to 13 lattice units, and reads them all
-    # from one shell table grown to the largest
-    trotter._clear_shell_caches()
-    rows = sweep(TaskSpec(model="ope"), "eta", range(2, 401, 2))
-    assert {row["ell_or_nb"] for row in rows} == set(range(6, 14))
-    assert trotter._shell_sums.cache_info()[:2] == (192, 8)  # hits, misses
-    assert len(trotter._table.counts) == 13 * 13 + 1
-
-
 @pytest.mark.parametrize("ell, message", [
     (-1, "range cutoff must be >= 0, got -1"),
     (-2, "range cutoff must be >= 0, got -2"),
@@ -365,7 +231,8 @@ def test_ope_p1_shell_sums_are_memoized_by_value():
 ])
 def test_a_negative_or_non_integer_cutoff_is_refused(ell, message):
     params = OpeParams.from_lecs(2.2)
-    # True and 2.0 hash like the cached cutoffs 1 and 2, and must not hit them
+    # True and 2.0 equal the priced cutoffs 1 and 2, and must not be read
+    # as them
     ope_p1_bound(4, params, 1)
     ope_p1_bound(4, params, 2)
     with pytest.raises(DomainError) as info:
@@ -374,21 +241,20 @@ def test_a_negative_or_non_integer_cutoff_is_refused(ell, message):
 
 
 def _fresh_shell_sums(ell, a_L):
-    trotter._clear_shell_caches()
+    trotter._clear_shell_table()
     return repr(trotter._shell_sums(ell, a_L))
 
 
 def test_shell_table_prices_each_cutoff_as_a_fresh_table():
     # runs of 7 cutoffs, each run at 1.0, 1.4 and 2.2 fm in turn, so the
-    # table is started afresh, grown and read as a prefix; 1.0 and 1.4 fm
-    # add their pairs in numpy from ell = 18 on
+    # table is started afresh, grown and read as a prefix
     spacings, cutoffs = (1.0, 1.4, 2.2), list(range(61))
     want = {(ell, a_L): _fresh_shell_sums(ell, a_L)
             for ell, a_L in itertools.product(cutoffs, spacings)}
     shuffled = cutoffs[:]
     random.Random(39).shuffle(shuffled)
     for order in (cutoffs, cutoffs[::-1], shuffled):
-        trotter._clear_shell_caches()
+        trotter._clear_shell_table()
         for start in range(0, len(order), 7):
             for a_L in spacings:
                 for ell in order[start:start + 7]:
@@ -396,36 +262,21 @@ def test_shell_table_prices_each_cutoff_as_a_fresh_table():
                         want[ell, a_L], (ell, a_L)
 
 
-def test_ell_sweep_reuses_the_last_pair_sum(monkeypatch):
-    # ell = 1 has one shell and no pair; from ell = 27 to 40 at 2.2 fm the
-    # row-0 total and the kept rows stay those of ell = 26
-    calls = []
-    add_rows = trotter._add_rows
-    monkeypatch.setattr(trotter, "_add_rows",
-                        lambda *args: calls.append(1) or add_rows(*args))
-    trotter._clear_shell_caches()
-    rows = sweep(TaskSpec(model="ope"), "ell", range(1, 41))
-    assert [row["ell_or_nb"] for row in rows] == list(range(1, 41))
-    assert len(calls) == 25
-    assert len(trotter._table.qs) == 1335
-    assert trotter._shell_sums(26, 2.2)[1] == trotter._shell_sums(40, 2.2)[1]
-
-
 def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
-    evaluations = []
-    add_rows = trotter._add_rows
-
-    def counting_add_rows(*args):
-        evaluations.append(1)
-        return add_rows(*args)
-
-    monkeypatch.setattr(trotter, "_add_rows", counting_add_rows)
-    trotter._clear_shell_caches()
+    # the default ope eta sweep meets the cutoffs 6 to 13 lattice units and
+    # reads them all from one shell table, walked once per new cutoff and
+    # grown to the largest
+    walk = trotter.shell_counts
+    walked = []
+    monkeypatch.setattr(trotter, "shell_counts",
+                        lambda max_r_sq, known: walked.append(max_r_sq)
+                        or walk(max_r_sq, known))
+    trotter._clear_shell_table()
     rows = sweep(TaskSpec(model="ope"), "eta", range(2, 401, 2))
-    cutoffs = {row["ell_or_nb"] for row in rows}
     assert len(rows) == 200 and not any(row["notes"] for row in rows)
-    assert 1 < len(cutoffs) < len(rows)
-    assert len(evaluations) == len(cutoffs)
+    assert {row["ell_or_nb"] for row in rows} == set(range(6, 14))
+    assert walked == [ell * ell for ell in range(6, 14)]
+    assert len(trotter._table.counts) == 13 * 13 + 1
 
 
 def test_dynpi_p1_frozen_total():

@@ -71,35 +71,36 @@ def test_shell_table_cumulative():
 
 def test_realized_shells():
     # the shell table of ope_p1_bound's sums
-    trotter._clear_shell_caches()
+    trotter._clear_shell_table()
     trotter._shell_sums(2, 2.2)
     table = trotter._table
-    assert table.qs == [6, 12, 8, 6]
+    assert table.counts == [1, 6, 12, 8, 6]
     # the innermost shell at one spacing, the outermost at two
     assert table.r_sqs[0] == 1
     assert table.r_sqs[-1] == 4
-    trotter._clear_shell_caches()
+    trotter._clear_shell_table()
     trotter._shell_sums(0, 2.2)
+    assert trotter._table.counts == [1]
     assert trotter._table.r_sqs == []
 
 
 def test_realized_shells_are_memoized_per_cutoff(monkeypatch):
-    # the shell sums that ope_p1_bound reads, keyed on (cutoff, spacing),
-    # walk a cutoff's table once whatever the eta, and again only after
-    # their caches are emptied; a larger cutoff walks only its new points
+    # the shell table that ope_p1_bound reads walks a cutoff's shells once
+    # whatever the eta, and again only after it is emptied; a larger cutoff
+    # walks only its new points
     walk = truncation.shell_counts
     walked = []
     monkeypatch.setattr(trotter, "shell_counts",
                         lambda max_r_sq, *known: walked.append(max_r_sq)
                         or walk(max_r_sq, *known))
     params = OpeParams.from_lecs(2.2)
-    trotter._clear_shell_caches()
+    trotter._clear_shell_table()
     cold = ope_p1_bound(4, params, 10)
     assert ope_p1_bound(4, params, 10) == cold
     ope_p1_bound(40, params, 10)
     assert walked == [100]
-    assert trotter._shell_sums.cache_info()[:2] == (2, 1)  # hits, misses
-    trotter._clear_shell_caches()
+    assert len(trotter._table.counts) == 10 * 10 + 1
+    trotter._clear_shell_table()
     assert ope_p1_bound(4, params, 10) == cold
     assert walked == [100, 100]
     ope_p1_bound(4, params, 12)
@@ -114,12 +115,12 @@ def test_realized_shells_reach_the_outermost_shell(monkeypatch):
     asked = []
     monkeypatch.setattr(trotter, "shell_counts",
                         lambda max_r_sq, known: asked.append(max_r_sq) or [1])
-    trotter._clear_shell_caches()
+    trotter._clear_shell_table()
     try:
         assert trotter._shell_sums(3725, 2.2) == (0, 0, 0)
         assert trotter._shell_sums(2413, 1.7) == (0, 0, 0)
     finally:
-        trotter._clear_shell_caches()
+        trotter._clear_shell_table()
     assert asked == [13_875_625, 2413 ** 2]
 
 

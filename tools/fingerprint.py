@@ -26,8 +26,7 @@ checkouts compare by running each one's copy.  The groups:
   ``TaskSpec``s and calls ``estimate``, so it runs on older checkouts too;
 - ``shell_sums``: the ``repr`` of ``trotter._shell_sums(ell, a_L)`` at
   each a_L in ``SHELL_SPACINGS`` and ell in ``SHELL_CUTOFFS``, from the
-  empty table to 14.2 million shell pairs, on either side of the numpy
-  switch of ``trotter._add_rows``.
+  empty table to 14.2 million shell pairs.
 
 Standard library and numpy only; outside the test suite.  The 12-qubit
 matrix alone takes 256 MiB.  One BLAS thread is pinned before numpy loads,
