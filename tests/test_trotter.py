@@ -279,6 +279,28 @@ def test_eta_sweep_sums_shells_once_per_cutoff(monkeypatch):
     assert len(trotter._table.counts) == 13 * 13 + 1
 
 
+def test_ope_p1_shell_sums_are_memoized_by_value(monkeypatch):
+    # the shell table is kept by the value of its spacing: a cutoff it holds,
+    # priced at a spacing of equal value however written, is read from the
+    # same table without a walk; another spacing starts a fresh table
+    trotter._clear_shell_table()
+    want = [repr(trotter._shell_sums(ell, 2.2)) for ell in range(14)]
+    table = trotter._table
+    assert len(table.counts) == 13 * 13 + 1
+    walk = trotter.shell_counts
+    walked = []
+    monkeypatch.setattr(trotter, "shell_counts",
+                        lambda max_r_sq, known: walked.append(max_r_sq)
+                        or walk(max_r_sq, known))
+    for a_L in (2.2, float("2.2"), 11 / 5, 22e-1):
+        assert [repr(trotter._shell_sums(ell, a_L))
+                for ell in range(14)] == want, a_L
+        assert trotter._table is table
+    assert walked == []
+    trotter._shell_sums(13, 1.0)
+    assert walked == [13 * 13] and trotter._table.a_L_fm == 1.0
+
+
 def test_dynpi_p1_frozen_total():
     lecs = OpeParams.from_lecs(2.2)
     eps_cut = (0.05 / 2) ** 2 / 2
